@@ -3,39 +3,29 @@
 Output is CSV (RFC-4180 style: comma, header row, LF endings, floats at
 15 significant digits) or a JSON array of flat objects.  Exit codes:
 0 success, 1 a verification subcommand found a counterexample, 2 usage
-or domain error.  Identical inputs produce byte-identical output
-regardless of the thread count; worker results merge in input order.
+or domain error.
+
+Each subcommand is declared once, as a COMMANDS entry: its help text and
+extra flags, its output columns, a rows(args) callable that returns one
+tuple per output row, and an optional fails(record) predicate that marks
+a row as a counterexample.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from . import constants, extrema, mertens, sieve, squarefree
 
-__all__ = ["RunConfig", "main", "run", "emit", "script_entry"]
-
-THREAD_ENV_VAR = "PSITOOLS_THREADS"
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation: subcommand, parameters, output plumbing."""
-
-    subcommand: str
-    params: dict[str, Any] = field(default_factory=dict)
-    output_format: str = "csv"
-    output_path: str | None = None
-    threads: int = 1
+__all__ = ["COMMANDS", "Command", "main", "emit", "script_entry"]
 
 
 def _format_cell(value: Any) -> str:
@@ -87,21 +77,50 @@ def emit(records: Iterable[dict[str, Any]], output_format: str, sink,
         raise ValueError(f"unknown output format {output_format!r}")
 
 
-def _ordered_map(fn: Callable, items: list, threads: int) -> list:
-    """Map preserving input order; optionally fan out to worker threads."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: everything its parser, rows and exit code need."""
+
+    help: str
+    columns: tuple[str, ...]
+    rows: Callable[[argparse.Namespace], Iterable[tuple]]
+    flags: tuple[tuple[str, dict[str, Any]], ...] = ()
+    fails: Callable[[dict[str, Any]], bool] | None = None
 
 
-def _grid(params: dict[str, Any], smallest: int = 2) -> list[int]:
+def _flag(name: str, **kwargs: Any) -> tuple[str, dict[str, Any]]:
+    return name, kwargs
+
+
+_GRID_FLAGS = (
+    _flag("--x", type=int, action="append",
+          help="evaluation point; may repeat"),
+    _flag("--xmax", type=int, help="end of a geometric x grid"),
+    _flag("--xmin", type=int, default=10,
+          help="start of the geometric grid (default 10)"),
+    _flag("--points", type=int, default=20,
+          help="grid point count (default 20)"),
+)
+
+
+def _need(args: argparse.Namespace, flag: str, least: int) -> int:
+    """The integer value of --flag; a ValueError if it is below least."""
+    value = int(getattr(args, flag) or 0)
+    if value < least:
+        raise ValueError(f"{args.subcommand} needs --{flag} >= {least}")
+    return value
+
+
+def _tables(args: argparse.Namespace, needed: int) -> sieve.SieveTables:
+    return sieve.build_sieve(max(args.limit or 0, needed, 2))
+
+
+def _grid(args: argparse.Namespace, smallest: int) -> list[int]:
     """x values from repeated --x and/or a geometric --xmax/--points grid."""
-    xs = [int(v) for v in (params.get("x") or [])]
-    if params.get("xmax") is not None:
-        lo = max(smallest, int(params.get("xmin") or 10))
-        points = int(params.get("points") or 20)
-        raw = np.geomspace(lo, int(params["xmax"]), points)
+    xs = list(args.x or [])
+    if args.xmax is not None:
+        lo = max(smallest, args.xmin or 10)
+        raw = np.geomspace(lo, args.xmax, args.points or 20)
         xs.extend(int(v) for v in np.unique(raw.astype(np.int64)))
     if not xs:
         raise ValueError("no x values given (use --x or --xmax)")
@@ -111,289 +130,212 @@ def _grid(params: dict[str, Any], smallest: int = 2) -> list[int]:
     return xs
 
 
-def _build_tables(params: dict[str, Any], needed: int) -> sieve.SieveTables:
-    limit = int(params.get("limit") or 0)
-    return sieve.build_sieve(max(limit, needed, 2))
+def _per_x(point: Callable[..., tuple], smallest: int = 2,
+           need: Callable[[argparse.Namespace], int] = lambda args: 0):
+    """rows(args) for a grid subcommand: one point(x, tables, args) per x.
+
+    The grid and the sieve (to the largest x, or need(args) if larger)
+    are computed once; every row is computed before any is written.
+    """
+    def rows(args: argparse.Namespace) -> list[tuple]:
+        xs = _grid(args, smallest)
+        tables = _tables(args, max(max(xs), need(args)))
+        return [point(x, tables, args) for x in xs]
+    return rows
 
 
-# ---------------------------------------------------------------------------
-# subcommand runners: each returns (record stream, header, found_failure)
-
-def _run_sieve_info(cfg: RunConfig):
-    limit = int(cfg.params.get("limit") or 0)
-    if limit < 2:
-        raise ValueError("sieve-info needs --limit >= 2")
-    tables = sieve.build_sieve(limit)
-    row = {
-        "limit": tables.limit,
-        "primes": len(tables.primes),
-        "squarefree": squarefree.count_squarefree_exact(tables.limit, tables),
-        "theta": sieve.theta(tables.limit, tables),
-    }
-    return [row], list(row), False
+def _sample(x: int, s) -> tuple:
+    return x, s.value, s.main_term, s.residual
 
 
-def _run_verify_psi(cfg: RunConfig):
-    p_limit = int(cfg.params.get("plimit") or 0)
-    if p_limit < 2:
-        raise ValueError("verify-psi needs --plimit >= 2")
-    tables = _build_tables(cfg.params, p_limit)
-    all_positive, _, _ = extrema.verify_theorem1(p_limit, tables)
-    header = ["k", "p_k", "log_N", "psi_ratio", "loglog_N", "threshold",
-              "margin"]
-
-    def rows() -> Iterator[dict[str, Any]]:
-        for rec in extrema.primorial_stream(p_limit, tables):
-            yield {
-                "k": rec.k,
-                "p_k": rec.p_k,
-                "log_N": rec.log_N,
-                "psi_ratio": rec.psi_ratio,
-                "loglog_N": rec.loglog_N,
-                "threshold": rec.threshold,
-                "margin": rec.margin,
-            }
-
-    return rows(), header, not all_positive
+def _sieve_info(args):
+    tables = sieve.build_sieve(_need(args, "limit", 2))
+    return [(tables.limit, len(tables.primes),
+             squarefree.count_squarefree_exact(tables.limit, tables),
+             sieve.theta(tables.limit, tables))]
 
 
-def _run_squarefree(cfg: RunConfig):
-    xs = _grid(cfg.params, smallest=1)
-    tables = _build_tables(cfg.params, max(xs))
-
-    def one(x: int) -> dict[str, Any]:
-        half, quarter = squarefree.squarefree_residual(x, tables)
-        return {
-            "x": x,
-            "Q": int(half.value),
-            "main": half.main_term,
-            "residual": half.residual,
-            "scaled_half": half.scaled_residual,
-            "scaled_quarter": quarter.scaled_residual,
-        }
-
-    rows = _ordered_map(one, xs, cfg.threads)
-    return rows, ["x", "Q", "main", "residual", "scaled_half",
-                  "scaled_quarter"], False
+def _verify_psi(args):
+    p_limit = _need(args, "plimit", 2)
+    stream = extrema.primorial_stream(p_limit, _tables(args, p_limit))
+    return ((r.k, r.p_k, r.log_N, r.psi_ratio, r.loglog_N, r.threshold,
+             r.margin) for r in stream)
 
 
-def _run_harmonic(cfg: RunConfig):
-    xs = _grid(cfg.params, smallest=1)
-    tables = _build_tables(cfg.params, max(xs))
-
-    def one(x: int) -> dict[str, Any]:
-        s = squarefree.squarefree_harmonic(x, tables)
-        return {"x": x, "value": s.value, "main": s.main_term,
-                "residual": s.residual}
-
-    return _ordered_map(one, xs, cfg.threads), ["x", "value", "main",
-                                                "residual"], False
+def _squarefree(x, tables, args):
+    half, quarter = squarefree.squarefree_residual(x, tables)
+    return (x, int(half.value), half.main_term, half.residual,
+            half.scaled_residual, quarter.scaled_residual)
 
 
-def _run_mertens(cfg: RunConfig):
-    xs = _grid(cfg.params)
-    tables = _build_tables(cfg.params, max(xs))
-
-    def one(x: int) -> dict[str, Any]:
-        s = mertens.prime_harmonic(x, tables)
-        return {"x": x, "sum": s.value, "main": s.main_term,
-                "residual": s.residual}
-
-    return _ordered_map(one, xs, cfg.threads), ["x", "sum", "main",
-                                                "residual"], False
+def _progression(x, tables, args):
+    s = mertens.prime_harmonic_progression(x, args.q, args.a, tables)
+    return s.q, s.a, x, s.sum, s.b_estimate
 
 
-def _run_progression(cfg: RunConfig):
-    xs = _grid(cfg.params)
-    q = int(cfg.params.get("q") or 0)
-    a = int(cfg.params.get("a") or 0)
-    tables = _build_tables(cfg.params, max(max(xs), q))
-
-    def one(x: int) -> dict[str, Any]:
-        s = mertens.prime_harmonic_progression(x, q, a, tables)
-        return {"q": s.q, "a": s.a, "x": x, "sum": s.sum,
-                "b_estimate": s.b_estimate}
-
-    return _ordered_map(one, xs, cfg.threads), ["q", "a", "x", "sum",
-                                                "b_estimate"], False
+def _b1(args):
+    p_limit = _need(args, "plimit", 2)
+    value, tail = mertens.compute_B1(p_limit, _tables(args, p_limit))
+    return [(p_limit, value, tail)]
 
 
-def _run_oscillation(cfg: RunConfig):
-    xs = _grid(cfg.params)
-    tables = _build_tables(cfg.params, max(xs))
-    rows = _ordered_map(
-        lambda x: {"x": x, "g": mertens.oscillation_g(x, tables)},
-        xs, cfg.threads)
-    return rows, ["x", "g"], False
+def _dusart(x, tables, args):
+    r = mertens.dusart_bound_check(x, tables)
+    return (int(r.x), r.holds, r.slack, r.deviation, r.bound, r.rh_bound,
+            r.below_validity)
 
 
-def _run_b1(cfg: RunConfig):
-    p_limit = int(cfg.params.get("plimit") or 0)
-    if p_limit < 2:
-        raise ValueError("b1 needs --plimit >= 2")
-    tables = _build_tables(cfg.params, p_limit)
-    value, tail = mertens.compute_B1(p_limit, tables)
-    row = {"prime_limit": p_limit, "value": value, "tail_bound": tail}
-    return [row], list(row), False
-
-
-def _run_dusart(cfg: RunConfig):
-    xs = _grid(cfg.params)
-    tables = _build_tables(cfg.params, max(xs))
-    rows = _ordered_map(
-        lambda x: mertens.dusart_bound_check(x, tables), xs, cfg.threads)
-    failed = any((not r.holds) and (not r.below_validity) for r in rows)
-    out = [{
-        "x": int(r.x),
-        "holds": r.holds,
-        "slack": r.slack,
-        "deviation": r.deviation,
-        "bound": r.bound,
-        "rh_bound": r.rh_bound,
-        "below_validity": r.below_validity,
-    } for r in rows]
-    return out, ["x", "holds", "slack", "deviation", "bound", "rh_bound",
-                 "below_validity"], failed
-
-
-def _run_jumps(cfg: RunConfig):
-    kmax = int(cfg.params.get("kmax") or 0)
-    if kmax < 1:
-        raise ValueError("jumps needs --kmax >= 1")
+def _jumps(args):
+    kmax = _need(args, "kmax", 1)
     # k+1 primes must exist; p_{kmax+1} <= ~ (kmax+1) * (log + loglog) bound,
     # so over-sieve generously and validate against the prime count
     guess = max(100, int((kmax + 1) * (log(kmax + 2) + log(log(kmax + 2)) + 1)))
-    tables = _build_tables(cfg.params, guess)
+    tables = _tables(args, guess)
     if kmax + 1 > len(tables.primes):
         raise ValueError(f"--kmax {kmax} needs {kmax + 1} primes; "
                          f"raise --limit (have {len(tables.primes)})")
-    rows = []
-    for k in range(1, kmax + 1):
-        rows.append({
-            "k": k,
-            "p_next": int(tables.primes[k]),
-            "delta": extrema.jump_delta(k, tables),
-        })
-    return rows, ["k", "p_next", "delta"], False
+    return [(k, int(tables.primes[k]), extrema.jump_delta(k, tables))
+            for k in range(1, kmax + 1)]
 
 
-def _run_extremes(cfg: RunConfig):
-    xs = _grid(cfg.params)
-    tables = _build_tables(cfg.params, max(xs))
-
-    def one(x: int) -> dict[str, Any]:
-        max_n, max_ratio, min_n, min_ratio = extrema.psi_ratio_extremes(
-            x, tables)
-        return {"x": x, "max_n": max_n, "max_ratio": max_ratio,
-                "min_n": min_n, "min_ratio": min_ratio}
-
-    return _ordered_map(one, xs, cfg.threads), ["x", "max_n", "max_ratio",
-                                                "min_n", "min_ratio"], False
+def _classify(x, tables, args):
+    above, below, _ = extrema.classify_range(x, tables)
+    return x, above, below, x / log(x)
 
 
-def _run_classify(cfg: RunConfig):
-    xs = _grid(cfg.params)
-    tables = _build_tables(cfg.params, max(xs))
-
-    def one(x: int) -> dict[str, Any]:
-        above, below, _ = extrema.classify_range(x, tables)
-        return {"x": x, "above": above, "below": below,
-                "x_over_logx": x / log(x)}
-
-    return _ordered_map(one, xs, cfg.threads), ["x", "above", "below",
-                                                "x_over_logx"], False
+def _dist_tail(args):
+    x = _need(args, "x", 2)
+    pairs = extrema.distribution_tail(x, args.t, _tables(args, x))
+    return [(x, t, frac) for t, frac in pairs]
 
 
-def _run_dist_tail(cfg: RunConfig):
-    x = int(cfg.params.get("single_x") or 0)
-    if x < 2:
-        raise ValueError("dist-tail needs --x >= 2")
-    t_grid = cfg.params.get("t") or []
-    if not t_grid:
-        raise ValueError("dist-tail needs at least one --t")
-    tables = _build_tables(cfg.params, x)
-    pairs = extrema.distribution_tail(x, t_grid, tables)
-    rows = [{"x": x, "t": t, "fraction": frac} for t, frac in pairs]
-    return rows, ["x", "t", "fraction"], False
-
-
-def _run_loglog_gap(cfg: RunConfig):
-    ks = [int(k) for k in (cfg.params.get("k") or [])]
-    kmax = cfg.params.get("kmax")
-    if kmax is not None:
-        ks.extend(range(2, int(kmax) + 1))
+def _loglog_gap(args):
+    ks = list(args.k or [])
+    if args.kmax is not None:
+        ks.extend(range(2, args.kmax + 1))
     if not ks:
         raise ValueError("loglog-gap needs --k or --kmax")
     top = max(ks)
     guess = max(100, int(top * (log(top + 1) + log(log(top + 2)) + 1)))
-    tables = _build_tables(cfg.params, guess)
+    tables = _tables(args, guess)
     if top > len(tables.primes):
         raise ValueError(f"k={top} needs {top} primes; raise --limit")
-    rows = [{
-        "k": k,
-        "p_k": int(tables.primes[k - 1]),
-        "gap": extrema.loglog_gap(k, tables),
-    } for k in ks]
-    return rows, ["k", "p_k", "gap"], False
+    return [(k, int(tables.primes[k - 1]), extrema.loglog_gap(k, tables))
+            for k in ks]
 
 
-def _run_gap_check(cfg: RunConfig):
-    p_limit = int(cfg.params.get("plimit") or 0)
-    if p_limit < 3:
-        raise ValueError("gap-check needs --plimit >= 3")
-    tables = _build_tables(cfg.params, p_limit)
+def _gap_check(args):
+    p_limit = _need(args, "plimit", 3)
+    tables = _tables(args, p_limit)
     holds, worst_k = extrema.gap_exponent_check(p_limit, tables)
-    row = {
-        "p_limit": p_limit,
-        "holds": holds,
-        "worst_k": worst_k,
-        "worst_p": int(tables.primes[worst_k - 1]),
-        "worst_next": int(tables.primes[worst_k]),
-    }
-    return [row], list(row), not holds
+    return [(p_limit, holds, worst_k, int(tables.primes[worst_k - 1]),
+             int(tables.primes[worst_k]))]
 
 
-def _run_tail_sum(cfg: RunConfig):
-    x = int(cfg.params.get("single_x") or 0)
-    tables = _build_tables(cfg.params, max(x, 2))
-    tail = squarefree.primorial_divisor_tail(x, tables)
-    row = {"x": x, "numerator": tail.numerator,
-           "denominator": tail.denominator}
-    return [row], list(row), False
+def _tail_sum(args):
+    tail = squarefree.primorial_divisor_tail(args.x, _tables(args, args.x))
+    return [(args.x, tail.numerator, tail.denominator)]
 
 
-def _run_constants(cfg: RunConfig):
+def _constants(args):
     residuals: dict[str, float] = {}
-    if not cfg.params.get("no_crosscheck"):
-        limit = int(cfg.params.get("limit") or 10 ** 6)
-        tables = sieve.build_sieve(max(limit, 10 ** 6))
+    if not args.no_crosscheck:
+        tables = sieve.build_sieve(max(args.limit or 0, 10 ** 6))
         residuals = dict(constants.crosscheck_constants(tables))
-    rows = []
-    for name in constants.constant_names():
-        c = constants.get_constant(name)
-        rows.append({"name": c.name, "decimal": c.decimal,
-                     "residual": residuals.get(name)})
-    return rows, ["name", "decimal", "residual"], False
+    return [(c.name, c.decimal, residuals.get(c.name))
+            for c in map(constants.get_constant, constants.constant_names())]
 
 
-_RUNNERS = {
-    "sieve-info": _run_sieve_info,
-    "verify-psi": _run_verify_psi,
-    "squarefree": _run_squarefree,
-    "harmonic": _run_harmonic,
-    "mertens": _run_mertens,
-    "progression": _run_progression,
-    "oscillation": _run_oscillation,
-    "b1": _run_b1,
-    "dusart": _run_dusart,
-    "jumps": _run_jumps,
-    "extremes": _run_extremes,
-    "classify": _run_classify,
-    "dist-tail": _run_dist_tail,
-    "loglog-gap": _run_loglog_gap,
-    "gap-check": _run_gap_check,
-    "tail-sum": _run_tail_sum,
-    "constants": _run_constants,
+COMMANDS: dict[str, Command] = {
+    "sieve-info": Command(
+        "table summary: prime count, squarefree count, theta",
+        ("limit", "primes", "squarefree", "theta"), _sieve_info),
+    "verify-psi": Command(
+        "scan primorials for psi ratio above threshold",
+        ("k", "p_k", "log_N", "psi_ratio", "loglog_N", "threshold",
+         "margin"), _verify_psi,
+        (_flag("--plimit", type=int, required=True,
+               help="include primorials of primes up to this bound"),),
+        fails=lambda r: not r["margin"] > 0),
+    "squarefree": Command(
+        "squarefree counts vs (6/pi^2) x",
+        ("x", "Q", "main", "residual", "scaled_half", "scaled_quarter"),
+        _per_x(_squarefree, smallest=1), _GRID_FLAGS),
+    "harmonic": Command(
+        "squarefree harmonic sum vs (6/pi^2) log x",
+        ("x", "value", "main", "residual"),
+        _per_x(lambda x, tables, args: _sample(
+            x, squarefree.squarefree_harmonic(x, tables)), smallest=1),
+        _GRID_FLAGS),
+    "mertens": Command(
+        "prime reciprocal sum vs log log x + B1",
+        ("x", "sum", "main", "residual"),
+        _per_x(lambda x, tables, args: _sample(
+            x, mertens.prime_harmonic(x, tables))),
+        _GRID_FLAGS),
+    "progression": Command(
+        "prime reciprocal sum along a residue class",
+        ("q", "a", "x", "sum", "b_estimate"),
+        _per_x(_progression, need=lambda args: args.q),
+        _GRID_FLAGS + (_flag("--q", type=int, required=True, help="modulus"),
+                       _flag("--a", type=int, required=True,
+                             help="residue"))),
+    "oscillation": Command(
+        "scaled deviation of the inverse Euler product",
+        ("x", "g"),
+        _per_x(lambda x, tables, args: (x, mertens.oscillation_g(x, tables))),
+        _GRID_FLAGS),
+    "b1": Command(
+        "recompute the prime-sum constant B1",
+        ("prime_limit", "value", "tail_bound"), _b1,
+        (_flag("--plimit", type=int, required=True,
+               help="truncate the prime series here"),)),
+    "dusart": Command(
+        "explicit error bound check for the prime sum",
+        ("x", "holds", "slack", "deviation", "bound", "rh_bound",
+         "below_validity"), _per_x(_dusart), _GRID_FLAGS,
+        fails=lambda r: not r["holds"] and not r["below_validity"]),
+    "jumps": Command(
+        "psi-ratio jumps between consecutive primorials",
+        ("k", "p_next", "delta"), _jumps,
+        (_flag("--kmax", type=int, required=True,
+               help="report jumps for k = 1..kmax"),)),
+    "extremes": Command(
+        "argmax/argmin of psi(n)/n over [2, x]",
+        ("x", "max_n", "max_ratio", "min_n", "min_ratio"),
+        _per_x(lambda x, tables, args: (
+            x, *extrema.psi_ratio_extremes(x, tables))),
+        _GRID_FLAGS),
+    "classify": Command(
+        "count n with psi(n)/n above/below threshold",
+        ("x", "above", "below", "x_over_logx"), _per_x(_classify),
+        _GRID_FLAGS),
+    "dist-tail": Command(
+        "fraction of n <= x with psi(n)/n > t",
+        ("x", "t", "fraction"), _dist_tail,
+        (_flag("--x", type=int, required=True),
+         _flag("--t", type=float, action="append", required=True,
+               help="tail threshold; may repeat"))),
+    "loglog-gap": Command(
+        "log log p_k minus log log log N_k",
+        ("k", "p_k", "gap"), _loglog_gap,
+        (_flag("--k", type=int, action="append",
+               help="specific k; may repeat"),
+         _flag("--kmax", type=int, help="all k in [2, kmax]"))),
+    "gap-check": Command(
+        "prime gap exponent bound over a range",
+        ("p_limit", "holds", "worst_k", "worst_p", "worst_next"), _gap_check,
+        (_flag("--plimit", type=int, required=True),),
+        fails=lambda r: not r["holds"]),
+    "tail-sum": Command(
+        "exact divisor tail of the primorial of x",
+        ("x", "numerator", "denominator"), _tail_sum,
+        (_flag("--x", type=int, required=True),)),
+    "constants": Command(
+        "constant registry with cross-check residuals",
+        ("name", "decimal", "residual"), _constants,
+        (_flag("--no-crosscheck", action="store_true",
+               help="print the registry without recomputation"),)),
 }
 
 
@@ -407,127 +349,50 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default csv)")
     common.add_argument("--output", metavar="PATH",
                         help="write to file instead of standard output")
-    common.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default 1; env "
-                             f"{THREAD_ENV_VAR} overrides)")
     common.add_argument("--limit", type=int, default=None,
                         help="sieve table limit (default: smallest that "
                              "covers the request)")
-    gridded = argparse.ArgumentParser(add_help=False)
-    gridded.add_argument("--x", type=int, action="append",
-                         help="evaluation point; may repeat")
-    gridded.add_argument("--xmax", type=int,
-                         help="end of a geometric x grid")
-    gridded.add_argument("--xmin", type=int, default=10,
-                         help="start of the geometric grid (default 10)")
-    gridded.add_argument("--points", type=int, default=20,
-                         help="grid point count (default 20)")
-
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("sieve-info", parents=[common],
-                   help="table summary: prime count, squarefree count, theta")
-    p = sub.add_parser("verify-psi", parents=[common],
-                       help="scan primorials for psi ratio above threshold")
-    p.add_argument("--plimit", type=int, required=True,
-                   help="include primorials of primes up to this bound")
-    sub.add_parser("squarefree", parents=[common, gridded],
-                   help="squarefree counts vs (6/pi^2) x")
-    sub.add_parser("harmonic", parents=[common, gridded],
-                   help="squarefree harmonic sum vs (6/pi^2) log x")
-    sub.add_parser("mertens", parents=[common, gridded],
-                   help="prime reciprocal sum vs log log x + B1")
-    p = sub.add_parser("progression", parents=[common, gridded],
-                       help="prime reciprocal sum along a residue class")
-    p.add_argument("--q", type=int, required=True, help="modulus")
-    p.add_argument("--a", type=int, required=True, help="residue")
-    sub.add_parser("oscillation", parents=[common, gridded],
-                   help="scaled deviation of the inverse Euler product")
-    p = sub.add_parser("b1", parents=[common],
-                       help="recompute the prime-sum constant B1")
-    p.add_argument("--plimit", type=int, required=True,
-                   help="truncate the prime series here")
-    sub.add_parser("dusart", parents=[common, gridded],
-                   help="explicit error bound check for the prime sum")
-    p = sub.add_parser("jumps", parents=[common],
-                       help="psi-ratio jumps between consecutive primorials")
-    p.add_argument("--kmax", type=int, required=True,
-                   help="report jumps for k = 1..kmax")
-    sub.add_parser("extremes", parents=[common, gridded],
-                   help="argmax/argmin of psi(n)/n over [2, x]")
-    sub.add_parser("classify", parents=[common, gridded],
-                   help="count n with psi(n)/n above/below threshold")
-    p = sub.add_parser("dist-tail", parents=[common],
-                       help="fraction of n <= x with psi(n)/n > t")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--t", type=float, action="append", required=True,
-                   help="tail threshold; may repeat")
-    p = sub.add_parser("loglog-gap", parents=[common],
-                       help="log log p_k minus log log log N_k")
-    p.add_argument("--k", type=int, action="append",
-                   help="specific k; may repeat")
-    p.add_argument("--kmax", type=int, help="all k in [2, kmax]")
-    p = sub.add_parser("gap-check", parents=[common],
-                       help="prime gap exponent bound over a range")
-    p.add_argument("--plimit", type=int, required=True)
-    p = sub.add_parser("tail-sum", parents=[common],
-                       help="exact divisor tail of the primorial of x")
-    p.add_argument("--x", type=int, required=True)
-    p = sub.add_parser("constants", parents=[common],
-                       help="constant registry with cross-check residuals")
-    p.add_argument("--no-crosscheck", action="store_true",
-                   help="print the registry without recomputation")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, kwargs in command.flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get(THREAD_ENV_VAR, "1") or "1")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("format", "output", "threads", "subcommand")}
-    # dist-tail and tail-sum take a single --x; grid subcommands repeat it
-    if args.subcommand in ("dist-tail", "tail-sum"):
-        params["single_x"] = params.pop("x", None)
-    return RunConfig(
-        subcommand=args.subcommand,
-        params=params,
-        output_format=args.format,
-        output_path=args.output,
-        threads=threads,
-    )
-
-
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit code."""
-    runner = _RUNNERS.get(config.subcommand)
-    if runner is None:
-        raise ValueError(f"unknown subcommand {config.subcommand!r}")
-    records, header, failed = runner(config)
-    if config.output_path:
-        with open(config.output_path, "w", newline="") as sink:
-            emit(records, config.output_format, sink, header=header)
-    else:
-        emit(records, config.output_format, sys.stdout, header=header)
-    return 1 if failed else 0
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one subcommand; returns the process exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = COMMANDS[args.subcommand]
+    failed = False
+
+    def records(rows: Iterable[tuple]) -> Iterable[dict[str, Any]]:
+        nonlocal failed
+        for row in rows:
+            rec = dict(zip(command.columns, row))
+            if command.fails is not None and command.fails(rec):
+                failed = True
+            yield rec
+
     try:
-        return run(_config_from_args(args))
-    except (ValueError, OverflowError, KeyError) as exc:
+        rows = command.rows(args)
+        with (open(args.output, "w", newline="") if args.output
+              else contextlib.nullcontext(sys.stdout)) as sink:
+            emit(records(rows), args.format, sink,
+                 header=list(command.columns))
+    except (ValueError, OverflowError, KeyError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 1 if failed else 0
 
 
 def script_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    script_entry()

@@ -9,12 +9,11 @@ registry digit cannot survive the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import fsum, log
 
 import numpy as np
 
 from .sieve import SieveTables
-from .summation import exact_sum
 
 __all__ = ["PrecisionConstant", "get_constant", "constant_names",
            "crosscheck_constants"]
@@ -72,7 +71,7 @@ def _gamma_from_harmonic(n: int = 10 ** 8) -> float:
     for lo in range(1, n + 1, chunk):
         hi = min(lo + chunk, n + 1)
         totals.append(float(np.sum(1.0 / np.arange(lo, hi, dtype=np.float64))))
-    return exact_sum(totals) - log(n) - 1.0 / (2 * n)
+    return fsum(totals) - log(n) - 1.0 / (2 * n)
 
 
 def crosscheck_constants(tables: SieveTables) -> list[tuple[str, float]]:
@@ -96,7 +95,7 @@ def crosscheck_constants(tables: SieveTables) -> list[tuple[str, float]]:
     b1, _ = compute_B1(tables.limit, tables)
     out.append(("B1", abs(b1 - _REGISTRY["B1"].value)))
     ps = tables.primes.astype(np.float64)
-    prod = float(np.exp(exact_sum(np.log1p(-1.0 / (ps * ps)).tolist())))
+    prod = float(np.exp(fsum(np.log1p(-1.0 / (ps * ps)).tolist())))
     out.append(("six_over_pi_sq",
                 abs(prod - _REGISTRY["six_over_pi_sq"].value)))
     product = _REGISTRY["e_gamma"].value * _REGISTRY["six_over_pi_sq"].value

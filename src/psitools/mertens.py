@@ -8,14 +8,14 @@ a few ulp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, pi, sqrt
+from math import fsum, log, pi, sqrt
 
 import numpy as np
 
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
 from .sieve import SieveTables
-from .summation import compensated_cumsum, exact_sum
+from .summation import compensated_cumsum
 
 __all__ = [
     "ProgressionSum",
@@ -144,7 +144,7 @@ def compute_B1(prime_limit: int, tables: SieveTables) -> tuple[float, float]:
         return _GAMMA, 1.0
     ps = _primes_upto(prime_limit, tables).astype(np.float64)
     inv = 1.0 / ps
-    correction = exact_sum((-np.log1p(-inv) - inv).tolist())
+    correction = fsum((-np.log1p(-inv) - inv).tolist())
     return _GAMMA - correction, 1.0 / (prime_limit - 1)
 
 

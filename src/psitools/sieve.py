@@ -16,11 +16,9 @@ list up to sqrt of the range end.
 """
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass
 from math import isqrt
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -34,15 +32,10 @@ __all__ = [
     "build_sieve",
     "theta",
     "segment_scan",
-    "dump_tables",
-    "load_tables",
 ]
 
 SEGMENT_SIZE = 1 << 20
 MAX_LIMIT = 1 << 40
-
-_MAGIC = b"PSX1"
-_DUMP_VERSION = 1
 
 
 class InsufficientSieveError(ValueError):
@@ -202,52 +195,3 @@ def segment_scan(lo: int, hi: int,
         blk_spf, blk_mob = _sieve_block(seg_lo, seg_hi, need, spf_dtype)
         for off in range(seg_hi - seg_lo):
             yield seg_lo + off, int(blk_spf[off]), int(blk_mob[off])
-
-
-def _write_array(sink: BinaryIO, name: str, arr: np.ndarray) -> None:
-    data = np.ascontiguousarray(arr).tobytes()
-    dtype = str(arr.dtype).encode()
-    sink.write(struct.pack("<B", len(name)))
-    sink.write(name.encode())
-    sink.write(struct.pack("<B", len(dtype)))
-    sink.write(dtype)
-    sink.write(struct.pack("<QI", len(data), zlib.crc32(data)))
-    sink.write(data)
-
-
-def _read_array(source: BinaryIO) -> tuple[str, np.ndarray]:
-    name_len = struct.unpack("<B", source.read(1))[0]
-    name = source.read(name_len).decode()
-    dtype_len = struct.unpack("<B", source.read(1))[0]
-    dtype = np.dtype(source.read(dtype_len).decode())
-    nbytes, crc = struct.unpack("<QI", source.read(12))
-    data = source.read(nbytes)
-    if len(data) != nbytes or zlib.crc32(data) != crc:
-        raise ValueError(f"corrupt table dump: checksum mismatch in {name!r}")
-    return name, np.frombuffer(data, dtype=dtype).copy()
-
-
-def dump_tables(tables: SieveTables, sink: BinaryIO) -> None:
-    """Write tables to a binary stream (versioned, checksummed)."""
-    sink.write(_MAGIC)
-    sink.write(struct.pack("<IQ", _DUMP_VERSION, tables.limit))
-    for name in ("spf", "mobius", "primes", "theta_prefix"):
-        _write_array(sink, name, getattr(tables, name))
-
-
-def load_tables(source: BinaryIO) -> SieveTables:
-    """Read tables written by dump_tables, verifying checksums."""
-    magic = source.read(4)
-    if magic != _MAGIC:
-        raise ValueError(f"not a table dump (bad magic {magic!r})")
-    version, limit = struct.unpack("<IQ", source.read(12))
-    if version != _DUMP_VERSION:
-        raise ValueError(f"unsupported dump version {version}")
-    arrays = {}
-    for _ in range(4):
-        name, arr = _read_array(source)
-        arrays[name] = arr
-    missing = {"spf", "mobius", "primes", "theta_prefix"} - set(arrays)
-    if missing:
-        raise ValueError(f"table dump missing arrays: {sorted(missing)}")
-    return SieveTables(limit=int(limit), **arrays)

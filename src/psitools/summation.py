@@ -1,55 +1,16 @@
 """Compensated floating-point accumulation.
 
 Left-to-right summation of n terms can lose ~n ulp of accuracy; the
-helpers here track the rounding error of every addition so totals and
-prefix sums stay within a few ulp regardless of length.  Every
-log-domain product and the theta prefix table go through this module.
+prefix sums here track the rounding error of every addition so they
+stay within a few ulp regardless of length.  The theta prefix table
+and the log-domain primorial products go through this module; whole
+totals use math.fsum directly.
 """
 from __future__ import annotations
 
-import math
-from typing import Iterable
-
 import numpy as np
 
-__all__ = ["NeumaierSum", "compensated_cumsum", "exact_sum"]
-
-
-class NeumaierSum:
-    """Streaming compensated accumulator.
-
-    Kahan's running-correction scheme with Neumaier's branch, which also
-    survives terms larger than the running total.  Suitable when values
-    arrive one at a time; for whole arrays prefer compensated_cumsum or
-    exact_sum.
-    """
-
-    __slots__ = ("_total", "_correction")
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._total = float(start)
-        self._correction = 0.0
-
-    def add(self, term: float) -> None:
-        t = self._total + term
-        if abs(self._total) >= abs(term):
-            self._correction += (self._total - t) + term
-        else:
-            self._correction += (term - t) + self._total
-        self._total = t
-
-    def update(self, terms: Iterable[float]) -> None:
-        for term in terms:
-            self.add(term)
-
-    @property
-    def total(self) -> float:
-        return self._total + self._correction
-
-
-def exact_sum(values) -> float:
-    """Correctly rounded sum of floats (Shewchuk's exact algorithm)."""
-    return math.fsum(values)
+__all__ = ["compensated_cumsum"]
 
 
 def compensated_cumsum(values) -> np.ndarray:

@@ -1,8 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import psitools
+from psitools import sieve
 from psitools.cli import emit, main
 
 
@@ -234,24 +240,6 @@ def test_output_unwritable(capsys):
     assert "error" in err
 
 
-def test_threads_do_not_change_output(capsys):
-    code1, out1, _ = run(capsys, "squarefree", "--xmax", "3000", "--points", "12",
-                         "--threads", "1")
-    code3, out3, _ = run(capsys, "squarefree", "--xmax", "3000", "--points", "12",
-                         "--threads", "3")
-    assert code1 == code3 == 0
-    assert out1 == out3
-
-
-def test_threads_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PSITOOLS_THREADS", "2")
-    code, out, _ = run(capsys, "mertens", "--x", "100")
-    assert code == 0
-    monkeypatch.setenv("PSITOOLS_THREADS", "not-a-number")
-    code, _, err = run(capsys, "mertens", "--x", "100")
-    assert code == 2
-
-
 def test_emit_empty_records_writes_header():
     sink = io.StringIO()
     emit([], "csv", sink, header=["a", "b"])
@@ -276,3 +264,28 @@ def test_csv_float_cells_round_trip(capsys):
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "no-such-op")
     assert code == 2
+
+
+def test_allocation_failure_exits_2(capsys, monkeypatch):
+    # a table too large for memory is a usage error, not a counterexample
+    def no_memory(limit):
+        raise MemoryError(f"cannot allocate tables to {limit}")
+
+    monkeypatch.setattr(sieve, "build_sieve", no_memory)
+    code, out, err = run(capsys, "sieve-info", "--limit", str(2 ** 40))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot allocate")
+
+
+@pytest.mark.parametrize("module", ["psitools", "psitools.cli"])
+def test_module_entry_point(module):
+    src = str(Path(psitools.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", module, "tail-sum", "--x", "10"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "x,numerator,denominator\n10,3,10\n"

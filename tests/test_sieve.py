@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from psitools import InsufficientSieveError, SieveTables, build_sieve, segment_scan, theta
-from psitools.sieve import dump_tables, load_tables
+from psitools import InsufficientSieveError, build_sieve, segment_scan, theta
 
 
 def brute_mobius(n):
@@ -150,48 +149,3 @@ def test_tables_immutable(tables_1e4):
         tables_1e4.spf[4] = 7
     with pytest.raises(ValueError):
         tables_1e4.mobius[4] = 1
-
-
-def _dump(tables, path):
-    with open(path, "wb") as sink:
-        dump_tables(tables, sink)
-
-
-def test_dump_load_round_trip(tables_1e4, tmp_path):
-    path = tmp_path / "tables.psx"
-    _dump(tables_1e4, path)
-    with open(path, "rb") as source:
-        loaded = load_tables(source)
-    assert isinstance(loaded, SieveTables)
-    assert loaded.limit == tables_1e4.limit
-    assert np.array_equal(loaded.spf, tables_1e4.spf)
-    assert np.array_equal(loaded.mobius, tables_1e4.mobius)
-    assert np.array_equal(loaded.primes, tables_1e4.primes)
-    assert np.array_equal(loaded.theta_prefix, tables_1e4.theta_prefix)
-    assert loaded.spf.flags.writeable is False
-
-
-def test_dump_magic(tables_1e4, tmp_path):
-    path = tmp_path / "tables.psx"
-    _dump(tables_1e4, path)
-    assert path.read_bytes()[:4] == b"PSX1"
-
-
-def test_load_rejects_bad_magic(tables_1e4, tmp_path):
-    path = tmp_path / "tables.psx"
-    _dump(tables_1e4, path)
-    raw = bytearray(path.read_bytes())
-    raw[:4] = b"XXXX"
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError), open(path, "rb") as source:
-        load_tables(source)
-
-
-def test_load_rejects_corruption(tables_1e4, tmp_path):
-    path = tmp_path / "tables.psx"
-    _dump(tables_1e4, path)
-    raw = bytearray(path.read_bytes())
-    raw[-5] ^= 0xFF  # flip a payload byte; checksum must catch it
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError), open(path, "rb") as source:
-        load_tables(source)
