@@ -7,10 +7,11 @@ the caller's boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
-from .sieve import SieveTables
+from .sieve import SEGMENT_SIZE, SieveTables
 
 __all__ = [
     "Factorization",
@@ -109,24 +110,48 @@ def sqf_decompose(n: int, tables: SieveTables) -> tuple[int, int]:
     return a, b
 
 
+def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
+    """Write psi(n) for n in [lo, hi) into out; primes must cover sqrt(hi - 1).
+
+    The residual trick of sieve._sieve_block: each prime p multiplies its
+    multiples by p + 1 and divides p out of a residual copy of the range,
+    and each higher power p^a multiplies by a further p and divides out a
+    further p.  An index left with residual > 1 has exactly one prime
+    factor q above sqrt(hi - 1) and gets one final factor q + 1.
+    Entry n = 0, a multiple of every prime, is left to the caller.
+    """
+    out[:] = 1
+    rem = np.arange(lo, hi, dtype=np.int64)
+    top = hi - 1
+    for p in primes[primes <= isqrt(top)].tolist():
+        start = (-lo) % p
+        out[start::p] *= p + 1
+        rem[start::p] //= p
+        power = p * p
+        while power <= top:
+            start = (-lo) % power
+            out[start::power] *= p
+            rem[start::power] //= p
+            power *= p
+    large = rem > 1
+    out[large] *= rem[large] + 1
+
+
 def psi_table(x: int, tables: SieveTables) -> np.ndarray:
     """Exact psi(n) for every n in [0, x] as one int64 array.
 
-    Sieve-style evaluation of psi(n) = prod p^(e-1)*(p+1): each prime
-    multiplies its multiples by p + 1, then each higher power p^a
-    multiplies its multiples by a further p.  Entries 0 and 1 are set
-    to 0 and 1.  psi(n) < 4n, so int64 holds every value up to the
-    table bound.
+    psi(n) = prod p^(e-1)*(p+1), filled SEGMENT_SIZE entries at a time by
+    _psi_block from the primes up to sqrt(x) only.  Entry 0 is set to 0;
+    entry 1 is psi(1) = 1.  psi(n) < 4n, so int64 holds every value up to
+    the table bound.
     """
     if not 0 <= x <= tables.limit:
         raise ValueError(f"x must be in [0, limit={tables.limit}], got {x}")
     x = int(x)
-    vals = np.ones(x + 1, dtype=np.int64)
-    for p in tables.primes[tables.primes <= x].tolist():
-        vals[p::p] *= p + 1
-        power = p * p
-        while power <= x:
-            vals[power::power] *= p
-            power *= p
+    vals = np.empty(x + 1, dtype=np.int64)
+    small = tables.primes[:tables.prime_count(isqrt(x))]
+    for lo in range(0, x + 1, SEGMENT_SIZE):
+        _psi_block(lo, min(lo + SEGMENT_SIZE, x + 1), small,
+                   vals[lo:lo + SEGMENT_SIZE])
     vals[0] = 0
     return vals

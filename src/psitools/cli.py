@@ -117,10 +117,12 @@ def _tables(args: argparse.Namespace, needed: int) -> sieve.SieveTables:
 
 def _grid(args: argparse.Namespace, smallest: int) -> list[int]:
     """x values from repeated --x and/or a geometric --xmax/--points grid."""
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
     xs = list(args.x or [])
     if args.xmax is not None:
-        lo = max(smallest, args.xmin or 10)
-        raw = np.geomspace(lo, args.xmax, args.points or 20)
+        lo = max(smallest, args.xmin)
+        raw = np.geomspace(lo, args.xmax, args.points)
         xs.extend(int(v) for v in np.unique(raw.astype(np.int64)))
     if not xs:
         raise ValueError("no x values given (use --x or --xmax)")
@@ -141,6 +143,18 @@ def _per_x(point: Callable[..., tuple], smallest: int = 2,
         xs = _grid(args, smallest)
         tables = _tables(args, max(max(xs), need(args)))
         return [point(x, tables, args) for x in xs]
+    return rows
+
+
+def _whole_grid(grid: Callable[..., list[tuple]]):
+    """rows(args) for a grid subcommand whose library call takes every x.
+
+    One grid, one sieve to the largest x and one grid(xs, tables) call,
+    which returns the output rows in the order of xs.
+    """
+    def rows(args: argparse.Namespace) -> list[tuple]:
+        xs = _grid(args, 2)
+        return grid(xs, _tables(args, max(xs)))
     return rows
 
 
@@ -198,9 +212,14 @@ def _jumps(args):
             for k in range(1, kmax + 1)]
 
 
-def _classify(x, tables, args):
-    above, below, _ = extrema.classify_range(x, tables)
-    return x, above, below, x / log(x)
+def _extremes(xs, tables):
+    answers = extrema.psi_ratio_extremes_grid(xs, tables)
+    return [(x, *answer) for x, answer in zip(xs, answers)]
+
+
+def _classify(xs, tables):
+    answers = extrema.classify_counts(xs, tables)
+    return [(x, *answer, x / log(x)) for x, answer in zip(xs, answers)]
 
 
 def _dist_tail(args):
@@ -215,6 +234,11 @@ def _loglog_gap(args):
         ks.extend(range(2, args.kmax + 1))
     if not ks:
         raise ValueError("loglog-gap needs --k or --kmax")
+    bad = [k for k in ks if k < 2]
+    if bad:
+        # checked before the prime-count guess, which takes logs of k
+        raise ValueError(
+            f"k must be >= 2 (inner log undefined), got {bad[0]}")
     top = max(ks)
     guess = max(100, int(top * (log(top + 1) + log(log(top + 2)) + 1)))
     tables = _tables(args, guess)
@@ -303,12 +327,10 @@ COMMANDS: dict[str, Command] = {
     "extremes": Command(
         "argmax/argmin of psi(n)/n over [2, x]",
         ("x", "max_n", "max_ratio", "min_n", "min_ratio"),
-        _per_x(lambda x, tables, args: (
-            x, *extrema.psi_ratio_extremes(x, tables))),
-        _GRID_FLAGS),
+        _whole_grid(_extremes), _GRID_FLAGS),
     "classify": Command(
         "count n with psi(n)/n above/below threshold",
-        ("x", "above", "below", "x_over_logx"), _per_x(_classify),
+        ("x", "above", "below", "x_over_logx"), _whole_grid(_classify),
         _GRID_FLAGS),
     "dist-tail": Command(
         "fraction of n <= x with psi(n)/n > t",

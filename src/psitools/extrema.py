@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import expm1, log, log1p
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .arith import psi_table
 from .constants import get_constant
-from .sieve import SieveTables
+from .sieve import SEGMENT_SIZE, SieveTables
 from .summation import compensated_cumsum
 
 __all__ = [
@@ -27,7 +27,9 @@ __all__ = [
     "verify_theorem1",
     "jump_delta",
     "psi_ratio_extremes",
+    "psi_ratio_extremes_grid",
     "classify_range",
+    "classify_counts",
     "loglog_gap",
     "distribution_tail",
     "gap_exponent_check",
@@ -150,6 +152,75 @@ def jump_delta(k: int, tables: SieveTables) -> float:
     return closed
 
 
+def _check_x(x: int, tables: SieveTables) -> int:
+    x = int(x)
+    if not 2 <= x <= tables.limit:
+        raise ValueError(f"x must be in [2, limit={tables.limit}], got {x}")
+    return x
+
+
+def _ratio_blocks(psi: np.ndarray, lo: int, hi: int
+                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(first n, n as float64, psi(n)/n) for n in [lo, hi).
+
+    SEGMENT_SIZE values at a time, so callers hold only block-sized
+    arrays besides the psi table.
+    """
+    for first in range(lo, hi, SEGMENT_SIZE):
+        ns = np.arange(first, min(first + SEGMENT_SIZE, hi), dtype=np.float64)
+        yield first, ns, psi[first:first + len(ns)] / ns
+
+
+def _thresholds(ns: np.ndarray) -> np.ndarray:
+    return _THRESHOLD * np.log(np.log(ns))
+
+
+def _grid_rows(xs: Iterable[int], tables: SieveTables,
+               fold: Callable[[int, Iterator], tuple]) -> list[tuple]:
+    """One row per x in xs, in input order, from one psi table to max(xs).
+
+    The sorted unique xs are walked in turn: fold(x, blocks) receives the
+    _ratio_blocks of (previous x, x] and returns the row for x, carrying
+    any running state itself.
+    """
+    xs = [_check_x(x, tables) for x in xs]
+    if not xs:
+        raise ValueError("xs must be nonempty")
+    psi = psi_table(max(xs), tables)
+    rows: dict[int, tuple] = {}
+    prev = 1
+    for x in sorted(set(xs)):
+        rows[x] = fold(x, _ratio_blocks(psi, prev + 1, x + 1))
+        prev = x
+    return [rows[x] for x in xs]
+
+
+def psi_ratio_extremes_grid(
+        xs: Iterable[int],
+        tables: SieveTables) -> list[tuple[int, float, int, float]]:
+    """psi_ratio_extremes(x, tables) for every x in xs, from one psi table.
+
+    A running argmax and argmin over the sorted xs.  A later interval
+    replaces the best only when strictly better, so ties resolve to the
+    smallest n as in a single argmax/argmin over [2, x].
+    """
+    max_n = min_n = 0
+    max_ratio, min_ratio = -np.inf, np.inf
+
+    def fold(x: int, blocks: Iterator) -> tuple[int, float, int, float]:
+        nonlocal max_n, max_ratio, min_n, min_ratio
+        for first, _, ratios in blocks:
+            hi = int(np.argmax(ratios))
+            lo = int(np.argmin(ratios))
+            if ratios[hi] > max_ratio:
+                max_n, max_ratio = first + hi, float(ratios[hi])
+            if ratios[lo] < min_ratio:
+                min_n, min_ratio = first + lo, float(ratios[lo])
+        return max_n, max_ratio, min_n, min_ratio
+
+    return _grid_rows(xs, tables, fold)
+
+
 def psi_ratio_extremes(
         x: int, tables: SieveTables) -> tuple[int, float, int, float]:
     """Brute-force argmax/argmin of psi(n)/n over 2 <= n <= x.
@@ -160,26 +231,25 @@ def psi_ratio_extremes(
     Returns:
         (max_n, max_ratio, min_n, min_ratio).
     """
-    x = int(x)
-    if not 2 <= x <= tables.limit:
-        raise ValueError(f"x must be in [2, limit={tables.limit}], got {x}")
-    psi = psi_table(x, tables)
-    ns = np.arange(2, x + 1, dtype=np.float64)
-    ratios = psi[2:] / ns
-    hi = int(np.argmax(ratios))
-    lo = int(np.argmin(ratios))
-    return hi + 2, float(ratios[hi]), lo + 2, float(ratios[lo])
+    return psi_ratio_extremes_grid([x], tables)[0]
 
 
-def _class_arrays(x: int, tables: SieveTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = int(x)
-    if not 2 <= x <= tables.limit:
-        raise ValueError(f"x must be in [2, limit={tables.limit}], got {x}")
-    psi = psi_table(x, tables)
-    ns = np.arange(2, x + 1)
-    ratios = psi[2:] / ns.astype(np.float64)
-    thresholds = _THRESHOLD * np.log(np.log(ns.astype(np.float64)))
-    return ns, ratios, thresholds
+def classify_counts(xs: Iterable[int],
+                    tables: SieveTables) -> list[tuple[int, int]]:
+    """(above, below) of classify_range(x, tables) for every x in xs.
+
+    One psi table to max(xs); the above counts of the intervals between
+    the sorted xs are summed.
+    """
+    above = 0
+
+    def fold(x: int, blocks: Iterator) -> tuple[int, int]:
+        nonlocal above
+        for _, ns, ratios in blocks:
+            above += int(np.count_nonzero(ratios > _thresholds(ns)))
+        return above, x - 1 - above
+
+    return _grid_rows(xs, tables, fold)
 
 
 def classify_range(
@@ -193,21 +263,23 @@ def classify_range(
     threshold makes it ABOVE.
 
     Returns:
-        (above_count, below_count, lazy stream of per-n records).
+        (above_count, below_count, lazy stream of per-n records).  The
+        stream builds its own psi table when first read.
     """
-    ns, ratios, thresholds = _class_arrays(x, tables)
-    above_mask = ratios > thresholds
-    above = int(np.count_nonzero(above_mask))
-    below = len(ns) - above
+    [(above, below)] = classify_counts([x], tables)
+    x = int(x)
 
     def records() -> Iterator[ClassRecord]:
-        for i in range(len(ns)):
-            yield ClassRecord(
-                n=int(ns[i]),
-                psi_over_n=float(ratios[i]),
-                threshold=float(thresholds[i]),
-                label=Label.ABOVE if above_mask[i] else Label.BELOW,
-            )
+        for first, ns, ratios in _ratio_blocks(psi_table(x, tables), 2, x + 1):
+            thresholds = _thresholds(ns)
+            for i in range(len(ns)):
+                yield ClassRecord(
+                    n=first + i,
+                    psi_over_n=float(ratios[i]),
+                    threshold=float(thresholds[i]),
+                    label=(Label.ABOVE if ratios[i] > thresholds[i]
+                           else Label.BELOW),
+                )
 
     return above, below, records()
 
@@ -238,9 +310,12 @@ def distribution_tail(x: int, t_grid, tables: SieveTables) -> list[tuple[float, 
     t_list = [float(t) for t in t_grid]
     if not t_list:
         raise ValueError("t_grid must be nonempty")
-    _, ratios, _ = _class_arrays(x, tables)
-    count = len(ratios)
-    return [(t, float(np.count_nonzero(ratios > t)) / count) for t in t_list]
+    x = _check_x(x, tables)
+    counts = [0] * len(t_list)
+    for _, _, ratios in _ratio_blocks(psi_table(x, tables), 2, x + 1):
+        for i, t in enumerate(t_list):
+            counts[i] += int(np.count_nonzero(ratios > t))
+    return [(t, count / (x - 1)) for t, count in zip(t_list, counts)]
 
 
 def gap_exponent_check(p_limit: int,

@@ -11,6 +11,7 @@ from psitools.arith import (
     psi_table,
     sqf_decompose,
 )
+from psitools.sieve import SEGMENT_SIZE
 
 
 def brute_profile(n):
@@ -129,3 +130,29 @@ def test_psi_table_matches_profiles(tables_1e4):
 def test_psi_table_domain(tables_1e4):
     with pytest.raises(ValueError):
         psi_table(10_001, tables_1e4)
+
+
+def all_primes_psi(x, tables):
+    # every prime up to x multiplies its multiples, with no residual step
+    vals = np.ones(x + 1, dtype=np.int64)
+    for p in tables.primes[tables.primes <= x].tolist():
+        vals[p::p] *= p + 1
+        power = p * p
+        while power <= x:
+            vals[power::power] *= p
+            power *= p
+    vals[0] = 0
+    return vals
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 1_000])
+def test_psi_table_small_x_matches_oracle(tables_1e4, x):
+    assert np.array_equal(psi_table(x, tables_1e4),
+                          all_primes_psi(x, tables_1e4))
+
+
+def test_psi_table_across_segments_matches_oracle(tables_2e6):
+    x = 2 * SEGMENT_SIZE + 5
+    vals = psi_table(x, tables_2e6)
+    assert vals.dtype == np.int64
+    assert np.array_equal(vals, all_primes_psi(x, tables_2e6))

@@ -134,6 +134,26 @@ def test_jumps(capsys):
     ]
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_grid_points_below_one_exits_2(capsys, points):
+    code, out, err = run(capsys, "mertens", "--xmax", "1000",
+                         "--points", points)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --points must be >= 1\n"
+
+
+@pytest.mark.parametrize("subcommand, smallest", [("mertens", 2),
+                                                  ("squarefree", 1)])
+def test_grid_xmin_clamps_to_smallest_x(capsys, subcommand, smallest):
+    code, out, _ = run(capsys, subcommand, "--xmin", "0", "--xmax", "1000",
+                       "--points", "3")
+    assert code == 0
+    xs = [int(r.split(",")[0]) for r in out.splitlines()[1:]]
+    assert xs[0] == smallest
+    assert xs[-1] == 1000
+
+
 def test_extremes_row(capsys):
     code, out, _ = run(capsys, "extremes", "--x", "100")
     assert code == 0
@@ -175,6 +195,14 @@ def test_loglog_gap_range(capsys):
     assert code == 0
     lines = out.splitlines()
     assert [r.split(",")[0] for r in lines[1:]] == ["2", "3", "4", "5"]
+
+
+@pytest.mark.parametrize("k", ["-5", "1"])
+def test_loglog_gap_small_k_exits_2(capsys, k):
+    code, out, err = run(capsys, "loglog-gap", "--k", "4", "--k", k)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: k must be >= 2 (inner log undefined), got {k}\n"
 
 
 def test_gap_check_reports_violation(capsys):

@@ -1,12 +1,15 @@
 import itertools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from psitools.arith import profile
+from psitools.arith import profile, psi_table
 from psitools.constants import get_constant
 from psitools.extrema import (
     Label,
+    classify_counts,
     classify_range,
     distribution_tail,
     gap_exponent_check,
@@ -14,8 +17,10 @@ from psitools.extrema import (
     loglog_gap,
     primorial_stream,
     psi_ratio_extremes,
+    psi_ratio_extremes_grid,
     verify_theorem1,
 )
+from psitools.sieve import SEGMENT_SIZE
 
 
 def test_primorial_first_records(tables_1e4):
@@ -144,6 +149,71 @@ def test_classify_strict_inequality(tables_1e4):
 def test_classify_domain(tables_1e4):
     with pytest.raises(ValueError):
         classify_range(1, tables_1e4)
+
+
+GRID = [500, 2, 97, 500, 30, 2_310, 1_000, 97]  # unsorted, repeated, x = 2
+
+
+def brute_extremes(x, tables):
+    # exact rationals; max/min keep the first, so ties go to the smallest n
+    ratios = [(Fraction(profile(n, tables).psi, n), n)
+              for n in range(2, x + 1)]
+    hi = max(ratios, key=lambda r: r[0])
+    lo = min(ratios, key=lambda r: r[0])
+    return hi[1], float(hi[0]), lo[1], float(lo[0])
+
+
+def test_extremes_grid_matches_scalar_and_oracle(tables_1e4):
+    rows = psi_ratio_extremes_grid(GRID, tables_1e4)
+    assert rows == [psi_ratio_extremes(x, tables_1e4) for x in GRID]
+    assert rows == [brute_extremes(x, tables_1e4) for x in GRID]
+
+
+def test_extremes_grid_ties_across_intervals(tables_1e4):
+    # psi(12)/12 = psi(18)/18 = 2 = psi(6)/6: the later interval keeps 6
+    assert psi_ratio_extremes_grid([10, 20], tables_1e4) == [
+        (6, 2.0, 7, 8 / 7), (6, 2.0, 19, 20 / 19)]
+
+
+def test_classify_counts_match_scalar_and_records(tables_1e4):
+    rows = classify_counts(GRID, tables_1e4)
+    assert rows == [classify_range(x, tables_1e4)[:2] for x in GRID]
+    _, _, records = classify_range(max(GRID), tables_1e4)
+    labels = [r.label is Label.ABOVE for r in records]
+    assert rows == [(sum(labels[:x - 1]), x - 1 - sum(labels[:x - 1]))
+                    for x in GRID]
+
+
+def test_grids_across_segments_match_whole_arrays(tables_2e6):
+    # the pre-block reading: one float array over [2, x], one argmax/argmin
+    xs = [2 * SEGMENT_SIZE + 5, SEGMENT_SIZE + 1, 3, SEGMENT_SIZE + 1]
+    psi = psi_table(max(xs), tables_2e6)
+    expected_ext, expected_cls = [], []
+    ts = [0.0, 1.5, 2.0]
+    for x in xs:
+        ns = np.arange(2, x + 1, dtype=np.float64)
+        ratios = psi[2:x + 1] / ns
+        hi, lo = int(np.argmax(ratios)), int(np.argmin(ratios))
+        expected_ext.append((hi + 2, float(ratios[hi]),
+                             lo + 2, float(ratios[lo])))
+        threshold = get_constant("threshold").value * np.log(np.log(ns))
+        above = int(np.count_nonzero(ratios > threshold))
+        expected_cls.append((above, x - 1 - above))
+        # t = 0 counts every n: a block that skipped one would read < 1
+        assert distribution_tail(x, ts, tables_2e6) == [
+            (t, np.count_nonzero(ratios > t) / (x - 1)) for t in ts]
+    assert psi_ratio_extremes_grid(xs, tables_2e6) == expected_ext
+    assert classify_counts(xs, tables_2e6) == expected_cls
+
+
+def test_grid_domain(tables_1e4):
+    for grid in (psi_ratio_extremes_grid, classify_counts):
+        with pytest.raises(ValueError):
+            grid([], tables_1e4)
+        with pytest.raises(ValueError):
+            grid([10, 1], tables_1e4)
+        with pytest.raises(ValueError):
+            grid([10_001], tables_1e4)
 
 
 def test_loglog_gap(tables_1e4):
