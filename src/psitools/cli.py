@@ -121,6 +121,8 @@ def _grid(args: argparse.Namespace, smallest: int) -> list[int]:
         raise ValueError("--points must be >= 1")
     xs = list(args.x or [])
     if args.xmax is not None:
+        if args.xmax < smallest:
+            raise ValueError(f"--xmax must be >= {smallest}")
         lo = max(smallest, args.xmin)
         raw = np.geomspace(lo, args.xmax, args.points)
         xs.extend(int(v) for v in np.unique(raw.astype(np.int64)))
@@ -231,6 +233,8 @@ def _dist_tail(args):
 def _loglog_gap(args):
     ks = list(args.k or [])
     if args.kmax is not None:
+        if args.kmax < 2:
+            raise ValueError("--kmax must be >= 2")
         ks.extend(range(2, args.kmax + 1))
     if not ks:
         raise ValueError("loglog-gap needs --k or --kmax")

@@ -9,10 +9,11 @@ every other module consumes:
   theta_prefix[i] sum of log p over primes[0..i]
 
 Construction is chunked: a base bool sieve finds the primes up to
-sqrt(limit), then fixed-size segments are filled with strided numpy
-writes only.  The same segment kernel serves ranges above the base
-table (segment_scan), so scans beyond limit need nothing but the prime
-list up to sqrt of the range end.
+sqrt(limit), then fixed-size segments are filled by a numpy kernel
+(strided writes for small primes, gathered hits for large ones).  The
+same segment kernel serves ranges above the base table (segment_scan),
+so scans beyond limit need nothing but the prime list up to sqrt of the
+range end.
 """
 from __future__ import annotations
 
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 SEGMENT_SIZE = 1 << 20
+# hits per chunk of the large-prime pass in _sieve_block
+_HIT_CHUNK = 1 << 16
+# values per sub-chunk that segment_scan converts to Python ints
+_SCAN_CHUNK = 1 << 16
 MAX_LIMIT = 1 << 40
 
 
@@ -71,45 +76,81 @@ def _small_primes(limit: int) -> np.ndarray:
     return np.nonzero(marks)[0].astype(np.int64)
 
 
+def _hit_chunks(lo: int, n: int,
+                steps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every multiple of each step in [lo, lo + n), about _HIT_CHUNK at a time.
+
+    Yields (index, step) pairs of equal-length arrays: index is a
+    multiple's offset from lo, step the step that hit it.  A chunk holds
+    whole steps, so a step with more hits than _HIT_CHUNK is one chunk.
+    """
+    if not steps.size:
+        return
+    first = (-lo) % steps
+    counts = np.maximum((n - 1 - first) // steps + 1, 0)
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(_HIT_CHUNK, ends[-1], _HIT_CHUNK),
+                           side="right")
+    bounds = np.unique([0, *cuts.tolist(), steps.size]).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        c = counts[a:b]
+        total = int(c.sum())
+        if total:
+            # the k-th multiple of a step sits at first + k * step
+            k = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
+            step = np.repeat(steps[a:b], c)
+            yield np.repeat(first[a:b], c) + step * k, step
+
+
 def _sieve_block(lo: int, hi: int, primes: np.ndarray,
                  spf_dtype: type) -> tuple[np.ndarray, np.ndarray]:
     """SPF and Mobius arrays for the half-open range [lo, hi).
 
-    primes must cover sqrt(hi - 1).  All work is strided slice writes:
+    primes must cover sqrt(hi - 1).  Each prime p lowers spf to p, flips
+    the sign of mobius and divides p once out of a residual copy of the
+    range at its multiples, and zeroes mobius at multiples of p^2.  An
+    index that no p^2 divides is left with residual 1 or with exactly
+    one prime factor above sqrt(hi), which gets one final flip (indices
+    already zeroed stay zero under negation, whatever their residual);
+    spf is n wherever no prime reached it.
 
-    - spf: each prime overwrites its multiples, applied in descending
-      order so the last write at every index is the smallest factor.
-    - mobius: each prime flips the sign of its multiples; each prime
-      power p^a (a >= 2) zeroes multiples of p^2 and divides p out of a
-      residual copy of the range, so indices left with residual > 1
-      carry exactly one prime factor above sqrt(hi) and get one final
-      flip (indices already zeroed stay zero under negation).
+    Primes up to the block length / 64 do this with strided slice
+    writes (spf in descending order, so the last write at every index is
+    the smallest factor).  Larger primes hit the block about 64 times
+    at most: their multiples are gathered into index arrays and applied
+    by unbuffered ufunc.at calls, so the Python loop runs once per chunk
+    of hits rather than once per prime.
 
     Entries for n < 2 are cleaned up by the caller.
     """
     n = hi - lo
-    spf = np.zeros(n, dtype=spf_dtype)
+    sentinel = np.iinfo(spf_dtype).max
+    spf = np.full(n, sentinel, dtype=spf_dtype)
     mobius = np.ones(n, dtype=np.int8)
     rem = np.arange(lo, hi, dtype=np.int64)
     top = hi - 1
-    small = primes[primes <= isqrt(top)]
+    sieving = primes[primes <= isqrt(top)]
+    split = int(np.searchsorted(sieving, n >> 6, side="right"))
+    small, large = sieving[:split], sieving[split:]
     for p in small[::-1].tolist():
         spf[(-lo) % p::p] = p
     for p in small.tolist():
         start = (-lo) % p
         mobius[start::p] = -mobius[start::p]
         rem[start::p] //= p
-        power = p * p
-        if power <= top:
-            mobius[(-lo) % power::power] = 0
-        while power <= top:
-            rem[(-lo) % power::power] //= p
-            power *= p
-    large = rem > 1
-    mobius[large] = -mobius[large]
-    unmarked = spf == 0
+        mobius[(-lo) % (p * p)::p * p] = 0
+    for index, p in _hit_chunks(lo, n, large):
+        np.floor_divide.at(rem, index, p)
+        np.negative.at(mobius, index)
+        np.minimum.at(spf, index, p.astype(spf_dtype))
+    for index, _ in _hit_chunks(lo, n, large * large):
+        mobius[index] = 0
+    large_factor = rem > 1
+    mobius[large_factor] = -mobius[large_factor]
+    unmarked = spf == sentinel
     if lo == 0:
-        unmarked[:min(2, n)] = False
+        spf[:2][unmarked[:2]] = 0
+        unmarked[:2] = False
     spf[unmarked] = (np.nonzero(unmarked)[0] + lo).astype(spf_dtype)
     return spf, mobius
 
@@ -193,5 +234,8 @@ def segment_scan(lo: int, hi: int,
     for seg_lo in range(lo, hi + 1, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE, hi + 1)
         blk_spf, blk_mob = _sieve_block(seg_lo, seg_hi, need, spf_dtype)
-        for off in range(seg_hi - seg_lo):
-            yield seg_lo + off, int(blk_spf[off]), int(blk_mob[off])
+        # Python ints a sub-chunk at a time: fast to iterate, small lists
+        for a in range(0, seg_hi - seg_lo, _SCAN_CHUNK):
+            b = a + _SCAN_CHUNK
+            yield from zip(range(seg_lo + a, min(seg_lo + b, seg_hi)),
+                           blk_spf[a:b].tolist(), blk_mob[a:b].tolist())

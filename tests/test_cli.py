@@ -18,6 +18,17 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def run_module(module, *argv):
+    """Run python -m module argv in a fresh process on this psitools."""
+    src = str(Path(psitools.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
 def test_tail_sum(capsys):
     code, out, _ = run(capsys, "tail-sum", "--x", "10")
     assert code == 0
@@ -143,6 +154,17 @@ def test_grid_points_below_one_exits_2(capsys, points):
     assert err == "error: --points must be >= 1\n"
 
 
+@pytest.mark.parametrize("subcommand, xmax, smallest", [
+    ("mertens", "-5", 2), ("mertens", "1", 2), ("squarefree", "0", 1)])
+def test_grid_xmax_below_smallest_x_exits_2(subcommand, xmax, smallest):
+    # a fresh process, so that a numpy warning would reach its stderr
+    done = run_module("psitools", subcommand, "--xmax", xmax)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: --xmax must be >= {smallest}\n"
+    assert "Warning" not in done.stderr
+
+
 @pytest.mark.parametrize("subcommand, smallest", [("mertens", 2),
                                                   ("squarefree", 1)])
 def test_grid_xmin_clamps_to_smallest_x(capsys, subcommand, smallest):
@@ -203,6 +225,14 @@ def test_loglog_gap_small_k_exits_2(capsys, k):
     assert code == 2
     assert out == ""
     assert err == f"error: k must be >= 2 (inner log undefined), got {k}\n"
+
+
+@pytest.mark.parametrize("kmax", ["1", "-5"])
+def test_loglog_gap_small_kmax_exits_2(capsys, kmax):
+    code, out, err = run(capsys, "loglog-gap", "--kmax", kmax)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --kmax must be >= 2\n"
 
 
 def test_gap_check_reports_violation(capsys):
@@ -308,12 +338,6 @@ def test_allocation_failure_exits_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize("module", ["psitools", "psitools.cli"])
 def test_module_entry_point(module):
-    src = str(Path(psitools.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", module, "tail-sum", "--x", "10"],
-        capture_output=True, text=True, env=env, timeout=60)
+    done = run_module(module, "tail-sum", "--x", "10")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "x,numerator,denominator\n10,3,10\n"

@@ -1,9 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psitools import InsufficientSieveError, build_sieve, segment_scan, theta
+from psitools.sieve import MAX_LIMIT, _sieve_block
+from psitools.squarefree import count_squarefree_formula
 
 
 def brute_mobius(n):
@@ -149,3 +155,166 @@ def test_tables_immutable(tables_1e4):
         tables_1e4.spf[4] = 7
     with pytest.raises(ValueError):
         tables_1e4.mobius[4] = 1
+
+
+# ---------------------------------------------------------------------------
+# the segment kernel at random offsets, against independent factorisations
+
+TOP = MAX_LIMIT  # tables_2e6 holds the primes up to its square root
+
+
+def factorint_spf_mu(n):
+    """Smallest prime factor and Mobius value of n >= 2 from sympy."""
+    exps = sympy.factorint(n)
+    mu = 0 if max(exps.values()) > 1 else (-1) ** len(exps)
+    return min(exps), mu
+
+
+def trial_spf_mu(n, primes):
+    """Smallest prime factor and Mobius value of n >= 2 by trial division."""
+    small = primes[:int(np.searchsorted(primes, math.isqrt(n), side="right"))]
+    divisors = small[n % small == 0].tolist()
+    if any(n % (p * p) == 0 for p in divisors):
+        return divisors[0], 0
+    # what is left is 1 or one prime above sqrt(n)
+    rest = n // math.prod(divisors)
+    return (divisors[0] if divisors else n), (-1) ** (len(divisors) + (rest > 1))
+
+
+def check_window(lo, hi, tables, sample):
+    """segment_scan over [lo, hi]: every n once, squarefree count equal
+    to the square-divisor formula, sampled n equal to sympy."""
+    got = list(segment_scan(lo, hi, tables))
+    assert [n for n, _, _ in got] == list(range(lo, hi + 1))
+    assert all(type(v) is int for v in got[0])
+    squarefree = sum(1 for _, _, mu in got if mu)
+    assert squarefree == (count_squarefree_formula(hi, tables)
+                          - count_squarefree_formula(lo - 1, tables))
+    for i in sample:
+        n, spf, mu = got[i % len(got)]
+        assert (spf, mu) == factorint_spf_mu(n), n
+
+
+# offsets spread over every bit length up to 40, not bunched near 2
+offsets = st.integers(2, 40).flatmap(
+    lambda bits: st.integers(1 << (bits - 1), min((1 << bits), TOP - 4096)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=offsets, length=st.integers(1, 4096),
+       sample=st.lists(st.integers(0, 4095), min_size=4, max_size=12))
+@example(lo=2, length=4096, sample=[0, 1, 2, 4094])
+@example(lo=2 ** 31 - 2000, length=4000, sample=[1999, 2000, 3999])
+@example(lo=2 ** 31 - 1, length=1, sample=[0])  # spf = int32 max
+@example(lo=2 ** 31 - 4096, length=4096, sample=[4095])
+def test_segment_scan_random_windows(tables_2e6, lo, length, sample):
+    check_window(lo, lo + length - 1, tables_2e6, sample)
+
+
+@settings(max_examples=20, deadline=None)
+@given(p_index=st.integers(0, 10 ** 4), before=st.integers(0, 3000),
+       after=st.integers(0, 3000))
+def test_segment_scan_window_holding_large_prime_square(
+        tables_2e6, p_index, before, after):
+    # the window is at most 6001 long, so the kernel's cutoff between
+    # strided and gathered primes lies below 94 and p sits above it
+    below = tables_2e6.prime_count(math.isqrt(TOP))
+    p = int(tables_2e6.primes[below - 1 - p_index])
+    lo, hi = p * p - before, p * p + after
+    check_window(lo, hi, tables_2e6, [before])
+    n, spf, mu = next(segment_scan(p * p, p * p, tables_2e6))
+    assert (n, spf, mu) == (p * p, p, 0)
+
+
+def reference_sieve_block(lo, hi, primes, spf_dtype):
+    """The kernel with a strided-write loop over every prime, as it was
+    before large primes were gathered; _sieve_block must match it."""
+    n = hi - lo
+    spf = np.zeros(n, dtype=spf_dtype)
+    mobius = np.ones(n, dtype=np.int8)
+    rem = np.arange(lo, hi, dtype=np.int64)
+    top = hi - 1
+    small = primes[primes <= math.isqrt(top)]
+    for p in small[::-1].tolist():
+        spf[(-lo) % p::p] = p
+    for p in small.tolist():
+        start = (-lo) % p
+        mobius[start::p] = -mobius[start::p]
+        rem[start::p] //= p
+        power = p * p
+        if power <= top:
+            mobius[(-lo) % power::power] = 0
+        while power <= top:
+            rem[(-lo) % power::power] //= p
+            power *= p
+    large = rem > 1
+    mobius[large] = -mobius[large]
+    unmarked = spf == 0
+    if lo == 0:
+        unmarked[:min(2, n)] = False
+    spf[unmarked] = (np.nonzero(unmarked)[0] + lo).astype(spf_dtype)
+    return spf, mobius
+
+
+def assert_block_matches_reference(lo, length, primes):
+    hi = lo + length
+    for dtype in (np.int32, np.int64) if hi <= 2 ** 31 else (np.int64,):
+        got = _sieve_block(lo, hi, primes, dtype)
+        want = reference_sieve_block(lo, hi, primes, dtype)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w), (lo, hi)
+
+
+# the reference loop costs one Python step per prime below sqrt(hi), so
+# random windows stay below 2^34 here; the fixed cases reach 2^40
+@settings(max_examples=30, deadline=None)
+@given(lo=st.integers(0, 2 ** 34), length=st.integers(1, 1 << 14))
+@example(lo=0, length=1 << 14)
+@example(lo=2 ** 31 - 5000, length=10_000)
+def test_sieve_block_matches_reference(tables_2e6, lo, length):
+    assert_block_matches_reference(lo, length, tables_2e6.primes)
+
+
+@pytest.mark.parametrize("lo, length", [(0, 1), (0, 2), (0, 11),
+                                        (10 ** 12, 1 << 12),
+                                        (TOP - (1 << 12), 1 << 12)])
+def test_sieve_block_matches_reference_fixed(tables_2e6, lo, length):
+    assert_block_matches_reference(lo, length, tables_2e6.primes)
+
+
+@pytest.mark.parametrize("lo", [0, 1, 2])
+@pytest.mark.parametrize("length", [1, 2, 3, 64, 200, 4096])
+def test_sieve_block_at_start(tables_1e4, lo, length):
+    hi = lo + length
+    spf, mu = _sieve_block(lo, hi, tables_1e4.primes, np.int32)
+    assert spf.dtype == np.int32 and mu.dtype == np.int8
+    assert spf.shape == mu.shape == (length,)
+    for n in range(max(lo, 2), hi):
+        assert (spf[n - lo], mu[n - lo]) == factorint_spf_mu(n), n
+    if lo <= 1 < hi:
+        assert mu[1 - lo] == 1
+    if lo == 0:  # build_sieve zeroes spf below 2 again; the kernel too
+        assert spf[1] == 0 if length > 1 else spf[0] == 0
+
+
+def test_segment_scan_full_window_near_1e12(tables_2e6):
+    # one whole SEGMENT_SIZE block around p^2 with p = 1000003, far above
+    # the block's cutoff between strided and gathered primes
+    p = 1_000_003
+    lo = p * p - (1 << 19)
+    hi = lo + (1 << 20) - 1
+    rng = random.Random(7)
+    sample = set(rng.sample(range(lo, hi + 1), 200)) | {lo, p * p, hi}
+    squarefree = 0
+    seen = {}
+    for n, spf, mu in segment_scan(lo, hi, tables_2e6):
+        squarefree += mu != 0
+        if n in sample:
+            seen[n] = (spf, mu)
+    assert squarefree == (count_squarefree_formula(hi, tables_2e6)
+                          - count_squarefree_formula(lo - 1, tables_2e6))
+    assert seen.keys() == sample
+    for n in sample:
+        assert seen[n] == trial_spf_mu(n, tables_2e6.primes), n
+    assert seen[p * p] == (p, 0)

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from psitools import InsufficientSieveError
+from psitools import InsufficientSieveError, build_sieve
 from psitools.squarefree import (
     count_squarefree_exact,
     count_squarefree_formula,
@@ -41,9 +42,31 @@ def test_formula_matches_exact(tables_1e4):
 
 def test_formula_range_matches_scalar(tables_1e4):
     table = count_squarefree_formula_range(10_000, tables_1e4)
+    assert table.dtype == np.int64
+    assert table.shape == (10_001,)
     assert table[0] == 0
-    for x in (1, 2, 10, 99, 360, 4096, 9_999, 10_000):
-        assert table[x] == count_squarefree_formula(x, tables_1e4)
+    for x in range(1, 10_001):
+        assert table[x] == count_squarefree_formula(x, tables_1e4), x
+
+
+@pytest.mark.parametrize("xmax, values", [(1, [0, 1]), (3, [0, 1, 2, 3]),
+                                          (4, [0, 1, 2, 3, 3])])
+def test_formula_range_small_xmax(tables_1e4, xmax, values):
+    assert count_squarefree_formula_range(xmax, tables_1e4).tolist() == values
+
+
+def test_formula_range_matches_mobius_tally():
+    tables = build_sieve(4_000_000)
+    table = count_squarefree_formula_range(4_000_000, tables)
+    tally = np.cumsum(tables.mobius[1:] != 0)
+    assert np.array_equal(table[1:], tally)
+
+
+def test_formula_range_domain(tables_1e4):
+    with pytest.raises(ValueError):
+        count_squarefree_formula_range(0, tables_1e4)
+    with pytest.raises(InsufficientSieveError):
+        count_squarefree_formula_range(10_001 ** 2, tables_1e4)
 
 
 def test_formula_beyond_table_limit(tables_1e4):
