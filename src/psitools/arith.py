@@ -1,8 +1,8 @@
-"""Multiplicative arithmetic functions from the factorization tables.
+"""Multiplicative arithmetic functions from the sieve's prime list.
 
-phi, sigma, psi are computed in exact integer arithmetic from the
-smallest-prime-factor chain; ratios like psi(n)/n only become floats at
-the caller's boundary.
+phi, sigma, psi are computed in exact integer arithmetic from a
+factorization by trial division over the primes up to sqrt(n); ratios
+like psi(n)/n only become floats at the caller's boundary.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ __all__ = [
     "factor",
     "profile",
     "psi_phi_identity_residual",
-    "sqf_decompose",
     "psi_table",
 ]
 
@@ -48,18 +47,24 @@ def _check_n(n: int, tables: SieveTables) -> int:
 
 
 def factor(n: int, tables: SieveTables) -> Factorization:
-    """Factor n by walking the smallest-prime-factor chain."""
+    """Factor n by trial division over the table's primes up to sqrt(n).
+
+    One vectorised n % p == 0 picks out the prime divisors up to sqrt(n);
+    a cofactor above 1 after they are divided out is the one prime
+    factor above sqrt(n).
+    """
     n = _check_n(n, tables)
+    small = tables.primes[:tables.prime_count(isqrt(n))]
     m = n
     parts: list[tuple[int, int]] = []
-    spf = tables.spf
-    while m > 1:
-        p = int(spf[m])
+    for p in small[n % small == 0].tolist():
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         parts.append((p, e))
+    if m > 1:
+        parts.append((m, 1))
     return Factorization(n=n, factors=tuple(parts))
 
 
@@ -98,16 +103,6 @@ def psi_phi_identity_residual(n: int, tables: SieveTables) -> float:
     for p, _ in factor(n, tables).factors:
         rhs *= 1.0 - 1.0 / (p * p)
     return abs(lhs - rhs)
-
-
-def sqf_decompose(n: int, tables: SieveTables) -> tuple[int, int]:
-    """The unique (a, b) with n = a * b^2 and a squarefree."""
-    a = b = 1
-    for p, e in factor(n, tables).factors:
-        if e % 2:
-            a *= p
-        b *= p ** (e // 2)
-    return a, b
 
 
 def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:

@@ -123,7 +123,8 @@ def _grid(args: argparse.Namespace, smallest: int) -> list[int]:
     if args.xmax is not None:
         if args.xmax < smallest:
             raise ValueError(f"--xmax must be >= {smallest}")
-        lo = max(smallest, args.xmin)
+        # an --xmax below --xmin ends the grid at --xmax, never above it
+        lo = min(max(smallest, args.xmin), args.xmax)
         raw = np.geomspace(lo, args.xmax, args.points)
         xs.extend(int(v) for v in np.unique(raw.astype(np.int64)))
     if not xs:

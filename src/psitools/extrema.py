@@ -8,7 +8,6 @@ N_k/phi(N_k) = prod(1 - 1/p)^(-1) live as exp of compensated log sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import expm1, log, log1p
 from typing import Callable, Iterable, Iterator
 
@@ -21,14 +20,11 @@ from .summation import compensated_cumsum
 
 __all__ = [
     "PrimorialRecord",
-    "ClassRecord",
-    "Label",
     "primorial_stream",
     "verify_theorem1",
     "jump_delta",
     "psi_ratio_extremes",
     "psi_ratio_extremes_grid",
-    "classify_range",
     "classify_counts",
     "loglog_gap",
     "distribution_tail",
@@ -51,19 +47,6 @@ class PrimorialRecord:
     loglog_N: float
     threshold: float      # (6 e^gamma / pi^2) * loglog_N
     margin: float         # psi_ratio - threshold
-
-
-class Label(Enum):
-    ABOVE = "ABOVE"
-    BELOW = "BELOW"
-
-
-@dataclass(frozen=True)
-class ClassRecord:
-    n: int
-    psi_over_n: float
-    threshold: float
-    label: Label
 
 
 def _primorial_arrays(p_limit: int, tables: SieveTables) -> dict[str, np.ndarray]:
@@ -236,10 +219,16 @@ def psi_ratio_extremes(
 
 def classify_counts(xs: Iterable[int],
                     tables: SieveTables) -> list[tuple[int, int]]:
-    """(above, below) of classify_range(x, tables) for every x in xs.
+    """Split [2, x] by psi(n)/n against its threshold, for every x in xs.
 
-    One psi table to max(xs); the above counts of the intervals between
-    the sorted xs are summed.
+    above counts the n with psi(n)/n > (6 e^gamma / pi^2) log log n,
+    strictly; exact float equality lands in below.  n = 2 starts the
+    domain (log log is undefined at 1) and its negative threshold puts
+    it above.  One psi table to max(xs); the above counts of the
+    intervals between the sorted xs are summed.
+
+    Returns:
+        (above, below) for each x, in the order of xs.
     """
     above = 0
 
@@ -250,38 +239,6 @@ def classify_counts(xs: Iterable[int],
         return above, x - 1 - above
 
     return _grid_rows(xs, tables, fold)
-
-
-def classify_range(
-        x: int, tables: SieveTables
-) -> tuple[int, int, Iterator[ClassRecord]]:
-    """Split [2, x] by whether psi(n)/n exceeds its slow-growing threshold.
-
-    Every n is labeled ABOVE when psi(n)/n > (6 e^gamma / pi^2)
-    log log n, strictly; exact float equality lands BELOW.  n = 2
-    starts the domain (log log is undefined at 1) and its negative
-    threshold makes it ABOVE.
-
-    Returns:
-        (above_count, below_count, lazy stream of per-n records).  The
-        stream builds its own psi table when first read.
-    """
-    [(above, below)] = classify_counts([x], tables)
-    x = int(x)
-
-    def records() -> Iterator[ClassRecord]:
-        for first, ns, ratios in _ratio_blocks(psi_table(x, tables), 2, x + 1):
-            thresholds = _thresholds(ns)
-            for i in range(len(ns)):
-                yield ClassRecord(
-                    n=first + i,
-                    psi_over_n=float(ratios[i]),
-                    threshold=float(thresholds[i]),
-                    label=(Label.ABOVE if ratios[i] > thresholds[i]
-                           else Label.BELOW),
-                )
-
-    return above, below, records()
 
 
 def loglog_gap(k: int, tables: SieveTables) -> float:

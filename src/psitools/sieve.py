@@ -1,19 +1,20 @@
-"""Sieve tables: primes, smallest prime factor, Mobius, theta prefix.
+"""Sieve tables: Mobius, primes, theta prefix.
 
-build_sieve produces one immutable bundle of arrays indexed by n that
-every other module consumes:
+build_sieve produces one immutable bundle of arrays that every other
+module consumes:
 
-  spf[n]          smallest prime factor of n            (0 for n < 2)
   mobius[n]       mu(n) in {-1, 0, 1}                   (mobius[0] = 0)
   primes[i]       i-th prime (ascending, all <= limit)
   theta_prefix[i] sum of log p over primes[0..i]
 
 Construction is chunked: a base bool sieve finds the primes up to
 sqrt(limit), then fixed-size segments are filled by a numpy kernel
-(strided writes for small primes, gathered hits for large ones).  The
-same segment kernel serves ranges above the base table (segment_scan),
-so scans beyond limit need nothing but the prime list up to sqrt of the
-range end.
+(strided writes for small primes, gathered hits for large ones) that
+yields the smallest prime factor and mu of each n.  The tables keep
+mu and the primes; a block's smallest prime factors are read once, to
+pick out its primes, and dropped.  The same segment kernel serves ranges
+above the base table (segment_scan), so scans beyond limit need nothing
+but the prime list up to sqrt of the range end.
 """
 from __future__ import annotations
 
@@ -49,16 +50,15 @@ class InsufficientSieveError(ValueError):
 
 @dataclass(frozen=True)
 class SieveTables:
-    """Immutable arithmetic tables over [0, limit], index = n."""
+    """Immutable arithmetic tables over [0, limit]; mobius is indexed by n."""
 
     limit: int
-    spf: np.ndarray
     mobius: np.ndarray
     primes: np.ndarray
     theta_prefix: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.spf, self.mobius, self.primes, self.theta_prefix):
+        for arr in (self.mobius, self.primes, self.theta_prefix):
             arr.setflags(write=False)
 
     def prime_count(self, x: float) -> int:
@@ -159,8 +159,8 @@ def build_sieve(limit: int) -> SieveTables:
     """Build all tables for [0, limit].
 
     Args:
-        limit: inclusive upper bound, 2 <= limit <= 2**40.  Memory use
-            is about 5-13 bytes per n depending on dtype choices.
+        limit: inclusive upper bound, 2 <= limit <= 2**40.  The tables
+            take 1 byte per n for mobius and 16 bytes per prime.
 
     Returns:
         SieveTables with read-only arrays.
@@ -172,29 +172,21 @@ def build_sieve(limit: int) -> SieveTables:
         raise ValueError(f"limit must be in [2, 2**40], got {limit}")
 
     spf_dtype = np.int32 if limit < 2 ** 31 else np.int64
-    base_primes = _small_primes(isqrt(limit))
-    spf = np.empty(limit + 1, dtype=spf_dtype)
+    root = isqrt(limit)
+    base_primes = _small_primes(root)
     mobius = np.empty(limit + 1, dtype=np.int8)
     large_prime_chunks: list[np.ndarray] = []
     for lo in range(0, limit + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, limit + 1)
-        blk_spf, blk_mob = _sieve_block(lo, hi, base_primes, spf_dtype)
-        spf[lo:hi] = blk_spf
-        mobius[lo:hi] = blk_mob
+        blk_spf, mobius[lo:hi] = _sieve_block(lo, hi, base_primes, spf_dtype)
         # primes above sqrt(limit) are exactly the entries spf left at n
-        hits = np.nonzero(blk_spf == (np.arange(lo, hi, dtype=spf_dtype)))[0]
-        if lo == 0:
-            hits = hits[hits >= 2]
-        big = (hits + lo).astype(np.int64)
-        large_prime_chunks.append(big[big > base_primes[-1]] if base_primes.size else big)
-    spf[0] = 0
-    if limit >= 1:
-        spf[1] = 0
+        hits = np.nonzero(blk_spf == np.arange(lo, hi, dtype=spf_dtype))[0] + lo
+        large_prime_chunks.append(hits[hits > root])
     mobius[0] = 0
     primes = np.concatenate([base_primes] + large_prime_chunks)
     theta_prefix = compensated_cumsum(np.log(primes.astype(np.float64)))
-    return SieveTables(limit=limit, spf=spf, mobius=mobius,
-                       primes=primes, theta_prefix=theta_prefix)
+    return SieveTables(limit=limit, mobius=mobius, primes=primes,
+                       theta_prefix=theta_prefix)
 
 
 def theta(x: float, tables: SieveTables) -> float:

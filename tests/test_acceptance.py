@@ -17,7 +17,7 @@ from psitools.arith import psi_phi_identity_residual, psi_table
 from psitools.constants import get_constant
 from psitools.extrema import (
     _primorial_arrays,
-    classify_range,
+    classify_counts,
     jump_delta,
     primorial_stream,
     psi_ratio_extremes,
@@ -214,7 +214,7 @@ def test_criterion_12_recorded_only(tables_1e6, tables_1e7):
     for x, g in trajectory:
         print(f"  g({x}) = {g:.5f}")
 
-    above, below, _ = classify_range(1_000_000, tables_1e6)
+    [(above, below)] = classify_counts([1_000_000], tables_1e6)
     density_scale = 1_000_000 / math.log(1_000_000)
     print(f"  below-threshold count at 1e6: {below}"
           f" (x/log x = {density_scale:.1f}, above = {above})")

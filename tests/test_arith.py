@@ -1,7 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
+import sympy
 
 from psitools.arith import (
     ArithProfile,
@@ -9,7 +11,6 @@ from psitools.arith import (
     profile,
     psi_phi_identity_residual,
     psi_table,
-    sqf_decompose,
 )
 from psitools.sieve import SEGMENT_SIZE
 
@@ -37,6 +38,31 @@ def test_factor_examples(tables_1e4):
     assert factor(1, tables_1e4).factors == ()
     assert factor(360, tables_1e4).factors == ((2, 3), (3, 2), (5, 1))
     assert factor(97, tables_1e4).factors == ((97, 1),)
+
+
+def assert_factor_matches_sympy(n, tables):
+    assert factor(n, tables).factors == tuple(
+        sorted(sympy.factorint(n).items())), n
+
+
+@pytest.mark.parametrize("fixture", ["tables_1e4", "tables_1e6"])
+def test_factor_edges_against_sympy(request, fixture):
+    tables = request.getfixturevalue(fixture)
+    limit, primes = tables.limit, tables.primes
+    root_prime = int(primes[tables.prime_count(math.isqrt(limit)) - 1])
+    edges = [1, 2, limit, int(primes[-1]), root_prime ** 2]
+    for p in (2, 3, 97, root_prime):
+        # p * q with q the largest prime <= limit / p
+        edges.append(p * int(primes[tables.prime_count(limit // p) - 1]))
+    for n in edges:
+        assert 1 <= n <= limit
+        assert_factor_matches_sympy(n, tables)
+
+
+def test_factor_random_against_sympy(tables_1e6):
+    rng = random.Random(20261018)
+    for n in rng.sample(range(1, 1_000_001), 2_000):
+        assert_factor_matches_sympy(n, tables_1e6)
 
 
 def test_factor_domain(tables_1e4):
@@ -93,18 +119,6 @@ def test_psi_phi_identity_values(tables_1e4):
     assert p.psi * p.phi / 100 == pytest.approx(0.72, abs=0.0)
     p = profile(8, tables_1e4)
     assert p.psi * p.phi / 64 == pytest.approx(0.75, abs=0.0)
-
-
-def test_sqf_decompose(tables_1e4):
-    assert sqf_decompose(360, tables_1e4) == (10, 6)
-    assert sqf_decompose(8, tables_1e4) == (2, 2)
-    assert sqf_decompose(1, tables_1e4) == (1, 1)
-    mu = tables_1e4.mobius
-    for n in range(1, 10_001):
-        a, b = sqf_decompose(n, tables_1e4)
-        assert a * b * b == n
-        assert mu[a] != 0
-        assert (mu[n] != 0) == (b == 1)
 
 
 def test_mobius_square_counts_squarefree(tables_1e5):

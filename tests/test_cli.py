@@ -176,6 +176,16 @@ def test_grid_xmin_clamps_to_smallest_x(capsys, subcommand, smallest):
     assert xs[-1] == 1000
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("squarefree", "--xmax", "1"), [1]),
+    (("mertens", "--xmax", "2", "--points", "2"), [2]),
+    (("mertens", "--xmin", "500", "--xmax", "100", "--points", "3"), [100])])
+def test_grid_xmax_below_xmin_ends_at_xmax(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [int(r.split(",")[0]) for r in out.splitlines()[1:]] == expected
+
+
 def test_extremes_row(capsys):
     code, out, _ = run(capsys, "extremes", "--x", "100")
     assert code == 0

@@ -5,12 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from psitools import extrema
 from psitools.arith import profile, psi_table
 from psitools.constants import get_constant
 from psitools.extrema import (
-    Label,
     classify_counts,
-    classify_range,
     distribution_tail,
     gap_exponent_check,
     jump_delta,
@@ -115,40 +114,40 @@ def test_extremes_hit_primorials_and_primes(tables_1e4):
 
 
 def test_classify_counts(tables_1e4):
-    above, below, _ = classify_range(10, tables_1e4)
-    assert (above, below) == (9, 0)
-    above, below, _ = classify_range(1_000, tables_1e4)
-    assert (above, below) == (199, 800)
-    assert above + below == 999
+    assert classify_counts([10, 1_000], tables_1e4) == [(9, 0), (199, 800)]
+
+
+def above_steps(x, tables):
+    """n -> whether n is above, for n in [2, x], from the steps of the counts."""
+    aboves = [0] + [above for above, _ in
+                    classify_counts(range(2, x + 1), tables)]
+    return {n: aboves[n - 1] > aboves[n - 2] for n in range(2, x + 1)}
 
 
 def test_classify_records(tables_1e4):
-    above, below, records = classify_range(20, tables_1e4)
-    by_n = {r.n: r for r in records}
-    assert len(by_n) == 19
-    assert sum(r.label is Label.ABOVE for r in by_n.values()) == above
-    assert by_n[2].label is Label.ABOVE
-    assert by_n[13].label is Label.ABOVE
-    assert by_n[17].label is Label.BELOW
-    r13 = by_n[13]
-    assert r13.psi_over_n == pytest.approx(14 / 13, rel=1e-15)
-    assert r13.threshold == pytest.approx(
-        get_constant("threshold").value * math.log(math.log(13)), rel=1e-14)
-    assert r13.psi_over_n > r13.threshold
-    r17 = by_n[17]
-    assert r17.psi_over_n < r17.threshold
+    steps = above_steps(20, tables_1e4)
+    [(above, below)] = classify_counts([20], tables_1e4)
+    assert len(steps) == above + below == 19
+    assert sum(steps.values()) == above
+    assert steps[2] and steps[13] and not steps[17]
+    threshold = get_constant("threshold").value
+    assert 14 / 13 > threshold * math.log(math.log(13))
+    assert 18 / 17 < threshold * math.log(math.log(17))
 
 
-def test_classify_strict_inequality(tables_1e4):
-    # exact equality would be BELOW: the comparison is strict
-    _, _, records = classify_range(100, tables_1e4)
-    for r in records:
-        assert (r.label is Label.ABOVE) == (r.psi_over_n > r.threshold)
+def test_classify_strict_inequality(tables_1e4, monkeypatch):
+    # a flat threshold of 2 is met exactly by psi(6)/6 = psi(12)/12 = 2,
+    # and exact equality counts as below: the comparison is strict
+    monkeypatch.setattr(extrema, "_thresholds", lambda ns: np.full_like(ns, 2.0))
+    steps = above_steps(100, tables_1e4)
+    assert not steps[6] and not steps[12] and steps[30]
+    for n, above in steps.items():
+        assert above == (Fraction(profile(n, tables_1e4).psi, n) > 2), n
 
 
 def test_classify_domain(tables_1e4):
     with pytest.raises(ValueError):
-        classify_range(1, tables_1e4)
+        classify_counts([1], tables_1e4)
 
 
 GRID = [500, 2, 97, 500, 30, 2_310, 1_000, 97]  # unsorted, repeated, x = 2
@@ -177,9 +176,8 @@ def test_extremes_grid_ties_across_intervals(tables_1e4):
 
 def test_classify_counts_match_scalar_and_records(tables_1e4):
     rows = classify_counts(GRID, tables_1e4)
-    assert rows == [classify_range(x, tables_1e4)[:2] for x in GRID]
-    _, _, records = classify_range(max(GRID), tables_1e4)
-    labels = [r.label is Label.ABOVE for r in records]
+    assert rows == [classify_counts([x], tables_1e4)[0] for x in GRID]
+    labels = list(above_steps(max(GRID), tables_1e4).values())
     assert rows == [(sum(labels[:x - 1]), x - 1 - sum(labels[:x - 1]))
                     for x in GRID]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,7 +8,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psitools import InsufficientSieveError, build_sieve, segment_scan, theta
+from psitools import (InsufficientSieveError, SieveTables, build_sieve,
+                      segment_scan, theta)
 from psitools.sieve import MAX_LIMIT, _sieve_block
 from psitools.squarefree import count_squarefree_formula
 
@@ -45,9 +47,8 @@ def test_mobius_against_trial_division(tables_1e5):
 
 
 def test_spf_against_trial_division(tables_1e5):
-    spf = tables_1e5.spf
-    for n in range(2, 5_001):
-        assert spf[n] == brute_spf(n), n
+    for n, spf, _ in segment_scan(2, 5_000, tables_1e5):
+        assert spf == brute_spf(n), n
 
 
 def test_prime_counts(tables_1e5):
@@ -93,10 +94,11 @@ def test_theta_domain(tables_1e4):
 
 
 def test_segment_scan_matches_tables(tables_1e5):
-    spf = tables_1e5.spf
     mu = tables_1e5.mobius
+    primes = set(tables_1e5.primes.tolist())
     for n, s, m in segment_scan(2, 100_000, tables_1e5):
-        assert s == spf[n]
+        assert n % s == 0
+        assert (s == n) == (n in primes)
         assert m == mu[n]
 
 
@@ -126,7 +128,8 @@ def test_build_small():
     tables = build_sieve(10)
     assert tables.primes.tolist() == [2, 3, 5, 7]
     assert tables.mobius[:11].tolist() == [0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-    assert tables.spf[:11].tolist() == [0, 0, 2, 3, 2, 5, 2, 7, 2, 3, 2]
+    assert [f.name for f in dataclasses.fields(SieveTables)] == [
+        "limit", "mobius", "primes", "theta_prefix"]
 
     tiny = build_sieve(2)
     assert tiny.primes.tolist() == [2]
@@ -144,7 +147,6 @@ def test_build_validation():
 def test_build_deterministic():
     a = build_sieve(3_000)
     b = build_sieve(3_000)
-    assert np.array_equal(a.spf, b.spf)
     assert np.array_equal(a.mobius, b.mobius)
     assert np.array_equal(a.primes, b.primes)
     assert np.array_equal(a.theta_prefix, b.theta_prefix)
@@ -152,9 +154,11 @@ def test_build_deterministic():
 
 def test_tables_immutable(tables_1e4):
     with pytest.raises(ValueError):
-        tables_1e4.spf[4] = 7
-    with pytest.raises(ValueError):
         tables_1e4.mobius[4] = 1
+    with pytest.raises(ValueError):
+        tables_1e4.primes[0] = 3
+    with pytest.raises(ValueError):
+        tables_1e4.theta_prefix[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +298,7 @@ def test_sieve_block_at_start(tables_1e4, lo, length):
         assert (spf[n - lo], mu[n - lo]) == factorint_spf_mu(n), n
     if lo <= 1 < hi:
         assert mu[1 - lo] == 1
-    if lo == 0:  # build_sieve zeroes spf below 2 again; the kernel too
+    if lo == 0:  # the kernel sets spf to 0 below 2
         assert spf[1] == 0 if length > 1 else spf[0] == 0
 
 
