@@ -9,9 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
-
-from .sieve import SEGMENT_SIZE, SieveTables
+from .sieve import SieveTables
 
 __all__ = [
     "Factorization",
@@ -19,7 +17,6 @@ __all__ = [
     "factor",
     "profile",
     "psi_phi_identity_residual",
-    "psi_table",
 ]
 
 
@@ -74,7 +71,10 @@ def profile(n: int, tables: SieveTables) -> ArithProfile:
     psi(n) = n * prod_{p|n}(1 + 1/p) = prod p^(e-1) * (p + 1);
     on squarefree n it coincides with sigma.
     """
-    fac = factor(n, tables)
+    return _profile(factor(n, tables))
+
+
+def _profile(fac: Factorization) -> ArithProfile:
     mu = 1
     phi = sigma = psi = 1
     big_omega = 0
@@ -97,56 +97,10 @@ def psi_phi_identity_residual(n: int, tables: SieveTables) -> float:
     formed as (psi/n)*(phi/n) to keep intermediates well inside exact
     float64 integer range.
     """
-    prof = profile(n, tables)
+    fac = factor(n, tables)
+    prof = _profile(fac)
     lhs = (prof.psi / prof.n) * (prof.phi / prof.n)
     rhs = 1.0
-    for p, _ in factor(n, tables).factors:
+    for p, _ in fac.factors:
         rhs *= 1.0 - 1.0 / (p * p)
     return abs(lhs - rhs)
-
-
-def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
-    """Write psi(n) for n in [lo, hi) into out; primes must cover sqrt(hi - 1).
-
-    The residual trick of sieve._sieve_block: each prime p multiplies its
-    multiples by p + 1 and divides p out of a residual copy of the range,
-    and each higher power p^a multiplies by a further p and divides out a
-    further p.  An index left with residual > 1 has exactly one prime
-    factor q above sqrt(hi - 1) and gets one final factor q + 1.
-    Entry n = 0, a multiple of every prime, is left to the caller.
-    """
-    out[:] = 1
-    rem = np.arange(lo, hi, dtype=np.int64)
-    top = hi - 1
-    for p in primes[primes <= isqrt(top)].tolist():
-        start = (-lo) % p
-        out[start::p] *= p + 1
-        rem[start::p] //= p
-        power = p * p
-        while power <= top:
-            start = (-lo) % power
-            out[start::power] *= p
-            rem[start::power] //= p
-            power *= p
-    large = rem > 1
-    out[large] *= rem[large] + 1
-
-
-def psi_table(x: int, tables: SieveTables) -> np.ndarray:
-    """Exact psi(n) for every n in [0, x] as one int64 array.
-
-    psi(n) = prod p^(e-1)*(p+1), filled SEGMENT_SIZE entries at a time by
-    _psi_block from the primes up to sqrt(x) only.  Entry 0 is set to 0;
-    entry 1 is psi(1) = 1.  psi(n) < 4n, so int64 holds every value up to
-    the table bound.
-    """
-    if not 0 <= x <= tables.limit:
-        raise ValueError(f"x must be in [0, limit={tables.limit}], got {x}")
-    x = int(x)
-    vals = np.empty(x + 1, dtype=np.int64)
-    small = tables.primes[:tables.prime_count(isqrt(x))]
-    for lo in range(0, x + 1, SEGMENT_SIZE):
-        _psi_block(lo, min(lo + SEGMENT_SIZE, x + 1), small,
-                   vals[lo:lo + SEGMENT_SIZE])
-    vals[0] = 0
-    return vals

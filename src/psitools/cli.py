@@ -149,15 +149,15 @@ def _per_x(point: Callable[..., tuple], smallest: int = 2,
     return rows
 
 
-def _whole_grid(grid: Callable[..., list[tuple]]):
+def _whole_grid(grid: Callable[[list[int]], list[tuple]]):
     """rows(args) for a grid subcommand whose library call takes every x.
 
-    One grid, one sieve to the largest x and one grid(xs, tables) call,
-    which returns the output rows in the order of xs.
+    One grid and one grid(xs) call, which streams psi itself (no sieve
+    tables, so --limit is not read) and returns the output rows in the
+    order of xs.
     """
     def rows(args: argparse.Namespace) -> list[tuple]:
-        xs = _grid(args, 2)
-        return grid(xs, _tables(args, max(xs)))
+        return grid(_grid(args, 2))
     return rows
 
 
@@ -215,19 +215,19 @@ def _jumps(args):
             for k in range(1, kmax + 1)]
 
 
-def _extremes(xs, tables):
-    answers = extrema.psi_ratio_extremes_grid(xs, tables)
+def _extremes(xs):
+    answers = extrema.psi_ratio_extremes_grid(xs)
     return [(x, *answer) for x, answer in zip(xs, answers)]
 
 
-def _classify(xs, tables):
-    answers = extrema.classify_counts(xs, tables)
+def _classify(xs):
+    answers = extrema.classify_counts(xs)
     return [(x, *answer, x / log(x)) for x, answer in zip(xs, answers)]
 
 
 def _dist_tail(args):
     x = _need(args, "x", 2)
-    pairs = extrema.distribution_tail(x, args.t, _tables(args, x))
+    pairs = extrema.distribution_tail(x, args.t)
     return [(x, t, frac) for t, frac in pairs]
 
 
@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH",
                         help="write to file instead of standard output")
     common.add_argument("--limit", type=int, default=None,
-                        help="sieve table limit (default: smallest that "
+                        help="size of the sieve tables, for subcommands "
+                             "that build them (default: smallest that "
                              "covers the request)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in COMMANDS.items():

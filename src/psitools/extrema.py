@@ -4,24 +4,25 @@ The primorial N_k = 2*3*...*p_k overflows fixed-width integers near
 k = 15, so everything here stays in the log domain: log N_k is the
 theta prefix, and the ratios psi(N_k)/N_k = prod(1 + 1/p) and
 N_k/phi(N_k) = prod(1 - 1/p)^(-1) live as exp of compensated log sums.
+
+The per-n psi(n)/n functions (extremes, classification, tail fractions)
+take no tables: they stream sieve.psi_blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import expm1, log, log1p
+from math import expm1, isnan, log, log1p
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .arith import psi_table
 from .constants import get_constant
-from .sieve import SEGMENT_SIZE, SieveTables
+from .sieve import MAX_LIMIT, SieveTables, psi_blocks
 from .summation import compensated_cumsum
 
 __all__ = [
     "PrimorialRecord",
     "primorial_stream",
-    "verify_theorem1",
     "jump_delta",
     "psi_ratio_extremes",
     "psi_ratio_extremes_grid",
@@ -91,23 +92,6 @@ def primorial_stream(p_limit: int,
         )
 
 
-def verify_theorem1(p_limit: int,
-                    tables: SieveTables) -> tuple[bool, float, int]:
-    """Scan every primorial with p_k <= p_limit for a positive margin.
-
-    Checks psi(N_k)/N_k > (6 e^gamma / pi^2) log log N_k at each k and
-    locates the tightest point.
-
-    Returns:
-        (all_positive, min_margin, argmin_k) with k 1-based.
-    """
-    if p_limit < 2:
-        raise ValueError(f"p_limit must be >= 2, got {p_limit}")
-    margin = _primorial_arrays(p_limit, tables)["margin"]
-    i = int(np.argmin(margin))
-    return bool(np.all(margin > 0)), float(margin[i]), i + 1
-
-
 def jump_delta(k: int, tables: SieveTables) -> float:
     """Increase of psi(N)/N from primorial k to k+1.
 
@@ -135,78 +119,81 @@ def jump_delta(k: int, tables: SieveTables) -> float:
     return closed
 
 
-def _check_x(x: int, tables: SieveTables) -> int:
+def _check_x(x: int) -> int:
     x = int(x)
-    if not 2 <= x <= tables.limit:
-        raise ValueError(f"x must be in [2, limit={tables.limit}], got {x}")
+    if not 2 <= x <= MAX_LIMIT:
+        raise ValueError(f"x must be in [2, 2**40], got {x}")
     return x
 
 
-def _ratio_blocks(psi: np.ndarray, lo: int, hi: int
+def _ratio_blocks(lo: int, hi: int
                   ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(first n, n as float64, psi(n)/n) for n in [lo, hi).
 
-    SEGMENT_SIZE values at a time, so callers hold only block-sized
-    arrays besides the psi table.
+    One psi block at a time, so callers hold only block-sized arrays.
     """
-    for first in range(lo, hi, SEGMENT_SIZE):
-        ns = np.arange(first, min(first + SEGMENT_SIZE, hi), dtype=np.float64)
-        yield first, ns, psi[first:first + len(ns)] / ns
+    for first, psi in psi_blocks(lo, hi):
+        ns = np.arange(first, first + len(psi), dtype=np.float64)
+        yield first, ns, psi / ns
 
 
 def _thresholds(ns: np.ndarray) -> np.ndarray:
     return _THRESHOLD * np.log(np.log(ns))
 
 
-def _grid_rows(xs: Iterable[int], tables: SieveTables,
-               fold: Callable[[int, Iterator], tuple]) -> list[tuple]:
-    """One row per x in xs, in input order, from one psi table to max(xs).
+def _grid_rows(xs: Iterable[int],
+               add: Callable[[int, np.ndarray, np.ndarray], None],
+               row: Callable[[int], tuple]) -> list[tuple]:
+    """One row per x in xs, in input order, from one pass over [2, max(xs)].
 
-    The sorted unique xs are walked in turn: fold(x, blocks) receives the
-    _ratio_blocks of (previous x, x] and returns the row for x, carrying
-    any running state itself.
+    The _ratio_blocks of [2, max(xs)] are cut at every x and handed to
+    add(first, ns, ratios) in order of n; once the run ending at x has
+    been added, row(x) returns the row for x from the state that add
+    carries.
     """
-    xs = [_check_x(x, tables) for x in xs]
+    xs = [_check_x(x) for x in xs]
     if not xs:
         raise ValueError("xs must be nonempty")
-    psi = psi_table(max(xs), tables)
+    ends = sorted(set(xs), reverse=True)  # the next x to reach is last
     rows: dict[int, tuple] = {}
-    prev = 1
-    for x in sorted(set(xs)):
-        rows[x] = fold(x, _ratio_blocks(psi, prev + 1, x + 1))
-        prev = x
+    for first, ns, ratios in _ratio_blocks(2, ends[0] + 1):
+        while ends and ends[-1] < first + len(ns):
+            x = ends.pop()
+            cut = x + 1 - first
+            add(first, ns[:cut], ratios[:cut])
+            rows[x] = row(x)
+            first, ns, ratios = x + 1, ns[cut:], ratios[cut:]
+        if len(ns):
+            add(first, ns, ratios)
     return [rows[x] for x in xs]
 
 
 def psi_ratio_extremes_grid(
-        xs: Iterable[int],
-        tables: SieveTables) -> list[tuple[int, float, int, float]]:
-    """psi_ratio_extremes(x, tables) for every x in xs, from one psi table.
+        xs: Iterable[int]) -> list[tuple[int, float, int, float]]:
+    """psi_ratio_extremes(x) for every x in xs, from one pass over psi.
 
-    A running argmax and argmin over the sorted xs.  A later interval
+    A running argmax and argmin over the sorted xs.  A later run of n
     replaces the best only when strictly better, so ties resolve to the
     smallest n as in a single argmax/argmin over [2, x].
     """
     max_n = min_n = 0
     max_ratio, min_ratio = -np.inf, np.inf
 
-    def fold(x: int, blocks: Iterator) -> tuple[int, float, int, float]:
+    def add(first: int, _, ratios: np.ndarray) -> None:
         nonlocal max_n, max_ratio, min_n, min_ratio
-        for first, _, ratios in blocks:
-            hi = int(np.argmax(ratios))
-            lo = int(np.argmin(ratios))
-            if ratios[hi] > max_ratio:
-                max_n, max_ratio = first + hi, float(ratios[hi])
-            if ratios[lo] < min_ratio:
-                min_n, min_ratio = first + lo, float(ratios[lo])
-        return max_n, max_ratio, min_n, min_ratio
+        hi = int(np.argmax(ratios))
+        lo = int(np.argmin(ratios))
+        if ratios[hi] > max_ratio:
+            max_n, max_ratio = first + hi, float(ratios[hi])
+        if ratios[lo] < min_ratio:
+            min_n, min_ratio = first + lo, float(ratios[lo])
 
-    return _grid_rows(xs, tables, fold)
+    return _grid_rows(xs, add,
+                      lambda x: (max_n, max_ratio, min_n, min_ratio))
 
 
-def psi_ratio_extremes(
-        x: int, tables: SieveTables) -> tuple[int, float, int, float]:
-    """Brute-force argmax/argmin of psi(n)/n over 2 <= n <= x.
+def psi_ratio_extremes(x: int) -> tuple[int, float, int, float]:
+    """Brute-force argmax/argmin of psi(n)/n over 2 <= n <= x <= 2**40.
 
     Ties resolve to the smallest n (equal rationals round to identical
     floats, and argmax/argmin take the first hit).
@@ -214,31 +201,28 @@ def psi_ratio_extremes(
     Returns:
         (max_n, max_ratio, min_n, min_ratio).
     """
-    return psi_ratio_extremes_grid([x], tables)[0]
+    return psi_ratio_extremes_grid([x])[0]
 
 
-def classify_counts(xs: Iterable[int],
-                    tables: SieveTables) -> list[tuple[int, int]]:
+def classify_counts(xs: Iterable[int]) -> list[tuple[int, int]]:
     """Split [2, x] by psi(n)/n against its threshold, for every x in xs.
 
     above counts the n with psi(n)/n > (6 e^gamma / pi^2) log log n,
     strictly; exact float equality lands in below.  n = 2 starts the
     domain (log log is undefined at 1) and its negative threshold puts
-    it above.  One psi table to max(xs); the above counts of the
-    intervals between the sorted xs are summed.
+    it above.  One pass over psi to max(xs) <= 2**40; the above counts
+    of the intervals between the sorted xs are summed.
 
     Returns:
         (above, below) for each x, in the order of xs.
     """
     above = 0
 
-    def fold(x: int, blocks: Iterator) -> tuple[int, int]:
+    def add(_, ns: np.ndarray, ratios: np.ndarray) -> None:
         nonlocal above
-        for _, ns, ratios in blocks:
-            above += int(np.count_nonzero(ratios > _thresholds(ns)))
-        return above, x - 1 - above
+        above += int(np.count_nonzero(ratios > _thresholds(ns)))
 
-    return _grid_rows(xs, tables, fold)
+    return _grid_rows(xs, add, lambda x: (above, x - 1 - above))
 
 
 def loglog_gap(k: int, tables: SieveTables) -> float:
@@ -258,18 +242,21 @@ def loglog_gap(k: int, tables: SieveTables) -> float:
     return log(log(p_k)) - log(log(log_n))
 
 
-def distribution_tail(x: int, t_grid, tables: SieveTables) -> list[tuple[float, float]]:
+def distribution_tail(x: int, t_grid) -> list[tuple[float, float]]:
     """Fraction of n in [2, x] with psi(n)/n > t, for each t in t_grid.
 
     Strict inequality: an exact hit like psi(6)/6 = 2 at t = 2 is
-    excluded.
+    excluded.  x runs to 2**40; t = -inf and +inf give fractions 1 and
+    0, and a NaN t is a ValueError.
     """
     t_list = [float(t) for t in t_grid]
     if not t_list:
         raise ValueError("t_grid must be nonempty")
-    x = _check_x(x, tables)
+    if any(isnan(t) for t in t_list):
+        raise ValueError(f"t must not be NaN, got {t_list}")
+    x = _check_x(x)
     counts = [0] * len(t_list)
-    for _, _, ratios in _ratio_blocks(psi_table(x, tables), 2, x + 1):
+    for _, _, ratios in _ratio_blocks(2, x + 1):
         for i, t in enumerate(t_list):
             counts[i] += int(np.count_nonzero(ratios > t))
     return [(t, count / (x - 1)) for t, count in zip(t_list, counts)]

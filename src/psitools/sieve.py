@@ -1,7 +1,7 @@
-"""Sieve tables: Mobius, primes, theta prefix.
+"""Sieve tables (Mobius, primes, theta prefix) and psi blocks.
 
-build_sieve produces one immutable bundle of arrays that every other
-module consumes:
+build_sieve produces one immutable bundle of arrays that most other
+modules consume:
 
   mobius[n]       mu(n) in {-1, 0, 1}                   (mobius[0] = 0)
   primes[i]       i-th prime (ascending, all <= limit)
@@ -15,6 +15,10 @@ mu and the primes; a block's smallest prime factors are read once, to
 pick out its primes, and dropped.  The same segment kernel serves ranges
 above the base table (segment_scan), so scans beyond limit need nothing
 but the prime list up to sqrt of the range end.
+
+psi_blocks streams exact psi(n) over any range below 2**40 + 1 the
+same way, from its own primes up to sqrt of the range end, with no
+tables at all.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ __all__ = [
     "build_sieve",
     "theta",
     "segment_scan",
+    "psi_blocks",
 ]
 
 SEGMENT_SIZE = 1 << 20
@@ -155,6 +160,33 @@ def _sieve_block(lo: int, hi: int, primes: np.ndarray,
     return spf, mobius
 
 
+def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
+    """Write psi(n) for n in [lo, hi) into out; primes must cover sqrt(hi - 1).
+
+    The residual trick of _sieve_block: each prime p multiplies its
+    multiples by p + 1 and divides p out of a residual copy of the range,
+    and each higher power p^a multiplies by a further p and divides out a
+    further p.  An index left with residual > 1 has exactly one prime
+    factor q above sqrt(hi - 1) and gets one final factor q + 1.
+    Entry n = 0, a multiple of every prime, is left to the caller.
+    """
+    out[:] = 1
+    rem = np.arange(lo, hi, dtype=np.int64)
+    top = hi - 1
+    for p in primes[primes <= isqrt(top)].tolist():
+        start = (-lo) % p
+        out[start::p] *= p + 1
+        rem[start::p] //= p
+        power = p * p
+        while power <= top:
+            start = (-lo) % power
+            out[start::power] *= p
+            rem[start::power] //= p
+            power *= p
+    large = rem > 1
+    out[large] *= rem[large] + 1
+
+
 def build_sieve(limit: int) -> SieveTables:
     """Build all tables for [0, limit].
 
@@ -231,3 +263,26 @@ def segment_scan(lo: int, hi: int,
             b = a + _SCAN_CHUNK
             yield from zip(range(seg_lo + a, min(seg_lo + b, seg_hi)),
                            blk_spf[a:b].tolist(), blk_mob[a:b].tolist())
+
+
+def psi_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first, psi) blocks that cover the half-open range [lo, hi).
+
+    psi[i] = psi(first + i) exactly, as int64 (psi(n) < 5n here), with
+    psi(0) = 0 and psi(1) = 1; blocks hold SEGMENT_SIZE values, the
+    first starting at lo and the last ending at hi.  The primes come
+    from a plain sieve up to sqrt(hi - 1), so no tables are needed and
+    only one block is held at a time.  Raises ValueError, when first
+    advanced, unless 0 <= lo <= hi and hi - 1 <= 2**40.
+    """
+    lo, hi = int(lo), int(hi)
+    if not 0 <= lo <= hi or hi - 1 > MAX_LIMIT:
+        raise ValueError(
+            f"need 0 <= lo <= hi <= 2**40 + 1, got lo={lo}, hi={hi}")
+    primes = _small_primes(isqrt(max(hi - 1, 0)))
+    for first in range(lo, hi, SEGMENT_SIZE):
+        psi = np.empty(min(SEGMENT_SIZE, hi - first), dtype=np.int64)
+        _psi_block(first, first + len(psi), primes, psi)
+        if first == 0:
+            psi[0] = 0
+        yield first, psi

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from psitools import build_sieve, theta
-from psitools.arith import psi_phi_identity_residual, psi_table
+from psitools.arith import psi_phi_identity_residual
 from psitools.constants import get_constant
 from psitools.extrema import (
     _primorial_arrays,
@@ -21,7 +21,6 @@ from psitools.extrema import (
     jump_delta,
     primorial_stream,
     psi_ratio_extremes,
-    verify_theorem1,
 )
 from psitools.mertens import (
     compute_B1,
@@ -76,7 +75,10 @@ def test_criterion_01_squarefree_identity_exhaustive(tables_1e6):
 
 
 def test_criterion_02_primorial_margin_scan(tables_1e8):
-    all_positive, min_margin, argmin_k = verify_theorem1(100_000_000, tables_1e8)
+    margin = _primorial_arrays(100_000_000, tables_1e8)["margin"]
+    argmin_k = int(np.argmin(margin)) + 1
+    all_positive = bool(np.all(margin > 0))
+    min_margin = float(margin[argmin_k - 1])
     ok = (all_positive
           and argmin_k == 5_761_455
           and min_margin == pytest.approx(2.13250304e-4, abs=1e-11))
@@ -115,7 +117,7 @@ def test_criterion_05_harmonic_tail_identity(tables_1e4):
            "exact rationals + 1e-12 floats + x=10 witness 3/10")
 
 
-def test_criterion_06_extreme_locations(tables_1e5):
+def test_criterion_06_extreme_locations():
     start = time.perf_counter()
     expected = {
         1_000: (210, 997),
@@ -124,7 +126,7 @@ def test_criterion_06_extreme_locations(tables_1e5):
     }
     ok = True
     for x, (primorial, prime) in expected.items():
-        max_n, _, min_n, _ = psi_ratio_extremes(x, tables_1e5)
+        max_n, _, min_n, _ = psi_ratio_extremes(x)
         ok = ok and max_n == primorial and min_n == prime
     elapsed = time.perf_counter() - start
     report(6, "argmax at largest primorial, argmin at largest prime",
@@ -206,7 +208,7 @@ def test_criterion_11_progression_stabilization(tables_1e7):
            worst < 0.01, f"max move={worst:.2e}")
 
 
-def test_criterion_12_recorded_only(tables_1e6, tables_1e7):
+def test_criterion_12_recorded_only(tables_1e7):
     # no desk-scale pass/fail exists for unbounded oscillation or the
     # threshold-crossing density; record the trajectories and counts
     xs = sorted(set(np.geomspace(10, 10_000_000, 12).astype(int)))
@@ -214,7 +216,7 @@ def test_criterion_12_recorded_only(tables_1e6, tables_1e7):
     for x, g in trajectory:
         print(f"  g({x}) = {g:.5f}")
 
-    [(above, below)] = classify_counts([1_000_000], tables_1e6)
+    [(above, below)] = classify_counts([1_000_000])
     density_scale = 1_000_000 / math.log(1_000_000)
     print(f"  below-threshold count at 1e6: {below}"
           f" (x/log x = {density_scale:.1f}, above = {above})")

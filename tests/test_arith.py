@@ -10,9 +10,10 @@ from psitools.arith import (
     factor,
     profile,
     psi_phi_identity_residual,
-    psi_table,
 )
-from psitools.sieve import SEGMENT_SIZE
+from psitools.sieve import MAX_LIMIT, SEGMENT_SIZE, psi_blocks
+
+from conftest import all_primes_psi
 
 
 def brute_profile(n):
@@ -133,40 +134,48 @@ def test_mobius_square_counts_squarefree(tables_1e5):
     assert np.array_equal(acc[1:], (mu[1:] != 0).astype(np.int64))
 
 
+def psi_table(lo, hi):
+    """psi over [lo, hi) from psi_blocks, checking how the blocks tile it."""
+    blocks = list(psi_blocks(lo, hi))
+    firsts = [first for first, _ in blocks]
+    assert firsts == list(range(lo, hi, SEGMENT_SIZE))
+    for _, psi in blocks:
+        assert psi.dtype == np.int64
+    return np.concatenate([psi for _, psi in blocks])
+
+
 def test_psi_table_matches_profiles(tables_1e4):
-    vals = psi_table(5_000, tables_1e4)
+    vals = psi_table(0, 5_001)
     assert vals[0] == 0
     assert vals[1] == 1
     for n in range(1, 5_001):
         assert vals[n] == profile(n, tables_1e4).psi, n
 
 
-def test_psi_table_domain(tables_1e4):
-    with pytest.raises(ValueError):
-        psi_table(10_001, tables_1e4)
-
-
-def all_primes_psi(x, tables):
-    # every prime up to x multiplies its multiples, with no residual step
-    vals = np.ones(x + 1, dtype=np.int64)
-    for p in tables.primes[tables.primes <= x].tolist():
-        vals[p::p] *= p + 1
-        power = p * p
-        while power <= x:
-            vals[power::power] *= p
-            power *= p
-    vals[0] = 0
-    return vals
+def test_psi_table_domain():
+    for lo, hi in ((-1, 5), (0, MAX_LIMIT + 2), (6, 5)):
+        with pytest.raises(ValueError):
+            next(psi_blocks(lo, hi))
+    # the top of the domain: hi - 1 = 2**40 is allowed and exact
+    lo = MAX_LIMIT - 2
+    expect = [math.prod(p ** (e - 1) * (p + 1)
+                        for p, e in sympy.factorint(n).items())
+              for n in range(lo, MAX_LIMIT + 1)]
+    assert psi_table(lo, MAX_LIMIT + 1).tolist() == expect
 
 
 @pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 1_000])
-def test_psi_table_small_x_matches_oracle(tables_1e4, x):
-    assert np.array_equal(psi_table(x, tables_1e4),
-                          all_primes_psi(x, tables_1e4))
+def test_psi_table_small_x_matches_oracle(x):
+    assert np.array_equal(psi_table(0, x + 1), all_primes_psi(x))
 
 
-def test_psi_table_across_segments_matches_oracle(tables_2e6):
+def test_psi_table_across_segments_matches_oracle(psi_past_two_segments):
     x = 2 * SEGMENT_SIZE + 5
-    vals = psi_table(x, tables_2e6)
-    assert vals.dtype == np.int64
-    assert np.array_equal(vals, all_primes_psi(x, tables_2e6))
+    assert np.array_equal(psi_table(0, x + 1), psi_past_two_segments)
+
+
+def test_psi_blocks_unaligned_range_matches_oracle(psi_past_two_segments):
+    # blocks start at lo, so here every block straddles a multiple of
+    # SEGMENT_SIZE
+    lo, hi = SEGMENT_SIZE - 7, 2 * SEGMENT_SIZE + 3
+    assert np.array_equal(psi_table(lo, hi), psi_past_two_segments[lo:hi])

@@ -213,6 +213,17 @@ def test_dist_tail(capsys):
     assert lines[2] == "10,2,0"
 
 
+def test_dist_tail_infinite_and_nan_thresholds(capsys):
+    code, out, _ = run(capsys, "dist-tail", "--x", "10", "--t=-inf",
+                       "--t", "inf")
+    assert code == 0
+    assert out == "x,t,fraction\n10,-inf,1\n10,inf,0\n"
+    code, out, err = run(capsys, "dist-tail", "--x", "10", "--t", "nan")
+    assert code == 2
+    assert out == ""
+    assert "NaN" in err
+
+
 def test_loglog_gap_single(capsys):
     code, out, _ = run(capsys, "loglog-gap", "--k", "3")
     assert code == 0

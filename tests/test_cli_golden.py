@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from psitools import sieve
 from psitools.cli import main
 
 CASES = [
@@ -89,3 +90,20 @@ def test_golden_output(capsys, line, code, digest):
     assert main(line.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_psi_subcommands_build_no_sieve(capsys, monkeypatch):
+    # extremes, classify and dist-tail stream psi from the primes up to
+    # sqrt(x) and must print the same bytes without any sieve tables
+    def no_tables(limit):
+        raise AssertionError(f"build_sieve({limit}) called")
+
+    monkeypatch.setattr(sieve, "build_sieve", no_tables)
+    cases = [c for c in CASES
+             if c[0].split()[:1] in (["extremes"], ["classify"],
+                                     ["dist-tail"])]
+    assert len(cases) == 10
+    for line, code, digest in cases:
+        assert main(line.split()) == code, line
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, line

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from mpmath import mp, mpf
 
-from psitools.constants import constant_names, crosscheck_constants, get_constant
+from psitools.constants import (_DECIMALS, constant_names,
+                                crosscheck_constants, get_constant)
 
 
 def test_registry_names():
@@ -18,6 +20,25 @@ def test_decimal_precision():
         digits = c.decimal.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 30, name
         assert c.value == float(c.decimal), name
+
+
+def test_decimals_against_mpmath():
+    # every printed digit is correct: each registry decimal lies within
+    # half a unit of its last digit of the value at 50 digits
+    with mp.workdps(50):
+        oracles = {
+            "gamma": mp.euler,
+            "B1": mp.mertens,
+            "six_over_pi_sq": 6 / mp.pi ** 2,
+            "e_gamma": mp.exp(mp.euler),
+            "threshold": 6 * mp.exp(mp.euler) / mp.pi ** 2,
+            "zeta2": mp.zeta(2),
+        }
+        assert set(oracles) == set(_DECIMALS) - {"gap_alpha"}  # definitional
+        for name, oracle in oracles.items():
+            decimal = _DECIMALS[name]
+            half_unit = mpf(10) ** -len(decimal.split(".")[1]) / 2
+            assert abs(mpf(decimal) - oracle) <= half_unit, name
 
 
 def test_unknown_name():

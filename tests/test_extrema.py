@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from psitools import extrema
-from psitools.arith import profile, psi_table
+from psitools.arith import profile
 from psitools.constants import get_constant
 from psitools.extrema import (
     classify_counts,
@@ -17,9 +17,8 @@ from psitools.extrema import (
     primorial_stream,
     psi_ratio_extremes,
     psi_ratio_extremes_grid,
-    verify_theorem1,
 )
-from psitools.sieve import SEGMENT_SIZE
+from psitools.sieve import MAX_LIMIT, SEGMENT_SIZE, psi_blocks
 
 
 def test_primorial_first_records(tables_1e4):
@@ -63,21 +62,6 @@ def test_primorial_identity(tables_1e4):
         assert rec.psi_ratio / rec.inv_phi_ratio == pytest.approx(expect, rel=1e-12)
 
 
-def test_verify_theorem1(tables_1e4):
-    ok, min_margin, argmin = verify_theorem1(7, tables_1e4)
-    assert ok is True
-    assert min_margin == pytest.approx(0.9275459442779923, rel=1e-13)
-    assert argmin == 4
-
-    ok2, margin2, arg2 = verify_theorem1(2, tables_1e4)
-    assert ok2 is True
-    assert margin2 == pytest.approx(1.89684633374747, rel=1e-13)
-    assert arg2 == 1
-
-    with pytest.raises(ValueError):
-        verify_theorem1(1, tables_1e4)
-
-
 def test_jump_delta(tables_1e4):
     assert jump_delta(1, tables_1e4) == pytest.approx(0.5, rel=1e-15)
     assert jump_delta(2, tables_1e4) == pytest.approx(0.4, rel=1e-15)
@@ -95,38 +79,38 @@ def test_jump_matches_stream(tables_1e4):
         assert delta == pytest.approx(cur.psi_ratio - prev.psi_ratio, rel=1e-12)
 
 
-def test_extremes(tables_1e4):
-    assert psi_ratio_extremes(10, tables_1e4) == (6, 2.0, 7, pytest.approx(8 / 7))
-    assert psi_ratio_extremes(100, tables_1e4) == (
+def test_extremes():
+    assert psi_ratio_extremes(10) == (6, 2.0, 7, pytest.approx(8 / 7))
+    assert psi_ratio_extremes(100) == (
         30, pytest.approx(2.4), 97, pytest.approx(1.0103092783505154))
-    assert psi_ratio_extremes(2, tables_1e4) == (2, 1.5, 2, 1.5)
+    assert psi_ratio_extremes(2) == (2, 1.5, 2, 1.5)
     # ties resolve to the smallest n: psi(2)/2 = psi(4)/4 = 3/2
-    assert psi_ratio_extremes(4, tables_1e4) == (2, 1.5, 3, pytest.approx(4 / 3))
+    assert psi_ratio_extremes(4) == (2, 1.5, 3, pytest.approx(4 / 3))
 
 
 def test_extremes_hit_primorials_and_primes(tables_1e4):
     # maxima occur at primorials, minima at the largest prime
-    max_n, max_ratio, min_n, min_ratio = psi_ratio_extremes(10_000, tables_1e4)
+    max_n, max_ratio, min_n, min_ratio = psi_ratio_extremes(10_000)
     assert max_n == 2 * 3 * 5 * 7 * 11
     assert max_ratio == pytest.approx(profile(max_n, tables_1e4).psi / max_n, rel=1e-15)
     assert min_n == 9973  # largest prime below 10^4
     assert min_ratio == pytest.approx(1 + 1 / 9973, rel=1e-15)
 
 
-def test_classify_counts(tables_1e4):
-    assert classify_counts([10, 1_000], tables_1e4) == [(9, 0), (199, 800)]
+def test_classify_counts():
+    assert classify_counts([10, 1_000]) == [(9, 0), (199, 800)]
 
 
-def above_steps(x, tables):
+def above_steps(x):
     """n -> whether n is above, for n in [2, x], from the steps of the counts."""
     aboves = [0] + [above for above, _ in
-                    classify_counts(range(2, x + 1), tables)]
+                    classify_counts(range(2, x + 1))]
     return {n: aboves[n - 1] > aboves[n - 2] for n in range(2, x + 1)}
 
 
-def test_classify_records(tables_1e4):
-    steps = above_steps(20, tables_1e4)
-    [(above, below)] = classify_counts([20], tables_1e4)
+def test_classify_records():
+    steps = above_steps(20)
+    [(above, below)] = classify_counts([20])
     assert len(steps) == above + below == 19
     assert sum(steps.values()) == above
     assert steps[2] and steps[13] and not steps[17]
@@ -139,15 +123,15 @@ def test_classify_strict_inequality(tables_1e4, monkeypatch):
     # a flat threshold of 2 is met exactly by psi(6)/6 = psi(12)/12 = 2,
     # and exact equality counts as below: the comparison is strict
     monkeypatch.setattr(extrema, "_thresholds", lambda ns: np.full_like(ns, 2.0))
-    steps = above_steps(100, tables_1e4)
+    steps = above_steps(100)
     assert not steps[6] and not steps[12] and steps[30]
     for n, above in steps.items():
         assert above == (Fraction(profile(n, tables_1e4).psi, n) > 2), n
 
 
-def test_classify_domain(tables_1e4):
+def test_classify_domain():
     with pytest.raises(ValueError):
-        classify_counts([1], tables_1e4)
+        classify_counts([1])
 
 
 GRID = [500, 2, 97, 500, 30, 2_310, 1_000, 97]  # unsorted, repeated, x = 2
@@ -163,29 +147,44 @@ def brute_extremes(x, tables):
 
 
 def test_extremes_grid_matches_scalar_and_oracle(tables_1e4):
-    rows = psi_ratio_extremes_grid(GRID, tables_1e4)
-    assert rows == [psi_ratio_extremes(x, tables_1e4) for x in GRID]
+    rows = psi_ratio_extremes_grid(GRID)
+    assert rows == [psi_ratio_extremes(x) for x in GRID]
     assert rows == [brute_extremes(x, tables_1e4) for x in GRID]
 
 
-def test_extremes_grid_ties_across_intervals(tables_1e4):
+def test_extremes_grid_ties_across_intervals():
     # psi(12)/12 = psi(18)/18 = 2 = psi(6)/6: the later interval keeps 6
-    assert psi_ratio_extremes_grid([10, 20], tables_1e4) == [
+    assert psi_ratio_extremes_grid([10, 20]) == [
         (6, 2.0, 7, 8 / 7), (6, 2.0, 19, 20 / 19)]
 
 
-def test_classify_counts_match_scalar_and_records(tables_1e4):
-    rows = classify_counts(GRID, tables_1e4)
-    assert rows == [classify_counts([x], tables_1e4)[0] for x in GRID]
-    labels = list(above_steps(max(GRID), tables_1e4).values())
+def test_classify_counts_match_scalar_and_records():
+    rows = classify_counts(GRID)
+    assert rows == [classify_counts([x])[0] for x in GRID]
+    labels = list(above_steps(max(GRID)).values())
     assert rows == [(sum(labels[:x - 1]), x - 1 - sum(labels[:x - 1]))
                     for x in GRID]
 
 
-def test_grids_across_segments_match_whole_arrays(tables_2e6):
-    # the pre-block reading: one float array over [2, x], one argmax/argmin
+def test_grids_stream_psi_once(monkeypatch):
+    # one pass over [2, max(xs)], cut at every x, however many xs
+    calls = []
+
+    def counting(lo, hi):
+        calls.append((lo, hi))
+        return psi_blocks(lo, hi)
+
+    monkeypatch.setattr(extrema, "psi_blocks", counting)
+    psi_ratio_extremes_grid(GRID)
+    classify_counts(range(2, 101))
+    assert calls == [(2, max(GRID) + 1), (2, 101)]
+
+
+def test_grids_across_segments_match_whole_arrays(psi_past_two_segments):
+    # the pre-block reading: one float array over [2, x], one argmax/argmin,
+    # with psi from the oracle
     xs = [2 * SEGMENT_SIZE + 5, SEGMENT_SIZE + 1, 3, SEGMENT_SIZE + 1]
-    psi = psi_table(max(xs), tables_2e6)
+    psi = psi_past_two_segments
     expected_ext, expected_cls = [], []
     ts = [0.0, 1.5, 2.0]
     for x in xs:
@@ -198,20 +197,22 @@ def test_grids_across_segments_match_whole_arrays(tables_2e6):
         above = int(np.count_nonzero(ratios > threshold))
         expected_cls.append((above, x - 1 - above))
         # t = 0 counts every n: a block that skipped one would read < 1
-        assert distribution_tail(x, ts, tables_2e6) == [
+        assert distribution_tail(x, ts) == [
             (t, np.count_nonzero(ratios > t) / (x - 1)) for t in ts]
-    assert psi_ratio_extremes_grid(xs, tables_2e6) == expected_ext
-    assert classify_counts(xs, tables_2e6) == expected_cls
+    assert psi_ratio_extremes_grid(xs) == expected_ext
+    assert classify_counts(xs) == expected_cls
 
 
-def test_grid_domain(tables_1e4):
+def test_grid_domain():
     for grid in (psi_ratio_extremes_grid, classify_counts):
         with pytest.raises(ValueError):
-            grid([], tables_1e4)
+            grid([])
         with pytest.raises(ValueError):
-            grid([10, 1], tables_1e4)
+            grid([10, 1])
         with pytest.raises(ValueError):
-            grid([10_001], tables_1e4)
+            grid([10, MAX_LIMIT + 1])
+    with pytest.raises(ValueError):
+        distribution_tail(MAX_LIMIT + 1, [2.0])
 
 
 def test_loglog_gap(tables_1e4):
@@ -232,18 +233,26 @@ def test_loglog_gap_shrinks(tables_1e4):
     assert max(gaps[100:]) < min(gaps[:3])
 
 
-def test_distribution_tail(tables_1e4):
-    out = distribution_tail(10, [1.0, 1.9, 2.0], tables_1e4)
+def test_distribution_tail():
+    out = distribution_tail(10, [1.0, 1.9, 2.0])
     assert out[0] == (1.0, pytest.approx(1.0))
     assert out[1] == (1.9, pytest.approx(1 / 9))
     assert out[2] == (2.0, 0.0)  # psi(6)/6 = 2 exactly: strict tail excludes it
     with pytest.raises(ValueError):
-        distribution_tail(10, [], tables_1e4)
+        distribution_tail(10, [])
 
 
-def test_distribution_tail_monotone(tables_1e4):
+def test_distribution_tail_infinite_and_nan_thresholds():
+    inf = math.inf
+    assert distribution_tail(10, [-inf, inf]) == [(-inf, 1.0), (inf, 0.0)]
+    for ts in ([math.nan], [2.0, float("nan")]):
+        with pytest.raises(ValueError, match="NaN"):
+            distribution_tail(10, ts)
+
+
+def test_distribution_tail_monotone():
     grid = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.5, 2.75]
-    out = distribution_tail(1_000, grid, tables_1e4)
+    out = distribution_tail(1_000, grid)
     fracs = [f for _, f in out]
     assert all(b <= a for a, b in zip(fracs, fracs[1:]))
     assert fracs[0] == 1.0
