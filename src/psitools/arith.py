@@ -38,9 +38,7 @@ class ArithProfile:
 
 
 def _check_n(n: int, tables: SieveTables) -> int:
-    if not 1 <= n <= tables.limit:
-        raise ValueError(f"n must be in [1, limit={tables.limit}], got {n}")
-    return int(n)
+    return int(tables.check(n, 1, "n"))
 
 
 def factor(n: int, tables: SieveTables) -> Factorization:

@@ -115,6 +115,28 @@ def _tables(args: argparse.Namespace, needed: int) -> sieve.SieveTables:
     return sieve.build_sieve(max(args.limit or 0, needed, 2))
 
 
+def _tables_with_primes(args: argparse.Namespace,
+                        count: int) -> sieve.SieveTables:
+    """Tables holding at least count >= 1 primes.
+
+    p_n < n (log n + log log n) for n >= 6 (Rosser, 1941); the limit
+    adds margin to that bound, and 100 covers p_5 = 11.
+    """
+    log_c = log(count + 1)
+    return _tables(args, max(100, int(count * (log_c + log(log_c) + 1))))
+
+
+# rows per .tolist() conversion in _column_rows: a larger chunk raises
+# the peak memory of verify-psi's emit for no gain in speed
+_ROW_CHUNK = 1 << 12
+
+
+def _column_rows(*columns: np.ndarray) -> Iterable[tuple]:
+    """One tuple of Python numbers per row of equal-length columns."""
+    for a in range(0, len(columns[0]), _ROW_CHUNK):
+        yield from zip(*(c[a:a + _ROW_CHUNK].tolist() for c in columns))
+
+
 def _grid(args: argparse.Namespace, smallest: int) -> list[int]:
     """x values from repeated --x and/or a geometric --xmax/--points grid."""
     if args.points < 1:
@@ -174,9 +196,9 @@ def _sieve_info(args):
 
 def _verify_psi(args):
     p_limit = _need(args, "plimit", 2)
-    stream = extrema.primorial_stream(p_limit, _tables(args, p_limit))
-    return ((r.k, r.p_k, r.log_N, r.psi_ratio, r.loglog_N, r.threshold,
-             r.margin) for r in stream)
+    cols = extrema.primorial_columns(p_limit, _tables(args, p_limit))
+    # the columns come in the order of verify-psi's, after k
+    return _column_rows(np.arange(1, len(cols["p"]) + 1), *cols.values())
 
 
 def _squarefree(x, tables, args):
@@ -204,15 +226,9 @@ def _dusart(x, tables, args):
 
 def _jumps(args):
     kmax = _need(args, "kmax", 1)
-    # k+1 primes must exist; p_{kmax+1} <= ~ (kmax+1) * (log + loglog) bound,
-    # so over-sieve generously and validate against the prime count
-    guess = max(100, int((kmax + 1) * (log(kmax + 2) + log(log(kmax + 2)) + 1)))
-    tables = _tables(args, guess)
-    if kmax + 1 > len(tables.primes):
-        raise ValueError(f"--kmax {kmax} needs {kmax + 1} primes; "
-                         f"raise --limit (have {len(tables.primes)})")
-    return [(k, int(tables.primes[k]), extrema.jump_delta(k, tables))
-            for k in range(1, kmax + 1)]
+    tables = _tables_with_primes(args, kmax + 1)
+    return _column_rows(np.arange(1, kmax + 1), tables.primes[1:kmax + 1],
+                        extrema.jump_deltas(kmax, tables))
 
 
 def _extremes(xs):
@@ -244,11 +260,7 @@ def _loglog_gap(args):
         # checked before the prime-count guess, which takes logs of k
         raise ValueError(
             f"k must be >= 2 (inner log undefined), got {bad[0]}")
-    top = max(ks)
-    guess = max(100, int(top * (log(top + 1) + log(log(top + 2)) + 1)))
-    tables = _tables(args, guess)
-    if top > len(tables.primes):
-        raise ValueError(f"k={top} needs {top} primes; raise --limit")
+    tables = _tables_with_primes(args, max(ks))
     return [(k, int(tables.primes[k - 1]), extrema.loglog_gap(k, tables))
             for k in ks]
 

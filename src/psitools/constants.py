@@ -13,7 +13,7 @@ from math import fsum, log
 
 import numpy as np
 
-from .sieve import SieveTables
+from .sieve import InsufficientSieveError, SieveTables
 
 __all__ = ["PrecisionConstant", "get_constant", "constant_names",
            "crosscheck_constants"]
@@ -86,7 +86,8 @@ def crosscheck_constants(tables: SieveTables) -> list[tuple[str, float]]:
         and threshold.
     """
     if tables.limit < 10 ** 6:
-        raise ValueError(f"cross-checks need limit >= 1e6, got {tables.limit}")
+        raise InsufficientSieveError(
+            f"cross-checks need limit >= 1e6, got {tables.limit}")
     from .mertens import compute_B1  # late import; mertens uses this module
 
     out = []

@@ -2,28 +2,27 @@
 
 The primorial N_k = 2*3*...*p_k overflows fixed-width integers near
 k = 15, so everything here stays in the log domain: log N_k is the
-theta prefix, and the ratios psi(N_k)/N_k = prod(1 + 1/p) and
-N_k/phi(N_k) = prod(1 - 1/p)^(-1) live as exp of compensated log sums.
+theta prefix, and the ratio psi(N_k)/N_k = prod(1 + 1/p) lives as exp
+of a compensated log sum.  primorial_columns holds every per-k value;
+N_k/phi(N_k) is mertens.euler_product_inv(p_k).
 
 The per-n psi(n)/n functions (extremes, classification, tail fractions)
 take no tables: they stream sieve.psi_blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import expm1, isnan, log, log1p
+from math import isnan, log
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .constants import get_constant
-from .sieve import MAX_LIMIT, SieveTables, psi_blocks
+from .sieve import MAX_LIMIT, InsufficientSieveError, SieveTables, psi_blocks
 from .summation import compensated_cumsum
 
 __all__ = [
-    "PrimorialRecord",
-    "primorial_stream",
-    "jump_delta",
+    "primorial_columns",
+    "jump_deltas",
     "psi_ratio_extremes",
     "psi_ratio_extremes_grid",
     "classify_counts",
@@ -36,24 +35,18 @@ _THRESHOLD = get_constant("threshold").value
 _GAP_ALPHA = get_constant("gap_alpha").value
 
 
-@dataclass(frozen=True)
-class PrimorialRecord:
-    """Log-domain state of the k-th primorial."""
+def primorial_columns(p_limit: int,
+                      tables: SieveTables) -> dict[str, np.ndarray]:
+    """Per-k columns of the primorials N_k for all primes p_k <= p_limit.
 
-    k: int
-    p_k: int
-    log_N: float          # theta(p_k)
-    psi_ratio: float      # prod_{p <= p_k} (1 + 1/p)
-    inv_phi_ratio: float  # prod_{p <= p_k} (1 - 1/p)^(-1)
-    loglog_N: float
-    threshold: float      # (6 e^gamma / pi^2) * loglog_N
-    margin: float         # psi_ratio - threshold
-
-
-def _primorial_arrays(p_limit: int, tables: SieveTables) -> dict[str, np.ndarray]:
-    """Vectorized per-k columns for all primes p_k <= p_limit."""
+    Row i holds k = i + 1: p (= p_k), log_N (theta(p_k)), psi_ratio
+    (prod_{p <= p_k}(1 + 1/p) as exp of a compensated log sum), loglog_N,
+    threshold ((6 e^gamma / pi^2) loglog_N) and margin (psi_ratio -
+    threshold), in that order, all from one vector pass over the
+    tables' primes.
+    """
     if p_limit > tables.limit:
-        raise ValueError(
+        raise InsufficientSieveError(
             f"p_limit {p_limit} beyond table limit {tables.limit}")
     count = int(np.searchsorted(tables.primes, p_limit, side="right"))
     if count == 0:
@@ -61,61 +54,48 @@ def _primorial_arrays(p_limit: int, tables: SieveTables) -> dict[str, np.ndarray
     ps = tables.primes[:count].astype(np.float64)
     log_n = tables.theta_prefix[:count]
     psi_ratio = np.exp(compensated_cumsum(np.log1p(1.0 / ps)))
-    inv_phi = np.exp(compensated_cumsum(-np.log1p(-1.0 / ps)))
     loglog_n = np.log(log_n)
     threshold = _THRESHOLD * loglog_n
     return {
         "p": tables.primes[:count],
         "log_N": log_n,
         "psi_ratio": psi_ratio,
-        "inv_phi_ratio": inv_phi,
         "loglog_N": loglog_n,
         "threshold": threshold,
         "margin": psi_ratio - threshold,
     }
 
 
-def primorial_stream(p_limit: int,
-                     tables: SieveTables) -> Iterator[PrimorialRecord]:
-    """Yield one record per prime p_k <= p_limit, k ascending from 1."""
-    cols = _primorial_arrays(p_limit, tables)
-    for i in range(len(cols["p"])):
-        yield PrimorialRecord(
-            k=i + 1,
-            p_k=int(cols["p"][i]),
-            log_N=float(cols["log_N"][i]),
-            psi_ratio=float(cols["psi_ratio"][i]),
-            inv_phi_ratio=float(cols["inv_phi_ratio"][i]),
-            loglog_N=float(cols["loglog_N"][i]),
-            threshold=float(cols["threshold"][i]),
-            margin=float(cols["margin"][i]),
-        )
+def jump_deltas(kmax: int, tables: SieveTables) -> np.ndarray:
+    """Increase of psi(N)/N from primorial k to k+1, for k = 1..kmax.
 
-
-def jump_delta(k: int, tables: SieveTables) -> float:
-    """Increase of psi(N)/N from primorial k to k+1.
-
-    Evaluates both readings and cross-checks them: the difference
-    psi(N_{k+1})/N_{k+1} - psi(N_k)/N_k and the closed form
-    (psi(N_k)/N_k) / p_{k+1}.  The difference is formed as
-    ratio_k * expm1(log1p(1/p)) -- exact exponent increment -- because
-    subtracting two separately rounded ratios would lose the jump in
-    rounding noise once p_{k+1} is large.
+    Entry k - 1 is the closed form (psi(N_k)/N_k) / p_{k+1}, read from
+    the psi_ratio column.  Each entry is cross-checked against the
+    difference psi(N_{k+1})/N_{k+1} - psi(N_k)/N_k, formed as
+    ratio_k * expm1(log1p(1/p_{k+1})) -- exact exponent increment --
+    because subtracting two separately rounded ratios would lose the
+    jump in rounding noise once p_{k+1} is large.  A disagreement beyond
+    1e-12 relative (or a NaN) raises FloatingPointError naming the first
+    such k.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k >= len(tables.primes):
-        raise ValueError(
-            f"k={k} needs prime {k + 1} beyond table limit {tables.limit}")
-    ps = tables.primes[:k].astype(np.float64)
-    ratio_k = float(np.exp(compensated_cumsum(np.log1p(1.0 / ps))[-1]))
-    p_next = int(tables.primes[k])
-    difference = ratio_k * expm1(log1p(1.0 / p_next))
-    closed = ratio_k / p_next
-    if abs(difference - closed) > 1e-12 * closed:
+    kmax = int(kmax)
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    if kmax >= len(tables.primes):
+        raise InsufficientSieveError(
+            f"kmax={kmax} needs prime {kmax + 1} beyond table limit "
+            f"{tables.limit}")
+    ratio = primorial_columns(int(tables.primes[kmax - 1]),
+                              tables)["psi_ratio"]
+    p_next = tables.primes[1:kmax + 1].astype(np.float64)
+    difference = ratio * np.expm1(np.log1p(1.0 / p_next))
+    closed = ratio / p_next
+    bad = np.nonzero(~(np.abs(difference - closed) <= 1e-12 * closed))[0]
+    if bad.size:
+        i = int(bad[0])
         raise FloatingPointError(
-            f"jump forms disagree at k={k}: {difference} vs {closed}")
+            f"jump forms disagree at k={i + 1}: "
+            f"{difference[i]} vs {closed[i]}")
     return closed
 
 
@@ -235,7 +215,7 @@ def loglog_gap(k: int, tables: SieveTables) -> float:
     if k < 2:
         raise ValueError(f"k must be >= 2 (inner log undefined), got {k}")
     if k > len(tables.primes):
-        raise ValueError(
+        raise InsufficientSieveError(
             f"k={k} beyond the {len(tables.primes)} primes in tables")
     p_k = int(tables.primes[k - 1])
     log_n = float(tables.theta_prefix[k - 1])
@@ -275,7 +255,7 @@ def gap_exponent_check(p_limit: int,
         (p_{k+1} - p_k) / p_k^0.526.
     """
     if p_limit > tables.limit:
-        raise ValueError(
+        raise InsufficientSieveError(
             f"p_limit {p_limit} beyond table limit {tables.limit}")
     count = int(np.searchsorted(tables.primes, p_limit, side="right"))
     if count < 2:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
-from .sieve import SieveTables
+from .sieve import InsufficientSieveError, SieveTables
 from .summation import compensated_cumsum
 
 __all__ = [
@@ -65,8 +65,7 @@ class DusartResult:
 
 
 def _primes_upto(x: float, tables: SieveTables) -> np.ndarray:
-    if not 2 <= x <= tables.limit:
-        raise ValueError(f"x must be in [2, limit={tables.limit}], got {x}")
+    tables.check(x, 2)
     count = int(np.searchsorted(tables.primes, x, side="right"))
     return tables.primes[:count]
 
@@ -138,7 +137,7 @@ def compute_B1(prime_limit: int, tables: SieveTables) -> tuple[float, float]:
     """
     prime_limit = int(prime_limit)
     if prime_limit > tables.limit:
-        raise ValueError(
+        raise InsufficientSieveError(
             f"prime_limit {prime_limit} beyond table limit {tables.limit}")
     if prime_limit < 2:
         return _GAMMA, 1.0

@@ -70,6 +70,19 @@ class SieveTables:
         """Number of primes <= x (x may exceed limit only if no prime does)."""
         return int(np.searchsorted(self.primes, x, side="right"))
 
+    def check(self, x, least: int, name: str = "x"):
+        """x, if least <= x <= limit.
+
+        Raises ValueError below least (or on NaN) and
+        InsufficientSieveError above limit.
+        """
+        if not least <= x:
+            raise ValueError(f"{name} must be >= {least}, got {x}")
+        if x > self.limit:
+            raise InsufficientSieveError(
+                f"{name}={x} beyond table limit {self.limit}")
+        return x
+
 
 def _small_primes(limit: int) -> np.ndarray:
     """Plain bool-array sieve; used only up to sqrt of the real target."""
@@ -231,8 +244,7 @@ def theta(x: float, tables: SieveTables) -> float:
     Returns:
         theta(x) from the compensated prefix table (0.0 below 2).
     """
-    if not 0 <= x <= tables.limit:
-        raise ValueError(f"x must be in [0, limit={tables.limit}], got {x}")
+    tables.check(x, 0)
     i = int(np.searchsorted(tables.primes, x, side="right"))
     return float(tables.theta_prefix[i - 1]) if i else 0.0
 

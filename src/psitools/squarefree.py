@@ -45,8 +45,7 @@ TAIL_PRIME_BOUND = 52
 
 def count_squarefree_exact(x: int, tables: SieveTables) -> int:
     """Q(x) by direct tally of n <= x with mu(n) != 0."""
-    if not 1 <= x <= tables.limit:
-        raise ValueError(f"x must be in [1, limit={tables.limit}], got {x}")
+    tables.check(x, 1)
     return int(np.count_nonzero(tables.mobius[1:int(x) + 1]))
 
 
@@ -120,8 +119,7 @@ def squarefree_harmonic(x: int, tables: SieveTables) -> ResidualSample:
     Terms are accumulated in ascending n with compensated prefix
     summation, so the value is within a few ulp of exact.
     """
-    if not 1 <= x <= tables.limit:
-        raise ValueError(f"x must be in [1, limit={tables.limit}], got {x}")
+    tables.check(x, 1)
     ns = np.nonzero(tables.mobius[1:int(x) + 1])[0] + 1
     value = float(compensated_cumsum(1.0 / ns.astype(np.float64))[-1])
     return make_sample(x, value, _SIX_OVER_PI_SQ * log(x))
@@ -129,8 +127,7 @@ def squarefree_harmonic(x: int, tables: SieveTables) -> ResidualSample:
 
 def squarefree_harmonic_exact(x: int, tables: SieveTables) -> Fraction:
     """The same squarefree harmonic sum as an exact rational."""
-    if not 1 <= x <= tables.limit:
-        raise ValueError(f"x must be in [1, limit={tables.limit}], got {x}")
+    tables.check(x, 1)
     ns = (np.nonzero(tables.mobius[1:int(x) + 1])[0] + 1).tolist()
     total = Fraction(0)
     for n in ns:
@@ -140,10 +137,7 @@ def squarefree_harmonic_exact(x: int, tables: SieveTables) -> Fraction:
 
 def psi_product_exact(x: int, tables: SieveTables) -> Fraction:
     """prod_{p <= x} (1 + 1/p) as an exact rational."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x > tables.limit:
-        raise ValueError(f"x={x} beyond table limit {tables.limit}")
+    tables.check(x, 0)
     total = Fraction(1)
     for p in tables.primes[tables.primes <= x].tolist():
         total *= Fraction(p + 1, p)
@@ -167,11 +161,10 @@ def primorial_divisor_tail(x: int, tables: SieveTables) -> Fraction:
         The tail as an exact reduced Fraction.
     """
     x = int(x)
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
     if x > TAIL_PRIME_BOUND:
         raise ValueError(
             f"exact tail limited to x <= {TAIL_PRIME_BOUND}, got {x}")
+    tables.check(x, 2)
     primes = [int(p) for p in tables.primes[tables.primes <= x]]
     big_p = 1
     for p in primes:

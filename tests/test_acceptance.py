@@ -16,10 +16,9 @@ from psitools import build_sieve, theta
 from psitools.arith import psi_phi_identity_residual
 from psitools.constants import get_constant
 from psitools.extrema import (
-    _primorial_arrays,
     classify_counts,
-    jump_delta,
-    primorial_stream,
+    jump_deltas,
+    primorial_columns,
     psi_ratio_extremes,
 )
 from psitools.mertens import (
@@ -75,7 +74,7 @@ def test_criterion_01_squarefree_identity_exhaustive(tables_1e6):
 
 
 def test_criterion_02_primorial_margin_scan(tables_1e8):
-    margin = _primorial_arrays(100_000_000, tables_1e8)["margin"]
+    margin = primorial_columns(100_000_000, tables_1e8)["margin"]
     argmin_k = int(np.argmin(margin)) + 1
     all_positive = bool(np.all(margin > 0))
     min_margin = float(margin[argmin_k - 1])
@@ -238,7 +237,7 @@ def test_theta_tracks_x(tables_1e8):
 
 def test_primorial_ratio_envelope(tables_1e8):
     # psi(N)/N over C log log N stays in [1, 1.01] once k >= 1e5
-    cols = _primorial_arrays(100_000_000, tables_1e8)
+    cols = primorial_columns(100_000_000, tables_1e8)
     ratios = cols["psi_ratio"][99_999:] / cols["threshold"][99_999:]
     assert ratios.size == 5_761_455 - 99_999
     assert float(ratios.min()) >= 1.0
@@ -247,14 +246,14 @@ def test_primorial_ratio_envelope(tables_1e8):
 
 
 def test_margins_decrease_at_scale(tables_1e8):
-    margins = _primorial_arrays(100_000_000, tables_1e8)["margin"]
+    margins = primorial_columns(100_000_000, tables_1e8)["margin"]
     assert bool(np.all(np.diff(margins[9:]) < 0))
 
 
 def test_jump_form_stability(tables_1e6):
     # the two closed forms for the primorial jump agree to near machine level
-    records = list(primorial_stream(1_000_000, tables_1e6))
-    for rec in records[:-1:50]:
-        delta = jump_delta(rec.k, tables_1e6)
-        p_next = int(tables_1e6.primes[rec.k])
-        assert abs(delta - rec.psi_ratio / p_next) <= 1e-12 * delta
+    ratios = primorial_columns(1_000_000, tables_1e6)["psi_ratio"]
+    deltas = jump_deltas(len(ratios) - 1, tables_1e6)
+    for k in range(1, len(ratios), 50):
+        p_next = int(tables_1e6.primes[k])
+        assert abs(deltas[k - 1] - ratios[k - 1] / p_next) <= 1e-12 * deltas[k - 1]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import psitools
-from psitools import sieve
+from psitools import extrema, sieve
 from psitools.cli import emit, main
 
 
@@ -145,6 +145,36 @@ def test_jumps(capsys):
     ]
 
 
+def test_jumps_sums_the_log_terms_once(capsys, monkeypatch):
+    # one compensated sum for all k, not one per k
+    calls = []
+    real = extrema.compensated_cumsum
+
+    def counting(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(extrema, "compensated_cumsum", counting)
+    code, out, _ = run(capsys, "jumps", "--kmax", "500")
+    assert code == 0
+    assert len(out.splitlines()) == 501
+    assert calls == [500]
+
+
+def test_verify_psi_rows_across_chunks(capsys):
+    # 5,133 rows: the emit converts the columns in several chunks
+    code, out, _ = run(capsys, "verify-psi", "--plimit", "50000")
+    assert code == 0
+    cols = extrema.primorial_columns(50_000, sieve.build_sieve(50_000))
+    names = ("p", "log_N", "psi_ratio", "loglog_N", "threshold", "margin")
+    expect = [
+        ",".join([str(k), str(int(cols["p"][k - 1]))]
+                 + ["%.15g" % float(cols[name][k - 1]) for name in names[1:]])
+        for k in range(1, len(cols["p"]) + 1)]
+    assert len(expect) == 5_133
+    assert out.splitlines()[1:] == expect
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_grid_points_below_one_exits_2(capsys, points):
     code, out, err = run(capsys, "mertens", "--xmax", "1000",
@@ -222,6 +252,19 @@ def test_dist_tail_infinite_and_nan_thresholds(capsys):
     assert code == 2
     assert out == ""
     assert "NaN" in err
+
+
+def test_dist_tail_negative_thresholds_need_equals(capsys):
+    # argparse takes -inf and -1e5 for option strings unless attached
+    code, out, _ = run(capsys, "dist-tail", "--x", "10", "--t=-1e5",
+                       "--t", "-2.5")
+    assert code == 0
+    assert out == "x,t,fraction\n10,-100000,1\n10,-2.5,1\n"
+    for t in ("-inf", "-1e5"):
+        code, out, err = run(capsys, "dist-tail", "--x", "10", "--t", t)
+        assert code == 2
+        assert out == ""
+        assert "expected one argument" in err
 
 
 def test_loglog_gap_single(capsys):

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -12,71 +11,124 @@ from psitools.extrema import (
     classify_counts,
     distribution_tail,
     gap_exponent_check,
-    jump_delta,
+    jump_deltas,
     loglog_gap,
-    primorial_stream,
+    primorial_columns,
     psi_ratio_extremes,
     psi_ratio_extremes_grid,
 )
-from psitools.sieve import MAX_LIMIT, SEGMENT_SIZE, psi_blocks
+from psitools.sieve import (MAX_LIMIT, SEGMENT_SIZE, InsufficientSieveError,
+                            psi_blocks)
+from psitools.summation import compensated_cumsum
+
+
+def _row(cols, k):
+    """Row k (from 1) of primorial_columns as Python numbers by column."""
+    return {name: col[k - 1].item() for name, col in cols.items()}
 
 
 def test_primorial_first_records(tables_1e4):
-    k1, k2, k3, k4 = itertools.islice(primorial_stream(7, tables_1e4), 4)
+    cols = primorial_columns(7, tables_1e4)
+    assert sorted(cols) == sorted(
+        ["p", "log_N", "psi_ratio", "loglog_N", "threshold", "margin"])
+    assert all(len(col) == 4 for col in cols.values())
+    k1, k2, k3, k4 = (_row(cols, k) for k in range(1, 5))
 
-    assert k1.k == 1 and k1.p_k == 2
-    assert k1.log_N == pytest.approx(math.log(2), abs=0.0)
-    assert k1.psi_ratio == 1.5
-    assert k1.inv_phi_ratio == 2.0
-    assert k1.loglog_N == pytest.approx(-0.36651292058166435, rel=1e-14)
-    assert k1.threshold == pytest.approx(-0.39684633374746997, rel=1e-14)
-    assert k1.margin == pytest.approx(1.89684633374747, rel=1e-14)
+    assert k1["p"] == 2
+    assert k1["log_N"] == pytest.approx(math.log(2), abs=0.0)
+    assert k1["psi_ratio"] == 1.5
+    assert k1["loglog_N"] == pytest.approx(-0.36651292058166435, rel=1e-14)
+    assert k1["threshold"] == pytest.approx(-0.39684633374746997, rel=1e-14)
+    assert k1["margin"] == pytest.approx(1.89684633374747, rel=1e-14)
 
-    assert (k2.p_k, k3.p_k, k4.p_k) == (3, 5, 7)
-    assert k2.psi_ratio == pytest.approx(2.0, rel=1e-15)
-    assert k2.margin == pytest.approx(1.368535166946206, rel=1e-13)
-    assert k4.psi_ratio == pytest.approx(96 / 35, rel=1e-15)
-    assert k4.log_N == pytest.approx(math.fsum(math.log(p) for p in (2, 3, 5, 7)), rel=1e-15)
-    assert k4.margin == pytest.approx(0.9275459442779923, rel=1e-13)
+    assert (k2["p"], k3["p"], k4["p"]) == (3, 5, 7)
+    assert k2["psi_ratio"] == pytest.approx(2.0, rel=1e-15)
+    assert k2["margin"] == pytest.approx(1.368535166946206, rel=1e-13)
+    assert k4["psi_ratio"] == pytest.approx(96 / 35, rel=1e-15)
+    assert k4["log_N"] == pytest.approx(math.fsum(math.log(p) for p in (2, 3, 5, 7)), rel=1e-15)
+    assert k4["margin"] == pytest.approx(0.9275459442779923, rel=1e-13)
     # reference table rounds the k=4 threshold to 1.815301; true value differs ~1e-5
-    assert k4.threshold == pytest.approx(1.8153111985791506, rel=1e-13)
-    assert k4.threshold == pytest.approx(1.815301, abs=5e-5)
+    assert k4["threshold"] == pytest.approx(1.8153111985791506, rel=1e-13)
+    assert k4["threshold"] == pytest.approx(1.815301, abs=5e-5)
+    with pytest.raises(ValueError):
+        primorial_columns(1, tables_1e4)  # no primorial below 2
+
+
+def test_primorial_columns_exact_oracle(tables_1e4):
+    # every k <= 1000 against exact rationals and correctly rounded sums
+    cols = primorial_columns(int(tables_1e4.primes[999]), tables_1e4)
+    assert len(cols["p"]) == 1000
+    primes = tables_1e4.primes[:1000].tolist()
+    logs = [math.log(p) for p in primes]
+    product = Fraction(1)
+    for k, p in enumerate(primes, start=1):
+        product *= Fraction(p + 1, p)
+        ratio = Fraction(float(cols["psi_ratio"][k - 1]))
+        assert abs(ratio - product) <= Fraction(1e-14) * product, k
+        log_n = math.fsum(logs[:k])
+        assert abs(float(cols["log_N"][k - 1]) - log_n) <= 1e-14 * log_n, k
 
 
 def test_primorial_monotonicity(tables_1e6):
-    records = list(primorial_stream(1_000_000, tables_1e6))
-    assert len(records) == 78_498
-    ratios = [r.psi_ratio for r in records]
-    assert all(b > a for a, b in zip(ratios, ratios[1:]))
-    logs = [r.log_N for r in records]
-    assert all(b > a for a, b in zip(logs, logs[1:]))
-    margins = [r.margin for r in records]
-    assert all(b < a for a, b in zip(margins[9:], margins[10:]))
+    cols = primorial_columns(1_000_000, tables_1e6)
+    assert len(cols["p"]) == 78_498
+    assert bool(np.all(np.diff(cols["psi_ratio"]) > 0))
+    assert bool(np.all(np.diff(cols["log_N"]) > 0))
+    assert bool(np.all(np.diff(cols["margin"][9:]) < 0))
 
 
-def test_primorial_identity(tables_1e4):
-    # psi(N)/N * phi(N)/N = prod (1 - 1/p^2) over the first k primes
-    for rec in itertools.islice(primorial_stream(10_000, tables_1e4), 100):
-        primes = tables_1e4.primes[:rec.k].astype(float)
-        expect = math.exp(math.fsum(math.log1p(-1.0 / (p * p)) for p in primes))
-        assert rec.psi_ratio / rec.inv_phi_ratio == pytest.approx(expect, rel=1e-12)
+def jump_delta_reference(k, tables):
+    """The former per-k jump, O(k) work for one k: jump_deltas reference."""
+    ps = tables.primes[:k].astype(np.float64)
+    ratio_k = float(np.exp(compensated_cumsum(np.log1p(1.0 / ps))[-1]))
+    p_next = int(tables.primes[k])
+    difference = ratio_k * math.expm1(math.log1p(1.0 / p_next))
+    closed = ratio_k / p_next
+    assert abs(difference - closed) <= 1e-12 * closed
+    return closed
 
 
 def test_jump_delta(tables_1e4):
-    assert jump_delta(1, tables_1e4) == pytest.approx(0.5, rel=1e-15)
-    assert jump_delta(2, tables_1e4) == pytest.approx(0.4, rel=1e-15)
-    assert jump_delta(3, tables_1e4) == pytest.approx(2.4 / 7, rel=1e-14)
+    deltas = jump_deltas(3, tables_1e4)
+    assert deltas[0] == pytest.approx(0.5, rel=1e-15)
+    assert deltas[1] == pytest.approx(0.4, rel=1e-15)
+    assert deltas[2] == pytest.approx(2.4 / 7, rel=1e-14)
     with pytest.raises(ValueError):
-        jump_delta(0, tables_1e4)
-    with pytest.raises(ValueError):
-        jump_delta(len(tables_1e4.primes), tables_1e4)
+        jump_deltas(0, tables_1e4)
+    with pytest.raises(InsufficientSieveError):
+        jump_deltas(len(tables_1e4.primes), tables_1e4)
+    assert len(jump_deltas(len(tables_1e4.primes) - 1, tables_1e4)) == 1228
 
 
-def test_jump_matches_stream(tables_1e4):
-    records = list(itertools.islice(primorial_stream(100, tables_1e4), 25))
-    for prev, cur in zip(records, records[1:]):
-        delta = jump_delta(prev.k, tables_1e4)
-        assert delta == pytest.approx(cur.psi_ratio - prev.psi_ratio, rel=1e-12)
+def test_jump_deltas_match_per_k_reference(tables_1e6):
+    # bitwise equal to the per-k computation, every k <= 2000 and sampled
+    # k up to the last one the 1e6 tables allow
+    deltas = jump_deltas(78_497, tables_1e6)
+    assert len(deltas) == 78_497
+    sampled = list(range(1, 2001)) + list(range(2001, 78_497, 997)) + [78_497]
+    for k in sampled:
+        assert deltas[k - 1] == jump_delta_reference(k, tables_1e6), k
+
+
+def test_jump_deltas_cross_check_names_first_bad_k(tables_1e4, monkeypatch):
+    # a column that breaks the expm1/log1p form from k = 3 on
+    real = extrema.primorial_columns
+
+    def skewed(p_limit, tables):
+        cols = dict(real(p_limit, tables))
+        cols["psi_ratio"] = cols["psi_ratio"].copy()
+        cols["psi_ratio"][2:] = np.nan
+        return cols
+
+    monkeypatch.setattr(extrema, "primorial_columns", skewed)
+    with pytest.raises(FloatingPointError, match="k=3:"):
+        jump_deltas(10, tables_1e4)
+
+
+def test_jump_matches_columns(tables_1e4):
+    ratios = primorial_columns(100, tables_1e4)["psi_ratio"]
+    deltas = jump_deltas(24, tables_1e4)
+    assert deltas == pytest.approx(np.diff(ratios), rel=1e-12)
 
 
 def test_extremes():

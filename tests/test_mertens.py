@@ -90,8 +90,9 @@ def test_psi_product(tables_1e4):
 
 
 def test_product_identity(tables_1e4):
-    # prod (1+1/p) * prod (1-1/p) = prod (1-1/p^2)
-    for x in (10, 100, 1_000, 10_000):
+    # prod (1+1/p) * prod (1-1/p) = prod (1-1/p^2), at the first 100
+    # primes (the primorials N_1..N_100) and at round x
+    for x in tables_1e4.primes[:100].tolist() + [10, 100, 1_000, 10_000]:
         plus = psi_product(x, tables_1e4).value
         minus_inv = euler_product_inv(x, tables_1e4).value
         expect = math.exp(math.fsum(

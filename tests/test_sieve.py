@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from psitools import (InsufficientSieveError, SieveTables, build_sieve,
                       segment_scan, theta)
+from psitools import arith, constants, extrema, mertens, squarefree
 from psitools.sieve import MAX_LIMIT, _sieve_block
 from psitools.squarefree import count_squarefree_formula
 
@@ -150,6 +151,35 @@ def test_build_deterministic():
     assert np.array_equal(a.mobius, b.mobius)
     assert np.array_equal(a.primes, b.primes)
     assert np.array_equal(a.theta_prefix, b.theta_prefix)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: theta(10_001, t),
+    lambda t: arith.factor(10_001, t),
+    lambda t: squarefree.count_squarefree_exact(10_001, t),
+    lambda t: squarefree.count_squarefree_formula(10_001 ** 2, t),
+    lambda t: squarefree.squarefree_harmonic(10_001, t),
+    lambda t: squarefree.squarefree_harmonic_exact(10_001, t),
+    lambda t: squarefree.psi_product_exact(10_001, t),
+    # the divisor tail stops at x = 52, so it gets tables that stop at 10
+    lambda t: squarefree.primorial_divisor_tail(11, build_sieve(10)),
+    lambda t: mertens.prime_harmonic(10_001, t),
+    lambda t: mertens.compute_B1(10_001, t),
+    lambda t: extrema.primorial_columns(10_001, t),
+    lambda t: extrema.jump_deltas(1_229, t),  # needs the 1,230th prime
+    lambda t: extrema.loglog_gap(1_230, t),
+    lambda t: extrema.gap_exponent_check(10_001, t),
+    lambda t: constants.crosscheck_constants(t),  # needs limit >= 1e6
+], ids=["theta", "factor", "count_squarefree_exact",
+        "count_squarefree_formula", "squarefree_harmonic",
+        "squarefree_harmonic_exact", "psi_product_exact",
+        "primorial_divisor_tail", "prime_harmonic", "compute_B1",
+        "primorial_columns", "jump_deltas", "loglog_gap",
+        "gap_exponent_check", "crosscheck_constants"])
+def test_past_the_table_raises_insufficient_sieve(tables_1e4, call):
+    assert len(tables_1e4.primes) == 1_229
+    with pytest.raises(InsufficientSieveError):
+        call(tables_1e4)
 
 
 def test_tables_immutable(tables_1e4):
