@@ -6,20 +6,19 @@ Output is CSV (RFC-4180 style: comma, header row, LF endings, floats at
 or domain error.
 
 Each subcommand is declared once, as a COMMANDS entry: its help text and
-extra flags, its output columns, a rows(args) callable that returns one
-tuple per output row, and an optional fails(record) predicate that marks
-a row as a counterexample.
+extra flags, its output column names, a rows(args) callable that returns
+the output columns as equal-length sequences, and an optional vector
+predicate fails(columns) that marks the rows that are counterexamples.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 from dataclasses import dataclass
-from math import log
-from typing import Any, Callable, Iterable
+from math import isfinite, log
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -28,53 +27,64 @@ from . import constants, extrema, mertens, sieve, squarefree
 __all__ = ["COMMANDS", "Command", "main", "emit", "script_entry"]
 
 
-def _format_cell(value: Any) -> str:
+_ROW_CHUNK = 1 << 12  # emit's rows per chunk; more raise peak RSS, not speed
+
+
+def _text(value: Any, fmt: str) -> str:
+    """One cell as JSON, or as CSV text with RFC-4180 quoting."""
+    if fmt == "json":
+        return json.dumps(value)  # floats as repr, NaN or +-Infinity
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return "%.15g" % value
-    if value is None:
-        return ""
-    return str(value)
+    text = "" if value is None else str(value)
+    quote = any(c in text for c in ',"\r\n')
+    return '"%s"' % text.replace('"', '""') if quote else text
 
 
-def _json_cell(value: Any) -> Any:
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+def _chunk(column: Sequence, a: int, fmt: str) -> tuple[str, list]:
+    """The % conversion and Python values of rows [a, a + _ROW_CHUNK).
+
+    Plain ints, or floats (in JSON only if their sum is finite, so no
+    cell is inf or NaN), share one conversion; else text per cell.
+    """
+    part = column[a:a + _ROW_CHUNK]
+    cells = (part.tolist() if isinstance(part, np.ndarray) else
+             [v.item() if isinstance(v, np.generic) else v for v in part])
+    kinds = set(map(type, cells))
+    if kinds == {int}:
+        return "%d", cells
+    if kinds == {float} and (fmt == "csv" or isfinite(sum(cells))):
+        return ("%.15g" if fmt == "csv" else "%r"), cells
+    return "%s", [_text(v, fmt) for v in cells]
 
 
-def emit(records: Iterable[dict[str, Any]], output_format: str, sink,
-         header: list[str] | None = None) -> None:
-    """Stream records to sink as CSV or a JSON array.
+def emit(columns: dict[str, Sequence], output_format: str, sink) -> None:
+    """Write equal-length named columns to sink as CSV or a JSON array.
 
-    Records must share one key set; the header comes from the first
-    record (or the explicit header when the stream may be empty).
+    Rows go out _ROW_CHUNK at a time, each by one % string built from
+    the chunk's cell types; no rows give a header-only CSV, or [].
     """
     if output_format == "csv":
-        writer = csv.writer(sink, lineterminator="\n")
-        wrote_header = False
-        for rec in records:
-            if not wrote_header:
-                writer.writerow(list(rec))
-                wrote_header = True
-            writer.writerow([_format_cell(v) for v in rec.values()])
-        if not wrote_header and header:
-            writer.writerow(header)
+        sink.write(",".join(_text(name, "csv") for name in columns) + "\n")
+        keys, joiner, row, skip, tail = ([""] * len(columns), ",", "%s\n",
+                                         0, "")
     elif output_format == "json":
         sink.write("[")
-        first = True
-        for rec in records:
-            sink.write("\n  " if first else ",\n  ")
-            first = False
-            sink.write(json.dumps({k: _json_cell(v) for k, v in rec.items()}))
-        sink.write("\n]\n" if not first else "]\n")
+        keys = [json.dumps(n).replace("%", "%%") + ": " for n in columns]
+        # every row is led by ",\n  "; the first row drops the comma
+        joiner, row, skip, tail = ", ", ",\n  {%s}", 1, "\n]\n"
     else:
         raise ValueError(f"unknown output format {output_format!r}")
+    n_rows = len(next(iter(columns.values()), ()))
+    for a in range(0, n_rows, _ROW_CHUNK):
+        specs, cells = zip(*(_chunk(c, a, output_format)
+                             for c in columns.values()))
+        template = row % joiner.join(map(str.__add__, keys, specs))
+        text = "".join(map(template.__mod__, zip(*cells)))
+        sink.write(text[skip:] if a == 0 else text)
+    sink.write(tail if n_rows else tail.lstrip("\n"))
 
 
 @dataclass(frozen=True)
@@ -83,9 +93,9 @@ class Command:
 
     help: str
     columns: tuple[str, ...]
-    rows: Callable[[argparse.Namespace], Iterable[tuple]]
+    rows: Callable[[argparse.Namespace], Sequence[Sequence]]
     flags: tuple[tuple[str, dict[str, Any]], ...] = ()
-    fails: Callable[[dict[str, Any]], bool] | None = None
+    fails: Callable[[dict[str, np.ndarray]], np.ndarray] | None = None
 
 
 def _flag(name: str, **kwargs: Any) -> tuple[str, dict[str, Any]]:
@@ -126,17 +136,6 @@ def _tables_with_primes(args: argparse.Namespace,
     return _tables(args, max(100, int(count * (log_c + log(log_c) + 1))))
 
 
-# rows per .tolist() conversion in _column_rows: a larger chunk raises
-# the peak memory of verify-psi's emit for no gain in speed
-_ROW_CHUNK = 1 << 12
-
-
-def _column_rows(*columns: np.ndarray) -> Iterable[tuple]:
-    """One tuple of Python numbers per row of equal-length columns."""
-    for a in range(0, len(columns[0]), _ROW_CHUNK):
-        yield from zip(*(c[a:a + _ROW_CHUNK].tolist() for c in columns))
-
-
 def _grid(args: argparse.Namespace, smallest: int) -> list[int]:
     """x values from repeated --x and/or a geometric --xmax/--points grid."""
     if args.points < 1:
@@ -167,7 +166,7 @@ def _per_x(point: Callable[..., tuple], smallest: int = 2,
     def rows(args: argparse.Namespace) -> list[tuple]:
         xs = _grid(args, smallest)
         tables = _tables(args, max(max(xs), need(args)))
-        return [point(x, tables, args) for x in xs]
+        return list(zip(*(point(x, tables, args) for x in xs)))
     return rows
 
 
@@ -175,11 +174,12 @@ def _whole_grid(grid: Callable[[list[int]], list[tuple]]):
     """rows(args) for a grid subcommand whose library call takes every x.
 
     One grid and one grid(xs) call, which streams psi itself (no sieve
-    tables, so --limit is not read) and returns the output rows in the
-    order of xs.
+    tables, so --limit is not read) and returns a tuple of answers per
+    x; the output columns are x and the answers.
     """
-    def rows(args: argparse.Namespace) -> list[tuple]:
-        return grid(_grid(args, 2))
+    def rows(args: argparse.Namespace) -> list[Sequence]:
+        xs = _grid(args, 2)
+        return [xs, *zip(*grid(xs))]
     return rows
 
 
@@ -189,16 +189,16 @@ def _sample(x: int, s) -> tuple:
 
 def _sieve_info(args):
     tables = sieve.build_sieve(_need(args, "limit", 2))
-    return [(tables.limit, len(tables.primes),
-             squarefree.count_squarefree_exact(tables.limit, tables),
-             sieve.theta(tables.limit, tables))]
+    return [[tables.limit], [len(tables.primes)],
+            [squarefree.count_squarefree_exact(tables.limit, tables)],
+            [sieve.theta(tables.limit, tables)]]
 
 
 def _verify_psi(args):
     p_limit = _need(args, "plimit", 2)
     cols = extrema.primorial_columns(p_limit, _tables(args, p_limit))
     # the columns come in the order of verify-psi's, after k
-    return _column_rows(np.arange(1, len(cols["p"]) + 1), *cols.values())
+    return [np.arange(1, len(cols["p"]) + 1), *cols.values()]
 
 
 def _squarefree(x, tables, args):
@@ -215,7 +215,7 @@ def _progression(x, tables, args):
 def _b1(args):
     p_limit = _need(args, "plimit", 2)
     value, tail = mertens.compute_B1(p_limit, _tables(args, p_limit))
-    return [(p_limit, value, tail)]
+    return [[p_limit], [value], [tail]]
 
 
 def _dusart(x, tables, args):
@@ -227,24 +227,14 @@ def _dusart(x, tables, args):
 def _jumps(args):
     kmax = _need(args, "kmax", 1)
     tables = _tables_with_primes(args, kmax + 1)
-    return _column_rows(np.arange(1, kmax + 1), tables.primes[1:kmax + 1],
-                        extrema.jump_deltas(kmax, tables))
-
-
-def _extremes(xs):
-    answers = extrema.psi_ratio_extremes_grid(xs)
-    return [(x, *answer) for x, answer in zip(xs, answers)]
-
-
-def _classify(xs):
-    answers = extrema.classify_counts(xs)
-    return [(x, *answer, x / log(x)) for x, answer in zip(xs, answers)]
+    return [np.arange(1, kmax + 1), tables.primes[1:kmax + 1],
+            extrema.jump_deltas(kmax, tables)]
 
 
 def _dist_tail(args):
     x = _need(args, "x", 2)
-    pairs = extrema.distribution_tail(x, args.t)
-    return [(x, t, frac) for t, frac in pairs]
+    ts, fractions = zip(*extrema.distribution_tail(x, args.t))
+    return [[x] * len(ts), ts, fractions]
 
 
 def _loglog_gap(args):
@@ -261,21 +251,21 @@ def _loglog_gap(args):
         raise ValueError(
             f"k must be >= 2 (inner log undefined), got {bad[0]}")
     tables = _tables_with_primes(args, max(ks))
-    return [(k, int(tables.primes[k - 1]), extrema.loglog_gap(k, tables))
-            for k in ks]
+    return [ks, tables.primes[np.array(ks) - 1],
+            [extrema.loglog_gap(k, tables) for k in ks]]
 
 
 def _gap_check(args):
     p_limit = _need(args, "plimit", 3)
     tables = _tables(args, p_limit)
     holds, worst_k = extrema.gap_exponent_check(p_limit, tables)
-    return [(p_limit, holds, worst_k, int(tables.primes[worst_k - 1]),
-             int(tables.primes[worst_k]))]
+    worst_p, worst_next = tables.primes[worst_k - 1:worst_k + 1].tolist()
+    return [[p_limit], [holds], [worst_k], [worst_p], [worst_next]]
 
 
 def _tail_sum(args):
     tail = squarefree.primorial_divisor_tail(args.x, _tables(args, args.x))
-    return [(args.x, tail.numerator, tail.denominator)]
+    return [[args.x], [tail.numerator], [tail.denominator]]
 
 
 def _constants(args):
@@ -283,8 +273,9 @@ def _constants(args):
     if not args.no_crosscheck:
         tables = sieve.build_sieve(max(args.limit or 0, 10 ** 6))
         residuals = dict(constants.crosscheck_constants(tables))
-    return [(c.name, c.decimal, residuals.get(c.name))
-            for c in map(constants.get_constant, constants.constant_names())]
+    return list(zip(*((c.name, c.decimal, residuals.get(c.name))
+                      for c in map(constants.get_constant,
+                                   constants.constant_names()))))
 
 
 COMMANDS: dict[str, Command] = {
@@ -297,7 +288,7 @@ COMMANDS: dict[str, Command] = {
          "margin"), _verify_psi,
         (_flag("--plimit", type=int, required=True,
                help="include primorials of primes up to this bound"),),
-        fails=lambda r: not r["margin"] > 0),
+        fails=lambda c: ~(c["margin"] > 0)),
     "squarefree": Command(
         "squarefree counts vs (6/pi^2) x",
         ("x", "Q", "main", "residual", "scaled_half", "scaled_quarter"),
@@ -335,7 +326,7 @@ COMMANDS: dict[str, Command] = {
         "explicit error bound check for the prime sum",
         ("x", "holds", "slack", "deviation", "bound", "rh_bound",
          "below_validity"), _per_x(_dusart), _GRID_FLAGS,
-        fails=lambda r: not r["holds"] and not r["below_validity"]),
+        fails=lambda c: ~c["holds"] & ~c["below_validity"]),
     "jumps": Command(
         "psi-ratio jumps between consecutive primorials",
         ("k", "p_next", "delta"), _jumps,
@@ -344,10 +335,12 @@ COMMANDS: dict[str, Command] = {
     "extremes": Command(
         "argmax/argmin of psi(n)/n over [2, x]",
         ("x", "max_n", "max_ratio", "min_n", "min_ratio"),
-        _whole_grid(_extremes), _GRID_FLAGS),
+        _whole_grid(extrema.psi_ratio_extremes_grid), _GRID_FLAGS),
     "classify": Command(
         "count n with psi(n)/n above/below threshold",
-        ("x", "above", "below", "x_over_logx"), _whole_grid(_classify),
+        ("x", "above", "below", "x_over_logx"),
+        _whole_grid(lambda xs: [(*counts, x / log(x)) for x, counts
+                                in zip(xs, extrema.classify_counts(xs))]),
         _GRID_FLAGS),
     "dist-tail": Command(
         "fraction of n <= x with psi(n)/n > t",
@@ -365,7 +358,7 @@ COMMANDS: dict[str, Command] = {
         "prime gap exponent bound over a range",
         ("p_limit", "holds", "worst_k", "worst_p", "worst_next"), _gap_check,
         (_flag("--plimit", type=int, required=True),),
-        fails=lambda r: not r["holds"]),
+        fails=lambda c: ~c["holds"]),
     "tail-sum": Command(
         "exact divisor tail of the primorial of x",
         ("x", "numerator", "denominator"), _tail_sum,
@@ -407,22 +400,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     command = COMMANDS[args.subcommand]
-    failed = False
-
-    def records(rows: Iterable[tuple]) -> Iterable[dict[str, Any]]:
-        nonlocal failed
-        for row in rows:
-            rec = dict(zip(command.columns, row))
-            if command.fails is not None and command.fails(rec):
-                failed = True
-            yield rec
-
     try:
-        rows = command.rows(args)
+        columns = dict(zip(command.columns, command.rows(args), strict=True))
+        failed = command.fails is not None and bool(np.any(command.fails(
+            {name: np.asarray(c) for name, c in columns.items()})))
         with (open(args.output, "w", newline="") if args.output
               else contextlib.nullcontext(sys.stdout)) as sink:
-            emit(records(rows), args.format, sink,
-                 header=list(command.columns))
+            emit(columns, args.format, sink)
     except (ValueError, OverflowError, KeyError, OSError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ import numpy as np
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
 from .sieve import InsufficientSieveError, SieveTables
-from .summation import compensated_cumsum
+from .summation import _CHUNK, compensated_chunks
 
 __all__ = [
     "count_squarefree_exact",
@@ -116,12 +116,15 @@ def squarefree_residual(
 def squarefree_harmonic(x: int, tables: SieveTables) -> ResidualSample:
     """sum of 1/n over squarefree n <= x, against (6/pi^2) log x.
 
-    Terms are accumulated in ascending n with compensated prefix
-    summation, so the value is within a few ulp of exact.
+    Terms are summed in ascending n, one chunk of the Mobius table at a
+    time, with compensated prefix summation: within a few ulp of exact.
     """
     tables.check(x, 1)
-    ns = np.nonzero(tables.mobius[1:int(x) + 1])[0] + 1
-    value = float(compensated_cumsum(1.0 / ns.astype(np.float64))[-1])
+    mobius = tables.mobius[:int(x) + 1]
+    reciprocals = (1.0 / (np.flatnonzero(mobius[lo:lo + _CHUNK]) + lo)
+                   for lo in range(1, mobius.size, _CHUNK))
+    for sums in compensated_chunks(reciprocals):
+        value = float(sums[-1])
     return make_sample(x, value, _SIX_OVER_PI_SQ * log(x))
 
 

@@ -2,33 +2,46 @@
 
 Left-to-right summation of n terms can lose ~n ulp of accuracy; the
 prefix sums here track the rounding error of every addition so they
-stay within a few ulp regardless of length.  The theta prefix table
-and the log-domain primorial products go through this module; whole
-totals use math.fsum directly.
+stay within a few ulp regardless of length, _CHUNK values at a time.
 """
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
-__all__ = ["compensated_cumsum"]
+__all__ = ["compensated_chunks", "compensated_cumsum"]
+
+_CHUNK = 1 << 16  # elements per chunk, and so per temporary
 
 
-def compensated_cumsum(values) -> np.ndarray:
-    """Prefix sums of a float64 array, each accurate to ~1 ulp.
+def compensated_chunks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Prefix sums of the concatenated float64 chunks, one array per chunk.
 
     np.cumsum accumulates sequentially, so the rounding error committed
     at step i can be recovered exactly afterwards with a branch-free
     TwoSum against the naive prefix array.  Adding back the running
     total of those per-step errors corrects every prefix at vector
-    speed; the correction's own rounding is second order.
+    speed; the correction's own rounding is second order.  Both sums
+    carry across chunks, so any split of the input gives the same bits.
     """
+    s_end = e_end = 0.0
+    for a in filter(len, chunks):
+        buf = np.cumsum(np.concatenate(([s_end], a)))
+        prev, s = buf[:-1], buf[1:]
+        z = s - prev
+        err = (prev - (s - z)) + (a - z)
+        err[0] += e_end
+        np.cumsum(err, out=err)
+        s_end, e_end = s[-1], err[-1]
+        yield np.add(s, err, out=err)
+
+
+def compensated_cumsum(values) -> np.ndarray:
+    """Prefix sums of a float64 array, each accurate to ~1 ulp."""
     a = np.ascontiguousarray(values, dtype=np.float64)
-    if a.size == 0:
-        return a.copy()
-    s = np.cumsum(a)
-    prev = np.empty_like(s)
-    prev[0] = 0.0
-    prev[1:] = s[:-1]
-    z = s - prev
-    err = (prev - (s - z)) + (a - z)
-    return s + np.cumsum(err)
+    out, cuts = np.empty_like(a), range(_CHUNK, a.size, _CHUNK)
+    for dest, sums in zip(np.split(out, cuts),
+                          compensated_chunks(np.split(a, cuts))):
+        dest[:] = sums
+    return out

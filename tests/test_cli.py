@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -5,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import psitools
-from psitools import extrema, sieve
+from psitools import cli, extrema, sieve
 from psitools.cli import emit, main
 
 
@@ -254,6 +256,17 @@ def test_dist_tail_infinite_and_nan_thresholds(capsys):
     assert "NaN" in err
 
 
+def test_dist_tail_infinite_thresholds_json(capsys):
+    # non-finite floats are spelled as json.dumps spells them
+    code, out, _ = run(capsys, "dist-tail", "--x", "10", "--t=-inf",
+                       "--t", "inf", "--format", "json")
+    assert code == 0
+    rows = [{"x": 10, "t": float("-inf"), "fraction": 1.0},
+            {"x": 10, "t": float("inf"), "fraction": 0.0}]
+    assert out == "[\n  " + ",\n  ".join(map(json.dumps, rows)) + "\n]\n"
+    assert '"t": -Infinity' in out and '"t": Infinity' in out
+
+
 def test_dist_tail_negative_thresholds_need_equals(capsys):
     # argparse takes -inf and -1e5 for option strings unless attached
     code, out, _ = run(capsys, "dist-tail", "--x", "10", "--t=-1e5",
@@ -364,14 +377,65 @@ def test_output_unwritable(capsys):
 
 def test_emit_empty_records_writes_header():
     sink = io.StringIO()
-    emit([], "csv", sink, header=["a", "b"])
+    emit({"a": [], "b": np.array([])}, "csv", sink)
     assert sink.getvalue() == "a,b\n"
 
 
 def test_emit_json_empty():
     sink = io.StringIO()
-    emit([], "json", sink, header=["a", "b"])
+    emit({"a": [], "b": np.array([])}, "json", sink)
+    assert sink.getvalue() == "[]\n"
     assert json.loads(sink.getvalue()) == []
+
+
+def test_emit_cells_match_csv_and_json_modules():
+    # one row per cell type, and mixed types within a column, spelled
+    # as csv.writer (%.15g floats) and json.dumps spell them
+    rows = [(1, 0.1, None, "plain", True),
+            (-7, float("inf"), 2.5, 'a,"b"', False),
+            (2 ** 70, float("-inf"), np.float64(1 / 3), "x\ny", np.bool_(1)),
+            (np.int64(3), float("nan"), 4, "%s %d", None)]
+    names = ["i", "f", "mixed", "s%", "b"]
+    columns = {name: [row[j] for row in rows] for j, name in enumerate(names)}
+    py = [[v.item() if isinstance(v, np.generic) else v for v in row]
+          for row in rows]
+
+    sink = io.StringIO()
+    emit(columns, "json", sink)
+    expect = "[\n  " + ",\n  ".join(
+        json.dumps(dict(zip(names, row))) for row in py) + "\n]\n"
+    assert sink.getvalue() == expect
+
+    def csv_cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return "%.15g" % v
+        return "" if v is None else v
+
+    sink, want = io.StringIO(), io.StringIO()
+    emit(columns, "csv", sink)
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([csv_cell(v) for v in row] for row in py)
+    assert sink.getvalue() == want.getvalue()
+
+
+def test_emit_chunks_match_one_chunk(monkeypatch):
+    # a float column whose only non-finite value sits in a later chunk
+    columns = {"k": np.arange(10), "v": np.linspace(0.0, 1.0, 10)}
+    columns["v"][7] = np.inf
+    whole = {}
+    for fmt in ("csv", "json"):
+        sink = io.StringIO()
+        emit(columns, fmt, sink)
+        whole[fmt] = sink.getvalue()
+    monkeypatch.setattr(cli, "_ROW_CHUNK", 3)
+    for fmt in ("csv", "json"):
+        sink = io.StringIO()
+        emit(columns, fmt, sink)
+        assert sink.getvalue() == whole[fmt]
+    assert '"v": Infinity' in whole["json"]
 
 
 def test_csv_float_cells_round_trip(capsys):

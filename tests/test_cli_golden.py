@@ -17,6 +17,8 @@ CASES = [
     ("sieve-info --limit 1000 --format json", 0, "e191faf019dd63ffd43b5313256069eaf3f5d18c28b758305430dcc65c939da0"),
     ("verify-psi --plimit 1000", 0, "29aa931b2c0985c92720e0ee6f9bd87eb8ed87c47e1dc4e1afc3dc104684bd26"),
     ("verify-psi --plimit 1000 --format json", 0, "d42421dc53b34861ec3f4cefbb28c08e479bad39832a646cb71667d790770f33"),
+    # 5,133 rows: more than one 2^12-row emit chunk
+    ("verify-psi --plimit 50000 --format json", 0, "f706b408b9144380e238b48e3e6636d41a5078ec428b728347b79d065d77a0ba"),
     ("squarefree --x 10 --x 100 --limit 5000", 0, "4869b2a256468a79a219a46d04120a0c820e461baca492b7501e843c95860afc"),
     ("squarefree --x 10 --x 100 --limit 5000 --format json", 0, "eb13cfe4598dfd8b387a33b84f30fb082ace42119b9b1424c54555875c068883"),
     ("squarefree --xmax 3000 --points 5", 0, "ea655c512dd0f77f961afc2477ea460610effeb1bfe7a94be940e98192eca7ab"),

@@ -77,6 +77,35 @@ def test_primorial_monotonicity(tables_1e6):
     assert bool(np.all(np.diff(cols["margin"][9:]) < 0))
 
 
+def test_upper_bound_violations_per_n():
+    # R(n) = psi(n) / (n log log n) < e^gamma for every n >= 31 (Sole and
+    # Planat): per-n over [3, 1e6], independent of the primorial columns
+    e_gamma = get_constant("e_gamma").value
+    above, best = [], (0.0, 0)
+    for first, psi in psi_blocks(3, 10 ** 6 + 1):
+        n = np.arange(first, first + len(psi))
+        r = psi / (n * np.log(np.log(n)))
+        above += n[r >= e_gamma].tolist()
+        i = int(np.argmax(np.where(n >= 31, r, 0.0)))
+        best = max(best, (float(r[i]), int(n[i])))
+    assert above == [3, 4, 5, 6, 8, 10, 12, 18, 30]
+    # the largest R past 30 is at 42 = 2 * 3 * 7, not at a primorial
+    assert best[1] == 42
+    assert best[0] == pytest.approx(1.73362, abs=1e-5)
+
+
+def test_upper_bound_on_primorial_columns(tables_1e6):
+    # R is largest on [N_k, N_{k+1}) at N_k, so R(N_k) < e^gamma for k >= 4
+    # (N_4 = 210) covers every n in [210, N_78499)
+    cols = primorial_columns(1_000_000, tables_1e6)
+    r = cols["psi_ratio"] / cols["loglog_N"]
+    e_gamma = get_constant("e_gamma").value
+    assert bool(np.all(r[3:] < e_gamma))
+    # N_2 = 6 and N_3 = 30 are among the exceptions (R(2) < 0)
+    assert bool(np.all(r[1:3] >= e_gamma))
+    assert float(r[3:].max()) == pytest.approx(1.63601, abs=1e-5)
+
+
 def jump_delta_reference(k, tables):
     """The former per-k jump, O(k) work for one k: jump_deltas reference."""
     ps = tables.primes[:k].astype(np.float64)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from psitools import InsufficientSieveError, build_sieve
+from psitools import InsufficientSieveError, build_sieve, squarefree
 from psitools.squarefree import (
     count_squarefree_exact,
     count_squarefree_formula,
@@ -15,6 +15,7 @@ from psitools.squarefree import (
     squarefree_harmonic_exact,
     squarefree_residual,
 )
+from psitools.summation import compensated_cumsum
 
 
 def brute_squarefree(n):
@@ -110,6 +111,18 @@ def test_harmonic_exact(tables_1e4):
     assert squarefree_harmonic_exact(1, tables_1e4) == Fraction(1)
     assert squarefree_harmonic_exact(10, tables_1e4) == Fraction(171, 70)
     assert Fraction(171, 70) == Fraction(513, 210)
+
+
+@pytest.mark.parametrize("chunk,x", [(5, 10_000), (5, 16), (4096, 10_000),
+                                     (4096, 4097)])
+def test_harmonic_chunks_match_one_sum(tables_1e4, monkeypatch, chunk, x):
+    # the Mobius table read in chunks gives the bits of one compensated
+    # sum over the squarefree n <= x; with chunk 5 the last chunk of
+    # x = 16, [16, 16], holds no squarefree n
+    ns = np.nonzero(tables_1e4.mobius[1:x + 1])[0] + 1
+    whole = float(compensated_cumsum(1.0 / ns.astype(np.float64))[-1])
+    monkeypatch.setattr(squarefree, "_CHUNK", chunk)
+    assert squarefree_harmonic(x, tables_1e4).value == whole
 
 
 def test_harmonic_residual_settles(tables_1e6):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from psitools.summation import compensated_cumsum
+from psitools import summation
+from psitools.summation import compensated_chunks, compensated_cumsum
 
 
 def test_compensated_cumsum_prefixes_match_fsum():
@@ -27,3 +28,33 @@ def test_compensated_cumsum_empty_and_single():
     assert compensated_cumsum(np.array([])).size == 0
     out = compensated_cumsum(np.array([3.25]))
     assert out.tolist() == [3.25]
+
+
+def _one_pass_reference(values):
+    """The unchunked compensated prefix sums, over full-length arrays."""
+    a = np.asarray(values, dtype=np.float64)
+    s = np.cumsum(a)
+    prev = np.concatenate(([0.0], s[:-1]))
+    z = s - prev
+    return s + np.cumsum((prev - (s - z)) + (a - z))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 16])
+def test_compensated_cumsum_chunks_are_bit_identical(monkeypatch, chunk):
+    # the carried sum and error total make every chunk split give the
+    # bits of one pass, zeros of either sign included
+    rng = np.random.default_rng(5)
+    values = np.concatenate((
+        [-0.0, 0.0, -0.0], rng.standard_normal(200) * 1e8,
+        rng.random(300) * 1e-9, [0.0, -0.0, 1e300, -1e300, 3.0]))
+    monkeypatch.setattr(summation, "_CHUNK", chunk)
+    out = compensated_cumsum(values)
+    assert out.tobytes() == _one_pass_reference(values).tobytes()
+
+
+def test_compensated_chunks_carry_across_uneven_chunks():
+    values = np.log1p(1.0 / np.arange(2.0, 5_002.0))
+    pieces = np.split(values, [0, 1, 17, 17, 2_000, 4_999])
+    joined = np.concatenate(list(compensated_chunks(pieces)))
+    assert joined.tobytes() == _one_pass_reference(values).tobytes()
+    assert list(compensated_chunks([np.array([])])) == []
