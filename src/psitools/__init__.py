@@ -1,7 +1,7 @@
 """Numerical toolkit around the Dedekind psi function.
 
-The package builds sieve tables (Mobius, prime list, Chebyshev theta
-prefix) and uses them to evaluate and cross-check the classical
+The package builds sieve tables (the Mobius function and the prime
+list) and uses them to evaluate and cross-check the classical
 identities tying psi(n)/n = prod_{p|n}(1 + 1/p) to squarefree densities,
 Mertens-type prime sums and products, and the primorial inequality
 psi(N_k)/N_k > (6 e^gamma / pi^2) log log N_k.

@@ -37,10 +37,6 @@ class ArithProfile:
     psi: int
 
 
-def _check_n(n: int, tables: SieveTables) -> int:
-    return int(tables.check(n, 1, "n"))
-
-
 def factor(n: int, tables: SieveTables) -> Factorization:
     """Factor n by trial division over the table's primes up to sqrt(n).
 
@@ -48,7 +44,7 @@ def factor(n: int, tables: SieveTables) -> Factorization:
     a cofactor above 1 after they are divided out is the one prime
     factor above sqrt(n).
     """
-    n = _check_n(n, tables)
+    n = int(tables.check(n, 1, "n"))
     small = tables.primes[:tables.prime_count(isqrt(n))]
     m = n
     parts: list[tuple[int, int]] = []

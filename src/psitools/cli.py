@@ -245,14 +245,10 @@ def _loglog_gap(args):
         ks.extend(range(2, args.kmax + 1))
     if not ks:
         raise ValueError("loglog-gap needs --k or --kmax")
-    bad = [k for k in ks if k < 2]
-    if bad:
-        # checked before the prime-count guess, which takes logs of k
-        raise ValueError(
-            f"k must be >= 2 (inner log undefined), got {bad[0]}")
-    tables = _tables_with_primes(args, max(ks))
-    return [ks, tables.primes[np.array(ks) - 1],
-            [extrema.loglog_gap(k, tables) for k in ks]]
+    # a k below 2 is loglog_gap's error, raised before the columns are built
+    tables = _tables_with_primes(args, max(*ks, 2))
+    gaps = extrema.loglog_gap(ks, tables)
+    return [ks, tables.primes[np.array(ks) - 1], gaps]
 
 
 def _gap_check(args):

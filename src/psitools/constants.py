@@ -9,11 +9,13 @@ registry digit cannot survive the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum, log
 
 import numpy as np
 
 from .sieve import InsufficientSieveError, SieveTables
+from .summation import chunked
 
 __all__ = ["PrecisionConstant", "get_constant", "constant_names",
            "crosscheck_constants"]
@@ -95,8 +97,9 @@ def crosscheck_constants(tables: SieveTables) -> list[tuple[str, float]]:
                 abs(_gamma_from_harmonic() - _REGISTRY["gamma"].value)))
     b1, _ = compute_B1(tables.limit, tables)
     out.append(("B1", abs(b1 - _REGISTRY["B1"].value)))
-    ps = tables.primes.astype(np.float64)
-    prod = float(np.exp(fsum(np.log1p(-1.0 / (ps * ps)).tolist())))
+    squares = (c.astype(np.float64) ** 2 for c in chunked(tables.primes))
+    prod = float(np.exp(fsum(chain.from_iterable(
+        np.log1p(-1.0 / sq).tolist() for sq in squares))))
     out.append(("six_over_pi_sq",
                 abs(prod - _REGISTRY["six_over_pi_sq"].value)))
     product = _REGISTRY["e_gamma"].value * _REGISTRY["six_over_pi_sq"].value

@@ -1,10 +1,11 @@
 """Primorial scan, threshold classification, and extreme-value checks.
 
 The primorial N_k = 2*3*...*p_k overflows fixed-width integers near
-k = 15, so everything here stays in the log domain: log N_k is the
-theta prefix, and the ratio psi(N_k)/N_k = prod(1 + 1/p) lives as exp
-of a compensated log sum.  primorial_columns holds every per-k value;
-N_k/phi(N_k) is mertens.euler_product_inv(p_k).
+k = 15, so everything here stays in the log domain: log N_k = theta(p_k)
+is a compensated prefix sum of log p, and the ratio psi(N_k)/N_k =
+prod(1 + 1/p) lives as exp of a compensated log sum.  primorial_columns
+is the one source of every per-k value; N_k/phi(N_k) is
+mertens.euler_product_inv(p_k).
 
 The per-n psi(n)/n functions (extremes, classification, tail fractions)
 take no tables: they stream sieve.psi_blocks.
@@ -12,7 +13,7 @@ take no tables: they stream sieve.psi_blocks.
 from __future__ import annotations
 
 from math import isnan, log
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,20 +40,15 @@ def primorial_columns(p_limit: int,
                       tables: SieveTables) -> dict[str, np.ndarray]:
     """Per-k columns of the primorials N_k for all primes p_k <= p_limit.
 
-    Row i holds k = i + 1: p (= p_k), log_N (theta(p_k)), psi_ratio
-    (prod_{p <= p_k}(1 + 1/p) as exp of a compensated log sum), loglog_N,
-    threshold ((6 e^gamma / pi^2) loglog_N) and margin (psi_ratio -
-    threshold), in that order, all from one vector pass over the
-    tables' primes.
+    Row i holds k = i + 1: p (= p_k), log_N (theta(p_k), the
+    compensated prefix of log p), psi_ratio (prod_{p <= p_k}(1 + 1/p)
+    as exp of a compensated log sum), loglog_N, threshold
+    ((6 e^gamma / pi^2) loglog_N) and margin (psi_ratio - threshold), in
+    that order, all from one vector pass over the tables' primes.
     """
-    if p_limit > tables.limit:
-        raise InsufficientSieveError(
-            f"p_limit {p_limit} beyond table limit {tables.limit}")
-    count = int(np.searchsorted(tables.primes, p_limit, side="right"))
-    if count == 0:
-        raise ValueError(f"no primes <= {p_limit}")
+    count = tables.prime_count(tables.check(p_limit, 2, "p_limit"))
     ps = tables.primes[:count].astype(np.float64)
-    log_n = tables.theta_prefix[:count]
+    log_n = compensated_cumsum(np.log(ps))
     psi_ratio = np.exp(compensated_cumsum(np.log1p(1.0 / ps)))
     loglog_n = np.log(log_n)
     threshold = _THRESHOLD * loglog_n
@@ -205,21 +201,24 @@ def classify_counts(xs: Iterable[int]) -> list[tuple[int, int]]:
     return _grid_rows(xs, add, lambda x: (above, x - 1 - above))
 
 
-def loglog_gap(k: int, tables: SieveTables) -> float:
-    """log log p_k - log log log N_k for the k-th primorial.
+def loglog_gap(ks: Sequence[int], tables: SieveTables) -> list[float]:
+    """log log p_k - log log log N_k for the k-th primorial, each k in ks.
 
     Defined for k >= 2 only: at k = 1, log N_1 = log 2 < 1 makes the
-    innermost logarithm negative.
+    innermost logarithm negative.  p_k and log N_k come from one
+    primorial_columns call up to the largest k.
     """
-    k = int(k)
-    if k < 2:
-        raise ValueError(f"k must be >= 2 (inner log undefined), got {k}")
-    if k > len(tables.primes):
+    ks = [int(k) for k in ks]
+    bad = [k for k in ks if k < 2]
+    if bad:
+        raise ValueError(
+            f"k must be >= 2 (inner log undefined), got {bad[0]}")
+    if max(ks) > len(tables.primes):
         raise InsufficientSieveError(
-            f"k={k} beyond the {len(tables.primes)} primes in tables")
-    p_k = int(tables.primes[k - 1])
-    log_n = float(tables.theta_prefix[k - 1])
-    return log(log(p_k)) - log(log(log_n))
+            f"k={max(ks)} beyond the {len(tables.primes)} primes in tables")
+    cols = primorial_columns(int(tables.primes[max(ks) - 1]), tables)
+    p, log_n = cols["p"].tolist(), cols["log_N"].tolist()
+    return [log(log(p[k - 1])) - log(log(log_n[k - 1])) for k in ks]
 
 
 def distribution_tail(x: int, t_grid) -> list[tuple[float, float]]:
@@ -254,12 +253,7 @@ def gap_exponent_check(p_limit: int,
         (holds_everywhere, worst_k) where worst_k maximizes
         (p_{k+1} - p_k) / p_k^0.526.
     """
-    if p_limit > tables.limit:
-        raise InsufficientSieveError(
-            f"p_limit {p_limit} beyond table limit {tables.limit}")
-    count = int(np.searchsorted(tables.primes, p_limit, side="right"))
-    if count < 2:
-        raise ValueError(f"need at least two primes <= {p_limit}")
+    count = tables.prime_count(tables.check(p_limit, 3, "p_limit"))
     ps = tables.primes[:count].astype(np.float64)
     scores = (ps[1:] - ps[:-1]) / ps[:-1] ** _GAP_ALPHA
     worst = int(np.argmax(scores))

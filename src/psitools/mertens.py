@@ -3,11 +3,13 @@
 All finite prime products are evaluated as exp of a compensated sum of
 log terms; a naive running float product over ~10^6 factors would
 accumulate visible rounding drift, the log path keeps relative error at
-a few ulp.
+a few ulp.  Every prime sum reads the prime list 2**16 primes at a
+time, so its temporaries stay that size whatever x is.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum, log, pi, sqrt
 
 import numpy as np
@@ -15,7 +17,7 @@ import numpy as np
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
 from .sieve import InsufficientSieveError, SieveTables
-from .summation import compensated_cumsum
+from .summation import chunked, compensated_sum
 
 __all__ = [
     "ProgressionSum",
@@ -65,15 +67,12 @@ class DusartResult:
 
 
 def _primes_upto(x: float, tables: SieveTables) -> np.ndarray:
-    tables.check(x, 2)
-    count = int(np.searchsorted(tables.primes, x, side="right"))
-    return tables.primes[:count]
+    return tables.primes[:tables.prime_count(tables.check(x, 2))]
 
 
 def prime_harmonic(x: float, tables: SieveTables) -> ResidualSample:
     """sum_{p <= x} 1/p against its main term log log x + B1."""
-    ps = _primes_upto(x, tables)
-    value = float(compensated_cumsum(1.0 / ps.astype(np.float64))[-1])
+    value = compensated_sum(1.0 / c for c in chunked(_primes_upto(x, tables)))
     return make_sample(x, value, log(log(x)) + _B1)
 
 
@@ -92,9 +91,7 @@ def prime_harmonic_progression(x: float, q: int, a: int,
     if np.gcd(a, q) != 1:
         raise ValueError(f"residue {a} not coprime to modulus {q}")
     ps = _primes_upto(x, tables)
-    sel = ps[ps % q == a]
-    total = (float(compensated_cumsum(1.0 / sel.astype(np.float64))[-1])
-             if sel.size else 0.0)
+    total = compensated_sum(1.0 / c[c % q == a] for c in chunked(ps))
     phi_q = profile(q, tables).phi
     return ProgressionSum(q=q, a=a, x=float(x), sum=total,
                           b_estimate=total - log(log(x)) / phi_q)
@@ -102,16 +99,16 @@ def prime_harmonic_progression(x: float, q: int, a: int,
 
 def euler_product_inv(x: float, tables: SieveTables) -> ResidualSample:
     """prod_{p <= x} (1 - 1/p)^(-1) against e^gamma log x."""
-    ps = _primes_upto(x, tables).astype(np.float64)
-    value = float(np.exp(compensated_cumsum(-np.log1p(-1.0 / ps))[-1]))
-    return make_sample(x, value, _E_GAMMA * log(x))
+    ps = _primes_upto(x, tables)
+    value = np.exp(compensated_sum(-np.log1p(-1.0 / c) for c in chunked(ps)))
+    return make_sample(x, float(value), _E_GAMMA * log(x))
 
 
 def psi_product(x: float, tables: SieveTables) -> ResidualSample:
     """prod_{p <= x} (1 + 1/p) against (6 e^gamma / pi^2) log x."""
-    ps = _primes_upto(x, tables).astype(np.float64)
-    value = float(np.exp(compensated_cumsum(np.log1p(1.0 / ps))[-1]))
-    return make_sample(x, value, _THRESHOLD * log(x))
+    ps = _primes_upto(x, tables)
+    value = np.exp(compensated_sum(np.log1p(1.0 / c) for c in chunked(ps)))
+    return make_sample(x, float(value), _THRESHOLD * log(x))
 
 
 def oscillation_g(x: float, tables: SieveTables) -> float:
@@ -130,7 +127,8 @@ def compute_B1(prime_limit: int, tables: SieveTables) -> tuple[float, float]:
     B1 = gamma - sum_p (-log(1 - 1/p) - 1/p); each term is the closed
     form of sum_{n>=2} 1/(n p^n), so the only truncation is the primes
     above prime_limit.  That tail is below sum_{p > L} 1/(p(p-1)),
-    itself below 1/(L - 1).
+    itself below 1/(L - 1).  math.fsum takes the terms 2**16 primes at
+    a time and is exact, so the chunking cannot change the result.
 
     Returns:
         (value, tail_bound).
@@ -141,9 +139,9 @@ def compute_B1(prime_limit: int, tables: SieveTables) -> tuple[float, float]:
             f"prime_limit {prime_limit} beyond table limit {tables.limit}")
     if prime_limit < 2:
         return _GAMMA, 1.0
-    ps = _primes_upto(prime_limit, tables).astype(np.float64)
-    inv = 1.0 / ps
-    correction = fsum((-np.log1p(-inv) - inv).tolist())
+    invs = (1.0 / c for c in chunked(_primes_upto(prime_limit, tables)))
+    correction = fsum(chain.from_iterable(
+        (-np.log1p(-inv) - inv).tolist() for inv in invs))
     return _GAMMA - correction, 1.0 / (prime_limit - 1)
 
 

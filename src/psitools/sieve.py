@@ -1,11 +1,10 @@
-"""Sieve tables (Mobius, primes, theta prefix) and psi blocks.
+"""Sieve tables (Mobius and primes) and psi blocks.
 
 build_sieve produces one immutable bundle of arrays that most other
 modules consume:
 
   mobius[n]       mu(n) in {-1, 0, 1}                   (mobius[0] = 0)
   primes[i]       i-th prime (ascending, all <= limit)
-  theta_prefix[i] sum of log p over primes[0..i]
 
 Construction is chunked: a base bool sieve finds the primes up to
 sqrt(limit), then fixed-size segments are filled by a numpy kernel
@@ -15,6 +14,9 @@ mu and the primes; a block's smallest prime factors are read once, to
 pick out its primes, and dropped.  The same segment kernel serves ranges
 above the base table (segment_scan), so scans beyond limit need nothing
 but the prime list up to sqrt of the range end.
+
+Nothing derived from the primes is stored: theta(x) sums log p itself,
+and log N_k = theta(p_k) is a column of extrema.primorial_columns.
 
 psi_blocks streams exact psi(n) over any range below 2**40 + 1 the
 same way, from its own primes up to sqrt of the range end, with no
@@ -28,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .summation import compensated_cumsum
+from .summation import chunked, compensated_sum
 
 __all__ = [
     "SEGMENT_SIZE",
@@ -60,10 +62,9 @@ class SieveTables:
     limit: int
     mobius: np.ndarray
     primes: np.ndarray
-    theta_prefix: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.mobius, self.primes, self.theta_prefix):
+        for arr in (self.mobius, self.primes):
             arr.setflags(write=False)
 
     def prime_count(self, x: float) -> int:
@@ -205,7 +206,7 @@ def build_sieve(limit: int) -> SieveTables:
 
     Args:
         limit: inclusive upper bound, 2 <= limit <= 2**40.  The tables
-            take 1 byte per n for mobius and 16 bytes per prime.
+            take 1 byte per n for mobius and 8 bytes per prime.
 
     Returns:
         SieveTables with read-only arrays.
@@ -229,9 +230,7 @@ def build_sieve(limit: int) -> SieveTables:
         large_prime_chunks.append(hits[hits > root])
     mobius[0] = 0
     primes = np.concatenate([base_primes] + large_prime_chunks)
-    theta_prefix = compensated_cumsum(np.log(primes.astype(np.float64)))
-    return SieveTables(limit=limit, mobius=mobius, primes=primes,
-                       theta_prefix=theta_prefix)
+    return SieveTables(limit=limit, mobius=mobius, primes=primes)
 
 
 def theta(x: float, tables: SieveTables) -> float:
@@ -242,11 +241,12 @@ def theta(x: float, tables: SieveTables) -> float:
         tables: sieve tables covering x.
 
     Returns:
-        theta(x) from the compensated prefix table (0.0 below 2).
+        theta(x) as a compensated sum in ascending p, 2**16 primes at a
+        time (0.0 below 2); the same bits as the log_N column of
+        extrema.primorial_columns at the largest p_k <= x.
     """
-    tables.check(x, 0)
-    i = int(np.searchsorted(tables.primes, x, side="right"))
-    return float(tables.theta_prefix[i - 1]) if i else 0.0
+    primes = tables.primes[:tables.prime_count(tables.check(x, 0))]
+    return compensated_sum(np.log(c.astype(float)) for c in chunked(primes))
 
 
 def segment_scan(lo: int, hi: int,

@@ -22,7 +22,7 @@ import numpy as np
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
 from .sieve import InsufficientSieveError, SieveTables
-from .summation import _CHUNK, compensated_chunks
+from .summation import _CHUNK, compensated_sum
 
 __all__ = [
     "count_squarefree_exact",
@@ -123,8 +123,7 @@ def squarefree_harmonic(x: int, tables: SieveTables) -> ResidualSample:
     mobius = tables.mobius[:int(x) + 1]
     reciprocals = (1.0 / (np.flatnonzero(mobius[lo:lo + _CHUNK]) + lo)
                    for lo in range(1, mobius.size, _CHUNK))
-    for sums in compensated_chunks(reciprocals):
-        value = float(sums[-1])
+    value = compensated_sum(reciprocals)
     return make_sample(x, value, _SIX_OVER_PI_SQ * log(x))
 
 

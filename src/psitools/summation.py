@@ -10,9 +10,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["compensated_chunks", "compensated_cumsum"]
+__all__ = ["chunked", "compensated_chunks", "compensated_cumsum",
+           "compensated_sum"]
 
 _CHUNK = 1 << 16  # elements per chunk, and so per temporary
+
+
+def chunked(a: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive slices of a, _CHUNK values each (the last may be short)."""
+    return (a[i:i + _CHUNK] for i in range(0, len(a), _CHUNK))
 
 
 def compensated_chunks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
@@ -40,8 +46,15 @@ def compensated_chunks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
 def compensated_cumsum(values) -> np.ndarray:
     """Prefix sums of a float64 array, each accurate to ~1 ulp."""
     a = np.ascontiguousarray(values, dtype=np.float64)
-    out, cuts = np.empty_like(a), range(_CHUNK, a.size, _CHUNK)
-    for dest, sums in zip(np.split(out, cuts),
-                          compensated_chunks(np.split(a, cuts))):
+    out = np.empty_like(a)
+    for dest, sums in zip(chunked(out), compensated_chunks(chunked(a))):
         dest[:] = sums
     return out
+
+
+def compensated_sum(chunks: Iterable[np.ndarray]) -> float:
+    """The whole sum, the last prefix of compensated_chunks (0.0 if none)."""
+    total = 0.0
+    for sums in compensated_chunks(chunks):
+        total = float(sums[-1])
+    return total

@@ -245,6 +245,21 @@ def test_primorial_ratio_envelope(tables_1e8):
     assert float(ratios.max()) == pytest.approx(1.00012726, abs=1e-6)
 
 
+def test_upper_bound_certificate_to_1e8(tables_1e8):
+    # R(N_k) = psi(N_k) / (N_k log log N_k) < e^gamma for 4 <= k <= K: as
+    # R is largest on [N_k, N_{k+1}) at N_k, this covers every n in
+    # [210, N_{K+1}), K = 5,761,455
+    cols = primorial_columns(100_000_000, tables_1e8)
+    r = cols["psi_ratio"] / cols["loglog_N"]
+    assert r.size == 5_761_455
+    e_gamma = get_constant("e_gamma").value
+    assert bool(np.all(r[3:] < e_gamma))
+    # the largest is at k = 4, N = 210
+    assert int(np.argmax(r[3:])) == 0
+    assert float(r[3]) == pytest.approx(1.636007, abs=1e-6)
+    assert e_gamma - float(r[3]) == pytest.approx(0.1451, abs=1e-4)
+
+
 def test_margins_decrease_at_scale(tables_1e8):
     margins = primorial_columns(100_000_000, tables_1e8)["margin"]
     assert bool(np.all(np.diff(margins[9:]) < 0))

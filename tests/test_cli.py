@@ -148,7 +148,8 @@ def test_jumps(capsys):
 
 
 def test_jumps_sums_the_log_terms_once(capsys, monkeypatch):
-    # one compensated sum for all k, not one per k
+    # one compensated sum over all k for each of the theta prefix and the
+    # psi-ratio prefix, not one per k
     calls = []
     real = extrema.compensated_cumsum
 
@@ -160,7 +161,7 @@ def test_jumps_sums_the_log_terms_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "jumps", "--kmax", "500")
     assert code == 0
     assert len(out.splitlines()) == 501
-    assert calls == [500]
+    assert calls == [500, 500]
 
 
 def test_verify_psi_rows_across_chunks(capsys):

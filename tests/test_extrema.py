@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from psitools import extrema
 from psitools.arith import profile
@@ -104,6 +105,33 @@ def test_upper_bound_on_primorial_columns(tables_1e6):
     # N_2 = 6 and N_3 = 30 are among the exceptions (R(2) < 0)
     assert bool(np.all(r[1:3] >= e_gamma))
     assert float(r[3:].max()) == pytest.approx(1.63601, abs=1e-5)
+
+
+@pytest.mark.parametrize("x, argmax_set", [
+    (100, [30, 60, 90]),
+    (10 ** 4, [2_310, 4_620, 6_930, 9_240]),
+    (10 ** 6, [510_510]),
+])
+def test_psi_ratio_maximisers_are_the_primorial_radicals(x, argmax_set):
+    # the n <= x that maximise psi(n)/n are exactly those with rad(n) = N_k,
+    # N_k the largest primorial <= x; equal rationals round to equal floats
+    best, at = 0.0, []
+    for first, psi in psi_blocks(2, x + 1):
+        n = np.arange(first, first + len(psi))
+        ratios = psi / n
+        top = float(ratios.max())
+        if top > best:
+            best, at = top, []
+        if top == best:
+            at += n[ratios == top].tolist()
+    assert at == argmax_set
+    primorial = 1
+    for p in sympy.primerange(2, x):
+        if primorial * p > x:
+            break
+        primorial *= p
+    assert at == [n for n in range(primorial, x + 1, primorial)
+                  if math.prod(sympy.primefactors(n)) == primorial]
 
 
 def jump_delta_reference(k, tables):
@@ -297,19 +325,38 @@ def test_grid_domain():
 
 
 def test_loglog_gap(tables_1e4):
-    assert loglog_gap(2, tables_1e4) == pytest.approx(0.6332762167488643, rel=1e-13)
-    assert loglog_gap(3, tables_1e4) == pytest.approx(0.2736566167458503, rel=1e-13)
-    assert loglog_gap(4, tables_1e4) == pytest.approx(0.14898826071745164, rel=1e-13)
+    g2, g3, g4 = loglog_gap([2, 3, 4], tables_1e4)
+    assert g2 == pytest.approx(0.6332762167488643, rel=1e-13)
+    assert g3 == pytest.approx(0.2736566167458503, rel=1e-13)
+    assert g4 == pytest.approx(0.14898826071745164, rel=1e-13)
     # reference digits 0.273699 / 0.14909 carry ~1e-4 rounding slack
-    assert loglog_gap(3, tables_1e4) == pytest.approx(0.273699, abs=1e-4)
-    assert loglog_gap(4, tables_1e4) == pytest.approx(0.14909, abs=2e-4)
-    with pytest.raises(ValueError):
-        loglog_gap(1, tables_1e4)
+    assert g3 == pytest.approx(0.273699, abs=1e-4)
+    assert g4 == pytest.approx(0.14909, abs=2e-4)
+    # the ks come back in their own order, repeats included
+    assert loglog_gap([4, 2, 4], tables_1e4) == [g4, g2, g4]
+    for ks in ([1], [3, 1], []):
+        with pytest.raises(ValueError):
+            loglog_gap(ks, tables_1e4)
+
+
+def loglog_gap_reference(k, tables):
+    """The former per-k gap, O(k) work for one k: loglog_gap reference."""
+    ps = tables.primes[:k].astype(np.float64)
+    log_n = float(compensated_cumsum(np.log(ps))[-1])
+    return math.log(math.log(int(tables.primes[k - 1]))) - math.log(
+        math.log(log_n))
+
+
+def test_loglog_gap_matches_per_k_reference(tables_1e5):
+    # bitwise, every k <= 2000
+    gaps = loglog_gap(range(2, 2_001), tables_1e5)
+    assert gaps == [loglog_gap_reference(k, tables_1e5)
+                    for k in range(2, 2_001)]
 
 
 def test_loglog_gap_shrinks(tables_1e4):
     # positive everywhere; oscillates with the gaps, but the envelope decays
-    gaps = [loglog_gap(k, tables_1e4) for k in range(2, 200)]
+    gaps = loglog_gap(range(2, 200), tables_1e4)
     assert all(g > 0 for g in gaps)
     assert max(gaps[100:]) < min(gaps[:3])
 

@@ -13,6 +13,7 @@ from psitools import (InsufficientSieveError, SieveTables, build_sieve,
 from psitools import arith, constants, extrema, mertens, squarefree
 from psitools.sieve import MAX_LIMIT, _sieve_block
 from psitools.squarefree import count_squarefree_formula
+from psitools.summation import compensated_cumsum
 
 
 def brute_mobius(n):
@@ -80,10 +81,34 @@ def test_theta_values(tables_1e5):
 
 
 def test_theta_prefix_steps_are_prime_logs(tables_1e5):
-    prefix = tables_1e5.theta_prefix
+    # the theta prefix is the log_N column of the primorials
+    prefix = extrema.primorial_columns(100_000, tables_1e5)["log_N"]
     steps = np.diff(prefix)
     logs = np.log(tables_1e5.primes[1:].astype(np.float64))
     assert np.max(np.abs(steps - logs)) <= 1e-10
+
+
+def test_theta_and_log_n_match_one_prefix_pass(tables_2e6):
+    # bitwise against one compensated prefix over every prime's log, at
+    # sampled counts i, among them either side of 2**16 and 2**17
+    primes = tables_2e6.primes
+    reference = compensated_cumsum(np.log(primes.astype(np.float64)))
+    assert len(primes) > 2 ** 17 + 1
+    rng = random.Random(20261018)
+    counts = sorted({1, 2, 3, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17,
+                     2 ** 17 + 1, len(primes)}
+                    | {rng.randrange(1, len(primes)) for _ in range(300)})
+    for i in counts:
+        p = int(primes[i - 1])
+        assert theta(p, tables_2e6) == reference[i - 1], i
+        assert theta(p + 0.5, tables_2e6) == reference[i - 1], i
+    assert np.array_equal(
+        extrema.primorial_columns(tables_2e6.limit, tables_2e6)["log_N"],
+        reference)
+    for i in (2 ** 16 - 1, 2 ** 16 + 1, 100_003):
+        log_n = extrema.primorial_columns(int(primes[i - 1]),
+                                          tables_2e6)["log_N"]
+        assert np.array_equal(log_n, reference[:i]), i
 
 
 def test_theta_domain(tables_1e4):
@@ -130,7 +155,7 @@ def test_build_small():
     assert tables.primes.tolist() == [2, 3, 5, 7]
     assert tables.mobius[:11].tolist() == [0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
     assert [f.name for f in dataclasses.fields(SieveTables)] == [
-        "limit", "mobius", "primes", "theta_prefix"]
+        "limit", "mobius", "primes"]
 
     tiny = build_sieve(2)
     assert tiny.primes.tolist() == [2]
@@ -150,7 +175,6 @@ def test_build_deterministic():
     b = build_sieve(3_000)
     assert np.array_equal(a.mobius, b.mobius)
     assert np.array_equal(a.primes, b.primes)
-    assert np.array_equal(a.theta_prefix, b.theta_prefix)
 
 
 @pytest.mark.parametrize("call", [
@@ -167,7 +191,7 @@ def test_build_deterministic():
     lambda t: mertens.compute_B1(10_001, t),
     lambda t: extrema.primorial_columns(10_001, t),
     lambda t: extrema.jump_deltas(1_229, t),  # needs the 1,230th prime
-    lambda t: extrema.loglog_gap(1_230, t),
+    lambda t: extrema.loglog_gap([1_230], t),
     lambda t: extrema.gap_exponent_check(10_001, t),
     lambda t: constants.crosscheck_constants(t),  # needs limit >= 1e6
 ], ids=["theta", "factor", "count_squarefree_exact",
@@ -187,8 +211,6 @@ def test_tables_immutable(tables_1e4):
         tables_1e4.mobius[4] = 1
     with pytest.raises(ValueError):
         tables_1e4.primes[0] = 3
-    with pytest.raises(ValueError):
-        tables_1e4.theta_prefix[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from psitools import summation
-from psitools.summation import compensated_chunks, compensated_cumsum
+from psitools.summation import (chunked, compensated_chunks,
+                                compensated_cumsum, compensated_sum)
 
 
 def test_compensated_cumsum_prefixes_match_fsum():
@@ -58,3 +59,17 @@ def test_compensated_chunks_carry_across_uneven_chunks():
     joined = np.concatenate(list(compensated_chunks(pieces)))
     assert joined.tobytes() == _one_pass_reference(values).tobytes()
     assert list(compensated_chunks([np.array([])])) == []
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+def test_compensated_sum_is_the_last_prefix(monkeypatch, chunk):
+    # the whole sum over chunked slices has the bits of one pass's last
+    # prefix, for any chunk length
+    values = np.log1p(1.0 / np.arange(2.0, 5_002.0))
+    monkeypatch.setattr(summation, "_CHUNK", chunk)
+    pieces = list(chunked(values))
+    assert [len(p) for p in pieces[:-1]] == [chunk] * (len(pieces) - 1)
+    assert np.concatenate(pieces).tobytes() == values.tobytes()
+    total = compensated_sum(pieces)
+    assert total.hex() == float(_one_pass_reference(values)[-1]).hex()
+    assert compensated_sum([]) == compensated_sum([np.array([])]) == 0.0
