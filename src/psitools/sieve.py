@@ -7,13 +7,16 @@ modules consume:
   primes[i]       i-th prime (ascending, all <= limit)
 
 Construction is chunked: a base bool sieve finds the primes up to
-sqrt(limit), then fixed-size segments are filled by a numpy kernel
-(strided writes for small primes, gathered hits for large ones) that
-yields the smallest prime factor and mu of each n.  The tables keep
-mu and the primes; a block's smallest prime factors are read once, to
-pick out its primes, and dropped.  The same segment kernel serves ranges
-above the base table (segment_scan), so scans beyond limit need nothing
-but the prime list up to sqrt of the range end.
+sqrt(limit), then fixed-size segments are filled by a numpy Mobius
+kernel (strided writes for small primes, gathered hits for large ones)
+that divides nothing: each prime negates mu at its multiples and
+multiplies a product of the primes found there, and one comparison of
+that product with n gives the last flip.  The n that no sieving prime
+touched are the block's primes above sqrt(limit).  The same kernel
+serves ranges above the base table (segment_scan), so scans beyond
+limit need nothing but the prime list up to sqrt of the range end;
+the smallest prime factors that segment_scan also yields are its own
+pass, _spf_block.
 
 Nothing derived from the primes is stored: theta(x) sums log p itself,
 and log N_k = theta(p_k) is a column of extrema.primorial_columns.
@@ -25,7 +28,7 @@ tables at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, log
 from typing import Iterator
 
 import numpy as np
@@ -44,7 +47,7 @@ __all__ = [
 ]
 
 SEGMENT_SIZE = 1 << 20
-# hits per chunk of the large-prime pass in _sieve_block
+# hits per chunk of the large-prime passes of the segment kernels
 _HIT_CHUNK = 1 << 16
 # values per sub-chunk that segment_scan converts to Python ints
 _SCAN_CHUNK = 1 << 16
@@ -121,84 +124,152 @@ def _hit_chunks(lo: int, n: int,
             yield np.repeat(first[a:b], c) + step * k, step
 
 
-def _sieve_block(lo: int, hi: int, primes: np.ndarray,
-                 spf_dtype: type) -> tuple[np.ndarray, np.ndarray]:
-    """SPF and Mobius arrays for the half-open range [lo, hi).
+def _index_dtype(hi: int) -> type:
+    """int32 when every n below hi fits it, else int64."""
+    return np.int32 if hi <= 2 ** 31 else np.int64
 
-    primes must cover sqrt(hi - 1).  Each prime p lowers spf to p, flips
-    the sign of mobius and divides p once out of a residual copy of the
-    range at its multiples, and zeroes mobius at multiples of p^2.  An
-    index that no p^2 divides is left with residual 1 or with exactly
-    one prime factor above sqrt(hi), which gets one final flip (indices
-    already zeroed stay zero under negation, whatever their residual);
-    spf is n wherever no prime reached it.
 
-    Primes up to the block length / 64 do this with strided slice
-    writes (spf in descending order, so the last write at every index is
-    the smallest factor).  Larger primes hit the block about 64 times
-    at most: their multiples are gathered into index arrays and applied
+def _split(lo: int, hi: int,
+           primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The primes up to sqrt(hi - 1), split into strided and gathered ones.
+
+    Primes up to the block length / 64 are applied by strided slice
+    writes.  Larger ones hit the block about 64 times at most: their
+    multiples are gathered by _hit_chunks into index arrays and applied
     by unbuffered ufunc.at calls, so the Python loop runs once per chunk
     of hits rather than once per prime.
+    """
+    sieving = primes[primes <= isqrt(hi - 1)]
+    split = int(np.searchsorted(sieving, (hi - lo) >> 6, side="right"))
+    return sieving[:split], sieving[split:]
 
-    Entries for n < 2 are cleaned up by the caller.
+
+def _mobius_block(lo: int, hi: int,
+                  primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mobius values of [lo, hi), and where no sieving prime divides n.
+
+    primes must cover sqrt(hi - 1).  Each prime p negates mobius at its
+    multiples, multiplies a found-factor product by p there, and zeroes
+    mobius at multiples of p^2.  found stays a divisor of n, so it fits
+    the int32 of _index_dtype; n = 0, a multiple of every prime, starts
+    and stays at 0.  An index with found < n has exactly one prime factor
+    above sqrt(hi - 1) when it is squarefree, and gets one final flip
+    (indices already zeroed stay zero under negation).  untouched
+    (found == 1) marks exactly the primes above sqrt(hi - 1), and n = 1.
+
+    Entry n = 0 is left to the caller.
     """
     n = hi - lo
-    sentinel = np.iinfo(spf_dtype).max
-    spf = np.full(n, sentinel, dtype=spf_dtype)
+    dtype = _index_dtype(hi)
     mobius = np.ones(n, dtype=np.int8)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    top = hi - 1
-    sieving = primes[primes <= isqrt(top)]
-    split = int(np.searchsorted(sieving, n >> 6, side="right"))
-    small, large = sieving[:split], sieving[split:]
-    for p in small[::-1].tolist():
-        spf[(-lo) % p::p] = p
+    found = np.ones(n, dtype=dtype)
+    if lo == 0:
+        found[0] = 0
+    small, large = _split(lo, hi, primes)
     for p in small.tolist():
         start = (-lo) % p
-        mobius[start::p] = -mobius[start::p]
-        rem[start::p] //= p
+        view = mobius[start::p]
+        np.negative(view, out=view)
+        found[start::p] *= p
         mobius[(-lo) % (p * p)::p * p] = 0
     for index, p in _hit_chunks(lo, n, large):
-        np.floor_divide.at(rem, index, p)
+        np.multiply.at(found, index, p.astype(dtype))
         np.negative.at(mobius, index)
-        np.minimum.at(spf, index, p.astype(spf_dtype))
     for index, _ in _hit_chunks(lo, n, large * large):
         mobius[index] = 0
-    large_factor = rem > 1
-    mobius[large_factor] = -mobius[large_factor]
-    unmarked = spf == sentinel
-    if lo == 0:
-        spf[:2][unmarked[:2]] = 0
-        unmarked[:2] = False
-    spf[unmarked] = (np.nonzero(unmarked)[0] + lo).astype(spf_dtype)
-    return spf, mobius
+    np.negative(mobius, out=mobius,
+                where=found < np.arange(lo, hi, dtype=dtype))
+    return mobius, found == 1
+
+
+def _spf_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """Smallest prime factor of each n in [lo, hi); primes must cover
+    sqrt(hi - 1).
+
+    Starts from n itself; strided writes in descending order of p leave
+    the smallest factor last, and gathered large primes lower it with
+    np.minimum.at.  A block at lo = 0 gives n = 1 the value 0, and n = 0
+    the least sieving prime (0 if there is none).
+    """
+    dtype = _index_dtype(hi)
+    unset = np.iinfo(dtype).max
+    spf = np.arange(lo, hi, dtype=dtype)
+    head = spf[:2 if lo == 0 else 0]
+    head[:] = unset
+    small, large = _split(lo, hi, primes)
+    for p in small[::-1].tolist():
+        spf[(-lo) % p::p] = p
+    for index, p in _hit_chunks(lo, hi - lo, large):
+        np.minimum.at(spf, index, p.astype(dtype))
+    head[head == unset] = 0
+    return spf
 
 
 def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
     """Write psi(n) for n in [lo, hi) into out; primes must cover sqrt(hi - 1).
 
-    The residual trick of _sieve_block: each prime p multiplies its
-    multiples by p + 1 and divides p out of a residual copy of the range,
-    and each higher power p^a multiplies by a further p and divides out a
-    further p.  An index left with residual > 1 has exactly one prime
-    factor q above sqrt(hi - 1) and gets one final factor q + 1.
-    Entry n = 0, a multiple of every prime, is left to the caller.
+    The found-factor product of _mobius_block, over prime powers: each
+    prime p multiplies its multiples by p + 1 in out and by p in found,
+    and each higher power p^a multiplies both by a further p.  found is
+    then the part of n made of primes up to sqrt(hi - 1), and the one
+    division q = n / found leaves 1 or the one prime factor q above it,
+    which gives a final factor q + 1.  Entry n = 0, a multiple of every
+    prime, is left to the caller.
     """
     out[:] = 1
-    rem = np.arange(lo, hi, dtype=np.int64)
+    found = np.ones(hi - lo, dtype=_index_dtype(hi))
+    if lo == 0:
+        found[0] = 0
     top = hi - 1
     for p in primes[primes <= isqrt(top)].tolist():
         start = (-lo) % p
         out[start::p] *= p + 1
-        rem[start::p] //= p
+        found[start::p] *= p
         power = p * p
         while power <= top:
             start = (-lo) % power
             out[start::power] *= p
-            rem[start::power] //= p
+            found[start::power] *= p
             power *= p
-    large = rem > 1
-    out[large] *= rem[large] + 1
+    if lo == 0:
+        found[0] = 1  # so that q = 0 there
+    q = np.arange(lo, hi, dtype=np.int64)
+    q //= found
+    q += 1
+    np.multiply(out, q, out=out, where=q > 2)
+
+
+def _prime_bound(x: int) -> int:
+    """An upper bound on pi(x) for x >= 2: Rosser and Schoenfeld (1962)
+    give pi(x) < 1.25506 x / log x for x > 1."""
+    return int(1.25506 * x / log(x)) + 1
+
+
+def _available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None if unreadable."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_memory(limit: int) -> None:
+    """Raise MemoryError if build_sieve(limit) plainly cannot fit.
+
+    The estimate is 1 byte per n for mobius, 8 bytes per prime by
+    _prime_bound, and about 32 bytes per n of one block's temporaries.
+    """
+    need = (limit + 1 + 8 * _prime_bound(limit)
+            + 32 * min(SEGMENT_SIZE, limit + 1))
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise MemoryError(
+            f"build_sieve({limit}) needs about {need / 2 ** 20:,.0f} MiB, "
+            f"but only {available / 2 ** 20:,.0f} MiB are available")
 
 
 def build_sieve(limit: int) -> SieveTables:
@@ -210,26 +281,34 @@ def build_sieve(limit: int) -> SieveTables:
 
     Returns:
         SieveTables with read-only arrays.
+
+    Raises MemoryError, before allocating, if the estimate of
+    _check_memory exceeds the memory available.
     """
     if not isinstance(limit, (int, np.integer)) or isinstance(limit, bool):
         raise ValueError(f"limit must be an integer, got {limit!r}")
     limit = int(limit)
     if not 2 <= limit <= MAX_LIMIT:
         raise ValueError(f"limit must be in [2, 2**40], got {limit}")
+    _check_memory(limit)
 
-    spf_dtype = np.int32 if limit < 2 ** 31 else np.int64
     root = isqrt(limit)
     base_primes = _small_primes(root)
     mobius = np.empty(limit + 1, dtype=np.int8)
-    large_prime_chunks: list[np.ndarray] = []
+    # one array sized by the bound, filled block by block and shrunk
+    primes = np.empty(_prime_bound(limit), dtype=np.int64)
+    count = len(base_primes)
+    primes[:count] = base_primes
     for lo in range(0, limit + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, limit + 1)
-        blk_spf, mobius[lo:hi] = _sieve_block(lo, hi, base_primes, spf_dtype)
-        # primes above sqrt(limit) are exactly the entries spf left at n
-        hits = np.nonzero(blk_spf == np.arange(lo, hi, dtype=spf_dtype))[0] + lo
-        large_prime_chunks.append(hits[hits > root])
+        mobius[lo:hi], untouched = _mobius_block(lo, hi, base_primes)
+        # the primes above sqrt(limit) are exactly the untouched n above it
+        hits = np.flatnonzero(untouched[max(root + 1 - lo, 0):])
+        hits += max(root + 1, lo)
+        primes[count:count + len(hits)] = hits
+        count += len(hits)
     mobius[0] = 0
-    primes = np.concatenate([base_primes] + large_prime_chunks)
+    primes.resize(count, refcheck=False)  # no view of it exists yet
     return SieveTables(limit=limit, mobius=mobius, primes=primes)
 
 
@@ -254,9 +333,9 @@ def segment_scan(lo: int, hi: int,
     """Yield (n, spf(n), mu(n)) for every n in the inclusive range [lo, hi].
 
     Works above tables.limit as long as the prime list covers sqrt(hi);
-    values are recomputed segment by segment with the same kernel that
-    built the base table, so a scan over the base range reproduces it
-    exactly.
+    mu is recomputed segment by segment with the same kernel that built
+    the base table, so a scan over the base range reproduces it exactly,
+    and spf by the separate pass _spf_block.
     """
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -266,10 +345,10 @@ def segment_scan(lo: int, hi: int,
             f"but tables stop at {tables.limit}")
     root = isqrt(hi)
     need = tables.primes[:int(np.searchsorted(tables.primes, root, side="right"))]
-    spf_dtype = np.int32 if hi < 2 ** 31 else np.int64
     for seg_lo in range(lo, hi + 1, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE, hi + 1)
-        blk_spf, blk_mob = _sieve_block(seg_lo, seg_hi, need, spf_dtype)
+        blk_mob, _ = _mobius_block(seg_lo, seg_hi, need)
+        blk_spf = _spf_block(seg_lo, seg_hi, need)
         # Python ints a sub-chunk at a time: fast to iterate, small lists
         for a in range(0, seg_hi - seg_lo, _SCAN_CHUNK):
             b = a + _SCAN_CHUNK

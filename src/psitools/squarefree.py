@@ -70,8 +70,9 @@ def count_squarefree_formula(x: int, tables: SieveTables) -> int:
     if x > 2 ** 62:  # keep the floor divisions exact beyond int64
         return x + sum(int(mob[dd]) * (x // (int(dd) * int(dd)))
                        for dd in d.tolist())
-    terms = mob[d].astype(np.int64) * (x // (d.astype(np.int64) ** 2))
-    return x + int(terms.sum())
+    sq = d * d
+    np.floor_divide(x, sq, out=sq)
+    return x + int(np.dot(mob[d], sq))
 
 
 def count_squarefree_formula_range(xmax: int, tables: SieveTables) -> np.ndarray:

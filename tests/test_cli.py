@@ -465,6 +465,16 @@ def test_allocation_failure_exits_2(capsys, monkeypatch):
     assert err.startswith("error: cannot allocate")
 
 
+def test_limit_beyond_available_memory_exits_2(capsys, monkeypatch):
+    # build_sieve refuses before allocating; no table of 1e7 is built
+    monkeypatch.setattr(sieve, "_available_bytes", lambda: 2 ** 20)
+    code, out, err = run(capsys, "sieve-info", "--limit", str(10 ** 7))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: build_sieve(10000000) needs about 47 MiB, "
+                   "but only 1 MiB are available\n")
+
+
 @pytest.mark.parametrize("module", ["psitools", "psitools.cli"])
 def test_module_entry_point(module):
     done = run_module(module, "tail-sum", "--x", "10")

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import strategies as st
 
 from psitools import (InsufficientSieveError, SieveTables, build_sieve,
                       segment_scan, theta)
-from psitools import arith, constants, extrema, mertens, squarefree
-from psitools.sieve import MAX_LIMIT, _sieve_block
+from psitools import arith, constants, extrema, mertens, sieve, squarefree
+from psitools.sieve import (MAX_LIMIT, _mobius_block, _small_primes,
+                            _spf_block)
 from psitools.squarefree import count_squarefree_formula
 from psitools.summation import compensated_cumsum
 
@@ -283,8 +286,9 @@ def test_segment_scan_window_holding_large_prime_square(
 
 
 def reference_sieve_block(lo, hi, primes, spf_dtype):
-    """The kernel with a strided-write loop over every prime, as it was
-    before large primes were gathered; _sieve_block must match it."""
+    """The old spf-and-Mobius kernel, with a strided-write loop over every
+    prime and a residual divided at every prime power; _spf_block and
+    _mobius_block must match it."""
     n = hi - lo
     spf = np.zeros(n, dtype=spf_dtype)
     mobius = np.ones(n, dtype=np.int8)
@@ -314,12 +318,17 @@ def reference_sieve_block(lo, hi, primes, spf_dtype):
 
 def assert_block_matches_reference(lo, length, primes):
     hi = lo + length
-    for dtype in (np.int32, np.int64) if hi <= 2 ** 31 else (np.int64,):
-        got = _sieve_block(lo, hi, primes, dtype)
-        want = reference_sieve_block(lo, hi, primes, dtype)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            assert np.array_equal(g, w), (lo, hi)
+    dtype = np.int32 if hi <= 2 ** 31 else np.int64
+    mu, untouched = _mobius_block(lo, hi, primes)
+    got = _spf_block(lo, hi, primes), mu
+    want = reference_sieve_block(lo, hi, primes, dtype)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w), (lo, hi)
+    # untouched marks the primes above sqrt(hi - 1), and n = 1
+    n = np.arange(lo, hi)
+    primes_above = (want[0] == n) & (n > math.isqrt(hi - 1))
+    assert np.array_equal(untouched, primes_above | (n == 1)), (lo, hi)
 
 
 # the reference loop costs one Python step per prime below sqrt(hi), so
@@ -343,11 +352,13 @@ def test_sieve_block_matches_reference_fixed(tables_2e6, lo, length):
 @pytest.mark.parametrize("length", [1, 2, 3, 64, 200, 4096])
 def test_sieve_block_at_start(tables_1e4, lo, length):
     hi = lo + length
-    spf, mu = _sieve_block(lo, hi, tables_1e4.primes, np.int32)
+    mu, untouched = _mobius_block(lo, hi, tables_1e4.primes)
+    spf = _spf_block(lo, hi, tables_1e4.primes)
     assert spf.dtype == np.int32 and mu.dtype == np.int8
-    assert spf.shape == mu.shape == (length,)
+    assert spf.shape == mu.shape == untouched.shape == (length,)
     for n in range(max(lo, 2), hi):
         assert (spf[n - lo], mu[n - lo]) == factorint_spf_mu(n), n
+        assert untouched[n - lo] == (spf[n - lo] == n > math.isqrt(hi - 1))
     if lo <= 1 < hi:
         assert mu[1 - lo] == 1
     if lo == 0:  # the kernel sets spf to 0 below 2
@@ -374,3 +385,62 @@ def test_segment_scan_full_window_near_1e12(tables_2e6):
     for n in sample:
         assert seen[n] == trial_spf_mu(n, tables_2e6.primes), n
     assert seen[p * p] == (p, 0)
+
+
+def factorint_psi(n):
+    """psi(n) for n >= 1 from sympy."""
+    return math.prod(p ** (a - 1) * (p + 1)
+                     for p, a in sympy.factorint(n).items())
+
+
+@pytest.mark.parametrize("hi", [2 ** 31, 2 ** 31 + 1])
+@pytest.mark.parametrize("length", [1, 2, 3000])
+def test_kernels_at_the_int32_edge(tables_2e6, hi, length):
+    # windows ending just below and just past 2**31 = 2147483648: the
+    # first keeps int32 (its last n is the prime 2**31 - 1), the second
+    # holds 2**31 and needs int64
+    lo = hi - length
+    assert_block_matches_reference(lo, length, tables_2e6.primes)
+    (first, psi), = sieve.psi_blocks(lo, hi)
+    assert first == lo and psi.dtype == np.int64
+    assert psi.tolist() == [factorint_psi(n) for n in range(lo, hi)]
+    if lo < 2 ** 31:
+        mu, untouched = _mobius_block(lo, hi, tables_2e6.primes)
+        i = 2 ** 31 - 1 - lo
+        assert (mu[i], untouched[i], psi[i]) == (-1, True, 2 ** 31)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 1000, 2 ** 20 - 1, 2 ** 20,
+                                   2 ** 20 + 1, 3 * 2 ** 20 + 7])
+def test_build_primes_match_plain_sieve(limit):
+    primes = build_sieve(limit).primes
+    assert primes.dtype == np.int64
+    assert np.array_equal(primes, _small_primes(limit))
+    assert len(primes) < 1.25506 * limit / math.log(limit)
+
+
+def test_build_refuses_limit_beyond_available_memory(monkeypatch):
+    # the estimate is made, and refused, before any table is allocated
+    monkeypatch.setattr(sieve, "_available_bytes", lambda: 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=r"build_sieve\(10000000\) "
+                           r"needs about 47 MiB, but only 1 MiB"):
+            build_sieve(10 ** 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    # with the figure unknown, or large enough, the tables are built
+    monkeypatch.setattr(sieve, "_available_bytes", lambda: None)
+    assert len(build_sieve(1000).primes) == 168
+    monkeypatch.setattr(sieve, "_available_bytes", lambda: 2 ** 22)
+    assert len(build_sieve(1000).primes) == 168
+
+
+def test_available_bytes_reads_meminfo():
+    available = sieve._available_bytes()
+    if os.path.exists("/proc/meminfo"):
+        assert 0 < available
+    else:
+        assert available is None
