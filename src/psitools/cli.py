@@ -3,12 +3,37 @@
 Output is CSV (RFC-4180 style: comma, header row, LF endings, floats at
 15 significant digits) or a JSON array of flat objects.  Exit codes:
 0 success, 1 a verification subcommand found a counterexample, 2 usage
-or domain error.
+or domain error, or a numerical cross-check that failed.
 
 Each subcommand is declared once, as a COMMANDS entry: its help text and
 extra flags, its output column names, a rows(args) callable that returns
 the output columns as equal-length sequences, and an optional vector
 predicate fails(columns) that marks the rows that are counterexamples.
+
+emit writes the rows 2^12 at a time, each chunk as one uint8 matrix with
+a row per output row.  Every column chunk becomes a fixed-width field of
+that matrix; separators, newlines, JSON keys and braces are constant
+bytes between the fields.  NUL bytes are gaps, so a cell shorter than
+its field, or an unused sign or exponent place, costs nothing: one
+boolean compress removes every NUL before the chunk is written.
+
+int64 columns are spelled as %d by array arithmetic.  float64 columns in
+CSV are spelled as %.15g the same way, and exactly.  With e =
+floor(log10 |x|), the 15 digits are the integer nearest to the real
+product |x| * 10^(14 - e), ties to even.  10^s is an exact double for
+0 <= s <= 22, so that product is rounded once, to y, and it lies in
+[10^14, 10^15), below 2^50, where the spacing of doubles is at most
+1/8: every half-integer is a double there, and y rounds to the same
+integer as the real product unless y is itself a half-integer.  Only
+then is the rounding error wanted, which Dekker's exact product (1971;
+numpy has no fused multiply-add) gives as a second double.  log10 can
+miss e by one next to a power of ten, which a product outside
+[10^14, 10^15) shows, and a carry to 10^15 raises e by one.  Fixed or
+scientific notation and the trailing zeros then follow C's %g rule
+with precision 15.  That covers |x| in [1e-8, 1e15); zero, non-finite
+values and every other magnitude keep their per-cell spelling, as do
+bools, None, strings, integers beyond int64 and every JSON float (its
+repr, the shortest text that reads back as the same double).
 """
 from __future__ import annotations
 
@@ -17,7 +42,7 @@ import contextlib
 import json
 import sys
 from dataclasses import dataclass
-from math import isfinite, log
+from math import log
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -29,6 +54,11 @@ __all__ = ["COMMANDS", "Command", "main", "emit", "script_entry"]
 
 _ROW_CHUNK = 1 << 12  # emit's rows per chunk; more raise peak RSS, not speed
 
+_TEN = np.array([float(10 ** s) for s in range(23)])  # exact: 5^22 < 2^53
+_TEN4 = np.array([1e3, 1e2, 1e1, 1e0], np.float32)[:, None]
+_POW10 = np.array([10 ** k for k in range(1, 20)], np.uint64)
+_E_LOW = -8  # the least exponent whose 10^(14 - e) is in _TEN
+
 
 def _text(value: Any, fmt: str) -> str:
     """One cell as JSON, or as CSV text with RFC-4180 quoting."""
@@ -39,50 +69,186 @@ def _text(value: Any, fmt: str) -> str:
     if isinstance(value, float):
         return "%.15g" % value
     text = "" if value is None else str(value)
+    if "\0" in text:  # emit's gap byte
+        raise ValueError("a CSV cell cannot hold a NUL character")
     quote = any(c in text for c in ',"\r\n')
     return '"%s"' % text.replace('"', '""') if quote else text
 
 
-def _chunk(column: Sequence, a: int, fmt: str) -> tuple[str, list]:
-    """The % conversion and Python values of rows [a, a + _ROW_CHUNK).
+def _text_field(texts: list[str]) -> np.ndarray:
+    """Cells already spelled, as a field: UTF-8, NUL-padded."""
+    try:
+        data = np.array(texts, dtype=bytes)  # ASCII, encoded by numpy
+    except UnicodeEncodeError:
+        data = np.array([t.encode() for t in texts], dtype=bytes)
+    return data.view(np.uint8).reshape(len(texts), -1).T
 
-    Plain ints, or floats (in JSON only if their sum is finite, so no
-    cell is inf or NaN), share one conversion; else text per cell.
+
+def _digits(m: np.ndarray, width: int) -> np.ndarray:
+    """ASCII digits of the integers m >= 0, zero-padded to width: row j
+    holds digit j of every m.
+
+    m is uint64, or float64 holding integers below 2^53, whose
+    floor(m / 10^4) is exact.  Each base-10^4 group is split in float32:
+    for g < 10^4 and k >= 1, g / 10^k is within 10^-4 of its float32
+    rounding and at least 10^-3 below the next integer, so the floor is
+    exact.
     """
-    part = column[a:a + _ROW_CHUNK]
-    cells = (part.tolist() if isinstance(part, np.ndarray) else
-             [v.item() if isinstance(v, np.generic) else v for v in part])
-    kinds = set(map(type, cells))
-    if kinds == {int}:
-        return "%d", cells
-    if kinds == {float} and (fmt == "csv" or isfinite(sum(cells))):
-        return ("%.15g" if fmt == "csv" else "%r"), cells
-    return "%s", [_text(v, fmt) for v in cells]
+    count = -(-width // 4)
+    groups = np.empty((count, 1, len(m)), np.float32)
+    for g in range(count - 1, -1, -1):
+        q = np.floor(m / 1e4) if m.dtype == np.float64 else m // 10000
+        groups[g, 0] = m - 10000 * q
+        m = q
+    quotients = np.floor(groups / _TEN4)
+    digits = quotients.copy()
+    digits[:, 1:] -= 10 * quotients[:, :-1]
+    digits = digits.reshape(4 * count, -1)[4 * count - width:]
+    return digits.astype(np.uint8) + np.uint8(48)
+
+
+def _int_field(v: np.ndarray) -> np.ndarray:
+    """'%d' of int64 v: a sign place, then digits with leading NULs."""
+    mag = np.abs(v).view(np.uint64)  # abs(min) wraps to min: 2^63 as uint64
+    width = len(str(int(mag.max())))
+    digits = _digits(mag.astype(np.float64) if width < 16 else mag, width)
+    length = 1 + np.searchsorted(_POW10, mag, side="right")
+    digits *= np.arange(width)[:, None] >= width - length
+    return np.vstack((np.uint8(45) * (v < 0), digits))
+
+
+def _float_field(x: np.ndarray) -> np.ndarray:
+    """'%.15g' of float64 x, rounded as the module docstring says."""
+    a = np.abs(x)
+    ok = np.isfinite(a) & (a > 0)
+    a[~ok] = 1.0
+    e = np.clip(np.floor(np.log10(a)), _E_LOW, 14).astype(np.int64)
+    y = a * _TEN[14 - e]
+    off = np.flatnonzero((y < 1e14) | (y >= 1e15))
+    if off.size:  # e was one off, or |x| is out of range
+        e[off] += np.where(y[off] < 1e14, -1, 1)
+        ok &= (e >= _E_LOW) & (e <= 14)
+        a[~ok], e[~ok] = 1.0, 0
+        y[off] = a[off] * _TEN[14 - e[off]]
+    m = np.floor(y)
+    frac = y - m
+    m += frac > 0.5
+    tie = np.flatnonzero(frac == 0.5)
+    if tie.size:  # a * ten == y + err exactly; split at 2^27 + 1
+        a, ten, y = a[tie], _TEN[14 - e[tie]], y[tie]
+        big_a, big_t = 134217729.0 * a, 134217729.0 * ten
+        a_hi, t_hi = big_a - (big_a - a), big_t - (big_t - ten)
+        a_lo, t_lo = a - a_hi, ten - t_hi
+        err = ((a_hi * t_hi - y) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo
+        m[tie] += (err > 0) | (err == 0) & (m[tie] % 2 == 1)
+    carry = np.flatnonzero(m == 1e15)
+    m[carry] = 1e14
+    e[carry] += 1
+    # Place r of the text holds chars[r] up to the point's place, "." at
+    # point + 1, then chars[r - 1]; places before start and from stop are
+    # gaps.  chars is "0000" and the 15 digits.  %g puts the point after
+    # the digit of 10^0 (fixed) or after the first digit (scientific, with
+    # an exponent), and drops the zeros after it, then a bare point.
+    digits = _digits(m, 15)
+    kept = ((digits != 48) * np.arange(1, 16, dtype=np.uint8)[:, None]).max(0)
+    sci = (e < -4) | (e >= 15)
+    point_e = np.where(sci, 0, e)
+    point = 4 + point_e
+    start = np.minimum(point, 4)  # "0.00ddd" starts at the zero before "."
+    stop = 4 + np.maximum(kept, point_e + 1)
+    stop += stop > point + 1  # the point itself
+    point, start, stop = (v.astype(np.uint8) for v in (point, start, stop))
+    padded = np.zeros((21, len(x)), np.uint8)  # padded[r + 1] is chars[r]
+    padded[1:5] = 48
+    padded[5:20] = digits
+    lo, hi = int(start.min()), int(stop.max())
+    place = np.arange(lo, hi, dtype=np.uint8)[:, None]
+    text = padded[lo + 1:hi + 1] * (place <= point)
+    text += padded[lo:hi] * (place > point + 1)
+    text += np.uint8(46) * (place == point + 1)
+    text *= (place >= start) & (place < stop)
+    parts = [np.uint8(45) * np.signbit(x)[None], text]
+    if sci.any():
+        mag_e = np.abs(e)
+        parts.append(sci * np.array(
+            [np.full(len(x), 101), np.where(e < 0, 45, 43),
+             48 + mag_e // 10, 48 + mag_e % 10], np.uint8))
+    field = np.vstack(parts)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        cells = _text_field(["%.15g" % v for v in x[bad].tolist()])
+        field = np.pad(field, ((0, max(0, len(cells) - len(field))), (0, 0)))
+        field[:, bad] = 0
+        field[:len(cells), bad] = cells
+    return field
+
+
+def _exact_in_64_bits(dtype: np.dtype) -> bool:
+    """Whether int64 or float64 holds every value of dtype."""
+    return (dtype.kind == "i" or dtype.kind == "u" and dtype.itemsize < 8
+            or dtype.kind == "f" and dtype.itemsize <= 8)
+
+
+def _field(part: Sequence, fmt: str) -> np.ndarray:
+    """One column chunk as a field: a uint8 matrix whose column i holds
+    cell i, NUL-padded.
+
+    Integers in the int64 range, and floats in CSV, are spelled by array
+    arithmetic; every other cell, and every float in JSON, by _text.
+    """
+    if not (isinstance(part, np.ndarray) and _exact_in_64_bits(part.dtype)):
+        cells = (part.tolist() if isinstance(part, np.ndarray) else
+                 [v.item() if isinstance(v, np.generic) else v for v in part])
+        kinds = set(map(type, cells))
+        if kinds == {int} and -2 ** 63 <= min(cells) and max(cells) < 2 ** 63:
+            part = np.array(cells, np.int64)
+        elif kinds == {float}:
+            part = np.array(cells)
+        else:
+            return _text_field([_text(v, fmt) for v in cells])
+    if part.dtype.kind != "f":
+        return _int_field(part.astype(np.int64, copy=False))
+    part = part.astype(np.float64, copy=False)
+    if fmt == "csv":
+        return _float_field(part)
+    if not np.isfinite(part).all():
+        return _text_field([_text(v, fmt) for v in part.tolist()])
+    # a list's repr spells its floats as float.__repr__, in one C call
+    return _text_field(repr(part.tolist())[1:-1].split(", "))
 
 
 def emit(columns: dict[str, Sequence], output_format: str, sink) -> None:
     """Write equal-length named columns to sink as CSV or a JSON array.
 
-    Rows go out _ROW_CHUNK at a time, each by one % string built from
-    the chunk's cell types; no rows give a header-only CSV, or [].
+    Rows go out _ROW_CHUNK at a time, as one byte matrix each (see the
+    module docstring); no rows give a header-only CSV, or [].
     """
     if output_format == "csv":
         sink.write(",".join(_text(name, "csv") for name in columns) + "\n")
-        keys, joiner, row, skip, tail = ([""] * len(columns), ",", "%s\n",
-                                         0, "")
+        keys, lead, sep, end = [b""] * len(columns), b"", b",", b"\n"
+        skip, tail = 0, ""
     elif output_format == "json":
         sink.write("[")
-        keys = [json.dumps(n).replace("%", "%%") + ": " for n in columns]
+        keys = [json.dumps(name).encode() + b": " for name in columns]
         # every row is led by ",\n  "; the first row drops the comma
-        joiner, row, skip, tail = ", ", ",\n  {%s}", 1, "\n]\n"
+        lead, sep, end = b",\n  {", b", ", b"}"
+        skip, tail = 1, "\n]\n"
     else:
         raise ValueError(f"unknown output format {output_format!r}")
+    joins = [np.frombuffer(j + k, np.uint8)[:, None] for j, k
+             in zip([lead] + [sep] * len(keys), keys)]
+    joins.append(np.frombuffer(end, np.uint8)[:, None])
     n_rows = len(next(iter(columns.values()), ()))
     for a in range(0, n_rows, _ROW_CHUNK):
-        specs, cells = zip(*(_chunk(c, a, output_format)
-                             for c in columns.values()))
-        template = row % joiner.join(map(str.__add__, keys, specs))
-        text = "".join(map(template.__mod__, zip(*cells)))
+        fields = [_field(c[a:a + _ROW_CHUNK], output_format)
+                  for c in columns.values()]
+        parts = [p for pair in zip(joins, fields) for p in pair] + joins[-1:]
+        rows = np.empty((fields[0].shape[1], sum(map(len, parts))), np.uint8)
+        at = 0
+        for part in parts:
+            rows[:, at:at + len(part)] = part.T
+            at += len(part)
+        text = rows[rows != 0].tobytes().decode()
         sink.write(text[skip:] if a == 0 else text)
     sink.write(tail if n_rows else tail.lstrip("\n"))
 
@@ -403,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
         with (open(args.output, "w", newline="") if args.output
               else contextlib.nullcontext(sys.stdout)) as sink:
             emit(columns, args.format, sink)
-    except (ValueError, OverflowError, KeyError, OSError,
+    except (ValueError, OverflowError, FloatingPointError, KeyError, OSError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

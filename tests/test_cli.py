@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import psitools
 from psitools import cli, extrema, sieve
@@ -422,6 +424,21 @@ def test_emit_cells_match_csv_and_json_modules():
     assert sink.getvalue() == want.getvalue()
 
 
+def test_emit_text_cells_utf8_and_nul():
+    # non-ASCII text is written as UTF-8; NUL is emit's gap byte, so a
+    # CSV cell holding one is refused rather than shortened (JSON
+    # escapes it)
+    columns = {"s": ["π ≈ 3.14", "a\0b"]}
+    sink = io.StringIO()
+    emit(columns, "json", sink)
+    assert [r["s"] for r in json.loads(sink.getvalue())] == columns["s"]
+    sink = io.StringIO()
+    emit({"s": columns["s"][:1]}, "csv", sink)
+    assert sink.getvalue() == "s\nπ ≈ 3.14\n"
+    with pytest.raises(ValueError, match="NUL"):
+        emit(columns, "csv", io.StringIO())
+
+
 def test_emit_chunks_match_one_chunk(monkeypatch):
     # a float column whose only non-finite value sits in a later chunk
     columns = {"k": np.arange(10), "v": np.linspace(0.0, 1.0, 10)}
@@ -439,6 +456,92 @@ def test_emit_chunks_match_one_chunk(monkeypatch):
     assert '"v": Infinity' in whole["json"]
 
 
+def emitted_cells(values, fmt="csv"):
+    """The cells emit writes for a one-column table, in row order."""
+    sink = io.StringIO()
+    emit({"v": values}, fmt, sink)
+    if fmt == "json":
+        return [row["v"] for row in json.loads(sink.getvalue())]
+    return sink.getvalue().split("\n")[1:-1]
+
+
+def float_cases():
+    rng = np.random.default_rng(20261018)
+    n = 20_000
+    bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+    magnitudes = rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-10, 17, n)
+    # near halfway at 15 digits, and exact binary fractions, some of
+    # which are exact halfway cases at 15 digits
+    halves = ((rng.integers(0, 10 ** 15, n) + 0.5)
+              / 10.0 ** rng.integers(0, 23, n))
+    dyadic = (rng.integers(1, 2 ** 53, n).astype(np.float64)
+              * 2.0 ** rng.integers(-60, 1, n))
+    tens = np.array([10.0 ** j for j in range(-30, 31)]
+                    + [float(10 ** j) for j in range(31)])
+    tens = np.concatenate([tens, np.nextafter(tens, 0),
+                           np.nextafter(tens, np.inf)])
+    return {"bits": bits, "magnitudes": magnitudes, "halves": halves,
+            "dyadic": dyadic, "tens": np.concatenate([tens, -tens])}
+
+
+@pytest.mark.parametrize("name", sorted(float_cases()))
+def test_csv_float_cells_are_printf_15g(name):
+    values = float_cases()[name]
+    assert emitted_cells(values) == ["%.15g" % v for v in values.tolist()]
+
+
+def test_csv_float_halfway_cases_go_to_even():
+    # the first three are exact doubles halfway between two 15-digit
+    # decimals; the rest sit next to a carry or a change of notation
+    values = [12345678901234.25, 12345678901234.75, 1234567890123.125,
+              0.5, 2.5, 99999999999999.95, 999999999999999.5, 5e-5,
+              0.000123456789012345]
+    assert emitted_cells(values) == ["%.15g" % v for v in values]
+    assert emitted_cells(values)[:3] == [
+        "12345678901234.2", "12345678901234.8", "1234567890123.12"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=40))
+@example([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
+          -1.7976931348623157e308, 1e-8, 1e15, 99999999999999.99])
+def test_csv_float_cells_match_printf_for_any_floats(values):
+    for column in (values, np.array(values)):
+        assert emitted_cells(column) == ["%.15g" % v for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+def test_json_float_cells_are_repr(values):
+    sink = io.StringIO()
+    emit({"v": np.array(values)}, "json", sink)
+    cells = [line[len('  {"v": '):].rstrip(",}")
+             for line in sink.getvalue().splitlines()[1:-1]]
+    assert cells == [repr(v) for v in values]
+
+
+INT64 = (-2 ** 63, 2 ** 63 - 1)
+
+
+def test_int_cells_are_printf_d_over_int64():
+    rng = np.random.default_rng(7)
+    values = np.concatenate([
+        np.array([0, -1, 1, 9, -9, 10, -10, *INT64], np.int64),
+        rng.integers(*INT64, 20_000, dtype=np.int64, endpoint=True),
+        rng.integers(-10 ** 6, 10 ** 6, 5_000, dtype=np.int64)])
+    expect = ["%d" % v for v in values.tolist()]
+    assert emitted_cells(values) == expect
+    assert emitted_cells(values, "json") == values.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(*INT64), min_size=1, max_size=40))
+def test_int_cells_match_printf_d_for_any_int64(values):
+    for column in (values, np.array(values, np.int64)):
+        assert emitted_cells(column) == ["%d" % v for v in values]
+
+
 def test_csv_float_cells_round_trip(capsys):
     # %.15g cells parse back to floats that reprint identically
     code, out, _ = run(capsys, "mertens", "--xmax", "1000", "--points", "6")
@@ -451,6 +554,24 @@ def test_csv_float_cells_round_trip(capsys):
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "no-such-op")
     assert code == 2
+
+
+def test_jump_forms_disagreeing_exits_2(capsys, monkeypatch):
+    # a NaN psi ratio makes jump_deltas' two forms disagree: a numerical
+    # failure is exit 2, since exit 1 means only a counterexample
+    real = extrema.primorial_columns
+
+    def nan_at_k3(p_limit, tables):
+        columns = dict(real(p_limit, tables))
+        columns["psi_ratio"] = columns["psi_ratio"].copy()
+        columns["psi_ratio"][2] = np.nan
+        return columns
+
+    monkeypatch.setattr(extrema, "primorial_columns", nan_at_k3)
+    code, out, err = run(capsys, "jumps", "--kmax", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: jump forms disagree at k=3: nan vs ")
 
 
 def test_allocation_failure_exits_2(capsys, monkeypatch):

@@ -19,6 +19,7 @@ CASES = [
     ("verify-psi --plimit 1000 --format json", 0, "d42421dc53b34861ec3f4cefbb28c08e479bad39832a646cb71667d790770f33"),
     # 5,133 rows: more than one 2^12-row emit chunk
     ("verify-psi --plimit 50000 --format json", 0, "f706b408b9144380e238b48e3e6636d41a5078ec428b728347b79d065d77a0ba"),
+    ("verify-psi --plimit 50000", 0, "a05bcb28b1fcc5e84ff09ccc51a40b9f9995470d201ef6ef671939e6416db22f"),
     ("squarefree --x 10 --x 100 --limit 5000", 0, "4869b2a256468a79a219a46d04120a0c820e461baca492b7501e843c95860afc"),
     ("squarefree --x 10 --x 100 --limit 5000 --format json", 0, "eb13cfe4598dfd8b387a33b84f30fb082ace42119b9b1424c54555875c068883"),
     ("squarefree --xmax 3000 --points 5", 0, "ea655c512dd0f77f961afc2477ea460610effeb1bfe7a94be940e98192eca7ab"),
@@ -37,6 +38,9 @@ CASES = [
     ("dusart --x 1000 --x 30000 --format json", 0, "a4a1530e08cc61f1a36055c533b60d6e7934cd6ba06d8ba084bba043a43536f6"),
     ("jumps --kmax 5", 0, "9371c61b6cc561805b6cc713f9ed4dca58f336d7d420a1afe69cb5183a36746e"),
     ("jumps --kmax 5 --format json", 0, "1d7a7ffc219e88797647f79eb5fce15e1005b6b458f585e4b3a877c0675eaf62"),
+    # 5,000 rows of p_next and delta, over two emit chunks
+    ("jumps --kmax 5000", 0, "e233360704a0f5d81b6b8bb660ac7f1dea6b585eae7bd0f1c1397279a3ee4fba"),
+    ("jumps --kmax 5000 --format json", 0, "64c6a79c2348f611235bd3f58cab559ccdfa10da96ec67d35bb22312fb502f92"),
     ("extremes --xmin 10 --xmax 10000 --points 4", 0, "eb1cf2f4f4826b9d0940adbee29f82a6ad7c5d23ab9773cf3490e74d859ca554"),
     ("extremes --xmin 10 --xmax 10000 --points 4 --format json", 0, "37139d447902d994f127ea1b652125dbb47ca1e969b924d4ad9c440c15079e7f"),
     ("classify --xmin 10 --xmax 10000 --points 4", 0, "85ccf98c23862f7f5de44244fa9671dd47051c6964f0635d67fbc0223ae4ce53"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from psitools import InsufficientSieveError, build_sieve, squarefree
+from psitools.sieve import SieveTables
 from psitools.squarefree import (
     count_squarefree_exact,
     count_squarefree_formula,
@@ -77,6 +78,18 @@ def test_formula_beyond_table_limit(tables_1e4):
         count_squarefree_formula(10_001 ** 2, tables_1e4)
     with pytest.raises(ValueError):
         count_squarefree_formula(0, tables_1e4)
+
+
+def test_formula_exact_beyond_2_62():
+    # x in (2^62, 2^64] takes the Python-int path; a limit of 2^32 passes
+    # the sqrt(x) check while the short Mobius table ends the sum at d < 3000
+    small = build_sieve(3000)
+    tables = SieveTables(2 ** 32, small.mobius, small.primes)
+    mu = small.mobius.tolist()
+    for x in (2 ** 62 + 1, 2 ** 62 + 123_456_789, 3 * 2 ** 62 - 7,
+              2 ** 63, 2 ** 64 - 1, 2 ** 64):
+        expect = x + sum(mu[d] * (x // (d * d)) for d in range(2, len(mu)))
+        assert count_squarefree_formula(x, tables) == expect, x
 
 
 def test_known_density_point(tables_1e6):
