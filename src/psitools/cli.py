@@ -30,10 +30,35 @@ numpy has no fused multiply-add) gives as a second double.  log10 can
 miss e by one next to a power of ten, which a product outside
 [10^14, 10^15) shows, and a carry to 10^15 raises e by one.  Fixed or
 scientific notation and the trailing zeros then follow C's %g rule
-with precision 15.  That covers |x| in [1e-8, 1e15); zero, non-finite
-values and every other magnitude keep their per-cell spelling, as do
-bools, None, strings, integers beyond int64 and every JSON float (its
-repr, the shortest text that reads back as the same double).
+with precision 15.  That covers |x| in [1e-8, 1e15).
+
+float64 columns in JSON are spelled as repr spells them: the shortest
+decimal that reads back as the same double, and of those the nearest,
+ties to even.  y = |x| * 10^(16 - e) is rounded once, to an even integer
+in [10^16, 10^17), above 2^53, and Dekker's product gives its error err
+exactly, so |x| * 10^(16 - e) is exactly M + r with M = y + rint(err)
+and r = err - rint(err), |r| <= 1/2, both exact.  The nearest 16- and
+15-digit decimals come from M by integer division by 10 and by 100; the
+sign of r decides the halves, and r = 0 sends a tie to even.  Unless x
+is a power of two, its rounding interval (the reals that read back as x)
+is centred on x, so when some n-digit decimal reads back, the nearest
+one does too.  The interval is narrower than a quarter of the 15-digit
+spacing, so it holds at most one 15-digit decimal, and every shorter
+answer is that one with zeros dropped.  The answer is thus the nearest
+15-digit decimal, zeros dropped, if it reads back, else the nearest 16-
+digit one if that does, else M, since 17 digits always do.  A read-back
+is one correctly rounded product or quotient of the candidate, below
+2^53, and an exact 10^s, |s| <= 22.  log10 can miss e by one, which a y
+outside [10^16, 10^17) shows; where y sits on the edge, M + r outside
+that range sends the cell to the per-cell path.  repr writes scientific
+notation when e < -4 or e >= 16, a bare 1e-05, and appends .0 to an
+integral value.  That covers |x| in [1e-6, 1e17) except powers of two,
+whose interval is lopsided, and 16-digit candidates above 2^53, which
+need not be doubles.
+
+Zero, non-finite values and the floats outside those ranges keep their
+per-cell spelling (%.15g, or repr through json.dumps), as do bools, None,
+strings and integers beyond int64.
 """
 from __future__ import annotations
 
@@ -57,7 +82,6 @@ _ROW_CHUNK = 1 << 12  # emit's rows per chunk; more raise peak RSS, not speed
 _TEN = np.array([float(10 ** s) for s in range(23)])  # exact: 5^22 < 2^53
 _TEN4 = np.array([1e3, 1e2, 1e1, 1e0], np.float32)[:, None]
 _POW10 = np.array([10 ** k for k in range(1, 20)], np.uint64)
-_E_LOW = -8  # the least exponent whose 10^(14 - e) is in _TEN
 
 
 def _text(value: Any, fmt: str) -> str:
@@ -117,50 +141,125 @@ def _int_field(v: np.ndarray) -> np.ndarray:
     return np.vstack((np.uint8(45) * (v < 0), digits))
 
 
-def _float_field(x: np.ndarray) -> np.ndarray:
-    """'%.15g' of float64 x, rounded as the module docstring says."""
-    a = np.abs(x)
-    ok = np.isfinite(a) & (a > 0)
-    a[~ok] = 1.0
-    e = np.clip(np.floor(np.log10(a)), _E_LOW, 14).astype(np.int64)
-    y = a * _TEN[14 - e]
-    off = np.flatnonzero((y < 1e14) | (y >= 1e15))
-    if off.size:  # e was one off, or |x| is out of range
-        e[off] += np.where(y[off] < 1e14, -1, 1)
-        ok &= (e >= _E_LOW) & (e <= 14)
-        a[~ok], e[~ok] = 1.0, 0
-        y[off] = a[off] * _TEN[14 - e[off]]
+def _scaled(a: np.ndarray, ok: np.ndarray, top: int):
+    """e = floor(log10 a) and y = a * 10^(top - e), rounded once, in
+    [10^top, 10^(top + 1)).  Rows whose 10^(top - e) is not in _TEN leave
+    ok; they read a = 1.5 and e = 0 from then on."""
+    a[~ok] = 1.5
+    e = np.clip(np.floor(np.log10(a)), top - 22, top).astype(np.int64)
+    y = a * _TEN[top - e]
+    off = np.flatnonzero((y < 10.0 ** top) | (y >= 10.0 ** (top + 1)))
+    if off.size:  # e was one off, or a is out of range
+        e[off] += np.where(y[off] < 10.0 ** top, -1, 1)
+        ok &= (e >= top - 22) & (e <= top)
+        a[~ok], e[~ok] = 1.5, 0
+        y[off] = a[off] * _TEN[top - e[off]]
+    return e, y
+
+
+def _product_error(a: np.ndarray, ten: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """a * ten - y exactly, for y the rounded product: Dekker's exact
+    product, splitting both factors at 2^27 + 1."""
+    big_a, big_t = 134217729.0 * a, 134217729.0 * ten
+    a_hi, t_hi = big_a - (big_a - a), big_t - (big_t - ten)
+    a_lo, t_lo = a - a_hi, ten - t_hi
+    return ((a_hi * t_hi - y) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo
+
+
+def _round_15(a: np.ndarray, ok: np.ndarray):
+    """The 15 digits of %.15g, as float64 integers, and their exponent."""
+    e, y = _scaled(a, ok, 14)
     m = np.floor(y)
     frac = y - m
     m += frac > 0.5
     tie = np.flatnonzero(frac == 0.5)
-    if tie.size:  # a * ten == y + err exactly; split at 2^27 + 1
-        a, ten, y = a[tie], _TEN[14 - e[tie]], y[tie]
-        big_a, big_t = 134217729.0 * a, 134217729.0 * ten
-        a_hi, t_hi = big_a - (big_a - a), big_t - (big_t - ten)
-        a_lo, t_lo = a - a_hi, ten - t_hi
-        err = ((a_hi * t_hi - y) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo
+    if tie.size:
+        err = _product_error(a[tie], _TEN[14 - e[tie]], y[tie])
         m[tie] += (err > 0) | (err == 0) & (m[tie] % 2 == 1)
     carry = np.flatnonzero(m == 1e15)
     m[carry] = 1e14
     e[carry] += 1
+    return m, e
+
+
+def _nearest(m: np.ndarray, r: np.ndarray, e: np.ndarray, digits: int):
+    """The digits-digit decimal nearest m + r, ties to even, for 17-digit
+    integers m and |r| <= 1/2, and its exponent."""
+    unit = 10 ** (17 - digits)
+    q, d = np.divmod(m, unit)
+    half = unit // 2
+    q += (d > half) | (d == half) & ((r > 0) | (r == 0) & (q % 2 == 1))
+    carry = q == 10 ** digits
+    q[carry] = 10 ** (digits - 1)
+    return q, e + carry
+
+
+def _read_back(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The double nearest m * 10^s, for integers m below 2^53 and
+    |s| <= 22: one correctly rounded operation on exact doubles."""
+    m = m.astype(np.float64)
+    return np.where(s >= 0, m * _TEN[np.maximum(s, 0)],
+                    m / _TEN[np.maximum(-s, 0)])
+
+
+def _shortest(a: np.ndarray, ok: np.ndarray):
+    """repr's digits, padded with zeros to 17 as uint64, and their
+    exponent."""
+    ok &= (a.view(np.int64) & (2 ** 52 - 1)) != 0  # not a power of two
+    e, y = _scaled(a, ok, 16)
+    err = _product_error(a, _TEN[16 - e], y)
+    step = np.rint(err)
+    r = err - step  # exact; a * 10^(16 - e) == m + r
+    m = y.astype(np.int64) + step.astype(np.int64)
+    # m + r outside [10^16, 10^17): e is off by one next to a power of ten
+    ok &= ~((m < 10 ** 16) | (m == 10 ** 16) & (r < 0)
+            | (m > 10 ** 17) | (m == 10 ** 17) & (r >= 0))
+    carry = m == 10 ** 17  # rounded up from below 10^17
+    m[carry] = 10 ** 16
+    e += carry
+    m16, e16 = _nearest(m, r, e, 16)
+    m15, e15 = _nearest(m, r, e, 15)
+    fits15 = _read_back(m15, e15 - 14) == a
+    exact16 = m16 <= 2 ** 53
+    fits16 = exact16 & (_read_back(m16, e16 - 15) == a)
+    ok &= fits15 | exact16
+    best = np.where(fits15, 100 * m15, np.where(fits16, 10 * m16, m))
+    return best.astype(np.uint64), np.where(fits15, e15,
+                                            np.where(fits16, e16, e))
+
+
+def _float_field(x: np.ndarray, fmt: str) -> np.ndarray:
+    """'%.15g' (CSV) or repr (JSON) of float64 x, as the module
+    docstring says; the cells it leaves are spelled by _text."""
+    a = np.abs(x)
+    ok = np.isfinite(a) & (a > 0)
+    if fmt == "csv":
+        m, e = _round_15(a, ok)
+        digits, sci, point_zero = _digits(m, 15), (e < -4) | (e >= 15), 0
+    else:
+        m, e = _shortest(a, ok)
+        sci = (e < -4) | (e >= 16)
+        digits, point_zero = _digits(m, 17), ~sci
+    width = len(digits)
     # Place r of the text holds chars[r] up to the point's place, "." at
     # point + 1, then chars[r - 1]; places before start and from stop are
-    # gaps.  chars is "0000" and the 15 digits.  %g puts the point after
-    # the digit of 10^0 (fixed) or after the first digit (scientific, with
-    # an exponent), and drops the zeros after it, then a bare point.
-    digits = _digits(m, 15)
-    kept = ((digits != 48) * np.arange(1, 16, dtype=np.uint8)[:, None]).max(0)
-    sci = (e < -4) | (e >= 15)
+    # gaps.  chars is "0000" and the digits.  The point goes after the
+    # digit of 10^0 (fixed) or after the first digit (scientific, with an
+    # exponent), the zeros after it are dropped, then a bare point;
+    # point_zero keeps one zero after the point in fixed notation.
+    kept = ((digits != 48)
+            * np.arange(1, width + 1, dtype=np.uint8)[:, None]).max(0)
     point_e = np.where(sci, 0, e)
     point = 4 + point_e
     start = np.minimum(point, 4)  # "0.00ddd" starts at the zero before "."
-    stop = 4 + np.maximum(kept, point_e + 1)
+    stop = 4 + np.maximum(kept, point_e + 1 + point_zero)
     stop += stop > point + 1  # the point itself
     point, start, stop = (v.astype(np.uint8) for v in (point, start, stop))
-    padded = np.zeros((21, len(x)), np.uint8)  # padded[r + 1] is chars[r]
+    # padded[r + 1] is chars[r]
+    padded = np.zeros((width + 6, len(x)), np.uint8)
     padded[1:5] = 48
-    padded[5:20] = digits
+    padded[5:width + 5] = digits
     lo, hi = int(start.min()), int(stop.max())
     place = np.arange(lo, hi, dtype=np.uint8)[:, None]
     text = padded[lo + 1:hi + 1] * (place <= point)
@@ -176,7 +275,7 @@ def _float_field(x: np.ndarray) -> np.ndarray:
     field = np.vstack(parts)
     bad = np.flatnonzero(~ok)
     if bad.size:
-        cells = _text_field(["%.15g" % v for v in x[bad].tolist()])
+        cells = _text_field([_text(v, fmt) for v in x[bad].tolist()])
         field = np.pad(field, ((0, max(0, len(cells) - len(field))), (0, 0)))
         field[:, bad] = 0
         field[:len(cells), bad] = cells
@@ -193,8 +292,9 @@ def _field(part: Sequence, fmt: str) -> np.ndarray:
     """One column chunk as a field: a uint8 matrix whose column i holds
     cell i, NUL-padded.
 
-    Integers in the int64 range, and floats in CSV, are spelled by array
-    arithmetic; every other cell, and every float in JSON, by _text.
+    Integers in the int64 range and floats are spelled by array
+    arithmetic, but for the cells _float_field leaves to _text; every
+    other cell by _text.
     """
     if not (isinstance(part, np.ndarray) and _exact_in_64_bits(part.dtype)):
         cells = (part.tolist() if isinstance(part, np.ndarray) else
@@ -208,13 +308,7 @@ def _field(part: Sequence, fmt: str) -> np.ndarray:
             return _text_field([_text(v, fmt) for v in cells])
     if part.dtype.kind != "f":
         return _int_field(part.astype(np.int64, copy=False))
-    part = part.astype(np.float64, copy=False)
-    if fmt == "csv":
-        return _float_field(part)
-    if not np.isfinite(part).all():
-        return _text_field([_text(v, fmt) for v in part.tolist()])
-    # a list's repr spells its floats as float.__repr__, in one C call
-    return _text_field(repr(part.tolist())[1:-1].split(", "))
+    return _float_field(part.astype(np.float64, copy=False), fmt)
 
 
 def emit(columns: dict[str, Sequence], output_format: str, sink) -> None:
@@ -404,17 +498,18 @@ def _dist_tail(args):
 
 
 def _loglog_gap(args):
-    ks = list(args.k or [])
-    if args.kmax is not None:
-        if args.kmax < 2:
-            raise ValueError("--kmax must be >= 2")
-        ks.extend(range(2, args.kmax + 1))
-    if not ks:
+    if args.kmax is not None and args.kmax < 2:
+        raise ValueError("--kmax must be >= 2")
+    if not args.k and args.kmax is None:
         raise ValueError("loglog-gap needs --k or --kmax")
-    # a k below 2 is loglog_gap's error, raised before the columns are built
-    tables = _tables_with_primes(args, max(*ks, 2))
+    # the tables are sized and checked against memory before the ks are
+    # built; a k below 2 is loglog_gap's error
+    top = max([*(args.k or []), args.kmax or 2, 2])
+    tables = _tables_with_primes(args, top)
+    ks = np.concatenate([np.array(args.k or [], np.int64),
+                         np.arange(2, (args.kmax or 1) + 1)])
     gaps = extrema.loglog_gap(ks, tables)
-    return [ks, tables.primes[np.array(ks) - 1], gaps]
+    return [ks, tables.primes[ks - 1], gaps]
 
 
 def _gap_check(args):

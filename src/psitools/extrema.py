@@ -34,6 +34,7 @@ __all__ = [
 
 _THRESHOLD = get_constant("threshold").value
 _GAP_ALPHA = get_constant("gap_alpha").value
+_GAP_CHUNK = 1 << 16  # loglog_gap's ks per list of Python floats
 
 
 def primorial_columns(p_limit: int,
@@ -201,24 +202,34 @@ def classify_counts(xs: Iterable[int]) -> list[tuple[int, int]]:
     return _grid_rows(xs, add, lambda x: (above, x - 1 - above))
 
 
-def loglog_gap(ks: Sequence[int], tables: SieveTables) -> list[float]:
+def loglog_gap(ks: Sequence[int] | np.ndarray,
+               tables: SieveTables) -> np.ndarray:
     """log log p_k - log log log N_k for the k-th primorial, each k in ks.
 
     Defined for k >= 2 only: at k = 1, log N_1 = log 2 < 1 makes the
     innermost logarithm negative.  p_k and log N_k come from one
-    primorial_columns call up to the largest k.
+    primorial_columns call up to the largest k; the ks are held as one
+    int64 array, and the logarithms are math.log's, _GAP_CHUNK at a time.
     """
-    ks = [int(k) for k in ks]
-    bad = [k for k in ks if k < 2]
-    if bad:
+    ks = np.asarray(ks, dtype=np.int64)
+    if not ks.size:
+        raise ValueError("ks must be nonempty")
+    bad = ks[ks < 2]
+    if bad.size:
         raise ValueError(
             f"k must be >= 2 (inner log undefined), got {bad[0]}")
-    if max(ks) > len(tables.primes):
+    top = int(ks.max())
+    if top > len(tables.primes):
         raise InsufficientSieveError(
-            f"k={max(ks)} beyond the {len(tables.primes)} primes in tables")
-    cols = primorial_columns(int(tables.primes[max(ks) - 1]), tables)
-    p, log_n = cols["p"].tolist(), cols["log_N"].tolist()
-    return [log(log(p[k - 1])) - log(log(log_n[k - 1])) for k in ks]
+            f"k={top} beyond the {len(tables.primes)} primes in tables")
+    cols = primorial_columns(int(tables.primes[top - 1]), tables)
+    gaps = np.empty(len(ks))
+    for a in range(0, len(ks), _GAP_CHUNK):
+        at = ks[a:a + _GAP_CHUNK] - 1
+        gaps[a:a + len(at)] = [
+            log(log(p)) - log(log(log_n)) for p, log_n
+            in zip(cols["p"][at].tolist(), cols["log_N"][at].tolist())]
+    return gaps
 
 
 def distribution_tail(x: int, t_grid) -> list[tuple[float, float]]:

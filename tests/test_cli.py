@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -521,6 +522,115 @@ def test_json_float_cells_are_repr(values):
     assert cells == [repr(v) for v in values]
 
 
+
+def json_cells(values):
+    """The text of each cell emit writes for a one-column JSON table."""
+    sink = io.StringIO()
+    emit({"v": values}, "json", sink)
+    return [line[len('  {"v": '):].rstrip(",}")
+            for line in sink.getvalue().splitlines()[1:-1]]
+
+
+def repr_cases():
+    rng = np.random.default_rng(20261019)
+    n = 20_000
+    bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+    tiny = np.array([5e-324, 1e-323, 2.2250738585072009e-308,
+                     2.2250738585072014e-308, 1.5e-310, 0.0])
+    subnormal = np.concatenate([tiny, rng.integers(
+        1, 2 ** 52, 2_000, dtype=np.uint64).view(np.float64)])
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    # n-digit decimals, n = 1..17 (odd, so the last digit counts), at
+    # exponents around the exact range
+    mantissas = [int(rng.integers(10 ** (d - 1), 10 ** d)) | 1
+                 for d in rng.integers(1, 18, n)]
+    shifts = rng.integers(-25, 20, n)
+    digits = np.array([float(f"{m}e{s}") for m, s in zip(mantissas, shifts)])
+    # decimals one half unit past 15 and 16 digits: the double lands on
+    # either side of the half, or on it
+    halves = np.array([float(f"{rng.integers(10 ** (d - 1), 10 ** d)}"
+                             f"{'50' if d == 15 else '5'}e{s}")
+                       for d, s in zip(rng.integers(15, 17, n),
+                                       rng.integers(-22, 2, n))])
+    # j / 8 in [2^46, 1e14) is exactly halfway between two 16-digit
+    # decimals that both read back: repr takes the even one
+    ties = (rng.integers(2 ** 49, 8 * 10 ** 14, 2_000) // 2 * 2 + 1) / 8
+    # 16-digit candidates next to 2^53 = 9007199254740992, scaled
+    near = np.array([float(f"{2 ** 53 + k}e{s}") for k in range(-40, 41)
+                     for s in (-20, -16, -8, -1, 0, 1)])
+    near = np.concatenate([near, np.nextafter(near, 0),
+                           np.nextafter(near, np.inf)])
+    # repr switches to scientific notation at e < -4 and e >= 16
+    switches = np.array([float(f"{m}e{e}") for e in (-6, -5, -4, -3, 14, 15,
+                                                     16, 17)
+                         for m in ("1", "9.999", "1.2345678901234567",
+                                   "9.999999999999999", "9.9999999999999999",
+                                   "5", "1.5")])
+    integral = np.array([1.0, 2.0, 10.0, 123.0, 1e15, 1e16, 1e17, 1e22,
+                         123456789012345.0, 1234567890123456.0,
+                         9007199254740992.0, 9007199254740994.0,
+                         12345678901234568.0, 99999999999999990.0])
+    tens = np.array([10.0 ** j for j in range(-30, 31)])
+    tens = np.concatenate([tens, np.nextafter(tens, 0),
+                           np.nextafter(tens, np.inf)])
+    cases = {"bits": bits, "subnormal": subnormal, "powers": powers,
+             "digits": digits, "halves": halves, "ties": ties,
+             "near_2_53": near, "switches": switches,
+             "integral": integral, "tens": tens}
+    return {name: np.concatenate([v, -v]) for name, v in cases.items()}
+
+
+@pytest.mark.parametrize("name", sorted(repr_cases()))
+def test_json_float_cells_are_shortest_repr(name):
+    values = repr_cases()[name]
+    assert json_cells(values) == [json.dumps(v) for v in values.tolist()]
+
+
+def test_json_float_cases_cover_every_length_and_tie():
+    # the cases above reach what they are meant to reach
+    cases = repr_cases()
+    lengths = {len(repr(v).split("e")[0].lstrip("-0.").replace(".", ""))
+               for v in cases["digits"].tolist()}
+    assert lengths == set(range(1, 18))
+    ties = cases["ties"][:5].tolist()
+    assert all(len(repr(v)) == 17 and int(repr(v)[-1]) % 2 == 0
+               for v in ties)
+    cells = set(json_cells(np.concatenate(
+        [cases["switches"], cases["integral"]])))
+    assert {"1e-05", "0.0001", "1e+16", "1000000000000000.0", "123.0",
+            "-1e-06", "9.999e-05", "1e+22"} <= cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=40))
+@example([0.0, -0.0, float("nan"), 5e-324, 1e-5, 1e16, 0.5, 2.0 ** 60,
+          70368744177664.125, 9007199254740993e-16])
+def test_json_float_cells_match_json_dumps_for_any_floats(values):
+    for column in (values, np.array(values)):
+        assert json_cells(column) == [json.dumps(v) for v in values]
+
+
+def test_json_cells_left_to_repr_are_only_the_undecided(monkeypatch):
+    # NaN, +-inf, zeros, powers of two, magnitudes outside [1e-6, 1e17)
+    # and 16-digit candidates above 2^53 are spelled one by one; the
+    # finite cells around them stay on the array path
+    values = np.linspace(1.1, 7.3, 1_000)
+    undecided = {3: np.nan, 500: np.inf, 999: -np.inf, 10: 2.0, 11: 0.5,
+                 12: -0.0, 13: 1e-7, 14: 1e17, 15: 9.071234567890123}
+    values[list(undecided)] = list(undecided.values())
+    values[16] = 9.5  # 15 digits read back: no 16-digit candidate needed
+    spelled = []
+    real = cli._text_field
+
+    def counting(texts):
+        spelled.extend(texts)
+        return real(texts)
+
+    monkeypatch.setattr(cli, "_text_field", counting)
+    assert json_cells(values) == [json.dumps(v) for v in values.tolist()]
+    assert sorted(spelled) == sorted(map(json.dumps, undecided.values()))
+
+
 INT64 = (-2 ** 63, 2 ** 63 - 1)
 
 
@@ -594,6 +704,25 @@ def test_limit_beyond_available_memory_exits_2(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: build_sieve(10000000) needs about 47 MiB, "
                    "but only 1 MiB are available\n")
+
+
+
+@pytest.mark.parametrize("kmax, message", [
+    (3 * 10 ** 8, "needs about"), (10 ** 11, "limit must be in [2, 2**40]")])
+def test_loglog_gap_oversized_kmax_exits_2_before_building_k(
+        capsys, monkeypatch, kmax, message):
+    # the tables are sized, and refused, before any of the kmax ks exist
+    monkeypatch.setattr(sieve, "_available_bytes", lambda: 2 ** 30)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "loglog-gap", "--kmax", str(kmax))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("module", ["psitools", "psitools.cli"])

@@ -47,6 +47,10 @@ CASES = [
     ("classify --xmin 10 --xmax 10000 --points 4 --format json", 0, "dd095fe36a22838876e66bcb150d96f9aebbc4647284c381707d287fcdf2ae7a"),
     ("dist-tail --x 1000 --t 1.9 --t 2.5", 0, "2faaf7927b86b625c011d014c931784d99a29704a23d55dd4a558473540bae16"),
     ("dist-tail --x 1000 --t 1.9 --t 2.5 --format json", 0, "2d8c16dcbb91581858a28b3db089214365a7039e496df66df3fb9fa84f7f23b4"),
+    # JSON floats 1e-07, 2.0, 1e+16 and a 17-digit fraction
+    ("dist-tail --x 1000 --t 1e-7 --t 2 --t 1e16 --t 0.1 --format json", 0, "002056ac862a45c40d6ade07dd6ea1f50a8c630c9456b14c80d0f487fbf61199"),
+    # 25,997 rows of JSON floats, seven emit chunks
+    ("verify-psi --plimit 300000 --format json", 0, "b708ef5296930184e3ca25e433cde7e534a2da3aaa0c02ac2348d7e10b591e4b"),
     ("loglog-gap --kmax 8", 0, "a903ac60d8b5b162a4293ee2dab8e78ce393fe599b197688ff356ca8c65eb36d"),
     ("loglog-gap --kmax 8 --format json", 0, "49ecdea8977329a12c4d19f242c49b68cb68b11179ccc907dea69bafd550abcb"),
     ("loglog-gap --k 3 --k 10", 0, "bff78bb4f18cafc1c42c0e66e9a1a0e9dfe842fdca875e7cc5e4d09fb442f7cd"),
@@ -108,7 +112,7 @@ def test_psi_subcommands_build_no_sieve(capsys, monkeypatch):
     cases = [c for c in CASES
              if c[0].split()[:1] in (["extremes"], ["classify"],
                                      ["dist-tail"])]
-    assert len(cases) == 10
+    assert len(cases) == 11
     for line, code, digest in cases:
         assert main(line.split()) == code, line
         out = capsys.readouterr().out
