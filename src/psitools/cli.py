@@ -6,9 +6,15 @@ Output is CSV (RFC-4180 style: comma, header row, LF endings, floats at
 or domain error, or a numerical cross-check that failed.
 
 Each subcommand is declared once, as a COMMANDS entry: its help text and
-extra flags, its output column names, a rows(args) callable that returns
-the output columns as equal-length sequences, and an optional vector
-predicate fails(columns) that marks the rows that are counterexamples.
+extra flags, its output column names, a rows(args) generator that yields
+the rows as chunks of columns (equal-length sequences), and an optional
+vector predicate fails(columns) that marks the rows of a chunk that are
+counterexamples.  Most subcommands compute a few rows and yield them as
+one chunk; verify-psi streams its primes and yields at most 2^12 rows at
+a time, so it holds one chunk rather than whole columns.  main takes the first
+chunk before it opens the output, so an invalid request writes nothing,
+and emit writes the CSV header or the JSON brackets once around all the
+chunks.
 
 emit writes the rows 2^12 at a time, each chunk as one uint8 matrix with
 a row per output row.  Every column chunk becomes a fixed-width field of
@@ -47,14 +53,16 @@ spacing, so it holds at most one 15-digit decimal, and every shorter
 answer is that one with zeros dropped.  The answer is thus the nearest
 15-digit decimal, zeros dropped, if it reads back, else the nearest 16-
 digit one if that does, else M, since 17 digits always do.  A read-back
-is one correctly rounded product or quotient of the candidate, below
-2^53, and an exact 10^s, |s| <= 22.  log10 can miss e by one, which a y
+is one correctly rounded product or quotient of the candidate and an
+exact 10^s, |s| <= 22.  The candidate is an exact double when it is at
+most 2^53, or even: a 16-digit one is below 10^16 < 2^54, where the
+doubles are the even integers.  log10 can miss e by one, which a y
 outside [10^16, 10^17) shows; where y sits on the edge, M + r outside
 that range sends the cell to the per-cell path.  repr writes scientific
 notation when e < -4 or e >= 16, a bare 1e-05, and appends .0 to an
 integral value.  That covers |x| in [1e-6, 1e17) except powers of two,
-whose interval is lopsided, and 16-digit candidates above 2^53, which
-need not be doubles.
+whose interval is lopsided, and odd 16-digit candidates above 2^53,
+which are not doubles.
 
 Zero, non-finite values and the floats outside those ranges keep their
 per-cell spelling (%.15g, or repr through json.dumps), as do bools, None,
@@ -68,7 +76,8 @@ import json
 import sys
 from dataclasses import dataclass
 from math import log
-from typing import Any, Callable, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -221,7 +230,9 @@ def _shortest(a: np.ndarray, ok: np.ndarray):
     m16, e16 = _nearest(m, r, e, 16)
     m15, e15 = _nearest(m, r, e, 15)
     fits15 = _read_back(m15, e15 - 14) == a
-    exact16 = m16 <= 2 ** 53
+    # 16 digits are below 10^16 < 2^54: exact doubles up to 2^53, and
+    # the even ones above
+    exact16 = (m16 <= 2 ** 53) | (m16 % 2 == 0)
     fits16 = exact16 & (_read_back(m16, e16 - 15) == a)
     ok &= fits15 | exact16
     best = np.where(fits15, 100 * m15, np.where(fits16, 10 * m16, m))
@@ -311,11 +322,15 @@ def _field(part: Sequence, fmt: str) -> np.ndarray:
     return _float_field(part.astype(np.float64, copy=False), fmt)
 
 
-def emit(columns: dict[str, Sequence], output_format: str, sink) -> None:
-    """Write equal-length named columns to sink as CSV or a JSON array.
+def emit(columns: dict[str, Sequence], output_format: str, sink,
+         more: Iterable[dict[str, Sequence]] = ()) -> None:
+    """Write equal-length named columns to sink as CSV or a JSON array,
+    then the rows of each chunk of columns in more, which have the same
+    names.
 
-    Rows go out _ROW_CHUNK at a time, as one byte matrix each (see the
-    module docstring); no rows give a header-only CSV, or [].
+    The CSV header or the JSON brackets are written once.  Rows go out
+    _ROW_CHUNK at a time, as one byte matrix each (see the module
+    docstring); no rows give a header-only CSV, or [].
     """
     if output_format == "csv":
         sink.write(",".join(_text(name, "csv") for name in columns) + "\n")
@@ -332,19 +347,24 @@ def emit(columns: dict[str, Sequence], output_format: str, sink) -> None:
     joins = [np.frombuffer(j + k, np.uint8)[:, None] for j, k
              in zip([lead] + [sep] * len(keys), keys)]
     joins.append(np.frombuffer(end, np.uint8)[:, None])
-    n_rows = len(next(iter(columns.values()), ()))
-    for a in range(0, n_rows, _ROW_CHUNK):
-        fields = [_field(c[a:a + _ROW_CHUNK], output_format)
-                  for c in columns.values()]
-        parts = [p for pair in zip(joins, fields) for p in pair] + joins[-1:]
-        rows = np.empty((fields[0].shape[1], sum(map(len, parts))), np.uint8)
-        at = 0
-        for part in parts:
-            rows[:, at:at + len(part)] = part.T
-            at += len(part)
-        text = rows[rows != 0].tobytes().decode()
-        sink.write(text[skip:] if a == 0 else text)
-    sink.write(tail if n_rows else tail.lstrip("\n"))
+    written = False
+    for chunk in chain([columns], more):
+        n_rows = len(next(iter(chunk.values()), ()))
+        for a in range(0, n_rows, _ROW_CHUNK):
+            fields = [_field(c[a:a + _ROW_CHUNK], output_format)
+                      for c in chunk.values()]
+            parts = ([p for pair in zip(joins, fields) for p in pair]
+                     + joins[-1:])
+            rows = np.empty((fields[0].shape[1], sum(map(len, parts))),
+                            np.uint8)
+            at = 0
+            for part in parts:
+                rows[:, at:at + len(part)] = part.T
+                at += len(part)
+            text = rows[rows != 0].tobytes().decode()
+            sink.write(text if written else text[skip:])
+            written = True
+    sink.write(tail if written else tail.lstrip("\n"))
 
 
 @dataclass(frozen=True)
@@ -353,7 +373,7 @@ class Command:
 
     help: str
     columns: tuple[str, ...]
-    rows: Callable[[argparse.Namespace], Sequence[Sequence]]
+    rows: Callable[[argparse.Namespace], Iterator[Sequence[Sequence]]]
     flags: tuple[tuple[str, dict[str, Any]], ...] = ()
     fails: Callable[[dict[str, np.ndarray]], np.ndarray] | None = None
 
@@ -421,12 +441,13 @@ def _per_x(point: Callable[..., tuple], smallest: int = 2,
     """rows(args) for a grid subcommand: one point(x, tables, args) per x.
 
     The grid and the sieve (to the largest x, or need(args) if larger)
-    are computed once; every row is computed before any is written.
+    are computed once; every row is computed before any is written, as
+    one chunk.
     """
-    def rows(args: argparse.Namespace) -> list[tuple]:
+    def rows(args: argparse.Namespace) -> Iterator[list[tuple]]:
         xs = _grid(args, smallest)
         tables = _tables(args, max(max(xs), need(args)))
-        return list(zip(*(point(x, tables, args) for x in xs)))
+        yield list(zip(*(point(x, tables, args) for x in xs)))
     return rows
 
 
@@ -435,11 +456,11 @@ def _whole_grid(grid: Callable[[list[int]], list[tuple]]):
 
     One grid and one grid(xs) call, which streams psi itself (no sieve
     tables, so --limit is not read) and returns a tuple of answers per
-    x; the output columns are x and the answers.
+    x; the output columns, one chunk, are x and the answers.
     """
-    def rows(args: argparse.Namespace) -> list[Sequence]:
+    def rows(args: argparse.Namespace) -> Iterator[list[Sequence]]:
         xs = _grid(args, 2)
-        return [xs, *zip(*grid(xs))]
+        yield [xs, *zip(*grid(xs))]
     return rows
 
 
@@ -449,16 +470,24 @@ def _sample(x: int, s) -> tuple:
 
 def _sieve_info(args):
     tables = sieve.build_sieve(_need(args, "limit", 2))
-    return [[tables.limit], [len(tables.primes)],
-            [squarefree.count_squarefree_exact(tables.limit, tables)],
-            [sieve.theta(tables.limit, tables)]]
+    yield [[tables.limit], [len(tables.primes)],
+           [squarefree.count_squarefree_exact(tables.limit, tables)],
+           [sieve.theta(tables.limit, tables)]]
 
 
 def _verify_psi(args):
+    """Streams the primes up to --plimit with no sieve tables, so
+    --limit is not read; a chunk holds at most _ROW_CHUNK primorials."""
     p_limit = _need(args, "plimit", 2)
-    cols = extrema.primorial_columns(p_limit, _tables(args, p_limit))
-    # the columns come in the order of verify-psi's, after k
-    return [np.arange(1, len(cols["p"]) + 1), *cols.values()]
+    primes = (block[a:a + _ROW_CHUNK]
+              for block in sieve.prime_blocks(2, p_limit + 1)
+              for a in range(0, len(block), _ROW_CHUNK))
+    k = 1
+    for cols in extrema.primorial_stream(primes):
+        ks = np.arange(k, k + len(cols["p"]))
+        k += len(ks)
+        # the columns come in the order of verify-psi's, after k
+        yield [ks, *cols.values()]
 
 
 def _squarefree(x, tables, args):
@@ -475,7 +504,7 @@ def _progression(x, tables, args):
 def _b1(args):
     p_limit = _need(args, "plimit", 2)
     value, tail = mertens.compute_B1(p_limit, _tables(args, p_limit))
-    return [[p_limit], [value], [tail]]
+    yield [[p_limit], [value], [tail]]
 
 
 def _dusart(x, tables, args):
@@ -487,14 +516,14 @@ def _dusart(x, tables, args):
 def _jumps(args):
     kmax = _need(args, "kmax", 1)
     tables = _tables_with_primes(args, kmax + 1)
-    return [np.arange(1, kmax + 1), tables.primes[1:kmax + 1],
-            extrema.jump_deltas(kmax, tables)]
+    yield [np.arange(1, kmax + 1), tables.primes[1:kmax + 1],
+           extrema.jump_deltas(kmax, tables)]
 
 
 def _dist_tail(args):
     x = _need(args, "x", 2)
     ts, fractions = zip(*extrema.distribution_tail(x, args.t))
-    return [[x] * len(ts), ts, fractions]
+    yield [[x] * len(ts), ts, fractions]
 
 
 def _loglog_gap(args):
@@ -509,7 +538,7 @@ def _loglog_gap(args):
     ks = np.concatenate([np.array(args.k or [], np.int64),
                          np.arange(2, (args.kmax or 1) + 1)])
     gaps = extrema.loglog_gap(ks, tables)
-    return [ks, tables.primes[ks - 1], gaps]
+    yield [ks, tables.primes[ks - 1], gaps]
 
 
 def _gap_check(args):
@@ -517,12 +546,12 @@ def _gap_check(args):
     tables = _tables(args, p_limit)
     holds, worst_k = extrema.gap_exponent_check(p_limit, tables)
     worst_p, worst_next = tables.primes[worst_k - 1:worst_k + 1].tolist()
-    return [[p_limit], [holds], [worst_k], [worst_p], [worst_next]]
+    yield [[p_limit], [holds], [worst_k], [worst_p], [worst_next]]
 
 
 def _tail_sum(args):
     tail = squarefree.primorial_divisor_tail(args.x, _tables(args, args.x))
-    return [[args.x], [tail.numerator], [tail.denominator]]
+    yield [[args.x], [tail.numerator], [tail.denominator]]
 
 
 def _constants(args):
@@ -530,9 +559,9 @@ def _constants(args):
     if not args.no_crosscheck:
         tables = sieve.build_sieve(max(args.limit or 0, 10 ** 6))
         residuals = dict(constants.crosscheck_constants(tables))
-    return list(zip(*((c.name, c.decimal, residuals.get(c.name))
-                      for c in map(constants.get_constant,
-                                   constants.constant_names()))))
+    yield list(zip(*((c.name, c.decimal, residuals.get(c.name))
+                     for c in map(constants.get_constant,
+                                  constants.constant_names()))))
 
 
 COMMANDS: dict[str, Command] = {
@@ -657,13 +686,26 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     command = COMMANDS[args.subcommand]
+    failed = False
+
+    def checked(chunks: Iterator[Sequence[Sequence]]):
+        """Each chunk as named columns, once its rows are tested by fails."""
+        nonlocal failed
+        for chunk in chunks:
+            columns = dict(zip(command.columns, chunk, strict=True))
+            if command.fails is not None:
+                failed |= bool(np.any(command.fails(
+                    {name: np.asarray(c) for name, c in columns.items()})))
+            yield columns
+
     try:
-        columns = dict(zip(command.columns, command.rows(args), strict=True))
-        failed = command.fails is not None and bool(np.any(command.fails(
-            {name: np.asarray(c) for name, c in columns.items()})))
+        chunks = checked(command.rows(args))
+        # every validation error comes with the first chunk, before the
+        # output is opened or a byte written
+        first = next(chunks)
         with (open(args.output, "w", newline="") if args.output
               else contextlib.nullcontext(sys.stdout)) as sink:
-            emit(columns, args.format, sink)
+            emit(first, args.format, sink, chunks)
     except (ValueError, OverflowError, FloatingPointError, KeyError, OSError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,15 +3,18 @@
 The primorial N_k = 2*3*...*p_k overflows fixed-width integers near
 k = 15, so everything here stays in the log domain: log N_k = theta(p_k)
 is a compensated prefix sum of log p, and the ratio psi(N_k)/N_k =
-prod(1 + 1/p) lives as exp of a compensated log sum.  primorial_columns
-is the one source of every per-k value; N_k/phi(N_k) is
-mertens.euler_product_inv(p_k).
+prod(1 + 1/p) lives as exp of a compensated log sum.  primorial_stream
+is the one source of every per-k value: it turns chunks of primes into
+chunks of rows, carrying both sums across chunks, so verify-psi streams
+from prime blocks and primorial_columns is its concatenation over the
+tables' primes.  N_k/phi(N_k) is mertens.euler_product_inv(p_k).
 
 The per-n psi(n)/n functions (extremes, classification, tail fractions)
 take no tables: they stream sieve.psi_blocks.
 """
 from __future__ import annotations
 
+from itertools import tee
 from math import isnan, log
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -19,9 +22,10 @@ import numpy as np
 
 from .constants import get_constant
 from .sieve import MAX_LIMIT, InsufficientSieveError, SieveTables, psi_blocks
-from .summation import compensated_cumsum
+from .summation import chunked, compensated_chunks
 
 __all__ = [
+    "primorial_stream",
     "primorial_columns",
     "jump_deltas",
     "psi_ratio_extremes",
@@ -37,30 +41,42 @@ _GAP_ALPHA = get_constant("gap_alpha").value
 _GAP_CHUNK = 1 << 16  # loglog_gap's ks per list of Python floats
 
 
+def primorial_stream(prime_chunks: Iterable[np.ndarray]
+                     ) -> Iterator[dict[str, np.ndarray]]:
+    """Per-k columns of the primorials N_k, one chunk per chunk of primes.
+
+    prime_chunks are the primes p_1 = 2, p_2 = 3, ... in ascending
+    order, cut anywhere; empty chunks are skipped.  Each column chunk
+    holds p (= p_k, the chunk itself), log_N (theta(p_k), the
+    compensated prefix of log p), psi_ratio (prod_{p <= p_k}(1 + 1/p) as
+    exp of a compensated log sum), loglog_N, threshold
+    ((6 e^gamma / pi^2) loglog_N) and margin (psi_ratio - threshold), in
+    that order.  Both compensated sums carry across chunks, so every cut
+    gives the same bits.
+    """
+    ps, for_log_n, for_ratio = tee(filter(len, prime_chunks), 3)
+    log_ns = compensated_chunks(np.log(p.astype(np.float64))
+                                for p in for_log_n)
+    log_ratios = compensated_chunks(np.log1p(1.0 / p.astype(np.float64))
+                                    for p in for_ratio)
+    for p, log_n, log_ratio in zip(ps, log_ns, log_ratios):
+        psi_ratio = np.exp(log_ratio)
+        loglog_n = np.log(log_n)
+        threshold = _THRESHOLD * loglog_n
+        yield {"p": p, "log_N": log_n, "psi_ratio": psi_ratio,
+               "loglog_N": loglog_n, "threshold": threshold,
+               "margin": psi_ratio - threshold}
+
+
 def primorial_columns(p_limit: int,
                       tables: SieveTables) -> dict[str, np.ndarray]:
-    """Per-k columns of the primorials N_k for all primes p_k <= p_limit.
-
-    Row i holds k = i + 1: p (= p_k), log_N (theta(p_k), the
-    compensated prefix of log p), psi_ratio (prod_{p <= p_k}(1 + 1/p)
-    as exp of a compensated log sum), loglog_N, threshold
-    ((6 e^gamma / pi^2) loglog_N) and margin (psi_ratio - threshold), in
-    that order, all from one vector pass over the tables' primes.
-    """
+    """primorial_stream over the tables' primes p_k <= p_limit, each
+    column whole: row i holds k = i + 1."""
     count = tables.prime_count(tables.check(p_limit, 2, "p_limit"))
-    ps = tables.primes[:count].astype(np.float64)
-    log_n = compensated_cumsum(np.log(ps))
-    psi_ratio = np.exp(compensated_cumsum(np.log1p(1.0 / ps)))
-    loglog_n = np.log(log_n)
-    threshold = _THRESHOLD * loglog_n
-    return {
-        "p": tables.primes[:count],
-        "log_N": log_n,
-        "psi_ratio": psi_ratio,
-        "loglog_N": loglog_n,
-        "threshold": threshold,
-        "margin": psi_ratio - threshold,
-    }
+    chunks = list(primorial_stream(chunked(tables.primes[:count])))
+    # one column at a time, dropping its chunks once joined
+    return {name: np.concatenate([chunk.pop(name) for chunk in chunks])
+            for name in list(chunks[0])}
 
 
 def jump_deltas(kmax: int, tables: SieveTables) -> np.ndarray:

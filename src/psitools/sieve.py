@@ -23,7 +23,10 @@ and log N_k = theta(p_k) is a column of extrema.primorial_columns.
 
 psi_blocks streams exact psi(n) over any range below 2**40 + 1 the
 same way, from its own primes up to sqrt of the range end, with no
-tables at all.
+tables at all; prime_blocks streams the primes alone, from a kernel of
+bool marks on the same strided and gathered passes.  Both yield one
+block at a time, so a consumer that takes its rows as chunks (such as
+verify-psi) holds O(block) memory whatever the range.
 """
 from __future__ import annotations
 
@@ -44,6 +47,7 @@ __all__ = [
     "theta",
     "segment_scan",
     "psi_blocks",
+    "prime_blocks",
 ]
 
 SEGMENT_SIZE = 1 << 20
@@ -180,6 +184,24 @@ def _mobius_block(lo: int, hi: int,
     np.negative(mobius, out=mobius,
                 where=found < np.arange(lo, hi, dtype=dtype))
     return mobius, found == 1
+
+
+def _prime_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """Where no sieving prime divides n in [lo, hi); primes must cover
+    sqrt(hi - 1).
+
+    The strided and gathered passes of _mobius_block with bool marks
+    alone: no found product and no Mobius values.  Like its untouched,
+    the marks above sqrt(hi - 1) are exactly the primes there; n = 0
+    and n = 1 are left to the caller.
+    """
+    marks = np.ones(hi - lo, dtype=bool)
+    small, large = _split(lo, hi, primes)
+    for p in small.tolist():
+        marks[(-lo) % p::p] = False
+    for index, _ in _hit_chunks(lo, hi - lo, large):
+        marks[index] = False
+    return marks
 
 
 def _spf_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
@@ -377,3 +399,28 @@ def psi_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
         if first == 0:
             psi[0] = 0
         yield first, psi
+
+
+def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Yield the primes of the half-open range [lo, hi), ascending, as
+    int64 arrays: one per SEGMENT_SIZE block, the first starting at lo.
+
+    The base primes come from a plain sieve up to sqrt(hi - 1) and mark
+    each block with _prime_block, so no tables are needed and only one
+    block is held at a time.  A block may hold no primes.  Raises
+    ValueError, when first advanced, unless 0 <= lo <= hi and
+    hi - 1 <= 2**40.
+    """
+    lo, hi = int(lo), int(hi)
+    if not 0 <= lo <= hi or hi - 1 > MAX_LIMIT:
+        raise ValueError(
+            f"need 0 <= lo <= hi <= 2**40 + 1, got lo={lo}, hi={hi}")
+    root = isqrt(max(hi - 1, 0))
+    base = _small_primes(root)
+    for first in range(lo, hi, SEGMENT_SIZE):
+        last = min(first + SEGMENT_SIZE, hi)
+        # the base primes are marked; past them, the unmarked n are prime
+        start = max(first, root + 1, 2)
+        above = np.flatnonzero(_prime_block(first, last, base)[start - first:])
+        above += start
+        yield np.concatenate((base[(base >= first) & (base < last)], above))

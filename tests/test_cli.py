@@ -154,17 +154,18 @@ def test_jumps_sums_the_log_terms_once(capsys, monkeypatch):
     # one compensated sum over all k for each of the theta prefix and the
     # psi-ratio prefix, not one per k
     calls = []
-    real = extrema.compensated_cumsum
+    real = extrema.compensated_chunks
 
-    def counting(values):
-        calls.append(len(values))
-        return real(values)
+    def counting(chunks):
+        sizes = []
+        calls.append(sizes)
+        return real(sizes.append(len(c)) or c for c in chunks)
 
-    monkeypatch.setattr(extrema, "compensated_cumsum", counting)
+    monkeypatch.setattr(extrema, "compensated_chunks", counting)
     code, out, _ = run(capsys, "jumps", "--kmax", "500")
     assert code == 0
     assert len(out.splitlines()) == 501
-    assert calls == [500, 500]
+    assert [sum(sizes) for sizes in calls] == [500, 500]
 
 
 def test_verify_psi_rows_across_chunks(capsys):
@@ -179,6 +180,61 @@ def test_verify_psi_rows_across_chunks(capsys):
         for k in range(1, len(cols["p"]) + 1)]
     assert len(expect) == 5_133
     assert out.splitlines()[1:] == expect
+
+
+def test_verify_psi_streams_in_bounded_memory(tmp_path):
+    # 216,816 rows go out a chunk at a time: no sieve tables and no
+    # whole columns, which took a traced peak of 17.5 MB
+    target = tmp_path / "v.csv"
+    tracemalloc.start()
+    try:
+        code = main(["verify-psi", "--plimit", "3000000",
+                     "--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert target.read_text().count("\n") == 216_817
+    assert peak < 8 * 2 ** 20
+
+
+def test_verify_psi_counterexample_in_a_later_chunk(capsys, monkeypatch):
+    # a margin <= 0 in the second chunk fails the run, but only after
+    # every row is written
+    real = extrema.primorial_stream
+    hit = []
+
+    def zero_margin_at_k5000(prime_chunks):
+        k = 1
+        for i, chunk in enumerate(real(prime_chunks)):
+            at = 5_000 - k
+            k += len(chunk["p"])
+            if 0 <= at < len(chunk["p"]):
+                chunk["margin"][at] = 0.0
+                hit.append(i)
+            yield chunk
+
+    monkeypatch.setattr(extrema, "primorial_stream", zero_margin_at_k5000)
+    code, out, _ = run(capsys, "verify-psi", "--plimit", "50000")
+    assert hit == [1]
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 5_134
+    assert lines[5_000].startswith("5000,48611,")
+    assert lines[5_000].endswith(",0")
+
+
+@pytest.mark.parametrize("plimit", ["0", str(2 ** 40 + 1)])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_psi_bad_plimit_writes_nothing(capsys, tmp_path, plimit, fmt):
+    target = tmp_path / "v.out"
+    for output in ([], ["--output", str(target)]):
+        code, out, err = run(capsys, "verify-psi", "--plimit", plimit,
+                             "--format", fmt, *output)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])
@@ -454,6 +510,13 @@ def test_emit_chunks_match_one_chunk(monkeypatch):
         sink = io.StringIO()
         emit(columns, fmt, sink)
         assert sink.getvalue() == whole[fmt]
+        # the same rows as an empty first chunk and more chunks of 4: the
+        # header or brackets are written once
+        sink = io.StringIO()
+        emit({name: c[:0] for name, c in columns.items()}, fmt, sink,
+             ({name: c[a:a + 4] for name, c in columns.items()}
+              for a in range(0, 10, 4)))
+        assert sink.getvalue() == whole[fmt]
     assert '"v": Infinity' in whole["json"]
 
 
@@ -612,13 +675,15 @@ def test_json_float_cells_match_json_dumps_for_any_floats(values):
 
 def test_json_cells_left_to_repr_are_only_the_undecided(monkeypatch):
     # NaN, +-inf, zeros, powers of two, magnitudes outside [1e-6, 1e17)
-    # and 16-digit candidates above 2^53 are spelled one by one; the
+    # and odd 16-digit candidates above 2^53 are spelled one by one; the
     # finite cells around them stay on the array path
     values = np.linspace(1.1, 7.3, 1_000)
     undecided = {3: np.nan, 500: np.inf, 999: -np.inf, 10: 2.0, 11: 0.5,
                  12: -0.0, 13: 1e-7, 14: 1e17, 15: 9.071234567890123}
     values[list(undecided)] = list(undecided.values())
     values[16] = 9.5  # 15 digits read back: no 16-digit candidate needed
+    # an even 16-digit candidate above 2^53 is an exact double
+    values[17] = 9.071234567890126
     spelled = []
     real = cli._text_field
 

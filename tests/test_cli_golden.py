@@ -51,6 +51,9 @@ CASES = [
     ("dist-tail --x 1000 --t 1e-7 --t 2 --t 1e16 --t 0.1 --format json", 0, "002056ac862a45c40d6ade07dd6ea1f50a8c630c9456b14c80d0f487fbf61199"),
     # 25,997 rows of JSON floats, seven emit chunks
     ("verify-psi --plimit 300000 --format json", 0, "b708ef5296930184e3ca25e433cde7e534a2da3aaa0c02ac2348d7e10b591e4b"),
+    # 155,805 rows: the primes cross the sieve's block seams at 2^20 and 2^21
+    ("verify-psi --plimit 2100000", 0, "6eb2f31fcaa78323f09a7b31e4fc5d4770bbab6673edf88ef51e1d6833109d01"),
+    ("verify-psi --plimit 2100000 --format json", 0, "672a9111e98057540bcbc4434b828599333e096b590e08ab377ed1dd4a82ef6b"),
     ("loglog-gap --kmax 8", 0, "a903ac60d8b5b162a4293ee2dab8e78ce393fe599b197688ff356ca8c65eb36d"),
     ("loglog-gap --kmax 8 --format json", 0, "49ecdea8977329a12c4d19f242c49b68cb68b11179ccc907dea69bafd550abcb"),
     ("loglog-gap --k 3 --k 10", 0, "bff78bb4f18cafc1c42c0e66e9a1a0e9dfe842fdca875e7cc5e4d09fb442f7cd"),
@@ -113,6 +116,21 @@ def test_psi_subcommands_build_no_sieve(capsys, monkeypatch):
              if c[0].split()[:1] in (["extremes"], ["classify"],
                                      ["dist-tail"])]
     assert len(cases) == 11
+    for line, code, digest in cases:
+        assert main(line.split()) == code, line
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, line
+
+
+def test_verify_psi_builds_no_sieve(capsys, monkeypatch):
+    # verify-psi streams its primes in blocks and must print the same
+    # bytes without any sieve tables
+    def no_tables(limit):
+        raise AssertionError(f"build_sieve({limit}) called")
+
+    monkeypatch.setattr(sieve, "build_sieve", no_tables)
+    cases = [c for c in CASES if c[0].split()[:1] == ["verify-psi"]]
+    assert len(cases) == 10
     for line, code, digest in cases:
         assert main(line.split()) == code, line
         out = capsys.readouterr().out

@@ -70,6 +70,32 @@ def test_primorial_columns_exact_oracle(tables_1e4):
         assert abs(float(cols["log_N"][k - 1]) - log_n) <= 1e-14 * log_n, k
 
 
+def test_primorial_stream_gives_the_same_bits_for_any_cut(tables_1e5):
+    # the whole-array prefix sums are the reference; the stream carries
+    # both compensated sums across uneven cuts and skips empty chunks
+    primes = tables_1e5.primes
+    ps = primes.astype(np.float64)
+    log_n = compensated_cumsum(np.log(ps))
+    psi_ratio = np.exp(compensated_cumsum(np.log1p(1.0 / ps)))
+    threshold = get_constant("threshold").value * np.log(log_n)
+    expect = {"p": primes, "log_N": log_n, "psi_ratio": psi_ratio,
+              "loglog_N": np.log(log_n), "threshold": threshold,
+              "margin": psi_ratio - threshold}
+    cuts = [0, 1, 1, 2, 3, 100, 4096, 4097, 9000, len(primes)]
+    chunks = list(extrema.primorial_stream(
+        primes[a:b] for a, b in zip(cuts[:-1], cuts[1:])))
+    assert [len(c["p"]) for c in chunks] == [1, 1, 1, 97, 3996, 1, 4903,
+                                             len(primes) - 9000]
+    for got in ({name: np.concatenate([c[name] for c in chunks])
+                 for name in expect},
+                primorial_columns(int(primes[-1]), tables_1e5)):
+        assert list(got) == list(expect)
+        for name, column in expect.items():
+            assert got[name].dtype == column.dtype, name
+            assert np.array_equal(got[name].view(np.int64),
+                                  column.view(np.int64)), name
+
+
 def test_primorial_monotonicity(tables_1e6):
     cols = primorial_columns(1_000_000, tables_1e6)
     assert len(cols["p"]) == 78_498

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from psitools import (InsufficientSieveError, SieveTables, build_sieve,
                       segment_scan, theta)
 from psitools import arith, constants, extrema, mertens, sieve, squarefree
-from psitools.sieve import (MAX_LIMIT, _mobius_block, _small_primes,
-                            _spf_block)
+from psitools.sieve import (MAX_LIMIT, SEGMENT_SIZE, _mobius_block,
+                            _small_primes, _spf_block)
 from psitools.squarefree import count_squarefree_formula
 from psitools.summation import compensated_cumsum
 
@@ -417,6 +417,43 @@ def test_build_primes_match_plain_sieve(limit):
     assert primes.dtype == np.int64
     assert np.array_equal(primes, _small_primes(limit))
     assert len(primes) < 1.25506 * limit / math.log(limit)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 1000, 2 ** 20 - 1, 2 ** 20,
+                                   2 ** 20 + 1, 3 * 2 ** 20 + 7])
+def test_prime_blocks_match_build_sieve(limit):
+    primes = build_sieve(limit).primes
+    for lo in [lo for lo in (0, 2, 7) if lo <= limit]:
+        blocks = list(sieve.prime_blocks(lo, limit + 1))
+        assert len(blocks) == -(-(limit + 1 - lo) // SEGMENT_SIZE)
+        assert all(block.dtype == np.int64 for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), primes[primes >= lo])
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2 ** 31 - 5000, 2 ** 31 + 5000),
+    (10 ** 12 - 12_345, 10 ** 12 + SEGMENT_SIZE + 6_789)])
+def test_prime_blocks_unaligned_windows_match_mobius_kernel(lo, hi):
+    # every n here is above sqrt(hi - 1), so untouched marks its primes
+    _, untouched = _mobius_block(lo, hi, _small_primes(math.isqrt(hi - 1)))
+    blocks = list(sieve.prime_blocks(lo, hi))
+    assert len(blocks) == -(-(hi - lo) // SEGMENT_SIZE)
+    assert np.array_equal(np.concatenate(blocks),
+                          lo + np.flatnonzero(untouched))
+
+
+def test_prime_blocks_count_to_1e8():
+    assert sum(map(len, sieve.prime_blocks(2, 10 ** 8 + 1))) == 5_761_455
+
+
+def test_prime_blocks_domain():
+    (top,) = sieve.prime_blocks(MAX_LIMIT - 200, MAX_LIMIT + 1)
+    assert top.tolist() == [n for n in range(MAX_LIMIT - 200, MAX_LIMIT + 1)
+                            if sympy.isprime(n)]
+    assert list(sieve.prime_blocks(5, 5)) == []
+    for lo, hi in [(0, MAX_LIMIT + 2), (-1, 5), (5, 4)]:
+        with pytest.raises(ValueError, match="2\\*\\*40"):
+            next(sieve.prime_blocks(lo, hi))
 
 
 def test_build_refuses_limit_beyond_available_memory(monkeypatch):
