@@ -223,9 +223,10 @@ def loglog_gap(ks: Sequence[int] | np.ndarray,
     """log log p_k - log log log N_k for the k-th primorial, each k in ks.
 
     Defined for k >= 2 only: at k = 1, log N_1 = log 2 < 1 makes the
-    innermost logarithm negative.  p_k and log N_k come from one
-    primorial_columns call up to the largest k; the ks are held as one
-    int64 array, and the logarithms are math.log's, _GAP_CHUNK at a time.
+    innermost logarithm negative.  p_k is read from tables.primes, and
+    log N_k from the log_N chunks of one primorial_stream up to the
+    largest k, joined alone; the ks are held as one int64 array, and the
+    logarithms are math.log's, _GAP_CHUNK at a time.
     """
     ks = np.asarray(ks, dtype=np.int64)
     if not ks.size:
@@ -238,13 +239,15 @@ def loglog_gap(ks: Sequence[int] | np.ndarray,
     if top > len(tables.primes):
         raise InsufficientSieveError(
             f"k={top} beyond the {len(tables.primes)} primes in tables")
-    cols = primorial_columns(int(tables.primes[top - 1]), tables)
+    primes = tables.primes[:top]
+    log_ns = np.concatenate([chunk["log_N"] for chunk
+                             in primorial_stream(chunked(primes))])
     gaps = np.empty(len(ks))
     for a in range(0, len(ks), _GAP_CHUNK):
         at = ks[a:a + _GAP_CHUNK] - 1
         gaps[a:a + len(at)] = [
             log(log(p)) - log(log(log_n)) for p, log_n
-            in zip(cols["p"][at].tolist(), cols["log_N"][at].tolist())]
+            in zip(primes[at].tolist(), log_ns[at].tolist())]
     return gaps
 
 

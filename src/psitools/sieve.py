@@ -1,4 +1,4 @@
-"""Sieve tables (Mobius and primes) and psi blocks.
+"""Sieve tables (Mobius and primes), psi blocks and prime blocks.
 
 build_sieve produces one immutable bundle of arrays that most other
 modules consume:
@@ -7,26 +7,28 @@ modules consume:
   primes[i]       i-th prime (ascending, all <= limit)
 
 Construction is chunked: a base bool sieve finds the primes up to
-sqrt(limit), then fixed-size segments are filled by a numpy Mobius
-kernel (strided writes for small primes, gathered hits for large ones)
-that divides nothing: each prime negates mu at its multiples and
-multiplies a product of the primes found there, and one comparison of
-that product with n gives the last flip.  The n that no sieving prime
-touched are the block's primes above sqrt(limit).  The same kernel
-serves ranges above the base table (segment_scan), so scans beyond
-limit need nothing but the prime list up to sqrt of the range end;
-the smallest prime factors that segment_scan also yields are its own
-pass, _spf_block.
+sqrt(limit), then fixed-size segments are filled by block kernels that
+are all one pass, _sieve: updates given as (ufunc, array, values) are
+applied at the multiples of each step, by strided in-place ufunc calls
+for steps up to 1/64 of the block length and by gathered hits and
+ufunc.at for larger ones.  The Mobius kernel divides nothing: each
+prime multiplies mu by -1 and a found-factor product by p at its
+multiples, p^2 zeroes mu, and one comparison of that product with n
+gives the last flip.  The n that no sieving prime touched are the
+block's primes above sqrt(limit).  The same kernel serves ranges above
+the base table (segment_scan), so scans beyond limit need only the
+primes up to sqrt of the range end; segment_scan's smallest prime
+factors are np.minimum with p in a kernel of their own, _spf_block.
 
 Nothing derived from the primes is stored: theta(x) sums log p itself,
 and log N_k = theta(p_k) is a column of extrema.primorial_columns.
 
-psi_blocks streams exact psi(n) over any range below 2**40 + 1 the
-same way, from its own primes up to sqrt of the range end, with no
-tables at all; prime_blocks streams the primes alone, from a kernel of
-bool marks on the same strided and gathered passes.  Both yield one
-block at a time, so a consumer that takes its rows as chunks (such as
-verify-psi) holds O(block) memory whatever the range.
+psi_blocks streams exact psi(n) below 2**40 + 1 from the same pass
+over prime powers, and prime_blocks the primes alone, from bool marks
+written False by plain assignment; both sieve their own primes up to
+sqrt of the range end, need no tables and yield one block at a time,
+so a consumer that takes its rows as chunks (such as verify-psi) holds
+O(block) memory whatever the range.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 SEGMENT_SIZE = 1 << 20
-# hits per chunk of the large-prime passes of the segment kernels
+# hits per chunk of the gathered pass of _sieve
 _HIT_CHUNK = 1 << 16
 # values per sub-chunk that segment_scan converts to Python ints
 _SCAN_CHUNK = 1 << 16
@@ -102,50 +104,58 @@ def _small_primes(limit: int) -> np.ndarray:
     return np.nonzero(marks)[0].astype(np.int64)
 
 
-def _hit_chunks(lo: int, n: int,
-                steps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every multiple of each step in [lo, lo + n), about _HIT_CHUNK at a time.
-
-    Yields (index, step) pairs of equal-length arrays: index is a
-    multiple's offset from lo, step the step that hit it.  A chunk holds
-    whole steps, so a step with more hits than _HIT_CHUNK is one chunk.
-    """
-    if not steps.size:
-        return
-    first = (-lo) % steps
-    counts = np.maximum((n - 1 - first) // steps + 1, 0)
-    ends = np.cumsum(counts)
-    cuts = np.searchsorted(ends, np.arange(_HIT_CHUNK, ends[-1], _HIT_CHUNK),
-                           side="right")
-    bounds = np.unique([0, *cuts.tolist(), steps.size]).tolist()
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        c = counts[a:b]
-        total = int(c.sum())
-        if total:
-            # the k-th multiple of a step sits at first + k * step
-            k = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
-            step = np.repeat(steps[a:b], c)
-            yield np.repeat(first[a:b], c) + step * k, step
-
-
 def _index_dtype(hi: int) -> type:
     """int32 when every n below hi fits it, else int64."""
     return np.int32 if hi <= 2 ** 31 else np.int64
 
 
-def _split(lo: int, hi: int,
-           primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The primes up to sqrt(hi - 1), split into strided and gathered ones.
+def _sieve(lo: int, hi: int, steps: np.ndarray, *updates) -> None:
+    """Apply every update at the multiples of each step in [lo, hi).
 
-    Primes up to the block length / 64 are applied by strided slice
-    writes.  Larger ones hit the block about 64 times at most: their
-    multiples are gathered by _hit_chunks into index arrays and applied
-    by unbuffered ufunc.at calls, so the Python loop runs once per chunk
-    of hits rather than once per prime.
+    steps is an ascending int64 array.  Each update is (ufunc, array,
+    values): at every multiple m of steps[j], array[m - lo] becomes
+    ufunc(array[m - lo], values[j]), or values[j] when ufunc is None
+    (assignment, which is order-free only where all steps write the same
+    value).  Steps up to the block length / 64 are applied by in-place
+    ufunc calls on strided views.  Larger ones hit the block about 64
+    times at most: their multiples are gathered, whole steps and about
+    _HIT_CHUNK hits at a time, and applied by unbuffered ufunc.at, so the
+    Python loop runs once per chunk of hits rather than once per step.
     """
-    sieving = primes[primes <= isqrt(hi - 1)]
-    split = int(np.searchsorted(sieving, (hi - lo) >> 6, side="right"))
-    return sieving[:split], sieving[split:]
+    n = hi - lo
+    split = int(np.searchsorted(steps, n >> 6, side="right"))
+    starts = ((-lo) % steps[:split]).tolist()
+    small = steps[:split].tolist()
+    for ufunc, array, values in updates:
+        # Python scalars: a ufunc takes them faster than numpy ones
+        for start, step, value in zip(starts, small, values[:split].tolist()):
+            if ufunc is None:
+                array[start::step] = value
+            else:
+                view = array[start::step]
+                ufunc(view, value, out=view)
+    large = steps[split:]
+    if not large.size:
+        return
+    first = (-lo) % large
+    counts = np.maximum((n - 1 - first) // large + 1, 0)
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(_HIT_CHUNK, ends[-1], _HIT_CHUNK),
+                           side="right")
+    # a set, not np.unique, whose first call imports numpy.ma (~18 ms)
+    bounds = sorted({0, *cuts.tolist(), large.size})
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        c = counts[a:b]
+        # the k-th multiple of a step sits at first + k * step
+        k = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
+        j = np.repeat(np.arange(a, b), c)
+        index = first[j] + large[j] * k
+        j += split
+        for ufunc, array, values in updates:
+            if ufunc is None:
+                array[index] = values[j]
+            else:
+                ufunc.at(array, index, values[j])
 
 
 def _mobius_block(lo: int, hi: int,
@@ -163,24 +173,17 @@ def _mobius_block(lo: int, hi: int,
 
     Entry n = 0 is left to the caller.
     """
-    n = hi - lo
     dtype = _index_dtype(hi)
-    mobius = np.ones(n, dtype=np.int8)
-    found = np.ones(n, dtype=dtype)
+    mobius = np.ones(hi - lo, dtype=np.int8)
+    found = np.ones(hi - lo, dtype=dtype)
     if lo == 0:
         found[0] = 0
-    small, large = _split(lo, hi, primes)
-    for p in small.tolist():
-        start = (-lo) % p
-        view = mobius[start::p]
-        np.negative(view, out=view)
-        found[start::p] *= p
-        mobius[(-lo) % (p * p)::p * p] = 0
-    for index, p in _hit_chunks(lo, n, large):
-        np.multiply.at(found, index, p.astype(dtype))
-        np.negative.at(mobius, index)
-    for index, _ in _hit_chunks(lo, n, large * large):
-        mobius[index] = 0
+    primes = primes[primes <= isqrt(hi - 1)]
+    _sieve(lo, hi, primes,
+           (np.multiply, mobius, np.full(len(primes), -1, dtype=np.int8)),
+           (np.multiply, found, primes.astype(dtype)))
+    _sieve(lo, hi, primes * primes,
+           (None, mobius, np.zeros(len(primes), dtype=np.int8)))
     np.negative(mobius, out=mobius,
                 where=found < np.arange(lo, hi, dtype=dtype))
     return mobius, found == 1
@@ -190,17 +193,14 @@ def _prime_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """Where no sieving prime divides n in [lo, hi); primes must cover
     sqrt(hi - 1).
 
-    The strided and gathered passes of _mobius_block with bool marks
-    alone: no found product and no Mobius values.  Like its untouched,
-    the marks above sqrt(hi - 1) are exactly the primes there; n = 0
-    and n = 1 are left to the caller.
+    The pass of _mobius_block with bool marks alone, written False by
+    plain assignment: no found product and no Mobius values.  Like its
+    untouched, the marks above sqrt(hi - 1) are exactly the primes
+    there; n = 0 and n = 1 are left to the caller.
     """
     marks = np.ones(hi - lo, dtype=bool)
-    small, large = _split(lo, hi, primes)
-    for p in small.tolist():
-        marks[(-lo) % p::p] = False
-    for index, _ in _hit_chunks(lo, hi - lo, large):
-        marks[index] = False
+    primes = primes[primes <= isqrt(hi - 1)]
+    _sieve(lo, hi, primes, (None, marks, np.zeros(len(primes), dtype=bool)))
     return marks
 
 
@@ -208,21 +208,17 @@ def _spf_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """Smallest prime factor of each n in [lo, hi); primes must cover
     sqrt(hi - 1).
 
-    Starts from n itself; strided writes in descending order of p leave
-    the smallest factor last, and gathered large primes lower it with
-    np.minimum.at.  A block at lo = 0 gives n = 1 the value 0, and n = 0
-    the least sieving prime (0 if there is none).
+    Starts from n itself, and each prime lowers its multiples to it with
+    np.minimum, in any order.  A block at lo = 0 gives n = 1 the value
+    0, and n = 0 the least sieving prime (0 if there is none).
     """
     dtype = _index_dtype(hi)
     unset = np.iinfo(dtype).max
     spf = np.arange(lo, hi, dtype=dtype)
     head = spf[:2 if lo == 0 else 0]
     head[:] = unset
-    small, large = _split(lo, hi, primes)
-    for p in small[::-1].tolist():
-        spf[(-lo) % p::p] = p
-    for index, p in _hit_chunks(lo, hi - lo, large):
-        np.minimum.at(spf, index, p.astype(dtype))
+    primes = primes[primes <= isqrt(hi - 1)]
+    _sieve(lo, hi, primes, (np.minimum, spf, primes.astype(dtype)))
     head[head == unset] = 0
     return spf
 
@@ -232,27 +228,30 @@ def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
 
     The found-factor product of _mobius_block, over prime powers: each
     prime p multiplies its multiples by p + 1 in out and by p in found,
-    and each higher power p^a multiplies both by a further p.  found is
-    then the part of n made of primes up to sqrt(hi - 1), and the one
-    division q = n / found leaves 1 or the one prime factor q above it,
-    which gives a final factor q + 1.  Entry n = 0, a multiple of every
-    prime, is left to the caller.
+    and each higher power p^a <= hi - 1 multiplies both by a further p,
+    all in a second pass.  found is then the part of n made of primes
+    up to sqrt(hi - 1), and the one division q = n / found leaves 1 or
+    the one prime factor q above it, which gives a final factor q + 1.
+    Entry n = 0, a multiple of every prime, is left to the caller.
     """
     out[:] = 1
-    found = np.ones(hi - lo, dtype=_index_dtype(hi))
+    dtype = _index_dtype(hi)
+    found = np.ones(hi - lo, dtype=dtype)
     if lo == 0:
         found[0] = 0
-    top = hi - 1
-    for p in primes[primes <= isqrt(top)].tolist():
-        start = (-lo) % p
-        out[start::p] *= p + 1
-        found[start::p] *= p
-        power = p * p
-        while power <= top:
-            start = (-lo) % power
-            out[start::power] *= p
-            found[start::power] *= p
-            power *= p
+    primes = primes[primes <= isqrt(hi - 1)]
+    _sieve(lo, hi, primes, (np.multiply, out, primes + 1),
+           (np.multiply, found, primes.astype(dtype)))
+    # every higher power p^a <= hi - 1 beside its p, in one ascending pass
+    powers, bases = [primes * primes], [primes]
+    while powers[-1].size:
+        keep = powers[-1] <= (hi - 1) // bases[-1]
+        bases.append(bases[-1][keep])
+        powers.append(powers[-1][keep] * bases[-1])
+    order = np.argsort(np.concatenate(powers))
+    base = np.concatenate(bases)[order]
+    _sieve(lo, hi, np.concatenate(powers)[order], (np.multiply, out, base),
+           (np.multiply, found, base.astype(dtype)))
     if lo == 0:
         found[0] = 1  # so that q = 0 there
     q = np.arange(lo, hi, dtype=np.int64)
@@ -365,8 +364,7 @@ def segment_scan(lo: int, hi: int,
         raise InsufficientSieveError(
             f"segment end {hi} needs primes to {isqrt(hi)}, "
             f"but tables stop at {tables.limit}")
-    root = isqrt(hi)
-    need = tables.primes[:int(np.searchsorted(tables.primes, root, side="right"))]
+    need = tables.primes[:tables.prime_count(isqrt(hi))]
     for seg_lo in range(lo, hi + 1, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE, hi + 1)
         blk_mob, _ = _mobius_block(seg_lo, seg_hi, need)
@@ -378,15 +376,12 @@ def segment_scan(lo: int, hi: int,
                            blk_spf[a:b].tolist(), blk_mob[a:b].tolist())
 
 
-def psi_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first, psi) blocks that cover the half-open range [lo, hi).
+def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(first, last, primes) for each SEGMENT_SIZE block [first, last)
+    of [lo, hi), with primes from a plain sieve up to sqrt(hi - 1).
 
-    psi[i] = psi(first + i) exactly, as int64 (psi(n) < 5n here), with
-    psi(0) = 0 and psi(1) = 1; blocks hold SEGMENT_SIZE values, the
-    first starting at lo and the last ending at hi.  The primes come
-    from a plain sieve up to sqrt(hi - 1), so no tables are needed and
-    only one block is held at a time.  Raises ValueError, when first
-    advanced, unless 0 <= lo <= hi and hi - 1 <= 2**40.
+    Raises ValueError, when first advanced, unless 0 <= lo <= hi and
+    hi - 1 <= 2**40.
     """
     lo, hi = int(lo), int(hi)
     if not 0 <= lo <= hi or hi - 1 > MAX_LIMIT:
@@ -394,8 +389,20 @@ def psi_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
             f"need 0 <= lo <= hi <= 2**40 + 1, got lo={lo}, hi={hi}")
     primes = _small_primes(isqrt(max(hi - 1, 0)))
     for first in range(lo, hi, SEGMENT_SIZE):
-        psi = np.empty(min(SEGMENT_SIZE, hi - first), dtype=np.int64)
-        _psi_block(first, first + len(psi), primes, psi)
+        yield first, min(first + SEGMENT_SIZE, hi), primes
+
+
+def psi_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first, psi) blocks that cover the half-open range [lo, hi).
+
+    psi[i] = psi(first + i) exactly, as int64 (psi(n) < 5n here), with
+    psi(0) = 0 and psi(1) = 1, one _blocks block at a time; no tables
+    are needed and only one block is held.  Raises ValueError, when
+    first advanced, unless 0 <= lo <= hi and hi - 1 <= 2**40.
+    """
+    for first, last, primes in _blocks(lo, hi):
+        psi = np.empty(last - first, dtype=np.int64)
+        _psi_block(first, last, primes, psi)
         if first == 0:
             psi[0] = 0
         yield first, psi
@@ -403,22 +410,14 @@ def psi_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
 
 def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Yield the primes of the half-open range [lo, hi), ascending, as
-    int64 arrays: one per SEGMENT_SIZE block, the first starting at lo.
+    int64 arrays: one per _blocks block, marked by _prime_block.
 
-    The base primes come from a plain sieve up to sqrt(hi - 1) and mark
-    each block with _prime_block, so no tables are needed and only one
-    block is held at a time.  A block may hold no primes.  Raises
-    ValueError, when first advanced, unless 0 <= lo <= hi and
-    hi - 1 <= 2**40.
+    No tables are needed and only one block is held at a time.  A block
+    may hold no primes.  Raises ValueError, when first advanced, unless
+    0 <= lo <= hi and hi - 1 <= 2**40.
     """
-    lo, hi = int(lo), int(hi)
-    if not 0 <= lo <= hi or hi - 1 > MAX_LIMIT:
-        raise ValueError(
-            f"need 0 <= lo <= hi <= 2**40 + 1, got lo={lo}, hi={hi}")
-    root = isqrt(max(hi - 1, 0))
-    base = _small_primes(root)
-    for first in range(lo, hi, SEGMENT_SIZE):
-        last = min(first + SEGMENT_SIZE, hi)
+    root = isqrt(max(int(hi) - 1, 0))
+    for first, last, base in _blocks(lo, hi):
         # the base primes are marked; past them, the unmarked n are prime
         start = max(first, root + 1, 2)
         above = np.flatnonzero(_prime_block(first, last, base)[start - first:])

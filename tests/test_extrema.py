@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
-from psitools import extrema
+from psitools import build_sieve, extrema
 from psitools.arith import profile
 from psitools.constants import get_constant
 from psitools.extrema import (
@@ -378,6 +379,22 @@ def test_loglog_gap_matches_per_k_reference(tables_1e5):
     gaps = loglog_gap(range(2, 2_001), tables_1e5)
     assert gaps.tolist() == [loglog_gap_reference(k, tables_1e5)
                              for k in range(2, 2_001)]
+
+
+def test_loglog_gap_holds_one_log_n_column():
+    # p_k is read from the tables and only the log_N chunks are joined:
+    # 16 bytes per prime at the peak (the chunks, then their join) and
+    # one chunk's temporaries, not the six whole primorial columns
+    tables = build_sieve(10 ** 7)
+    top = len(tables.primes)
+    tracemalloc.start()
+    try:
+        (gap,) = loglog_gap([top], tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * top, peak
+    assert gap == loglog_gap_reference(top, tables)
 
 
 def test_loglog_gap_shrinks(tables_1e4):

@@ -14,7 +14,8 @@ from psitools import (InsufficientSieveError, SieveTables, build_sieve,
                       segment_scan, theta)
 from psitools import arith, constants, extrema, mertens, sieve, squarefree
 from psitools.sieve import (MAX_LIMIT, SEGMENT_SIZE, _mobius_block,
-                            _small_primes, _spf_block)
+                            _prime_block, _psi_block, _small_primes,
+                            _spf_block)
 from psitools.squarefree import count_squarefree_formula
 from psitools.summation import compensated_cumsum
 
@@ -286,57 +287,75 @@ def test_segment_scan_window_holding_large_prime_square(
 
 
 def reference_sieve_block(lo, hi, primes, spf_dtype):
-    """The old spf-and-Mobius kernel, with a strided-write loop over every
-    prime and a residual divided at every prime power; _spf_block and
-    _mobius_block must match it."""
+    """spf, Mobius, psi and prime marks of [lo, hi) from the old kernel:
+    a strided-write loop over every prime that divides some n here and a
+    residual divided at every prime power.  _spf_block, _mobius_block,
+    _psi_block and _prime_block must match it."""
     n = hi - lo
     spf = np.zeros(n, dtype=spf_dtype)
     mobius = np.ones(n, dtype=np.int8)
+    psi = np.ones(n, dtype=np.int64)
+    marks = np.ones(n, dtype=bool)
     rem = np.arange(lo, hi, dtype=np.int64)
     top = hi - 1
     small = primes[primes <= math.isqrt(top)]
+    # a prime that divides no n here, and so none of its powers does,
+    # changes nothing
+    small = small[(-lo) % small < n]
     for p in small[::-1].tolist():
         spf[(-lo) % p::p] = p
     for p in small.tolist():
         start = (-lo) % p
         mobius[start::p] = -mobius[start::p]
+        psi[start::p] *= p + 1
+        marks[start::p] = False
         rem[start::p] //= p
         power = p * p
         if power <= top:
             mobius[(-lo) % power::power] = 0
         while power <= top:
+            psi[(-lo) % power::power] *= p
             rem[(-lo) % power::power] //= p
             power *= p
     large = rem > 1
     mobius[large] = -mobius[large]
+    psi[large] *= rem[large] + 1
     unmarked = spf == 0
     if lo == 0:
         unmarked[:min(2, n)] = False
     spf[unmarked] = (np.nonzero(unmarked)[0] + lo).astype(spf_dtype)
-    return spf, mobius
+    return spf, mobius, psi, marks
 
 
 def assert_block_matches_reference(lo, length, primes):
     hi = lo + length
     dtype = np.int32 if hi <= 2 ** 31 else np.int64
     mu, untouched = _mobius_block(lo, hi, primes)
-    got = _spf_block(lo, hi, primes), mu
+    psi = np.empty(length, dtype=np.int64)
+    _psi_block(lo, hi, primes, psi)
+    got = (_spf_block(lo, hi, primes), mu, psi,
+           _prime_block(lo, hi, primes))
     want = reference_sieve_block(lo, hi, primes, dtype)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert np.array_equal(g, w), (lo, hi)
-    # untouched marks the primes above sqrt(hi - 1), and n = 1
     n = np.arange(lo, hi)
+    for name, g, w in zip(("spf", "mu", "psi", "marks"), got, want):
+        assert g.dtype == w.dtype, name
+        # psi(0) is left to the caller
+        at = n > 0 if name == "psi" else slice(None)
+        assert np.array_equal(g[at], w[at]), (name, lo, hi)
+    # untouched marks the primes above sqrt(hi - 1), and n = 1
     primes_above = (want[0] == n) & (n > math.isqrt(hi - 1))
     assert np.array_equal(untouched, primes_above | (n == 1)), (lo, hi)
 
 
-# the reference loop costs one Python step per prime below sqrt(hi), so
-# random windows stay below 2^34 here; the fixed cases reach 2^40
-@settings(max_examples=30, deadline=None)
-@given(lo=st.integers(0, 2 ** 34), length=st.integers(1, 1 << 14))
+# the reference loops only over the primes that divide some n in the
+# window, so windows reach 2^40; those shorter than 64 send every prime
+# down the gathered pass
+@settings(max_examples=40, deadline=None)
+@given(lo=offsets, length=st.one_of(st.integers(1, 63),
+                                    st.integers(64, 1 << 14)))
 @example(lo=0, length=1 << 14)
 @example(lo=2 ** 31 - 5000, length=10_000)
+@example(lo=TOP - 63, length=63)
 def test_sieve_block_matches_reference(tables_2e6, lo, length):
     assert_block_matches_reference(lo, length, tables_2e6.primes)
 
@@ -385,6 +404,12 @@ def test_segment_scan_full_window_near_1e12(tables_2e6):
     for n in sample:
         assert seen[n] == trial_spf_mu(n, tables_2e6.primes), n
     assert seen[p * p] == (p, 0)
+    # psi over the same block, where both the strided and the gathered
+    # passes apply
+    (first, psi), = sieve.psi_blocks(lo, hi + 1)
+    assert first == lo and len(psi) == 1 << 20
+    for n in sample:
+        assert psi[n - lo] == factorint_psi(n), n
 
 
 def factorint_psi(n):
