@@ -427,7 +427,8 @@ def _grid(args: argparse.Namespace, smallest: int) -> list[int]:
         # an --xmax below --xmin ends the grid at --xmax, never above it
         lo = min(max(smallest, args.xmin), args.xmax)
         raw = np.geomspace(lo, args.xmax, args.points)
-        xs.extend(int(v) for v in np.unique(raw.astype(np.int64)))
+        # a set, not np.unique, whose first call imports numpy.ma (~18 ms)
+        xs.extend(sorted(set(raw.astype(np.int64).tolist())))
     if not xs:
         raise ValueError("no x values given (use --x or --xmax)")
     bad = [x for x in xs if x < smallest]
@@ -436,31 +437,18 @@ def _grid(args: argparse.Namespace, smallest: int) -> list[int]:
     return xs
 
 
-def _per_x(point: Callable[..., tuple], smallest: int = 2,
-           need: Callable[[argparse.Namespace], int] = lambda args: 0):
-    """rows(args) for a grid subcommand: one point(x, tables, args) per x.
+def _x_grid(grid: Callable[[list[int], argparse.Namespace], list],
+            row: Callable[[int, Any], tuple] = lambda x, answer: (x, *answer),
+            smallest: int = 2):
+    """rows(args) for a grid subcommand: row(x, answer) for each x.
 
-    The grid and the sieve (to the largest x, or need(args) if larger)
-    are computed once; every row is computed before any is written, as
-    one chunk.
+    One grid and one grid(xs, args) call, which answers every x from one
+    streamed pass and builds no sieve tables, so --limit is not read; all
+    rows are computed before any is written, as one chunk.
     """
     def rows(args: argparse.Namespace) -> Iterator[list[tuple]]:
         xs = _grid(args, smallest)
-        tables = _tables(args, max(max(xs), need(args)))
-        yield list(zip(*(point(x, tables, args) for x in xs)))
-    return rows
-
-
-def _whole_grid(grid: Callable[[list[int]], list[tuple]]):
-    """rows(args) for a grid subcommand whose library call takes every x.
-
-    One grid and one grid(xs) call, which streams psi itself (no sieve
-    tables, so --limit is not read) and returns a tuple of answers per
-    x; the output columns, one chunk, are x and the answers.
-    """
-    def rows(args: argparse.Namespace) -> Iterator[list[Sequence]]:
-        xs = _grid(args, 2)
-        yield [xs, *zip(*grid(xs))]
+        yield list(zip(*map(row, xs, grid(xs, args))))
     return rows
 
 
@@ -490,14 +478,13 @@ def _verify_psi(args):
         yield [ks, *cols.values()]
 
 
-def _squarefree(x, tables, args):
-    half, quarter = squarefree.squarefree_residual(x, tables)
+def _squarefree(x, samples):
+    half, quarter = samples
     return (x, int(half.value), half.main_term, half.residual,
             half.scaled_residual, quarter.scaled_residual)
 
 
-def _progression(x, tables, args):
-    s = mertens.prime_harmonic_progression(x, args.q, args.a, tables)
+def _progression(x, s):
     return s.q, s.a, x, s.sum, s.b_estimate
 
 
@@ -507,9 +494,8 @@ def _b1(args):
     yield [[p_limit], [value], [tail]]
 
 
-def _dusart(x, tables, args):
-    r = mertens.dusart_bound_check(x, tables)
-    return (int(r.x), r.holds, r.slack, r.deviation, r.bound, r.rh_bound,
+def _dusart(x, r):
+    return (x, r.holds, r.slack, r.deviation, r.bound, r.rh_bound,
             r.below_validity)
 
 
@@ -578,30 +564,31 @@ COMMANDS: dict[str, Command] = {
     "squarefree": Command(
         "squarefree counts vs (6/pi^2) x",
         ("x", "Q", "main", "residual", "scaled_half", "scaled_quarter"),
-        _per_x(_squarefree, smallest=1), _GRID_FLAGS),
+        _x_grid(lambda xs, args: squarefree.squarefree_residual_grid(xs),
+                _squarefree, smallest=1), _GRID_FLAGS),
     "harmonic": Command(
         "squarefree harmonic sum vs (6/pi^2) log x",
         ("x", "value", "main", "residual"),
-        _per_x(lambda x, tables, args: _sample(
-            x, squarefree.squarefree_harmonic(x, tables)), smallest=1),
-        _GRID_FLAGS),
+        _x_grid(lambda xs, args: squarefree.squarefree_harmonic_grid(xs),
+                _sample, smallest=1), _GRID_FLAGS),
     "mertens": Command(
         "prime reciprocal sum vs log log x + B1",
         ("x", "sum", "main", "residual"),
-        _per_x(lambda x, tables, args: _sample(
-            x, mertens.prime_harmonic(x, tables))),
+        _x_grid(lambda xs, args: mertens.prime_harmonic_grid(xs), _sample),
         _GRID_FLAGS),
     "progression": Command(
         "prime reciprocal sum along a residue class",
         ("q", "a", "x", "sum", "b_estimate"),
-        _per_x(_progression, need=lambda args: args.q),
+        _x_grid(lambda xs, args: mertens.prime_harmonic_progression_grid(
+            xs, args.q, args.a), _progression),
         _GRID_FLAGS + (_flag("--q", type=int, required=True, help="modulus"),
                        _flag("--a", type=int, required=True,
                              help="residue"))),
     "oscillation": Command(
         "scaled deviation of the inverse Euler product",
         ("x", "g"),
-        _per_x(lambda x, tables, args: (x, mertens.oscillation_g(x, tables))),
+        _x_grid(lambda xs, args: mertens.oscillation_grid(xs),
+                lambda x, g: (x, g)),
         _GRID_FLAGS),
     "b1": Command(
         "recompute the prime-sum constant B1",
@@ -611,7 +598,9 @@ COMMANDS: dict[str, Command] = {
     "dusart": Command(
         "explicit error bound check for the prime sum",
         ("x", "holds", "slack", "deviation", "bound", "rh_bound",
-         "below_validity"), _per_x(_dusart), _GRID_FLAGS,
+         "below_validity"),
+        _x_grid(lambda xs, args: mertens.dusart_bound_grid(xs), _dusart),
+        _GRID_FLAGS,
         fails=lambda c: ~c["holds"] & ~c["below_validity"]),
     "jumps": Command(
         "psi-ratio jumps between consecutive primorials",
@@ -621,12 +610,13 @@ COMMANDS: dict[str, Command] = {
     "extremes": Command(
         "argmax/argmin of psi(n)/n over [2, x]",
         ("x", "max_n", "max_ratio", "min_n", "min_ratio"),
-        _whole_grid(extrema.psi_ratio_extremes_grid), _GRID_FLAGS),
+        _x_grid(lambda xs, args: extrema.psi_ratio_extremes_grid(xs)),
+        _GRID_FLAGS),
     "classify": Command(
         "count n with psi(n)/n above/below threshold",
         ("x", "above", "below", "x_over_logx"),
-        _whole_grid(lambda xs: [(*counts, x / log(x)) for x, counts
-                                in zip(xs, extrema.classify_counts(xs))]),
+        _x_grid(lambda xs, args: extrema.classify_counts(xs),
+                lambda x, counts: (x, *counts, x / log(x))),
         _GRID_FLAGS),
     "dist-tail": Command(
         "fraction of n <= x with psi(n)/n > t",
@@ -668,9 +658,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH",
                         help="write to file instead of standard output")
     common.add_argument("--limit", type=int, default=None,
-                        help="size of the sieve tables, for subcommands "
-                             "that build them (default: smallest that "
-                             "covers the request)")
+                        help="size of the sieve tables (default: smallest "
+                             "that covers the request); read by sieve-info, "
+                             "b1, jumps, loglog-gap, gap-check, tail-sum and "
+                             "constants; the others stream their values "
+                             "and ignore it (progression sizes its tables "
+                             "to --q, for phi(q))")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=command.help)

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .constants import get_constant
-from .sieve import MAX_LIMIT, InsufficientSieveError, SieveTables, psi_blocks
+from .sieve import InsufficientSieveError, SieveTables, grid_rows, psi_blocks
 from .summation import chunked, compensated_chunks
 
 __all__ = [
@@ -112,53 +112,26 @@ def jump_deltas(kmax: int, tables: SieveTables) -> np.ndarray:
     return closed
 
 
-def _check_x(x: int) -> int:
-    x = int(x)
-    if not 2 <= x <= MAX_LIMIT:
-        raise ValueError(f"x must be in [2, 2**40], got {x}")
-    return x
-
-
 def _ratio_blocks(lo: int, hi: int
-                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(first n, n as float64, psi(n)/n) for n in [lo, hi).
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(n as float64, psi(n)/n) for n in [lo, hi).
 
     One psi block at a time, so callers hold only block-sized arrays.
     """
     for first, psi in psi_blocks(lo, hi):
         ns = np.arange(first, first + len(psi), dtype=np.float64)
-        yield first, ns, psi / ns
+        yield ns, psi / ns
 
 
 def _thresholds(ns: np.ndarray) -> np.ndarray:
     return _THRESHOLD * np.log(np.log(ns))
 
 
-def _grid_rows(xs: Iterable[int],
-               add: Callable[[int, np.ndarray, np.ndarray], None],
-               row: Callable[[int], tuple]) -> list[tuple]:
-    """One row per x in xs, in input order, from one pass over [2, max(xs)].
-
-    The _ratio_blocks of [2, max(xs)] are cut at every x and handed to
-    add(first, ns, ratios) in order of n; once the run ending at x has
-    been added, row(x) returns the row for x from the state that add
-    carries.
-    """
-    xs = [_check_x(x) for x in xs]
-    if not xs:
-        raise ValueError("xs must be nonempty")
-    ends = sorted(set(xs), reverse=True)  # the next x to reach is last
-    rows: dict[int, tuple] = {}
-    for first, ns, ratios in _ratio_blocks(2, ends[0] + 1):
-        while ends and ends[-1] < first + len(ns):
-            x = ends.pop()
-            cut = x + 1 - first
-            add(first, ns[:cut], ratios[:cut])
-            rows[x] = row(x)
-            first, ns, ratios = x + 1, ns[cut:], ratios[cut:]
-        if len(ns):
-            add(first, ns, ratios)
-    return [rows[x] for x in xs]
+def _ratio_grid(xs: Iterable[int],
+                add: Callable[[np.ndarray, np.ndarray], None],
+                row: Callable[[int], tuple]) -> list[tuple]:
+    """sieve.grid_rows over the _ratio_blocks of [2, max(xs)]."""
+    return grid_rows(xs, 2, lambda top: _ratio_blocks(2, top + 1), add, row)
 
 
 def psi_ratio_extremes_grid(
@@ -172,17 +145,17 @@ def psi_ratio_extremes_grid(
     max_n = min_n = 0
     max_ratio, min_ratio = -np.inf, np.inf
 
-    def add(first: int, _, ratios: np.ndarray) -> None:
+    def add(ns: np.ndarray, ratios: np.ndarray) -> None:
         nonlocal max_n, max_ratio, min_n, min_ratio
         hi = int(np.argmax(ratios))
         lo = int(np.argmin(ratios))
         if ratios[hi] > max_ratio:
-            max_n, max_ratio = first + hi, float(ratios[hi])
+            max_n, max_ratio = int(ns[hi]), float(ratios[hi])
         if ratios[lo] < min_ratio:
-            min_n, min_ratio = first + lo, float(ratios[lo])
+            min_n, min_ratio = int(ns[lo]), float(ratios[lo])
 
-    return _grid_rows(xs, add,
-                      lambda x: (max_n, max_ratio, min_n, min_ratio))
+    return _ratio_grid(xs, add,
+                       lambda x: (max_n, max_ratio, min_n, min_ratio))
 
 
 def psi_ratio_extremes(x: int) -> tuple[int, float, int, float]:
@@ -211,11 +184,11 @@ def classify_counts(xs: Iterable[int]) -> list[tuple[int, int]]:
     """
     above = 0
 
-    def add(_, ns: np.ndarray, ratios: np.ndarray) -> None:
+    def add(ns: np.ndarray, ratios: np.ndarray) -> None:
         nonlocal above
         above += int(np.count_nonzero(ratios > _thresholds(ns)))
 
-    return _grid_rows(xs, add, lambda x: (above, x - 1 - above))
+    return _ratio_grid(xs, add, lambda x: (above, x - 1 - above))
 
 
 def loglog_gap(ks: Sequence[int] | np.ndarray,
@@ -263,12 +236,15 @@ def distribution_tail(x: int, t_grid) -> list[tuple[float, float]]:
         raise ValueError("t_grid must be nonempty")
     if any(isnan(t) for t in t_list):
         raise ValueError(f"t must not be NaN, got {t_list}")
-    x = _check_x(x)
     counts = [0] * len(t_list)
-    for _, _, ratios in _ratio_blocks(2, x + 1):
+
+    def add(_, ratios: np.ndarray) -> None:
         for i, t in enumerate(t_list):
             counts[i] += int(np.count_nonzero(ratios > t))
-    return [(t, count / (x - 1)) for t, count in zip(t_list, counts)]
+
+    (fractions,) = _ratio_grid([x], add, lambda x: [
+        (t, count / (x - 1)) for t, count in zip(t_list, counts)])
+    return fractions
 
 
 def gap_exponent_check(p_limit: int,

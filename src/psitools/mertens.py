@@ -3,33 +3,45 @@
 All finite prime products are evaluated as exp of a compensated sum of
 log terms; a naive running float product over ~10^6 factors would
 accumulate visible rounding drift, the log path keeps relative error at
-a few ulp.  Every prime sum reads the prime list 2**16 primes at a
-time, so its temporaries stay that size whatever x is.
+a few ulp.
+
+Each prime sum has a grid form that answers every x of a grid from one
+pass over ascending primes (sieve.grid_rows), carrying one compensated
+sum and reading it at each x: over sieve.prime_blocks, with no tables
+and block-sized memory, or over the tables' primes 2**16 at a time.
+The per-x calls are the grid form over the tables at one x, so the sum
+and everything after it exist once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import fsum, log, pi, sqrt
+from math import fsum, gcd, log, pi, sqrt
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
-from .sieve import InsufficientSieveError, SieveTables
-from .summation import chunked, compensated_sum
+from .sieve import (InsufficientSieveError, SieveTables, build_sieve,
+                    grid_rows, prime_blocks)
+from .summation import CompensatedSum, chunked
 
 __all__ = [
     "ProgressionSum",
     "DusartResult",
     "DUSART_VALIDITY_THRESHOLD",
     "prime_harmonic",
+    "prime_harmonic_grid",
     "prime_harmonic_progression",
+    "prime_harmonic_progression_grid",
     "euler_product_inv",
     "psi_product",
     "oscillation_g",
+    "oscillation_grid",
     "compute_B1",
     "dusart_bound_check",
+    "dusart_bound_grid",
 ]
 
 _GAMMA = get_constant("gamma").value
@@ -70,10 +82,63 @@ def _primes_upto(x: float, tables: SieveTables) -> np.ndarray:
     return tables.primes[:tables.prime_count(tables.check(x, 2))]
 
 
+def _prime_sums(xs: Iterable[int], terms: Callable[[np.ndarray], np.ndarray],
+                tables: SieveTables | None = None) -> list[float]:
+    """For each x in xs, the compensated sum of terms(p) over the primes
+    p <= x, in ascending p: one sieve.grid_rows pass over the tables'
+    primes when tables are given, else over sieve.prime_blocks.
+
+    terms maps an int64 chunk of primes to float64 terms, elementwise or
+    by a mask; every split of the primes gives the same bits.
+    """
+    total = CompensatedSum()
+
+    def primes(top: int):
+        chunks = (prime_blocks(2, top + 1) if tables is None
+                  else chunked(_primes_upto(top, tables)))
+        return ((p,) for p in chunks)
+
+    return grid_rows(xs, 2, primes, lambda p: total.add(terms(p)),
+                     lambda x: total.value)
+
+
+def prime_harmonic_grid(xs: Iterable[int], tables: SieveTables | None = None
+                        ) -> list[ResidualSample]:
+    """prime_harmonic(x) for every x in xs, from one pass over the primes
+    up to max(xs): the tables' if given, else streamed with no tables."""
+    xs = list(xs)
+    return [make_sample(x, value, log(log(x)) + _B1)
+            for x, value in zip(xs, _prime_sums(xs, lambda p: 1.0 / p,
+                                                tables))]
+
+
 def prime_harmonic(x: float, tables: SieveTables) -> ResidualSample:
     """sum_{p <= x} 1/p against its main term log log x + B1."""
-    value = compensated_sum(1.0 / c for c in chunked(_primes_upto(x, tables)))
-    return make_sample(x, value, log(log(x)) + _B1)
+    return prime_harmonic_grid([x], tables)[0]
+
+
+def prime_harmonic_progression_grid(
+        xs: Iterable[int], q: int, a: int,
+        tables: SieveTables | None = None) -> list[ProgressionSum]:
+    """prime_harmonic_progression(x, q, a) for every x in xs, from one
+    pass over the primes up to max(xs): the tables' if given, else
+    streamed.  phi(q) comes from the tables, or, without them, from
+    tables built to q alone.
+    """
+    from .arith import profile
+
+    q, a = int(q), int(a)
+    if not 1 <= a < q:
+        raise ValueError(f"need 1 <= a < q, got a={a}, q={q}")
+    if gcd(a, q) != 1:
+        raise ValueError(f"residue {a} not coprime to modulus {q}")
+    phi_q = profile(q, build_sieve(max(q, 2)) if tables is None
+                    else tables).phi
+    xs = list(xs)
+    sums = _prime_sums(xs, lambda p: 1.0 / p[p % q == a], tables)
+    return [ProgressionSum(q=q, a=a, x=float(x), sum=total,
+                           b_estimate=total - log(log(x)) / phi_q)
+            for x, total in zip(xs, sums)]
 
 
 def prime_harmonic_progression(x: float, q: int, a: int,
@@ -83,32 +148,38 @@ def prime_harmonic_progression(x: float, q: int, a: int,
     b_estimate subtracts the progression's share log log x / phi(q) of
     the main term, leaving the analogue of B1 for the class (a, q).
     """
-    from .arith import profile
+    return prime_harmonic_progression_grid([x], q, a, tables)[0]
 
-    q, a = int(q), int(a)
-    if not 1 <= a < q:
-        raise ValueError(f"need 1 <= a < q, got a={a}, q={q}")
-    if np.gcd(a, q) != 1:
-        raise ValueError(f"residue {a} not coprime to modulus {q}")
-    ps = _primes_upto(x, tables)
-    total = compensated_sum(1.0 / c[c % q == a] for c in chunked(ps))
-    phi_q = profile(q, tables).phi
-    return ProgressionSum(q=q, a=a, x=float(x), sum=total,
-                          b_estimate=total - log(log(x)) / phi_q)
+
+def _euler_product_inv_grid(xs: Iterable[int],
+                            tables: SieveTables | None = None
+                            ) -> list[ResidualSample]:
+    """euler_product_inv(x) for every x in xs, from one pass over the
+    primes up to max(xs): the tables' if given, else streamed."""
+    xs = list(xs)
+    sums = _prime_sums(xs, lambda p: -np.log1p(-1.0 / p), tables)
+    return [make_sample(x, float(np.exp(total)), _E_GAMMA * log(x))
+            for x, total in zip(xs, sums)]
 
 
 def euler_product_inv(x: float, tables: SieveTables) -> ResidualSample:
     """prod_{p <= x} (1 - 1/p)^(-1) against e^gamma log x."""
-    ps = _primes_upto(x, tables)
-    value = np.exp(compensated_sum(-np.log1p(-1.0 / c) for c in chunked(ps)))
-    return make_sample(x, float(value), _E_GAMMA * log(x))
+    return _euler_product_inv_grid([x], tables)[0]
 
 
 def psi_product(x: float, tables: SieveTables) -> ResidualSample:
     """prod_{p <= x} (1 + 1/p) against (6 e^gamma / pi^2) log x."""
-    ps = _primes_upto(x, tables)
-    value = np.exp(compensated_sum(np.log1p(1.0 / c) for c in chunked(ps)))
-    return make_sample(x, float(value), _THRESHOLD * log(x))
+    (total,) = _prime_sums([x], lambda p: np.log1p(1.0 / p), tables)
+    return make_sample(x, float(np.exp(total)), _THRESHOLD * log(x))
+
+
+def oscillation_grid(xs: Iterable[int],
+                     tables: SieveTables | None = None) -> list[float]:
+    """oscillation_g(x) for every x in xs, from one pass over the primes
+    up to max(xs): the tables' if given, else streamed."""
+    xs = list(xs)
+    return [sqrt(x) * s.residual
+            for x, s in zip(xs, _euler_product_inv_grid(xs, tables))]
 
 
 def oscillation_g(x: float, tables: SieveTables) -> float:
@@ -118,7 +189,7 @@ def oscillation_g(x: float, tables: SieveTables) -> float:
     law; its sign and size over an x grid trace the product's slow
     oscillation around e^gamma log x.
     """
-    return sqrt(x) * euler_product_inv(x, tables).residual
+    return oscillation_grid([x], tables)[0]
 
 
 def compute_B1(prime_limit: int, tables: SieveTables) -> tuple[float, float]:
@@ -145,6 +216,28 @@ def compute_B1(prime_limit: int, tables: SieveTables) -> tuple[float, float]:
     return _GAMMA - correction, 1.0 / (prime_limit - 1)
 
 
+def dusart_bound_grid(xs: Iterable[int], tables: SieveTables | None = None
+                      ) -> list[DusartResult]:
+    """dusart_bound_check(x) for every x in xs, from one pass over the
+    primes up to max(xs): the tables' if given, else streamed."""
+    xs = list(xs)
+    results = []
+    for x, sample in zip(xs, prime_harmonic_grid(xs, tables)):
+        deviation = sample.residual
+        lx = log(x)
+        bound = 1.0 / (10 * lx ** 2) + 4.0 / (15 * lx ** 3)
+        results.append(DusartResult(
+            x=float(x),
+            holds=abs(deviation) <= bound,
+            slack=bound - abs(deviation),
+            deviation=deviation,
+            bound=bound,
+            rh_bound=(3 * lx + 4) / (8 * pi * sqrt(x)),
+            below_validity=x < DUSART_VALIDITY_THRESHOLD,
+        ))
+    return results
+
+
 def dusart_bound_check(x: float, tables: SieveTables) -> DusartResult:
     """Check |sum_{p<=x} 1/p - log log x - B1| against the explicit bound.
 
@@ -154,16 +247,4 @@ def dusart_bound_check(x: float, tables: SieveTables) -> DusartResult:
     alongside as an observation, never asserted (it assumes the zeta
     zeros lie on the critical line).
     """
-    deviation = prime_harmonic(x, tables).residual
-    lx = log(x)
-    bound = 1.0 / (10 * lx ** 2) + 4.0 / (15 * lx ** 3)
-    rh_bound = (3 * lx + 4) / (8 * pi * sqrt(x))
-    return DusartResult(
-        x=float(x),
-        holds=abs(deviation) <= bound,
-        slack=bound - abs(deviation),
-        deviation=deviation,
-        bound=bound,
-        rh_bound=rh_bound,
-        below_validity=x < DUSART_VALIDITY_THRESHOLD,
-    )
+    return dusart_bound_grid([x], tables)[0]

@@ -24,17 +24,20 @@ Nothing derived from the primes is stored: theta(x) sums log p itself,
 and log N_k = theta(p_k) is a column of extrema.primorial_columns.
 
 psi_blocks streams exact psi(n) below 2**40 + 1 from the same pass
-over prime powers, and prime_blocks the primes alone, from bool marks
-written False by plain assignment; both sieve their own primes up to
-sqrt of the range end, need no tables and yield one block at a time,
-so a consumer that takes its rows as chunks (such as verify-psi) holds
-O(block) memory whatever the range.
+over prime powers, prime_blocks the primes alone, from bool marks
+written False by plain assignment, and squarefree_blocks the squarefree
+n, from bool marks written False at the multiples of each p^2; all
+three sieve their own primes up to sqrt of the range end, need no
+tables and yield one block at a time, so a consumer that takes its rows
+as chunks (such as verify-psi) holds O(block) memory whatever the range.
+grid_rows is the one walk that answers a grid of x from such a stream:
+it cuts the blocks at every x and reads a running state there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, log
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -50,6 +53,8 @@ __all__ = [
     "segment_scan",
     "psi_blocks",
     "prime_blocks",
+    "squarefree_blocks",
+    "grid_rows",
 ]
 
 SEGMENT_SIZE = 1 << 20
@@ -231,7 +236,8 @@ def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
     and each higher power p^a <= hi - 1 multiplies both by a further p,
     all in a second pass.  found is then the part of n made of primes
     up to sqrt(hi - 1), and the one division q = n / found leaves 1 or
-    the one prime factor q above it, which gives a final factor q + 1.
+    the one prime factor q above it; q += (q > 1) turns those into the
+    final factor, 1 or q + 1, by which out is multiplied unmasked.
     Entry n = 0, a multiple of every prime, is left to the caller.
     """
     out[:] = 1
@@ -256,8 +262,8 @@ def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
         found[0] = 1  # so that q = 0 there
     q = np.arange(lo, hi, dtype=np.int64)
     q //= found
-    q += 1
-    np.multiply(out, q, out=out, where=q > 2)
+    q += q > 1
+    out *= q
 
 
 def _prime_bound(x: int) -> int:
@@ -423,3 +429,64 @@ def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
         above = np.flatnonzero(_prime_block(first, last, base)[start - first:])
         above += start
         yield np.concatenate((base[(base >= first) & (base < last)], above))
+
+
+def squarefree_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Yield the squarefree n of the half-open range [lo, hi), ascending,
+    as int64 arrays: one per _blocks block.
+
+    The marks are the second pass of _mobius_block alone: one assignment
+    pass writes False at the multiples of each p^2 <= hi - 1.  n = 0 is
+    never yielded.  No tables are needed and only one block is held at a
+    time.  Raises ValueError, when first advanced, unless 0 <= lo <= hi
+    and hi - 1 <= 2**40.
+    """
+    for first, last, primes in _blocks(lo, hi):
+        squares = primes[primes <= isqrt(last - 1)] ** 2
+        marks = np.ones(last - first, dtype=bool)
+        if first == 0:
+            marks[0] = False
+        _sieve(first, last, squares,
+               (None, marks, np.zeros(len(squares), dtype=bool)))
+        found = np.flatnonzero(marks)
+        found += first
+        yield found
+
+
+def grid_rows(xs: Iterable[int], least: int,
+              blocks: Callable[[int], Iterable[tuple[np.ndarray, ...]]],
+              add: Callable[..., None],
+              row: Callable[[int], tuple]) -> list:
+    """One row per x in xs, in input order, from one pass over ascending
+    values.
+
+    The x are integers in [least, 2**40].  blocks(top), for top the
+    largest x, yields tuples of equal-length arrays whose first holds
+    ascending values n, every n <= top that counts among them.  Each
+    block is cut after its last n <= x at every x, and its nonempty parts
+    are handed to add(*arrays) in order of n; once every n <= x has been
+    added, row(x) returns the row for x from the state that add carries.
+    """
+    xs = [int(x) for x in xs]
+    if not xs:
+        raise ValueError("xs must be nonempty")
+    for x in xs:
+        if not least <= x <= MAX_LIMIT:
+            raise ValueError(f"x must be in [{least}, 2**40], got {x}")
+    ends = sorted(set(xs), reverse=True)  # the next x to reach is last
+    rows = {}
+    for arrays in blocks(ends[0]):
+        # an n above x in this block: every n <= x has been seen
+        while ends and len(arrays[0]) and ends[-1] < arrays[0][-1]:
+            x = ends.pop()
+            cut = int(np.searchsorted(arrays[0], x, side="right"))
+            if cut:
+                add(*(a[:cut] for a in arrays))
+                arrays = tuple(a[cut:] for a in arrays)
+            rows[x] = row(x)
+        if len(arrays[0]):
+            add(*arrays)
+    while ends:  # every n came at or below these x
+        x = ends.pop()
+        rows[x] = row(x)
+    return [rows[x] for x in xs]

@@ -11,25 +11,35 @@ rather than an approximation.  The harmonic-sum identity
 
 (P(x) = product of primes <= x) is evaluated both in floats and in
 exact rationals.
+
+Q(x) and the float harmonic sum also have grid forms that answer every
+x of a grid from one pass over the squarefree n (sieve.grid_rows): over
+sieve.squarefree_blocks, with no tables and block-sized memory, or over
+the tables' Mobius values.  The per-x calls are the grid forms over the
+tables at one x.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, log
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
-from .sieve import InsufficientSieveError, SieveTables
-from .summation import _CHUNK, compensated_sum
+from .sieve import (InsufficientSieveError, SieveTables, grid_rows,
+                    squarefree_blocks)
+from .summation import _CHUNK, CompensatedSum, chunked
 
 __all__ = [
     "count_squarefree_exact",
     "count_squarefree_formula",
     "count_squarefree_formula_range",
     "squarefree_residual",
+    "squarefree_residual_grid",
     "squarefree_harmonic",
+    "squarefree_harmonic_grid",
     "squarefree_harmonic_exact",
     "psi_product_exact",
     "primorial_divisor_tail",
@@ -101,6 +111,42 @@ def count_squarefree_formula_range(xmax: int, tables: SieveTables) -> np.ndarray
     return np.cumsum(out, out=out)
 
 
+def _squarefree_ns(top: int, tables: SieveTables | None
+                   ) -> Iterator[tuple[np.ndarray]]:
+    """The squarefree n in [1, top], ascending: from the tables' Mobius
+    values _CHUNK values of n at a time if tables are given, else
+    streamed by sieve.squarefree_blocks, _CHUNK squarefree n at a time."""
+    if tables is None:
+        return ((ns,) for block in squarefree_blocks(1, top + 1)
+                for ns in chunked(block))
+    mobius = tables.mobius[:tables.check(top, 1) + 1]
+    return ((np.flatnonzero(mobius[lo:lo + _CHUNK]) + lo,)
+            for lo in range(1, mobius.size, _CHUNK))
+
+
+def squarefree_residual_grid(
+        xs: Iterable[int], tables: SieveTables | None = None
+        ) -> list[tuple[ResidualSample, ResidualSample]]:
+    """squarefree_residual(x) for every x in xs, Q(x) counted in one
+    pass over the squarefree n up to max(xs): the tables' if given,
+    else streamed with no tables."""
+    count = 0
+
+    def add(ns: np.ndarray) -> None:
+        nonlocal count
+        count += len(ns)
+
+    xs = list(xs)
+    counts = grid_rows(xs, 1, lambda top: _squarefree_ns(top, tables), add,
+                       lambda x: count)
+    samples = []
+    for x, q in zip(xs, counts):
+        main = _SIX_OVER_PI_SQ * x
+        samples.append((make_sample(x, q, main, scale_exponent=0.5),
+                        make_sample(x, q, main, scale_exponent=0.25)))
+    return samples
+
+
 def squarefree_residual(
         x: int, tables: SieveTables) -> tuple[ResidualSample, ResidualSample]:
     """Q(x) against its main term (6/pi^2) x, scaled two ways.
@@ -108,24 +154,29 @@ def squarefree_residual(
     Returns samples at scale exponents 0.5 and 0.25; they share x,
     value, main term, and raw residual.
     """
-    q = count_squarefree_exact(x, tables)
-    main = _SIX_OVER_PI_SQ * x
-    return (make_sample(x, q, main, scale_exponent=0.5),
-            make_sample(x, q, main, scale_exponent=0.25))
+    return squarefree_residual_grid([x], tables)[0]
+
+
+def squarefree_harmonic_grid(xs: Iterable[int],
+                             tables: SieveTables | None = None
+                             ) -> list[ResidualSample]:
+    """squarefree_harmonic(x) for every x in xs, from one pass over the
+    squarefree n up to max(xs): the tables' if given, else streamed with
+    no tables.  The compensated sum of 1/n, in ascending n, carries
+    across chunks and is read at each x: within a few ulp of exact, and
+    the same bits whatever the chunks.
+    """
+    total = CompensatedSum()
+    xs = list(xs)
+    sums = grid_rows(xs, 1, lambda top: _squarefree_ns(top, tables),
+                     lambda ns: total.add(1.0 / ns), lambda x: total.value)
+    return [make_sample(x, value, _SIX_OVER_PI_SQ * log(x))
+            for x, value in zip(xs, sums)]
 
 
 def squarefree_harmonic(x: int, tables: SieveTables) -> ResidualSample:
-    """sum of 1/n over squarefree n <= x, against (6/pi^2) log x.
-
-    Terms are summed in ascending n, one chunk of the Mobius table at a
-    time, with compensated prefix summation: within a few ulp of exact.
-    """
-    tables.check(x, 1)
-    mobius = tables.mobius[:int(x) + 1]
-    reciprocals = (1.0 / (np.flatnonzero(mobius[lo:lo + _CHUNK]) + lo)
-                   for lo in range(1, mobius.size, _CHUNK))
-    value = compensated_sum(reciprocals)
-    return make_sample(x, value, _SIX_OVER_PI_SQ * log(x))
+    """sum of 1/n over squarefree n <= x, against (6/pi^2) log x."""
+    return squarefree_harmonic_grid([x], tables)[0]
 
 
 def squarefree_harmonic_exact(x: int, tables: SieveTables) -> Fraction:

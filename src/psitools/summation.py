@@ -10,8 +10,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["chunked", "compensated_chunks", "compensated_cumsum",
-           "compensated_sum"]
+__all__ = ["chunked", "CompensatedSum", "compensated_chunks",
+           "compensated_cumsum", "compensated_sum"]
 
 _CHUNK = 1 << 16  # elements per chunk, and so per temporary
 
@@ -21,26 +21,44 @@ def chunked(a: np.ndarray) -> Iterator[np.ndarray]:
     return (a[i:i + _CHUNK] for i in range(0, len(a), _CHUNK))
 
 
-def compensated_chunks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Prefix sums of the concatenated float64 chunks, one array per chunk.
+class CompensatedSum:
+    """A compensated sum fed one chunk at a time.
 
     np.cumsum accumulates sequentially, so the rounding error committed
     at step i can be recovered exactly afterwards with a branch-free
     TwoSum against the naive prefix array.  Adding back the running
     total of those per-step errors corrects every prefix at vector
     speed; the correction's own rounding is second order.  Both sums
-    carry across chunks, so any split of the input gives the same bits.
+    carry from one add to the next, so any split of the input gives the
+    same bits.  value is the last prefix so far (0.0 before any term).
     """
-    s_end = e_end = 0.0
-    for a in filter(len, chunks):
-        buf = np.cumsum(np.concatenate(([s_end], a)))
+
+    def __init__(self) -> None:
+        self.value = 0.0
+        self._sum = self._err = 0.0
+
+    def add(self, a: np.ndarray) -> np.ndarray:
+        """Prefix sums of the float64 terms a, after every earlier add."""
+        if not len(a):
+            return np.zeros(0)
+        buf = np.cumsum(np.concatenate(([self._sum], a)))
         prev, s = buf[:-1], buf[1:]
         z = s - prev
         err = (prev - (s - z)) + (a - z)
-        err[0] += e_end
+        err[0] += self._err
         np.cumsum(err, out=err)
-        s_end, e_end = s[-1], err[-1]
-        yield np.add(s, err, out=err)
+        self._sum, self._err = s[-1], err[-1]
+        sums = np.add(s, err, out=err)
+        self.value = float(sums[-1])
+        return sums
+
+
+def compensated_chunks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Prefix sums of the concatenated float64 chunks, one array per
+    nonempty chunk, from one CompensatedSum."""
+    total = CompensatedSum()
+    for a in filter(len, chunks):
+        yield total.add(a)
 
 
 def compensated_cumsum(values) -> np.ndarray:
@@ -54,7 +72,7 @@ def compensated_cumsum(values) -> np.ndarray:
 
 def compensated_sum(chunks: Iterable[np.ndarray]) -> float:
     """The whole sum, the last prefix of compensated_chunks (0.0 if none)."""
-    total = 0.0
-    for sums in compensated_chunks(chunks):
-        total = float(sums[-1])
-    return total
+    total = CompensatedSum()
+    for a in chunks:
+        total.add(a)
+    return total.value

@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psitools
-from psitools import cli, extrema, sieve
+from psitools import cli, extrema, mertens, sieve, squarefree
 from psitools.cli import emit, main
+from psitools.summation import compensated_cumsum
 
 
 def run(capsys, *argv):
@@ -276,6 +277,106 @@ def test_grid_xmax_below_xmin_ends_at_xmax(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert [int(r.split(",")[0]) for r in out.splitlines()[1:]] == expected
+
+
+# ---------------------------------------------------------------------------
+# Streamed x-grids against the per-x table calls
+# ---------------------------------------------------------------------------
+
+_EDGE = 2 ** 20  # the first block seam of the streamed passes
+
+
+@pytest.fixture(scope="module")
+def tables_past_edge():
+    return sieve.build_sieve(_EDGE + 2)
+
+
+def _per_x_row(name, x, tables):
+    """The row of subcommand name at x, from the per-x library calls."""
+    if name == "squarefree":
+        half, quarter = squarefree.squarefree_residual(x, tables)
+        return (x, int(half.value), half.main_term, half.residual,
+                half.scaled_residual, quarter.scaled_residual)
+    if name in ("harmonic", "mertens"):
+        s = (squarefree.squarefree_harmonic if name == "harmonic"
+             else mertens.prime_harmonic)(x, tables)
+        return x, s.value, s.main_term, s.residual
+    if name == "progression":
+        s = mertens.prime_harmonic_progression(x, 12, 5, tables)
+        return s.q, s.a, x, s.sum, s.b_estimate
+    if name == "oscillation":
+        return x, mertens.oscillation_g(x, tables)
+    r = mertens.dusart_bound_check(x, tables)
+    return (int(r.x), r.holds, r.slack, r.deviation, r.bound, r.rh_bound,
+            r.below_validity)
+
+
+_PER_X = ("squarefree", "harmonic", "mertens", "progression", "oscillation",
+          "dusart")
+
+
+@pytest.mark.parametrize("name", _PER_X)
+def test_streamed_grid_rows_equal_per_x_table_calls(
+        name, tables_past_edge, monkeypatch):
+    # the block edges, a prime (2^20 - 3), a non-squarefree x (10^6),
+    # repeats and no order; x = 1 where the subcommand takes it
+    xs = [_EDGE + 1, _EDGE - 1, 10 ** 6, _EDGE, _EDGE - 3, 97, _EDGE + 1,
+          10 ** 6]
+    if name in ("squarefree", "harmonic"):
+        xs += [1, 2]
+    count = tables_past_edge.prime_count
+    assert count(_EDGE - 3) == count(_EDGE - 4) + 1
+
+    def no_tables(limit):
+        # progression builds tables for phi(q) only
+        assert name == "progression" and limit == 12, limit
+        return real_build(limit)
+
+    real_build = sieve.build_sieve
+    monkeypatch.setattr(sieve, "build_sieve", no_tables)
+    monkeypatch.setattr(mertens, "build_sieve", no_tables)
+    argv = [name, *(f"--x={x}" for x in xs), "--limit", str(2 ** 41)]
+    if name == "progression":
+        argv += ["--q", "12", "--a", "5"]
+    args = cli.build_parser().parse_args(argv)
+    (chunk,) = cli.COMMANDS[name].rows(args)
+    got = list(zip(*chunk))
+    monkeypatch.undo()
+    expected = [_per_x_row(name, x, tables_past_edge) for x in xs]
+    # repr spells every float exactly, so equal text is equal bits
+    assert repr(got) == repr(expected)
+
+
+def test_streamed_sums_match_one_pass_over_the_tables(tables_past_edge):
+    # an oracle that shares no chunking and no grid walk: the last
+    # compensated prefix of one array of terms
+    x = _EDGE + 1
+    primes = tables_past_edge.primes
+    mertens_sum = float(compensated_cumsum(1.0 / primes)[-1])
+    ns = np.flatnonzero(tables_past_edge.mobius[:x + 1])
+    harmonic_sum = float(compensated_cumsum(1.0 / ns)[-1])
+    assert mertens.prime_harmonic_grid([x])[0].value == mertens_sum
+    assert squarefree.squarefree_harmonic_grid([x])[0].value == harmonic_sum
+    assert squarefree.squarefree_residual_grid([x])[0][0].value == len(ns)
+
+
+def test_grid_subcommands_do_not_import_numpy_ma():
+    # np.unique's first call imports numpy.ma, about 19 ms and 1.4 MB
+    src = str(Path(psitools.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from psitools.cli import main\n"
+        "for argv in (['harmonic', '--xmax', '1000', '--points', '4'],\n"
+        "             ['extremes', '--xmax', '1000', '--points', '4'],\n"
+        "             ['dusart', '--xmin', '100', '--xmax', '3000']):\n"
+        "    assert main(argv + ['--output', sys.argv[1]]) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, os.devnull],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_extremes_row(capsys):

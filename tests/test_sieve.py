@@ -481,6 +481,55 @@ def test_prime_blocks_domain():
             next(sieve.prime_blocks(lo, hi))
 
 
+@pytest.mark.parametrize("lo", [0, 10 ** 8, 10 ** 12])
+def test_squarefree_blocks_match_mobius_kernel(lo):
+    # a whole block and an unaligned part of the next
+    hi = lo + SEGMENT_SIZE + 12_345
+    mu, _ = _mobius_block(lo, hi, _small_primes(math.isqrt(hi - 1)))
+    if lo == 0:
+        mu[0] = 0  # left to the caller by the kernel
+    blocks = list(sieve.squarefree_blocks(lo, hi))
+    assert len(blocks) == 2
+    assert all(block.dtype == np.int64 for block in blocks)
+    assert np.array_equal(np.concatenate(blocks), lo + np.flatnonzero(mu))
+
+
+def test_squarefree_blocks_small_ranges_and_domain():
+    assert np.concatenate(list(sieve.squarefree_blocks(0, 4))).tolist() == [
+        1, 2, 3]
+    assert np.concatenate(list(sieve.squarefree_blocks(0, 13))).tolist() == [
+        1, 2, 3, 5, 6, 7, 10, 11]
+    assert list(sieve.squarefree_blocks(5, 5)) == []
+    # Q(10^6), the squarefree count to a million
+    assert sum(map(len, sieve.squarefree_blocks(1, 10 ** 6 + 1))) == 607_926
+    for lo, hi in [(0, MAX_LIMIT + 2), (-1, 5), (5, 4)]:
+        with pytest.raises(ValueError, match="2\\*\\*40"):
+            next(sieve.squarefree_blocks(lo, hi))
+
+
+def test_grid_rows_cuts_every_block_at_each_x():
+    # empty blocks, an x between blocks, on a value, past the last value,
+    # repeated and unsorted
+    blocks = [np.array([2, 3, 5]), np.array([], np.int64), np.array([11, 13]),
+              np.array([17])]
+    seen = []
+    xs = [13, 4, 5, 12, 2, 4, 20, 11]
+    rows = sieve.grid_rows(
+        xs, 2, lambda top: ((b,) for b in blocks),
+        lambda part: seen.extend(part.tolist()), lambda x: sum(seen))
+    assert rows == [sum(v for v in (2, 3, 5, 11, 13, 17) if v <= x)
+                    for x in xs]
+    assert seen == [2, 3, 5, 11, 13, 17]
+
+
+@pytest.mark.parametrize("xs, message", [
+    ([], "nonempty"), ([5, 1], "x must be in \\[2, 2\\*\\*40\\], got 1"),
+    ([MAX_LIMIT + 1], "got 1099511627777")])
+def test_grid_rows_domain(xs, message):
+    with pytest.raises(ValueError, match=message):
+        sieve.grid_rows(xs, 2, lambda top: iter(()), print, print)
+
+
 def test_build_refuses_limit_beyond_available_memory(monkeypatch):
     # the estimate is made, and refused, before any table is allocated
     monkeypatch.setattr(sieve, "_available_bytes", lambda: 2 ** 20)
