@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .sieve import SieveTables
+from .sieve import MAX_LIMIT, SieveTables, _small_primes
 
 __all__ = [
     "Factorization",
@@ -37,15 +37,23 @@ class ArithProfile:
     psi: int
 
 
-def factor(n: int, tables: SieveTables) -> Factorization:
-    """Factor n by trial division over the table's primes up to sqrt(n).
+def factor(n: int, tables: SieveTables | None = None) -> Factorization:
+    """Factor n by trial division over the primes up to sqrt(n): the
+    table's, or, without tables, a plain sieve's to sqrt(n) alone, for
+    1 <= n <= 2**40.
 
     One vectorised n % p == 0 picks out the prime divisors up to sqrt(n);
     a cofactor above 1 after they are divided out is the one prime
     factor above sqrt(n).
     """
-    n = int(tables.check(n, 1, "n"))
-    small = tables.primes[:tables.prime_count(isqrt(n))]
+    if tables is None:
+        n = int(n)
+        if not 1 <= n <= MAX_LIMIT:
+            raise ValueError(f"n must be in [1, 2**40], got {n}")
+        small = _small_primes(isqrt(n))
+    else:
+        n = int(tables.check(n, 1, "n"))
+        small = tables.primes[:tables.prime_count(isqrt(n))]
     m = n
     parts: list[tuple[int, int]] = []
     for p in small[n % small == 0].tolist():
@@ -59,8 +67,9 @@ def factor(n: int, tables: SieveTables) -> Factorization:
     return Factorization(n=n, factors=tuple(parts))
 
 
-def profile(n: int, tables: SieveTables) -> ArithProfile:
-    """mu, omega, Omega, phi, sigma, psi of n, all exact.
+def profile(n: int, tables: SieveTables | None = None) -> ArithProfile:
+    """mu, omega, Omega, phi, sigma, psi of n, all exact; n is factored
+    as by factor, with or without tables.
 
     psi(n) = n * prod_{p|n}(1 + 1/p) = prod p^(e-1) * (p + 1);
     on squarefree n it coincides with sigma.

@@ -662,8 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "that covers the request); read by sieve-info, "
                              "b1, jumps, loglog-gap, gap-check, tail-sum and "
                              "constants; the others stream their values "
-                             "and ignore it (progression sizes its tables "
-                             "to --q, for phi(q))")
+                             "and ignore it")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=command.help)

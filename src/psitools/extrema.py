@@ -10,7 +10,8 @@ from prime blocks and primorial_columns is its concatenation over the
 tables' primes.  N_k/phi(N_k) is mertens.euler_product_inv(p_k).
 
 The per-n psi(n)/n functions (extremes, classification, tail fractions)
-take no tables: they stream sieve.psi_blocks.
+take no tables: they stream sieve.psi_blocks and read each block in
+2**16-value slices.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .constants import get_constant
 from .sieve import InsufficientSieveError, SieveTables, grid_rows, psi_blocks
-from .summation import chunked, compensated_chunks
+from .summation import _CHUNK, chunked, compensated_chunks
 
 __all__ = [
     "primorial_stream",
@@ -114,13 +115,19 @@ def jump_deltas(kmax: int, tables: SieveTables) -> np.ndarray:
 
 def _ratio_blocks(lo: int, hi: int
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(n as float64, psi(n)/n) for n in [lo, hi).
+    """(n as float64, psi(n)/n) for n in [lo, hi), _CHUNK values at a time.
 
-    One psi block at a time, so callers hold only block-sized arrays.
+    Each psi block is cut into _CHUNK-value slices, and the n and ratios
+    are made per slice, so the only block-sized arrays are the psi
+    block and its sieve's found product; the finished block is dropped
+    before the next one is sieved.
     """
     for first, psi in psi_blocks(lo, hi):
-        ns = np.arange(first, first + len(psi), dtype=np.float64)
-        yield ns, psi / ns
+        for a, part in zip(range(first, first + len(psi), _CHUNK),
+                           chunked(psi)):
+            ns = np.arange(a, a + len(part), dtype=np.float64)
+            yield ns, part / ns
+        del psi, part
 
 
 def _thresholds(ns: np.ndarray) -> np.ndarray:

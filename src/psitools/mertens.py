@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
-from .sieve import (InsufficientSieveError, SieveTables, build_sieve,
+from .sieve import (MAX_LIMIT, InsufficientSieveError, SieveTables,
                     grid_rows, prime_blocks)
 from .summation import CompensatedSum, chunked
 
@@ -123,7 +123,7 @@ def prime_harmonic_progression_grid(
     """prime_harmonic_progression(x, q, a) for every x in xs, from one
     pass over the primes up to max(xs): the tables' if given, else
     streamed.  phi(q) comes from the tables, or, without them, from
-    tables built to q alone.
+    trial division by the primes up to sqrt(q) alone, for q <= 2**40.
     """
     from .arith import profile
 
@@ -132,8 +132,9 @@ def prime_harmonic_progression_grid(
         raise ValueError(f"need 1 <= a < q, got a={a}, q={q}")
     if gcd(a, q) != 1:
         raise ValueError(f"residue {a} not coprime to modulus {q}")
-    phi_q = profile(q, build_sieve(max(q, 2)) if tables is None
-                    else tables).phi
+    if q > MAX_LIMIT:
+        raise ValueError(f"q must be <= 2**40, got {q}")
+    phi_q = profile(q, tables).phi
     xs = list(xs)
     sums = _prime_sums(xs, lambda p: 1.0 / p[p % q == a], tables)
     return [ProgressionSum(q=q, a=a, x=float(x), sum=total,

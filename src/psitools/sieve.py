@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .summation import chunked, compensated_sum
+from .summation import _CHUNK, chunked, compensated_sum
 
 __all__ = [
     "SEGMENT_SIZE",
@@ -60,8 +60,6 @@ __all__ = [
 SEGMENT_SIZE = 1 << 20
 # hits per chunk of the gathered pass of _sieve
 _HIT_CHUNK = 1 << 16
-# values per sub-chunk that segment_scan converts to Python ints
-_SCAN_CHUNK = 1 << 16
 MAX_LIMIT = 1 << 40
 
 
@@ -237,8 +235,10 @@ def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
     all in a second pass.  found is then the part of n made of primes
     up to sqrt(hi - 1), and the one division q = n / found leaves 1 or
     the one prime factor q above it; q += (q > 1) turns those into the
-    final factor, 1 or q + 1, by which out is multiplied unmasked.
-    Entry n = 0, a multiple of every prime, is left to the caller.
+    final factor, 1 or q + 1, by which out is multiplied unmasked.  That
+    closing step runs over _CHUNK-value slices of out and found, so out
+    and found are the only block-sized arrays.  Entry n = 0, a multiple
+    of every prime, is left to the caller.
     """
     out[:] = 1
     dtype = _index_dtype(hi)
@@ -260,10 +260,12 @@ def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
            (np.multiply, found, base.astype(dtype)))
     if lo == 0:
         found[0] = 1  # so that q = 0 there
-    q = np.arange(lo, hi, dtype=np.int64)
-    q //= found
-    q += q > 1
-    out *= q
+    for a, part, divisor in zip(range(lo, hi, _CHUNK), chunked(out),
+                                chunked(found)):
+        q = np.arange(a, a + len(part), dtype=np.int64)
+        q //= divisor
+        q += q > 1
+        part *= q
 
 
 def _prime_bound(x: int) -> int:
@@ -376,8 +378,8 @@ def segment_scan(lo: int, hi: int,
         blk_mob, _ = _mobius_block(seg_lo, seg_hi, need)
         blk_spf = _spf_block(seg_lo, seg_hi, need)
         # Python ints a sub-chunk at a time: fast to iterate, small lists
-        for a in range(0, seg_hi - seg_lo, _SCAN_CHUNK):
-            b = a + _SCAN_CHUNK
+        for a in range(0, seg_hi - seg_lo, _CHUNK):
+            b = a + _CHUNK
             yield from zip(range(seg_lo + a, min(seg_lo + b, seg_hi)),
                            blk_spf[a:b].tolist(), blk_mob[a:b].tolist())
 
@@ -412,6 +414,9 @@ def psi_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
         if first == 0:
             psi[0] = 0
         yield first, psi
+        # unless the consumer keeps it, freed before the next block is
+        # allocated, so that the next block can reuse its memory
+        del psi
 
 
 def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:

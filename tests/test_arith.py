@@ -73,6 +73,20 @@ def test_factor_domain(tables_1e4):
         factor(10_001, tables_1e4)
 
 
+def test_factor_without_tables_against_sympy():
+    # the primes up to sqrt(n) from a plain sieve: squares of primes, a
+    # prime times the largest prime below 2^40 / p, and 2^40 itself
+    rng = random.Random(16)
+    edges = [1, 2, 3, 4, 1_000_003 ** 2, 2 * 549_755_813_881, MAX_LIMIT,
+             MAX_LIMIT - 1, 100_000_007, *rng.sample(range(1, MAX_LIMIT), 50)]
+    for n in edges:
+        assert_factor_matches_sympy(n, None)
+    assert profile(100_000_007).phi == 100_000_006
+    for n in (0, MAX_LIMIT + 1):
+        with pytest.raises(ValueError):
+            factor(n)
+
+
 def test_profile_examples(tables_1e4):
     p10 = profile(10, tables_1e4)
     assert p10 == ArithProfile(n=10, mu=1, omega=2, big_omega=2, phi=4, sigma=18, psi=18)

@@ -318,8 +318,10 @@ def test_grids_stream_psi_once(monkeypatch):
 
 def test_grids_across_segments_match_whole_arrays(psi_past_two_segments):
     # the pre-block reading: one float array over [2, x], one argmax/argmin,
-    # with psi from the oracle
-    xs = [2 * SEGMENT_SIZE + 5, SEGMENT_SIZE + 1, 3, SEGMENT_SIZE + 1]
+    # with psi from the oracle; the x cut blocks, and 2^16-value slices
+    # one and two past an edge, on one and one short of a block's end
+    xs = [2 * SEGMENT_SIZE + 5, SEGMENT_SIZE + 1, 3, SEGMENT_SIZE + 1,
+          (1 << 16) + 1, (1 << 16) + 2, 3 << 16, SEGMENT_SIZE - 1]
     psi = psi_past_two_segments
     expected_ext, expected_cls = [], []
     ts = [0.0, 1.5, 2.0]
@@ -337,6 +339,25 @@ def test_grids_across_segments_match_whole_arrays(psi_past_two_segments):
             (t, np.count_nonzero(ratios > t) / (x - 1)) for t in ts]
     assert psi_ratio_extremes_grid(xs) == expected_ext
     assert classify_counts(xs) == expected_cls
+
+
+@pytest.mark.parametrize("grid", [
+    lambda x: classify_counts([x]),
+    lambda x: psi_ratio_extremes_grid([x]),
+    lambda x: distribution_tail(x, [1.9]),
+], ids=["classify_counts", "psi_ratio_extremes_grid", "distribution_tail"])
+def test_ratio_grids_hold_one_psi_block(grid):
+    # one int64 psi block (8 bytes per n) and its int32 found product (4)
+    # are the only block-sized arrays; the n, the ratios and the
+    # thresholds come 2^16 values at a time, and each block is freed
+    # before the next is allocated (17 bytes per n if it is not)
+    tracemalloc.start()
+    try:
+        grid(3 * SEGMENT_SIZE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * SEGMENT_SIZE, peak
 
 
 def test_grid_domain():

@@ -360,9 +360,13 @@ def test_sieve_block_matches_reference(tables_2e6, lo, length):
     assert_block_matches_reference(lo, length, tables_2e6.primes)
 
 
-@pytest.mark.parametrize("lo, length", [(0, 1), (0, 2), (0, 11),
-                                        (10 ** 12, 1 << 12),
-                                        (TOP - (1 << 12), 1 << 12)])
+# _psi_block closes 2^16 values at a time: lengths 2^16 - 1, 2^16 + 1 and
+# 70,001 give one short slice, and two with a short last one, at the
+# start, low and at the top of the domain
+@pytest.mark.parametrize("lo, length", [
+    (0, 1), (0, 2), (0, 11), (10 ** 12, 1 << 12), (TOP - (1 << 12), 1 << 12),
+    *((lo, length) for length in ((1 << 16) - 1, (1 << 16) + 1, 70_001)
+      for lo in (0, 10 ** 8, TOP - 70_001))])
 def test_sieve_block_matches_reference_fixed(tables_2e6, lo, length):
     assert_block_matches_reference(lo, length, tables_2e6.primes)
 
