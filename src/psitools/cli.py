@@ -9,12 +9,13 @@ Each subcommand is declared once, as a COMMANDS entry: its help text and
 extra flags, its output column names, a rows(args) generator that yields
 the rows as chunks of columns (equal-length sequences), and an optional
 vector predicate fails(columns) that marks the rows of a chunk that are
-counterexamples.  Most subcommands compute a few rows and yield them as
-one chunk; verify-psi streams its primes and yields at most 2^12 rows at
-a time, so it holds one chunk rather than whole columns.  main takes the first
-chunk before it opens the output, so an invalid request writes nothing,
-and emit writes the CSV header or the JSON brackets once around all the
-chunks.
+counterexamples.  No subcommand builds sieve tables; each streams its
+primes, psi(n) or squarefree n, and --limit is read by sieve-info alone.
+Most yield a few rows as one chunk; verify-psi, jumps and loglog-gap
+--kmax yield a chunk per chunk of primes, never whole columns.  main
+takes the first chunk before it opens the output, so an invalid request
+writes nothing, and emit writes the CSV header or the JSON brackets once
+around all the chunks.
 
 emit writes the rows 2^12 at a time, each chunk as one uint8 matrix with
 a row per output row.  Every column chunk becomes a fixed-width field of
@@ -74,7 +75,7 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import log
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -82,6 +83,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import constants, extrema, mertens, sieve, squarefree
+from .summation import CompensatedSum
 
 __all__ = ["COMMANDS", "Command", "main", "emit", "script_entry"]
 
@@ -369,7 +371,9 @@ def emit(columns: dict[str, Sequence], output_format: str, sink,
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand: everything its parser, rows and exit code need."""
+    """One subcommand: everything its parser, rows and exit code need.
+    rows(args) yields column chunks from streamed sources, not sieve
+    tables; long outputs come as one chunk per chunk of primes."""
 
     help: str
     columns: tuple[str, ...]
@@ -401,21 +405,6 @@ def _need(args: argparse.Namespace, flag: str, least: int) -> int:
     return value
 
 
-def _tables(args: argparse.Namespace, needed: int) -> sieve.SieveTables:
-    return sieve.build_sieve(max(args.limit or 0, needed, 2))
-
-
-def _tables_with_primes(args: argparse.Namespace,
-                        count: int) -> sieve.SieveTables:
-    """Tables holding at least count >= 1 primes.
-
-    p_n < n (log n + log log n) for n >= 6 (Rosser, 1941); the limit
-    adds margin to that bound, and 100 covers p_5 = 11.
-    """
-    log_c = log(count + 1)
-    return _tables(args, max(100, int(count * (log_c + log(log_c) + 1))))
-
-
 def _grid(args: argparse.Namespace, smallest: int) -> list[int]:
     """x values from repeated --x and/or a geometric --xmax/--points grid."""
     if args.points < 1:
@@ -443,8 +432,8 @@ def _x_grid(grid: Callable[[list[int], argparse.Namespace], list],
     """rows(args) for a grid subcommand: row(x, answer) for each x.
 
     One grid and one grid(xs, args) call, which answers every x from one
-    streamed pass and builds no sieve tables, so --limit is not read; all
-    rows are computed before any is written, as one chunk.
+    streamed pass; all rows are computed before any is written, as one
+    chunk.
     """
     def rows(args: argparse.Namespace) -> Iterator[list[tuple]]:
         xs = _grid(args, smallest)
@@ -457,21 +446,20 @@ def _sample(x: int, s) -> tuple:
 
 
 def _sieve_info(args):
-    tables = sieve.build_sieve(_need(args, "limit", 2))
-    yield [[tables.limit], [len(tables.primes)],
-           [squarefree.count_squarefree_exact(tables.limit, tables)],
-           [sieve.theta(tables.limit, tables)]]
+    """pi and theta from one pass over the primes (theta.add returns a
+    prefix sum per prime), and Q from the squarefree blocks."""
+    limit, theta = _need(args, "limit", 2), CompensatedSum()
+    count = sum(len(theta.add(np.log(p.astype(float))))
+                for p in sieve.prime_chunks(limit))
+    yield [[limit], [count],
+           [sum(map(len, sieve.squarefree_blocks(1, limit + 1)))],
+           [theta.value]]
 
 
 def _verify_psi(args):
-    """Streams the primes up to --plimit with no sieve tables, so
-    --limit is not read; a chunk holds at most _ROW_CHUNK primorials."""
-    p_limit = _need(args, "plimit", 2)
-    primes = (block[a:a + _ROW_CHUNK]
-              for block in sieve.prime_blocks(2, p_limit + 1)
-              for a in range(0, len(block), _ROW_CHUNK))
     k = 1
-    for cols in extrema.primorial_stream(primes):
+    for cols in extrema.primorial_stream(
+            sieve.prime_chunks(_need(args, "plimit", 2))):
         ks = np.arange(k, k + len(cols["p"]))
         k += len(ks)
         # the columns come in the order of verify-psi's, after k
@@ -490,20 +478,8 @@ def _progression(x, s):
 
 def _b1(args):
     p_limit = _need(args, "plimit", 2)
-    value, tail = mertens.compute_B1(p_limit, _tables(args, p_limit))
+    value, tail = mertens.compute_B1(p_limit)
     yield [[p_limit], [value], [tail]]
-
-
-def _dusart(x, r):
-    return (x, r.holds, r.slack, r.deviation, r.bound, r.rh_bound,
-            r.below_validity)
-
-
-def _jumps(args):
-    kmax = _need(args, "kmax", 1)
-    tables = _tables_with_primes(args, kmax + 1)
-    yield [np.arange(1, kmax + 1), tables.primes[1:kmax + 1],
-           extrema.jump_deltas(kmax, tables)]
 
 
 def _dist_tail(args):
@@ -517,34 +493,24 @@ def _loglog_gap(args):
         raise ValueError("--kmax must be >= 2")
     if not args.k and args.kmax is None:
         raise ValueError("loglog-gap needs --k or --kmax")
-    # the tables are sized and checked against memory before the ks are
-    # built; a k below 2 is loglog_gap's error
-    top = max([*(args.k or []), args.kmax or 2, 2])
-    tables = _tables_with_primes(args, top)
-    ks = np.concatenate([np.array(args.k or [], np.int64),
-                         np.arange(2, (args.kmax or 1) + 1)])
-    gaps = extrema.loglog_gap(ks, tables)
-    yield [ks, tables.primes[ks - 1], gaps]
+    return extrema.loglog_gap_chunks(args.kmax, args.k or ())
 
 
 def _gap_check(args):
     p_limit = _need(args, "plimit", 3)
-    tables = _tables(args, p_limit)
-    holds, worst_k = extrema.gap_exponent_check(p_limit, tables)
-    worst_p, worst_next = tables.primes[worst_k - 1:worst_k + 1].tolist()
-    yield [[p_limit], [holds], [worst_k], [worst_p], [worst_next]]
+    worst_k, worst_p, worst_next, score = extrema.worst_gap(p_limit)
+    yield [[p_limit], [score < 1.0], [worst_k], [worst_p], [worst_next]]
 
 
 def _tail_sum(args):
-    tail = squarefree.primorial_divisor_tail(args.x, _tables(args, args.x))
+    tail = squarefree.primorial_divisor_tail(args.x)
     yield [[args.x], [tail.numerator], [tail.denominator]]
 
 
 def _constants(args):
     residuals: dict[str, float] = {}
     if not args.no_crosscheck:
-        tables = sieve.build_sieve(max(args.limit or 0, 10 ** 6))
-        residuals = dict(constants.crosscheck_constants(tables))
+        residuals = dict(constants.crosscheck_constants())
     yield list(zip(*((c.name, c.decimal, residuals.get(c.name))
                      for c in map(constants.get_constant,
                                   constants.constant_names()))))
@@ -599,12 +565,14 @@ COMMANDS: dict[str, Command] = {
         "explicit error bound check for the prime sum",
         ("x", "holds", "slack", "deviation", "bound", "rh_bound",
          "below_validity"),
-        _x_grid(lambda xs, args: mertens.dusart_bound_grid(xs), _dusart),
+        _x_grid(lambda xs, args: mertens.dusart_bound_grid(xs),
+                lambda x, r: (x, *astuple(r)[1:])),
         _GRID_FLAGS,
         fails=lambda c: ~c["holds"] & ~c["below_validity"]),
     "jumps": Command(
         "psi-ratio jumps between consecutive primorials",
-        ("k", "p_next", "delta"), _jumps,
+        ("k", "p_next", "delta"),
+        lambda args: extrema.jump_chunks(_need(args, "kmax", 1)),
         (_flag("--kmax", type=int, required=True,
                help="report jumps for k = 1..kmax"),)),
     "extremes": Command(
@@ -658,11 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH",
                         help="write to file instead of standard output")
     common.add_argument("--limit", type=int, default=None,
-                        help="size of the sieve tables (default: smallest "
-                             "that covers the request); read by sieve-info, "
-                             "b1, jumps, loglog-gap, gap-check, tail-sum and "
-                             "constants; the others stream their values "
-                             "and ignore it")
+                        help="the limit sieve-info reports on; every other "
+                             "subcommand streams what it needs and ignores "
+                             "it (constants always cross-checks to 1e6)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=command.help)

@@ -14,8 +14,7 @@ from math import fsum, log
 
 import numpy as np
 
-from .sieve import InsufficientSieveError, SieveTables
-from .summation import chunked
+from .sieve import InsufficientSieveError, SieveTables, prime_chunks
 
 __all__ = ["PrecisionConstant", "get_constant", "constant_names",
            "crosscheck_constants"]
@@ -76,30 +75,32 @@ def _gamma_from_harmonic(n: int = 10 ** 8) -> float:
     return fsum(totals) - log(n) - 1.0 / (2 * n)
 
 
-def crosscheck_constants(tables: SieveTables) -> list[tuple[str, float]]:
+def crosscheck_constants(tables: SieveTables | None = None
+                         ) -> list[tuple[str, float]]:
     """Recompute checkable constants independently; return residuals.
 
     Args:
-        tables: sieve tables with limit >= 10**6 (prime sums below that
-            leave tails too large to certify the digits).
+        tables: sieve tables with limit >= 10**6 (below, the prime sums
+            leave tails too large to certify), or None to stream to 1e6.
 
     Returns:
         (name, |recomputed - registry|) for gamma, B1, six_over_pi_sq,
         and threshold.
     """
-    if tables.limit < 10 ** 6:
+    limit = 10 ** 6 if tables is None else tables.limit
+    if limit < 10 ** 6:
         raise InsufficientSieveError(
-            f"cross-checks need limit >= 1e6, got {tables.limit}")
+            f"cross-checks need limit >= 1e6, got {limit}")
     from .mertens import compute_B1  # late import; mertens uses this module
 
     out = []
     out.append(("gamma",
                 abs(_gamma_from_harmonic() - _REGISTRY["gamma"].value)))
-    b1, _ = compute_B1(tables.limit, tables)
+    b1, _ = compute_B1(limit, tables)
     out.append(("B1", abs(b1 - _REGISTRY["B1"].value)))
-    squares = (c.astype(np.float64) ** 2 for c in chunked(tables.primes))
     prod = float(np.exp(fsum(chain.from_iterable(
-        np.log1p(-1.0 / sq).tolist() for sq in squares))))
+        np.log1p(-1.0 / c.astype(np.float64) ** 2).tolist()
+        for c in prime_chunks(limit, tables=tables)))))
     out.append(("six_over_pi_sq",
                 abs(prod - _REGISTRY["six_over_pi_sq"].value)))
     product = _REGISTRY["e_gamma"].value * _REGISTRY["six_over_pi_sq"].value

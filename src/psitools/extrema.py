@@ -4,10 +4,10 @@ The primorial N_k = 2*3*...*p_k overflows fixed-width integers near
 k = 15, so everything here stays in the log domain: log N_k = theta(p_k)
 is a compensated prefix sum of log p, and the ratio psi(N_k)/N_k =
 prod(1 + 1/p) lives as exp of a compensated log sum.  primorial_stream
-is the one source of every per-k value: it turns chunks of primes into
-chunks of rows, carrying both sums across chunks, so verify-psi streams
-from prime blocks and primorial_columns is its concatenation over the
-tables' primes.  N_k/phi(N_k) is mertens.euler_product_inv(p_k).
+is the one source of every per-k value: it turns any chunks of primes
+(sieve.prime_chunks) into chunks of rows, carrying both sums across
+chunks; jump_chunks and loglog_gap_chunks hold one chunk at a time, and
+primorial_columns joins them.  N_k/phi(N_k) is mertens.euler_product_inv.
 
 The per-n psi(n)/n functions (extremes, classification, tail fractions)
 take no tables: they stream sieve.psi_blocks and read each block in
@@ -22,24 +22,26 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .constants import get_constant
-from .sieve import InsufficientSieveError, SieveTables, grid_rows, psi_blocks
+from .sieve import SieveTables, grid_rows, prime_chunks, psi_blocks
 from .summation import _CHUNK, chunked, compensated_chunks
 
 __all__ = [
     "primorial_stream",
     "primorial_columns",
+    "jump_chunks",
     "jump_deltas",
     "psi_ratio_extremes",
     "psi_ratio_extremes_grid",
     "classify_counts",
+    "loglog_gap_chunks",
     "loglog_gap",
     "distribution_tail",
+    "worst_gap",
     "gap_exponent_check",
 ]
 
 _THRESHOLD = get_constant("threshold").value
 _GAP_ALPHA = get_constant("gap_alpha").value
-_GAP_CHUNK = 1 << 16  # loglog_gap's ks per list of Python floats
 
 
 def primorial_stream(prime_chunks: Iterable[np.ndarray]
@@ -73,44 +75,56 @@ def primorial_columns(p_limit: int,
                       tables: SieveTables) -> dict[str, np.ndarray]:
     """primorial_stream over the tables' primes p_k <= p_limit, each
     column whole: row i holds k = i + 1."""
-    count = tables.prime_count(tables.check(p_limit, 2, "p_limit"))
-    chunks = list(primorial_stream(chunked(tables.primes[:count])))
+    p_limit = tables.check(p_limit, 2, "p_limit")
+    chunks = list(primorial_stream(prime_chunks(p_limit, tables=tables)))
     # one column at a time, dropping its chunks once joined
     return {name: np.concatenate([chunk.pop(name) for chunk in chunks])
             for name in list(chunks[0])}
 
 
-def jump_deltas(kmax: int, tables: SieveTables) -> np.ndarray:
-    """Increase of psi(N)/N from primorial k to k+1, for k = 1..kmax.
+def _with_next(chunks: Iterator[np.ndarray]) -> Iterator[tuple]:
+    """(p, p_next) pairs: every prime but the last, and the next."""
+    prev = next(chunks)
+    for c in chunks:
+        yield prev, np.concatenate((prev[1:], c[:1]))
+        prev = c
+    yield prev[:-1], prev[1:]  # empty for a last chunk of one prime
 
-    Entry k - 1 is the closed form (psi(N_k)/N_k) / p_{k+1}, read from
-    the psi_ratio column.  Each entry is cross-checked against the
-    difference psi(N_{k+1})/N_{k+1} - psi(N_k)/N_k, formed as
-    ratio_k * expm1(log1p(1/p_{k+1})) -- exact exponent increment --
-    because subtracting two separately rounded ratios would lose the
-    jump in rounding noise once p_{k+1} is large.  A disagreement beyond
-    1e-12 relative (or a NaN) raises FloatingPointError naming the first
-    such k.
-    """
+
+def jump_chunks(kmax: int, tables: SieveTables | None = None
+                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(k, p_{k+1}, delta) chunks for k = 1..kmax: delta, the increase
+    of psi(N)/N from primorial k to k+1, is (psi(N_k)/N_k) / p_{k+1},
+    from one primorial_stream over sieve.prime_chunks (the tables'
+    primes if given, else streamed) and one prime of look-ahead.
+
+    Each delta is checked against ratio_k * expm1(log1p(1/p_{k+1})), the
+    difference by its exact exponent increment (subtracting two rounded
+    ratios loses the jump in rounding noise once p_{k+1} is large); a
+    disagreement beyond 1e-12 relative, or a NaN, raises
+    FloatingPointError naming the first such k."""
     kmax = int(kmax)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    if kmax >= len(tables.primes):
-        raise InsufficientSieveError(
-            f"kmax={kmax} needs prime {kmax + 1} beyond table limit "
-            f"{tables.limit}")
-    ratio = primorial_columns(int(tables.primes[kmax - 1]),
-                              tables)["psi_ratio"]
-    p_next = tables.primes[1:kmax + 1].astype(np.float64)
-    difference = ratio * np.expm1(np.log1p(1.0 / p_next))
-    closed = ratio / p_next
-    bad = np.nonzero(~(np.abs(difference - closed) <= 1e-12 * closed))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise FloatingPointError(
-            f"jump forms disagree at k={i + 1}: "
-            f"{difference[i]} vs {closed[i]}")
-    return closed
+    ps, nexts = tee(_with_next(prime_chunks(count=kmax + 1, tables=tables)))
+    k = 1
+    for cols, (_, p_next) in zip(primorial_stream(p for p, _ in ps), nexts):
+        ratio, after = cols["psi_ratio"], p_next.astype(np.float64)
+        difference = ratio * np.expm1(np.log1p(1.0 / after))
+        closed = ratio / after
+        bad = np.flatnonzero(~(np.abs(difference - closed) <= 1e-12 * closed))
+        if bad.size:
+            i = int(bad[0])
+            raise FloatingPointError(
+                f"jump forms disagree at k={k + i}: "
+                f"{difference[i]} vs {closed[i]}")
+        yield np.arange(k, k + len(closed)), p_next, closed
+        k += len(closed)
+
+
+def jump_deltas(kmax: int, tables: SieveTables | None = None) -> np.ndarray:
+    """The deltas of jump_chunks for k = 1..kmax, as one array."""
+    return np.concatenate([delta for *_, delta in jump_chunks(kmax, tables)])
 
 
 def _ratio_blocks(lo: int, hi: int
@@ -198,36 +212,58 @@ def classify_counts(xs: Iterable[int]) -> list[tuple[int, int]]:
     return _ratio_grid(xs, add, lambda x: (above, x - 1 - above))
 
 
-def loglog_gap(ks: Sequence[int] | np.ndarray,
-               tables: SieveTables) -> np.ndarray:
-    """log log p_k - log log log N_k for the k-th primorial, each k in ks.
+def _gaps(p: np.ndarray, log_n: np.ndarray) -> np.ndarray:
+    """log log p - log log log_n by math.log, as np.log may round apart."""
+    return np.array([log(log(q)) - log(log(n))
+                     for q, n in zip(p.tolist(), log_n.tolist())])
+
+
+def loglog_gap_chunks(kmax: int | None = None, ks: Sequence[int] = (),
+                      tables: SieveTables | None = None
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(k, p_k, gap) chunks of log log p_k - log log log N_k: one chunk
+    for the ks, in their own order, then every k in [2, kmax] ascending.
 
     Defined for k >= 2 only: at k = 1, log N_1 = log 2 < 1 makes the
-    innermost logarithm negative.  p_k is read from tables.primes, and
-    log N_k from the log_N chunks of one primorial_stream up to the
-    largest k, joined alone; the ks are held as one int64 array, and the
-    logarithms are math.log's, _GAP_CHUNK at a time.
+    innermost logarithm negative.  Each part is one primorial_stream
+    pass over sieve.prime_chunks (the tables' primes if given, else
+    streamed), and both are sized and checked before any row is built.
     """
     ks = np.asarray(ks, dtype=np.int64)
-    if not ks.size:
-        raise ValueError("ks must be nonempty")
-    bad = ks[ks < 2]
-    if bad.size:
+    if not ks.size and kmax is None:
+        raise ValueError("ks must be nonempty, or kmax given")
+    if (ks < 2).any():
         raise ValueError(
-            f"k must be >= 2 (inner log undefined), got {bad[0]}")
-    top = int(ks.max())
-    if top > len(tables.primes):
-        raise InsufficientSieveError(
-            f"k={top} beyond the {len(tables.primes)} primes in tables")
-    primes = tables.primes[:top]
-    log_ns = np.concatenate([chunk["log_N"] for chunk
-                             in primorial_stream(chunked(primes))])
-    gaps = np.empty(len(ks))
-    for a in range(0, len(ks), _GAP_CHUNK):
-        at = ks[a:a + _GAP_CHUNK] - 1
-        gaps[a:a + len(at)] = [
-            log(log(p)) - log(log(log_n)) for p, log_n
-            in zip(primes[at].tolist(), log_ns[at].tolist())]
+            f"k must be >= 2 (inner log undefined), got {ks[ks < 2][0]}")
+    if kmax is not None and kmax < 2:
+        raise ValueError(f"kmax must be >= 2, got {kmax}")
+    passes = []
+    if ks.size:  # a set, not np.unique, which imports numpy.ma (~18 ms)
+        passes.append((np.array(sorted(set(ks.tolist())), np.int64),
+                       prime_chunks(count=int(ks.max()), tables=tables)))
+    if kmax is not None:
+        passes.append((None, prime_chunks(count=kmax, tables=tables)))
+    for want, primes in passes:
+        start, parts = 0, []
+        for cols in primorial_stream(primes):
+            end = start + len(cols["p"])
+            k = (np.arange(max(start, 1) + 1, end + 1) if want is None else
+                 want[np.searchsorted(want, start, "right"):
+                      np.searchsorted(want, end, "right")])
+            p, log_n = cols["p"][k - 1 - start], cols["log_N"][k - 1 - start]
+            parts.append((k, p, _gaps(p, log_n)))
+            if want is None:
+                yield parts.pop()
+            start = end
+        if want is not None:  # back to the order of ks, repeats included
+            at = np.searchsorted(want, ks)
+            yield ks, *(np.concatenate(c)[at] for c in list(zip(*parts))[1:])
+
+
+def loglog_gap(ks: Sequence[int] | np.ndarray,
+               tables: SieveTables | None = None) -> np.ndarray:
+    """The gaps of loglog_gap_chunks for each k in ks, in their order."""
+    ((_, _, gaps),) = loglog_gap_chunks(ks=ks, tables=tables)
     return gaps
 
 
@@ -254,20 +290,32 @@ def distribution_tail(x: int, t_grid) -> list[tuple[float, float]]:
     return fractions
 
 
-def gap_exponent_check(p_limit: int,
-                       tables: SieveTables) -> tuple[bool, int]:
-    """Test p_{k+1} < p_k + p_k^0.526 over consecutive primes <= p_limit.
-
-    The exponent bound is asymptotic, so small ranges contain honest
-    violations (already at the pair 7, 11); the check reports them
-    rather than masking them.
-
-    Returns:
-        (holds_everywhere, worst_k) where worst_k maximizes
-        (p_{k+1} - p_k) / p_k^0.526.
+def worst_gap(p_limit: int, tables: SieveTables | None = None
+              ) -> tuple[int, int, int, float]:
+    """(k, p_k, p_{k+1}, score) at the first k that maximizes the score
+    (p_{k+1} - p_k) / p_k^0.526 over consecutive primes <= p_limit >= 3,
+    from one pass over sieve.prime_chunks (the tables' primes if given,
+    else streamed) that carries each chunk's last prime into the next.
     """
-    count = tables.prime_count(tables.check(p_limit, 3, "p_limit"))
-    ps = tables.primes[:count].astype(np.float64)
-    scores = (ps[1:] - ps[:-1]) / ps[:-1] ** _GAP_ALPHA
-    worst = int(np.argmax(scores))
-    return bool(scores[worst] < 1.0), worst + 1
+    p_limit = int(p_limit)
+    if p_limit < 3:
+        raise ValueError(f"p_limit must be >= 3, got {p_limit}")
+    best, k, last = (0, 0, 0, -np.inf), 0, np.zeros(0)
+    for c in prime_chunks(p_limit, tables=tables):
+        f = np.concatenate((last, c))  # float64, exact below 2**53
+        scores = (f[1:] - f[:-1]) / f[:-1] ** _GAP_ALPHA
+        i = int(np.argmax(scores))
+        if scores[i] > best[3]:
+            best = (k + i + 1, int(f[i]), int(f[i + 1]), float(scores[i]))
+        k, last = k + len(scores), f[-1:]
+    return best
+
+
+def gap_exponent_check(p_limit: int, tables: SieveTables | None = None
+                       ) -> tuple[bool, int]:
+    """(holds, worst_k): whether p_{k+1} < p_k + p_k^0.526 for all
+    consecutive primes <= p_limit, and worst_gap's k.  The bound is
+    asymptotic, so small ranges contain honest violations (already at
+    the pair 7, 11), which the check reports rather than masks."""
+    k, _, _, score = worst_gap(p_limit, tables)
+    return score < 1.0, k

@@ -7,8 +7,8 @@ a few ulp.
 
 Each prime sum has a grid form that answers every x of a grid from one
 pass over ascending primes (sieve.grid_rows), carrying one compensated
-sum and reading it at each x: over sieve.prime_blocks, with no tables
-and block-sized memory, or over the tables' primes 2**16 at a time.
+sum and reading it at each x: over sieve.prime_chunks, the tables'
+primes or a stream in block-sized memory, a chunk at a time.
 The per-x calls are the grid form over the tables at one x, so the sum
 and everything after it exist once.
 """
@@ -23,9 +23,8 @@ import numpy as np
 
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
-from .sieve import (MAX_LIMIT, InsufficientSieveError, SieveTables,
-                    grid_rows, prime_blocks)
-from .summation import CompensatedSum, chunked
+from .sieve import MAX_LIMIT, SieveTables, grid_rows, prime_chunks
+from .summation import CompensatedSum
 
 __all__ = [
     "ProgressionSum",
@@ -78,28 +77,20 @@ class DusartResult:
     below_validity: bool
 
 
-def _primes_upto(x: float, tables: SieveTables) -> np.ndarray:
-    return tables.primes[:tables.prime_count(tables.check(x, 2))]
-
-
 def _prime_sums(xs: Iterable[int], terms: Callable[[np.ndarray], np.ndarray],
                 tables: SieveTables | None = None) -> list[float]:
     """For each x in xs, the compensated sum of terms(p) over the primes
-    p <= x, in ascending p: one sieve.grid_rows pass over the tables'
-    primes when tables are given, else over sieve.prime_blocks.
+    p <= x, in ascending p: one sieve.grid_rows pass over
+    sieve.prime_chunks, the tables' primes if given, else streamed.
 
     terms maps an int64 chunk of primes to float64 terms, elementwise or
     by a mask; every split of the primes gives the same bits.
     """
     total = CompensatedSum()
 
-    def primes(top: int):
-        chunks = (prime_blocks(2, top + 1) if tables is None
-                  else chunked(_primes_upto(top, tables)))
-        return ((p,) for p in chunks)
-
-    return grid_rows(xs, 2, primes, lambda p: total.add(terms(p)),
-                     lambda x: total.value)
+    return grid_rows(xs, 2, lambda top: ((p,) for p in prime_chunks(
+                         top, tables=tables)),
+                     lambda p: total.add(terms(p)), lambda x: total.value)
 
 
 def prime_harmonic_grid(xs: Iterable[int], tables: SieveTables | None = None
@@ -193,25 +184,24 @@ def oscillation_g(x: float, tables: SieveTables) -> float:
     return oscillation_grid([x], tables)[0]
 
 
-def compute_B1(prime_limit: int, tables: SieveTables) -> tuple[float, float]:
+def compute_B1(prime_limit: int, tables: SieveTables | None = None
+               ) -> tuple[float, float]:
     """B1 from gamma minus the prime series, with a rigorous tail bound.
 
     B1 = gamma - sum_p (-log(1 - 1/p) - 1/p); each term is the closed
     form of sum_{n>=2} 1/(n p^n), so the only truncation is the primes
     above prime_limit.  That tail is below sum_{p > L} 1/(p(p-1)),
-    itself below 1/(L - 1).  math.fsum takes the terms 2**16 primes at
-    a time and is exact, so the chunking cannot change the result.
+    itself below 1/(L - 1).  math.fsum takes the terms of
+    sieve.prime_chunks (the tables' primes, or streamed) and is exact,
+    so the chunking cannot change the result.
 
     Returns:
         (value, tail_bound).
     """
     prime_limit = int(prime_limit)
-    if prime_limit > tables.limit:
-        raise InsufficientSieveError(
-            f"prime_limit {prime_limit} beyond table limit {tables.limit}")
     if prime_limit < 2:
         return _GAMMA, 1.0
-    invs = (1.0 / c for c in chunked(_primes_upto(prime_limit, tables)))
+    invs = (1.0 / c for c in prime_chunks(prime_limit, tables=tables))
     correction = fsum(chain.from_iterable(
         (-np.log1p(-inv) - inv).tolist() for inv in invs))
     return _GAMMA - correction, 1.0 / (prime_limit - 1)

@@ -30,8 +30,10 @@ n, from bool marks written False at the multiples of each p^2; all
 three sieve their own primes up to sqrt of the range end, need no
 tables and yield one block at a time, so a consumer that takes its rows
 as chunks (such as verify-psi) holds O(block) memory whatever the range.
-grid_rows is the one walk that answers a grid of x from such a stream:
-it cuts the blocks at every x and reads a running state there.
+prime_chunks alone chooses where primes come from, the tables or
+prime_blocks.  grid_rows is the one walk that answers a grid of x from
+such a stream: it cuts the blocks at every x and reads a running state
+there.
 """
 from __future__ import annotations
 
@@ -53,6 +55,7 @@ __all__ = [
     "segment_scan",
     "psi_blocks",
     "prime_blocks",
+    "prime_chunks",
     "squarefree_blocks",
     "grid_rows",
 ]
@@ -61,6 +64,8 @@ SEGMENT_SIZE = 1 << 20
 # hits per chunk of the gathered pass of _sieve
 _HIT_CHUNK = 1 << 16
 MAX_LIMIT = 1 << 40
+# primes per chunk of prime_chunks: larger chunks raise peak RSS, not speed
+_PRIME_CHUNK = 1 << 12
 
 
 class InsufficientSieveError(ValueError):
@@ -342,19 +347,12 @@ def build_sieve(limit: int) -> SieveTables:
 
 
 def theta(x: float, tables: SieveTables) -> float:
-    """Chebyshev theta: sum of log p over primes p <= x.
-
-    Args:
-        x: real cutoff, 0 <= x <= tables.limit.
-        tables: sieve tables covering x.
-
-    Returns:
-        theta(x) as a compensated sum in ascending p, 2**16 primes at a
-        time (0.0 below 2); the same bits as the log_N column of
-        extrema.primorial_columns at the largest p_k <= x.
-    """
-    primes = tables.primes[:tables.prime_count(tables.check(x, 0))]
-    return compensated_sum(np.log(c.astype(float)) for c in chunked(primes))
+    """Chebyshev theta(x), the sum of log p over the primes p <= x for
+    0 <= x <= tables.limit: a compensated sum over prime_chunks (0.0
+    below 2), the same bits as the log_N column of
+    extrema.primorial_columns at the largest p_k <= x."""
+    return compensated_sum(np.log(c.astype(float))
+                           for c in prime_chunks(x, tables=tables))
 
 
 def segment_scan(lo: int, hi: int,
@@ -368,11 +366,8 @@ def segment_scan(lo: int, hi: int,
     """
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
-    if isqrt(hi) > tables.limit:
-        raise InsufficientSieveError(
-            f"segment end {hi} needs primes to {isqrt(hi)}, "
-            f"but tables stop at {tables.limit}")
-    need = tables.primes[:tables.prime_count(isqrt(hi))]
+    root = tables.check(isqrt(hi), 0, "sqrt(hi)")
+    need = tables.primes[:tables.prime_count(root)]
     for seg_lo in range(lo, hi + 1, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE, hi + 1)
         blk_mob, _ = _mobius_block(seg_lo, seg_hi, need)
@@ -434,6 +429,42 @@ def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
         above = np.flatnonzero(_prime_block(first, last, base)[start - first:])
         above += start
         yield np.concatenate((base[(base >= first) & (base < last)], above))
+
+
+def prime_chunks(x: int | None = None, count: int | None = None,
+                 tables: SieveTables | None = None) -> Iterator[np.ndarray]:
+    """The primes <= x, or the first count >= 1 primes, ascending, in
+    int64 chunks of at most 2**12: the tables' primes if given, else
+    prime_blocks', streamed in the count form up to p_n < n (log n +
+    log log n) for n >= 6 (Rosser, 1941) with margin (100 covers p_5).
+    Raises InsufficientSieveError if the tables stop short, ValueError
+    past 2**40 (a streamed x when first advanced, else when called).
+    """
+    if tables is not None:
+        if count is None:
+            count = tables.prime_count(tables.check(x, 0))
+        elif count > len(tables.primes):
+            raise InsufficientSieveError(
+                f"{count} primes, but tables hold {len(tables.primes)}")
+        return chunked(tables.primes[:count], _PRIME_CHUNK)
+    if count is not None:
+        log_c = log(count + 1)
+        x = max(100, int(count * (log_c + log(log_c) + 1)))
+        if x > MAX_LIMIT:
+            raise ValueError(f"{count} primes need a limit of {x}, but the "
+                             f"limit must be in [2, 2**40]")
+    chunks = (c for block in prime_blocks(2, int(x) + 1)
+              for c in chunked(block, _PRIME_CHUNK))
+    return chunks if count is None else _first(chunks, count)
+
+
+def _first(chunks: Iterator[np.ndarray], count: int) -> Iterator[np.ndarray]:
+    """The chunks cut after their first count values."""
+    for c in chunks:
+        yield c[:count]
+        count -= len(c)
+        if count <= 0:
+            return
 
 
 def squarefree_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:

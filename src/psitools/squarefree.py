@@ -28,8 +28,7 @@ import numpy as np
 
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
-from .sieve import (InsufficientSieveError, SieveTables, grid_rows,
-                    squarefree_blocks)
+from .sieve import SieveTables, grid_rows, prime_chunks, squarefree_blocks
 from .summation import _CHUNK, CompensatedSum, chunked
 
 __all__ = [
@@ -68,11 +67,7 @@ def count_squarefree_formula(x: int, tables: SieveTables) -> int:
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    root = isqrt(x)
-    if root > tables.limit:
-        raise InsufficientSieveError(
-            f"formula at x={x} needs Mobius to {root}, "
-            f"tables stop at {tables.limit}")
+    root = tables.check(isqrt(x), 0, "sqrt(x)")
     mob = tables.mobius[:root + 1]
     d = np.nonzero(mob)[0][1:]  # squarefree d in [2, sqrt(x)]
     if d.size == 0:
@@ -98,11 +93,7 @@ def count_squarefree_formula_range(xmax: int, tables: SieveTables) -> np.ndarray
     xmax = int(xmax)
     if xmax < 1:
         raise ValueError(f"xmax must be >= 1, got {xmax}")
-    root = isqrt(xmax)
-    if root > tables.limit:
-        raise InsufficientSieveError(
-            f"range formula to {xmax} needs Mobius to {root}, "
-            f"tables stop at {tables.limit}")
+    root = tables.check(isqrt(xmax), 0, "sqrt(xmax)")
     out = np.zeros(xmax + 1, dtype=np.int64)
     mob = tables.mobius[:root + 1]
     for d in np.nonzero(mob)[0].tolist():
@@ -198,7 +189,8 @@ def psi_product_exact(x: int, tables: SieveTables) -> Fraction:
     return total
 
 
-def primorial_divisor_tail(x: int, tables: SieveTables) -> Fraction:
+def primorial_divisor_tail(x: int, tables: SieveTables | None = None
+                           ) -> Fraction:
     """sum of 1/d over divisors d > x of P(x) = prod of primes <= x.
 
     All 2^r divisors of the squarefree P(x) are visited by Gray-code
@@ -209,7 +201,7 @@ def primorial_divisor_tail(x: int, tables: SieveTables) -> Fraction:
     Args:
         x: cutoff with 2 <= x <= 52 (beyond 52 the exact integers
             outgrow 128 bits).
-        tables: sieve tables covering x.
+        tables: sieve tables covering x, or None to stream the primes.
 
     Returns:
         The tail as an exact reduced Fraction.
@@ -218,8 +210,9 @@ def primorial_divisor_tail(x: int, tables: SieveTables) -> Fraction:
     if x > TAIL_PRIME_BOUND:
         raise ValueError(
             f"exact tail limited to x <= {TAIL_PRIME_BOUND}, got {x}")
-    tables.check(x, 2)
-    primes = [int(p) for p in tables.primes[tables.primes <= x]]
+    if x < 2:
+        raise ValueError(f"x must be >= 2, got {x}")
+    primes = [p for c in prime_chunks(x, tables=tables) for p in c.tolist()]
     big_p = 1
     for p in primes:
         big_p *= p

@@ -16,9 +16,9 @@ __all__ = ["chunked", "CompensatedSum", "compensated_chunks",
 _CHUNK = 1 << 16  # elements per chunk, and so per temporary
 
 
-def chunked(a: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive slices of a, _CHUNK values each (the last may be short)."""
-    return (a[i:i + _CHUNK] for i in range(0, len(a), _CHUNK))
+def chunked(a: np.ndarray, size: int = _CHUNK) -> Iterator[np.ndarray]:
+    """Consecutive slices of a, size values each (the last may be short)."""
+    return (a[i:i + size] for i in range(0, len(a), size))
 
 
 class CompensatedSum:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psitools
-from psitools import cli, extrema, mertens, sieve, squarefree
+from psitools import cli, constants, extrema, mertens, sieve, squarefree
 from psitools.cli import emit, main
 from psitools.summation import compensated_cumsum
 
@@ -47,6 +47,21 @@ def test_tail_sum_more_points(capsys):
     assert out.splitlines()[1] == "6,1,5"
     code, out, _ = run(capsys, "tail-sum", "--x", "2")
     assert out.splitlines()[1] == "2,0,1"
+
+
+@pytest.mark.parametrize("x", [10 ** 8, 2 ** 40])
+def test_tail_sum_checks_x_before_any_primes(capsys, monkeypatch, x):
+    # the exact tail stops at x = 52; a larger x is refused before any
+    # prime is sieved, let alone tables built
+    def no_primes(*args):
+        raise AssertionError(f"primes sieved for {args}")
+
+    monkeypatch.setattr(sieve, "build_sieve", no_primes)
+    monkeypatch.setattr(sieve, "prime_blocks", no_primes)
+    code, out, err = run(capsys, "tail-sum", "--x", str(x))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: exact tail limited to x <= 52, got {x}\n"
 
 
 def test_verify_psi(capsys):
@@ -355,6 +370,100 @@ def test_streamed_sums_match_one_pass_over_the_tables(tables_past_edge):
     assert mertens.prime_harmonic_grid([x])[0].value == mertens_sum
     assert squarefree.squarefree_harmonic_grid([x])[0].value == harmonic_sum
     assert squarefree.squarefree_residual_grid([x])[0][0].value == len(ns)
+
+
+# every subcommand, with small arguments: none builds sieve tables
+_SMALL_ARGV = {
+    "sieve-info": ["--limit", "1000"],
+    "verify-psi": ["--plimit", "1000"],
+    "squarefree": ["--x", "100"],
+    "harmonic": ["--x", "100"],
+    "mertens": ["--x", "100"],
+    "progression": ["--x", "100", "--q", "4", "--a", "1"],
+    "oscillation": ["--x", "100"],
+    "b1": ["--plimit", "1000"],
+    "dusart": ["--x", "1000"],
+    "jumps": ["--kmax", "100"],
+    "extremes": ["--x", "100"],
+    "classify": ["--x", "100"],
+    "dist-tail": ["--x", "100", "--t", "2"],
+    "loglog-gap": ["--k", "7", "--kmax", "100"],
+    "gap-check": ["--plimit", "1000"],
+    "tail-sum": ["--x", "30"],
+    "constants": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_no_subcommand_builds_tables(capsys, monkeypatch, name):
+    def no_tables(limit):
+        raise AssertionError(f"build_sieve({limit}) called")
+
+    monkeypatch.setattr(sieve, "build_sieve", no_tables)
+    code, out, err = run(capsys, name, *_SMALL_ARGV[name])
+    assert code in (0, 1), err
+    assert len(out.splitlines()) >= 2
+
+
+_SEAMS = 2_200_000  # the limit of tables_2e6, past the seams 2^20 and 2^21
+
+
+def command_rows(name, *argv):
+    """The rows of subcommand name as tuples of Python scalars, and the
+    number of chunks they came in."""
+    args = cli.build_parser().parse_args([name, *argv])
+    chunks = [[c.tolist() if isinstance(c, np.ndarray) else list(c)
+               for c in chunk] for chunk in cli.COMMANDS[name].rows(args)]
+    return [row for chunk in chunks for row in zip(*chunk)], len(chunks)
+
+
+def test_one_row_prime_subcommands_equal_table_calls(tables_2e6):
+    # repr spells every float exactly, so equal text is equal bits
+    limit, primes = tables_2e6.limit, tables_2e6.primes
+    assert limit == _SEAMS
+    holds, k = extrema.gap_exponent_check(limit, tables_2e6)
+    expected = {
+        "b1": (limit, *mertens.compute_B1(limit, tables_2e6)),
+        "gap-check": (limit, holds, k, *primes[k - 1:k + 1].tolist()),
+        "sieve-info": (limit, len(primes),
+                       squarefree.count_squarefree_exact(limit, tables_2e6),
+                       sieve.theta(limit, tables_2e6)),
+    }
+    for name, row in expected.items():
+        flag = "--limit" if name == "sieve-info" else "--plimit"
+        assert repr(command_rows(name, flag, str(limit))[0]) == repr([row])
+
+
+def test_streamed_primorial_rows_equal_table_calls(tables_2e6):
+    # p_k and p_{k+1} run past 2^21, so the streamed primes cross two
+    # block seams and many 2^16-prime chunks
+    primes = tables_2e6.primes
+    kmax = len(primes) - 1
+    assert primes[kmax] > 2 ** 21
+    rows, chunks = command_rows("jumps", "--kmax", str(kmax))
+    assert chunks > 2
+    expected = zip(range(1, kmax + 1), primes[1:].tolist(),
+                   extrema.jump_deltas(kmax, tables_2e6).tolist())
+    assert repr(rows) == repr(list(expected))
+
+    picks = [kmax + 1, 155_612, 82_026, 2, 155_612, 9]
+    ks = picks + list(range(2, kmax + 2))
+    rows, chunks = command_rows(
+        "loglog-gap", *(f"--k={k}" for k in picks), "--kmax", str(kmax + 1))
+    assert chunks > 3
+    expected = zip(ks, primes[np.array(ks) - 1].tolist(),
+                   extrema.loglog_gap(ks, tables_2e6).tolist())
+    assert repr(rows) == repr(list(expected))
+
+
+def test_tail_sum_and_constants_rows_equal_table_calls(tables_1e4, tables_1e6):
+    for x in (2, 30, 52):
+        tail = squarefree.primorial_divisor_tail(x, tables_1e4)
+        assert command_rows("tail-sum", "--x", str(x))[0] == [
+            (x, tail.numerator, tail.denominator)]
+    residuals = dict(constants.crosscheck_constants(tables_1e6))
+    rows, _ = command_rows("constants")
+    assert {name: r for name, _, r in rows if r is not None} == residuals
 
 
 def test_grid_subcommands_do_not_import_numpy_ma():
@@ -830,17 +939,17 @@ def test_unknown_subcommand(capsys):
 
 
 def test_jump_forms_disagreeing_exits_2(capsys, monkeypatch):
-    # a NaN psi ratio makes jump_deltas' two forms disagree: a numerical
+    # a NaN psi ratio makes jump_chunks' two forms disagree: a numerical
     # failure is exit 2, since exit 1 means only a counterexample
-    real = extrema.primorial_columns
+    real = extrema.primorial_stream
 
-    def nan_at_k3(p_limit, tables):
-        columns = dict(real(p_limit, tables))
-        columns["psi_ratio"] = columns["psi_ratio"].copy()
-        columns["psi_ratio"][2] = np.nan
-        return columns
+    def nan_at_k3(prime_chunks):
+        for i, columns in enumerate(real(prime_chunks)):
+            if i == 0:
+                columns["psi_ratio"][2] = np.nan
+            yield columns
 
-    monkeypatch.setattr(extrema, "primorial_columns", nan_at_k3)
+    monkeypatch.setattr(extrema, "primorial_stream", nan_at_k3)
     code, out, err = run(capsys, "jumps", "--kmax", "5")
     assert code == 2
     assert out == ""
@@ -848,34 +957,24 @@ def test_jump_forms_disagreeing_exits_2(capsys, monkeypatch):
 
 
 def test_allocation_failure_exits_2(capsys, monkeypatch):
-    # a table too large for memory is a usage error, not a counterexample
-    def no_memory(limit):
-        raise MemoryError(f"cannot allocate tables to {limit}")
+    # a block too large for memory is a usage error, not a counterexample
+    def no_memory(lo, hi):
+        raise MemoryError(f"cannot allocate a block of [{lo}, {hi})")
+        yield
 
-    monkeypatch.setattr(sieve, "build_sieve", no_memory)
+    monkeypatch.setattr(sieve, "prime_blocks", no_memory)
     code, out, err = run(capsys, "sieve-info", "--limit", str(2 ** 40))
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot allocate")
 
 
-def test_limit_beyond_available_memory_exits_2(capsys, monkeypatch):
-    # build_sieve refuses before allocating; no table of 1e7 is built
-    monkeypatch.setattr(sieve, "_available_bytes", lambda: 2 ** 20)
-    code, out, err = run(capsys, "sieve-info", "--limit", str(10 ** 7))
-    assert code == 2
-    assert out == ""
-    assert err == ("error: build_sieve(10000000) needs about 47 MiB, "
-                   "but only 1 MiB are available\n")
-
-
-
 @pytest.mark.parametrize("kmax, message", [
-    (3 * 10 ** 8, "needs about"), (10 ** 11, "limit must be in [2, 2**40]")])
+    (10 ** 11, "limit must be in [2, 2**40]")])
 def test_loglog_gap_oversized_kmax_exits_2_before_building_k(
-        capsys, monkeypatch, kmax, message):
-    # the tables are sized, and refused, before any of the kmax ks exist
-    monkeypatch.setattr(sieve, "_available_bytes", lambda: 2 ** 30)
+        capsys, kmax, message):
+    # the prime stream is sized, and refused, before any of the kmax ks
+    # exist
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "loglog-gap", "--kmax", str(kmax))

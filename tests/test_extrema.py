@@ -196,15 +196,14 @@ def test_jump_deltas_match_per_k_reference(tables_1e6):
 
 def test_jump_deltas_cross_check_names_first_bad_k(tables_1e4, monkeypatch):
     # a column that breaks the expm1/log1p form from k = 3 on
-    real = extrema.primorial_columns
+    real = extrema.primorial_stream
 
-    def skewed(p_limit, tables):
-        cols = dict(real(p_limit, tables))
-        cols["psi_ratio"] = cols["psi_ratio"].copy()
-        cols["psi_ratio"][2:] = np.nan
-        return cols
+    def skewed(prime_chunks):
+        for cols in real(prime_chunks):
+            cols["psi_ratio"][2:] = np.nan
+            yield cols
 
-    monkeypatch.setattr(extrema, "primorial_columns", skewed)
+    monkeypatch.setattr(extrema, "primorial_stream", skewed)
     with pytest.raises(FloatingPointError, match="k=3:"):
         jump_deltas(10, tables_1e4)
 
@@ -403,9 +402,9 @@ def test_loglog_gap_matches_per_k_reference(tables_1e5):
 
 
 def test_loglog_gap_holds_one_log_n_column():
-    # p_k is read from the tables and only the log_N chunks are joined:
-    # 16 bytes per prime at the peak (the chunks, then their join) and
-    # one chunk's temporaries, not the six whole primorial columns
+    # p_k and log_N are read chunk by chunk at the ks wanted: one
+    # chunk's temporaries, far below 16 bytes per prime, and not the six
+    # whole primorial columns
     tables = build_sieve(10 ** 7)
     top = len(tables.primes)
     tracemalloc.start()
