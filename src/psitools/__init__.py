@@ -1,10 +1,10 @@
 """Numerical toolkit around the Dedekind psi function.
 
-The package streams primes, psi(n) and squarefree n in sieve blocks
-(or reads them from built tables, as tests do) to evaluate and
-cross-check the classical identities tying psi(n)/n = prod_{p|n}(1 +
-1/p) to squarefree densities, Mertens-type prime sums and products, and
-the primorial inequality psi(N_k)/N_k > (6 e^gamma / pi^2) log log N_k.
+The package streams primes, psi(n) and squarefree n in sieve blocks to
+evaluate and cross-check the classical identities tying psi(n)/n =
+prod_{p|n}(1 + 1/p) to squarefree densities, Mertens-type prime sums
+and products, and the primorial inequality psi(N_k)/N_k > (6 e^gamma /
+pi^2) log log N_k.
 """
 
 from .sieve import SieveTables, build_sieve, theta, segment_scan, InsufficientSieveError

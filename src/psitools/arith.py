@@ -1,15 +1,16 @@
-"""Multiplicative arithmetic functions from the sieve's prime list.
+"""Multiplicative arithmetic functions of one n by trial division.
 
 phi, sigma, psi are computed in exact integer arithmetic from a
-factorization by trial division over the primes up to sqrt(n); ratios
-like psi(n)/n only become floats at the caller's boundary.
+factorization by trial division over a plain sieve's primes up to
+sqrt(n); ratios like psi(n)/n only become floats at the caller's
+boundary.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
 
-from .sieve import MAX_LIMIT, SieveTables, _small_primes
+from .sieve import MAX_LIMIT, _small_primes
 
 __all__ = [
     "Factorization",
@@ -37,23 +38,18 @@ class ArithProfile:
     psi: int
 
 
-def factor(n: int, tables: SieveTables | None = None) -> Factorization:
-    """Factor n by trial division over the primes up to sqrt(n): the
-    table's, or, without tables, a plain sieve's to sqrt(n) alone, for
-    1 <= n <= 2**40.
+def factor(n: int) -> Factorization:
+    """Factor n, 1 <= n <= 2**40, by trial division over the primes up
+    to sqrt(n), from a plain sieve to sqrt(n) alone.
 
     One vectorised n % p == 0 picks out the prime divisors up to sqrt(n);
     a cofactor above 1 after they are divided out is the one prime
     factor above sqrt(n).
     """
-    if tables is None:
-        n = int(n)
-        if not 1 <= n <= MAX_LIMIT:
-            raise ValueError(f"n must be in [1, 2**40], got {n}")
-        small = _small_primes(isqrt(n))
-    else:
-        n = int(tables.check(n, 1, "n"))
-        small = tables.primes[:tables.prime_count(isqrt(n))]
+    n = int(n)
+    if not 1 <= n <= MAX_LIMIT:
+        raise ValueError(f"n must be in [1, 2**40], got {n}")
+    small = _small_primes(isqrt(n))
     m = n
     parts: list[tuple[int, int]] = []
     for p in small[n % small == 0].tolist():
@@ -67,14 +63,14 @@ def factor(n: int, tables: SieveTables | None = None) -> Factorization:
     return Factorization(n=n, factors=tuple(parts))
 
 
-def profile(n: int, tables: SieveTables | None = None) -> ArithProfile:
+def profile(n: int) -> ArithProfile:
     """mu, omega, Omega, phi, sigma, psi of n, all exact; n is factored
-    as by factor, with or without tables.
+    by factor.
 
     psi(n) = n * prod_{p|n}(1 + 1/p) = prod p^(e-1) * (p + 1);
     on squarefree n it coincides with sigma.
     """
-    return _profile(factor(n, tables))
+    return _profile(factor(n))
 
 
 def _profile(fac: Factorization) -> ArithProfile:
@@ -92,7 +88,7 @@ def _profile(fac: Factorization) -> ArithProfile:
                         big_omega=big_omega, phi=phi, sigma=sigma, psi=psi)
 
 
-def psi_phi_identity_residual(n: int, tables: SieveTables) -> float:
+def psi_phi_identity_residual(n: int) -> float:
     """|psi(n)*phi(n)/n^2 - prod_{p|n}(1 - 1/p^2)|.
 
     Both sides equal the same product of exact rationals, so the result
@@ -100,7 +96,7 @@ def psi_phi_identity_residual(n: int, tables: SieveTables) -> float:
     formed as (psi/n)*(phi/n) to keep intermediates well inside exact
     float64 integer range.
     """
-    fac = factor(n, tables)
+    fac = factor(n)
     prof = _profile(fac)
     lhs = (prof.psi / prof.n) * (prof.phi / prof.n)
     rhs = 1.0

@@ -14,7 +14,8 @@ from math import fsum, log
 
 import numpy as np
 
-from .sieve import InsufficientSieveError, SieveTables, prime_chunks
+from .sieve import prime_chunks
+from .summation import _CHUNK
 
 __all__ = ["PrecisionConstant", "get_constant", "constant_names",
            "crosscheck_constants"]
@@ -64,43 +65,38 @@ def constant_names() -> tuple[str, ...]:
 def _gamma_from_harmonic(n: int = 10 ** 8) -> float:
     """gamma via H_n - log n - 1/(2n); truncation error is O(1/n^2).
 
-    The harmonic sum is accumulated in pairwise-summed chunks whose
-    totals are combined exactly, keeping float error ~1e-13.
+    The harmonic sum is accumulated in pairwise-summed chunks of _CHUNK
+    terms, each 1/n taken in place, whose totals are combined exactly,
+    keeping float error ~1e-13.
     """
-    chunk = 1 << 22
     totals = []
-    for lo in range(1, n + 1, chunk):
-        hi = min(lo + chunk, n + 1)
-        totals.append(float(np.sum(1.0 / np.arange(lo, hi, dtype=np.float64))))
+    for lo in range(1, n + 1, _CHUNK):
+        terms = np.arange(lo, min(lo + _CHUNK, n + 1), dtype=np.float64)
+        totals.append(float(np.sum(np.reciprocal(terms, out=terms))))
     return fsum(totals) - log(n) - 1.0 / (2 * n)
 
 
-def crosscheck_constants(tables: SieveTables | None = None
-                         ) -> list[tuple[str, float]]:
+def crosscheck_constants() -> list[tuple[str, float]]:
     """Recompute checkable constants independently; return residuals.
 
-    Args:
-        tables: sieve tables with limit >= 10**6 (below, the prime sums
-            leave tails too large to certify), or None to stream to 1e6.
+    The prime sums stream the primes up to 10**6 (fewer leave tails too
+    large to certify).
 
     Returns:
         (name, |recomputed - registry|) for gamma, B1, six_over_pi_sq,
         and threshold.
     """
-    limit = 10 ** 6 if tables is None else tables.limit
-    if limit < 10 ** 6:
-        raise InsufficientSieveError(
-            f"cross-checks need limit >= 1e6, got {limit}")
     from .mertens import compute_B1  # late import; mertens uses this module
 
+    limit = 10 ** 6
     out = []
     out.append(("gamma",
                 abs(_gamma_from_harmonic() - _REGISTRY["gamma"].value)))
-    b1, _ = compute_B1(limit, tables)
+    b1, _ = compute_B1(limit)
     out.append(("B1", abs(b1 - _REGISTRY["B1"].value)))
     prod = float(np.exp(fsum(chain.from_iterable(
         np.log1p(-1.0 / c.astype(np.float64) ** 2).tolist()
-        for c in prime_chunks(limit, tables=tables)))))
+        for c in prime_chunks(limit)))))
     out.append(("six_over_pi_sq",
                 abs(prod - _REGISTRY["six_over_pi_sq"].value)))
     product = _REGISTRY["e_gamma"].value * _REGISTRY["six_over_pi_sq"].value

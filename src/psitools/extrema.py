@@ -4,14 +4,13 @@ The primorial N_k = 2*3*...*p_k overflows fixed-width integers near
 k = 15, so everything here stays in the log domain: log N_k = theta(p_k)
 is a compensated prefix sum of log p, and the ratio psi(N_k)/N_k =
 prod(1 + 1/p) lives as exp of a compensated log sum.  primorial_stream
-is the one source of every per-k value: it turns any chunks of primes
-(sieve.prime_chunks) into chunks of rows, carrying both sums across
+is the one source of every per-k value: it turns the chunks of
+sieve.prime_chunks into chunks of rows, carrying both sums across
 chunks; jump_chunks and loglog_gap_chunks hold one chunk at a time, and
 primorial_columns joins them.  N_k/phi(N_k) is mertens.euler_product_inv.
 
 The per-n psi(n)/n functions (extremes, classification, tail fractions)
-take no tables: they stream sieve.psi_blocks and read each block in
-2**16-value slices.
+stream sieve.psi_blocks and read each block in 2**16-value slices.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .constants import get_constant
-from .sieve import SieveTables, grid_rows, prime_chunks, psi_blocks
+from .sieve import grid_rows, prime_chunks, psi_blocks
 from .summation import _CHUNK, chunked, compensated_chunks
 
 __all__ = [
@@ -71,12 +70,12 @@ def primorial_stream(prime_chunks: Iterable[np.ndarray]
                "margin": psi_ratio - threshold}
 
 
-def primorial_columns(p_limit: int,
-                      tables: SieveTables) -> dict[str, np.ndarray]:
-    """primorial_stream over the tables' primes p_k <= p_limit, each
-    column whole: row i holds k = i + 1."""
-    p_limit = tables.check(p_limit, 2, "p_limit")
-    chunks = list(primorial_stream(prime_chunks(p_limit, tables=tables)))
+def primorial_columns(p_limit: int) -> dict[str, np.ndarray]:
+    """primorial_stream over the primes p_k <= p_limit, for 2 <= p_limit
+    <= 2**40, each column whole: row i holds k = i + 1."""
+    if not 2 <= p_limit:
+        raise ValueError(f"p_limit must be >= 2, got {p_limit}")
+    chunks = list(primorial_stream(prime_chunks(p_limit)))
     # one column at a time, dropping its chunks once joined
     return {name: np.concatenate([chunk.pop(name) for chunk in chunks])
             for name in list(chunks[0])}
@@ -91,12 +90,12 @@ def _with_next(chunks: Iterator[np.ndarray]) -> Iterator[tuple]:
     yield prev[:-1], prev[1:]  # empty for a last chunk of one prime
 
 
-def jump_chunks(kmax: int, tables: SieveTables | None = None
+def jump_chunks(kmax: int
                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(k, p_{k+1}, delta) chunks for k = 1..kmax: delta, the increase
     of psi(N)/N from primorial k to k+1, is (psi(N_k)/N_k) / p_{k+1},
-    from one primorial_stream over sieve.prime_chunks (the tables'
-    primes if given, else streamed) and one prime of look-ahead.
+    from one primorial_stream over sieve.prime_chunks and one prime of
+    look-ahead.
 
     Each delta is checked against ratio_k * expm1(log1p(1/p_{k+1})), the
     difference by its exact exponent increment (subtracting two rounded
@@ -106,7 +105,7 @@ def jump_chunks(kmax: int, tables: SieveTables | None = None
     kmax = int(kmax)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    ps, nexts = tee(_with_next(prime_chunks(count=kmax + 1, tables=tables)))
+    ps, nexts = tee(_with_next(prime_chunks(count=kmax + 1)))
     k = 1
     for cols, (_, p_next) in zip(primorial_stream(p for p, _ in ps), nexts):
         ratio, after = cols["psi_ratio"], p_next.astype(np.float64)
@@ -122,9 +121,9 @@ def jump_chunks(kmax: int, tables: SieveTables | None = None
         k += len(closed)
 
 
-def jump_deltas(kmax: int, tables: SieveTables | None = None) -> np.ndarray:
+def jump_deltas(kmax: int) -> np.ndarray:
     """The deltas of jump_chunks for k = 1..kmax, as one array."""
-    return np.concatenate([delta for *_, delta in jump_chunks(kmax, tables)])
+    return np.concatenate([delta for *_, delta in jump_chunks(kmax)])
 
 
 def _ratio_blocks(lo: int, hi: int
@@ -218,16 +217,15 @@ def _gaps(p: np.ndarray, log_n: np.ndarray) -> np.ndarray:
                      for q, n in zip(p.tolist(), log_n.tolist())])
 
 
-def loglog_gap_chunks(kmax: int | None = None, ks: Sequence[int] = (),
-                      tables: SieveTables | None = None
+def loglog_gap_chunks(kmax: int | None = None, ks: Sequence[int] = ()
                       ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(k, p_k, gap) chunks of log log p_k - log log log N_k: one chunk
     for the ks, in their own order, then every k in [2, kmax] ascending.
 
     Defined for k >= 2 only: at k = 1, log N_1 = log 2 < 1 makes the
     innermost logarithm negative.  Each part is one primorial_stream
-    pass over sieve.prime_chunks (the tables' primes if given, else
-    streamed), and both are sized and checked before any row is built.
+    pass over sieve.prime_chunks, and both are sized and checked before
+    any row is built.
     """
     ks = np.asarray(ks, dtype=np.int64)
     if not ks.size and kmax is None:
@@ -240,9 +238,9 @@ def loglog_gap_chunks(kmax: int | None = None, ks: Sequence[int] = (),
     passes = []
     if ks.size:  # a set, not np.unique, which imports numpy.ma (~18 ms)
         passes.append((np.array(sorted(set(ks.tolist())), np.int64),
-                       prime_chunks(count=int(ks.max()), tables=tables)))
+                       prime_chunks(count=int(ks.max()))))
     if kmax is not None:
-        passes.append((None, prime_chunks(count=kmax, tables=tables)))
+        passes.append((None, prime_chunks(count=kmax)))
     for want, primes in passes:
         start, parts = 0, []
         for cols in primorial_stream(primes):
@@ -260,10 +258,9 @@ def loglog_gap_chunks(kmax: int | None = None, ks: Sequence[int] = (),
             yield ks, *(np.concatenate(c)[at] for c in list(zip(*parts))[1:])
 
 
-def loglog_gap(ks: Sequence[int] | np.ndarray,
-               tables: SieveTables | None = None) -> np.ndarray:
+def loglog_gap(ks: Sequence[int] | np.ndarray) -> np.ndarray:
     """The gaps of loglog_gap_chunks for each k in ks, in their order."""
-    ((_, _, gaps),) = loglog_gap_chunks(ks=ks, tables=tables)
+    ((_, _, gaps),) = loglog_gap_chunks(ks=ks)
     return gaps
 
 
@@ -290,18 +287,17 @@ def distribution_tail(x: int, t_grid) -> list[tuple[float, float]]:
     return fractions
 
 
-def worst_gap(p_limit: int, tables: SieveTables | None = None
-              ) -> tuple[int, int, int, float]:
+def worst_gap(p_limit: int) -> tuple[int, int, int, float]:
     """(k, p_k, p_{k+1}, score) at the first k that maximizes the score
     (p_{k+1} - p_k) / p_k^0.526 over consecutive primes <= p_limit >= 3,
-    from one pass over sieve.prime_chunks (the tables' primes if given,
-    else streamed) that carries each chunk's last prime into the next.
+    from one pass over sieve.prime_chunks that carries each chunk's last
+    prime into the next.
     """
     p_limit = int(p_limit)
     if p_limit < 3:
         raise ValueError(f"p_limit must be >= 3, got {p_limit}")
     best, k, last = (0, 0, 0, -np.inf), 0, np.zeros(0)
-    for c in prime_chunks(p_limit, tables=tables):
+    for c in prime_chunks(p_limit):
         f = np.concatenate((last, c))  # float64, exact below 2**53
         scores = (f[1:] - f[:-1]) / f[:-1] ** _GAP_ALPHA
         i = int(np.argmax(scores))
@@ -311,11 +307,10 @@ def worst_gap(p_limit: int, tables: SieveTables | None = None
     return best
 
 
-def gap_exponent_check(p_limit: int, tables: SieveTables | None = None
-                       ) -> tuple[bool, int]:
+def gap_exponent_check(p_limit: int) -> tuple[bool, int]:
     """(holds, worst_k): whether p_{k+1} < p_k + p_k^0.526 for all
     consecutive primes <= p_limit, and worst_gap's k.  The bound is
     asymptotic, so small ranges contain honest violations (already at
     the pair 7, 11), which the check reports rather than masks."""
-    k, _, _, score = worst_gap(p_limit, tables)
+    k, _, _, score = worst_gap(p_limit)
     return score < 1.0, k

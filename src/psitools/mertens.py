@@ -7,10 +7,9 @@ a few ulp.
 
 Each prime sum has a grid form that answers every x of a grid from one
 pass over ascending primes (sieve.grid_rows), carrying one compensated
-sum and reading it at each x: over sieve.prime_chunks, the tables'
-primes or a stream in block-sized memory, a chunk at a time.
-The per-x calls are the grid form over the tables at one x, so the sum
-and everything after it exist once.
+sum and reading it at each x: over sieve.prime_chunks, streamed in
+block-sized memory, a chunk at a time.  The per-x calls are the grid
+form at one x, so the sum and everything after it exist once.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
-from .sieve import MAX_LIMIT, SieveTables, grid_rows, prime_chunks
+from .sieve import MAX_LIMIT, grid_rows, prime_chunks
 from .summation import CompensatedSum
 
 __all__ = [
@@ -77,44 +76,39 @@ class DusartResult:
     below_validity: bool
 
 
-def _prime_sums(xs: Iterable[int], terms: Callable[[np.ndarray], np.ndarray],
-                tables: SieveTables | None = None) -> list[float]:
+def _prime_sums(xs: Iterable[int],
+                terms: Callable[[np.ndarray], np.ndarray]) -> list[float]:
     """For each x in xs, the compensated sum of terms(p) over the primes
     p <= x, in ascending p: one sieve.grid_rows pass over
-    sieve.prime_chunks, the tables' primes if given, else streamed.
+    sieve.prime_chunks.
 
     terms maps an int64 chunk of primes to float64 terms, elementwise or
     by a mask; every split of the primes gives the same bits.
     """
     total = CompensatedSum()
 
-    return grid_rows(xs, 2, lambda top: ((p,) for p in prime_chunks(
-                         top, tables=tables)),
+    return grid_rows(xs, 2, lambda top: ((p,) for p in prime_chunks(top)),
                      lambda p: total.add(terms(p)), lambda x: total.value)
 
 
-def prime_harmonic_grid(xs: Iterable[int], tables: SieveTables | None = None
-                        ) -> list[ResidualSample]:
+def prime_harmonic_grid(xs: Iterable[int]) -> list[ResidualSample]:
     """prime_harmonic(x) for every x in xs, from one pass over the primes
-    up to max(xs): the tables' if given, else streamed with no tables."""
+    up to max(xs)."""
     xs = list(xs)
     return [make_sample(x, value, log(log(x)) + _B1)
-            for x, value in zip(xs, _prime_sums(xs, lambda p: 1.0 / p,
-                                                tables))]
+            for x, value in zip(xs, _prime_sums(xs, lambda p: 1.0 / p))]
 
 
-def prime_harmonic(x: float, tables: SieveTables) -> ResidualSample:
+def prime_harmonic(x: float) -> ResidualSample:
     """sum_{p <= x} 1/p against its main term log log x + B1."""
-    return prime_harmonic_grid([x], tables)[0]
+    return prime_harmonic_grid([x])[0]
 
 
-def prime_harmonic_progression_grid(
-        xs: Iterable[int], q: int, a: int,
-        tables: SieveTables | None = None) -> list[ProgressionSum]:
+def prime_harmonic_progression_grid(xs: Iterable[int], q: int,
+                                    a: int) -> list[ProgressionSum]:
     """prime_harmonic_progression(x, q, a) for every x in xs, from one
-    pass over the primes up to max(xs): the tables' if given, else
-    streamed.  phi(q) comes from the tables, or, without them, from
-    trial division by the primes up to sqrt(q) alone, for q <= 2**40.
+    pass over the primes up to max(xs).  phi(q) comes from trial
+    division by the primes up to sqrt(q) alone, for q <= 2**40.
     """
     from .arith import profile
 
@@ -125,75 +119,70 @@ def prime_harmonic_progression_grid(
         raise ValueError(f"residue {a} not coprime to modulus {q}")
     if q > MAX_LIMIT:
         raise ValueError(f"q must be <= 2**40, got {q}")
-    phi_q = profile(q, tables).phi
+    phi_q = profile(q).phi
     xs = list(xs)
-    sums = _prime_sums(xs, lambda p: 1.0 / p[p % q == a], tables)
+    sums = _prime_sums(xs, lambda p: 1.0 / p[p % q == a])
     return [ProgressionSum(q=q, a=a, x=float(x), sum=total,
                            b_estimate=total - log(log(x)) / phi_q)
             for x, total in zip(xs, sums)]
 
 
-def prime_harmonic_progression(x: float, q: int, a: int,
-                               tables: SieveTables) -> ProgressionSum:
+def prime_harmonic_progression(x: float, q: int, a: int) -> ProgressionSum:
     """Reciprocal sum over primes p <= x with p = a (mod q).
 
     b_estimate subtracts the progression's share log log x / phi(q) of
     the main term, leaving the analogue of B1 for the class (a, q).
     """
-    return prime_harmonic_progression_grid([x], q, a, tables)[0]
+    return prime_harmonic_progression_grid([x], q, a)[0]
 
 
-def _euler_product_inv_grid(xs: Iterable[int],
-                            tables: SieveTables | None = None
-                            ) -> list[ResidualSample]:
+def _euler_product_inv_grid(xs: Iterable[int]) -> list[ResidualSample]:
     """euler_product_inv(x) for every x in xs, from one pass over the
-    primes up to max(xs): the tables' if given, else streamed."""
+    primes up to max(xs)."""
     xs = list(xs)
-    sums = _prime_sums(xs, lambda p: -np.log1p(-1.0 / p), tables)
+    sums = _prime_sums(xs, lambda p: -np.log1p(-1.0 / p))
     return [make_sample(x, float(np.exp(total)), _E_GAMMA * log(x))
             for x, total in zip(xs, sums)]
 
 
-def euler_product_inv(x: float, tables: SieveTables) -> ResidualSample:
+def euler_product_inv(x: float) -> ResidualSample:
     """prod_{p <= x} (1 - 1/p)^(-1) against e^gamma log x."""
-    return _euler_product_inv_grid([x], tables)[0]
+    return _euler_product_inv_grid([x])[0]
 
 
-def psi_product(x: float, tables: SieveTables) -> ResidualSample:
+def psi_product(x: float) -> ResidualSample:
     """prod_{p <= x} (1 + 1/p) against (6 e^gamma / pi^2) log x."""
-    (total,) = _prime_sums([x], lambda p: np.log1p(1.0 / p), tables)
+    (total,) = _prime_sums([x], lambda p: np.log1p(1.0 / p))
     return make_sample(x, float(np.exp(total)), _THRESHOLD * log(x))
 
 
-def oscillation_grid(xs: Iterable[int],
-                     tables: SieveTables | None = None) -> list[float]:
+def oscillation_grid(xs: Iterable[int]) -> list[float]:
     """oscillation_g(x) for every x in xs, from one pass over the primes
-    up to max(xs): the tables' if given, else streamed."""
+    up to max(xs)."""
     xs = list(xs)
     return [sqrt(x) * s.residual
-            for x, s in zip(xs, _euler_product_inv_grid(xs, tables))]
+            for x, s in zip(xs, _euler_product_inv_grid(xs))]
 
 
-def oscillation_g(x: float, tables: SieveTables) -> float:
+def oscillation_g(x: float) -> float:
     """sqrt(x) * (prod_{p <= x}(1 - 1/p)^(-1) - e^gamma log x).
 
     The scaled deviation of the inverse Euler product from its limit
     law; its sign and size over an x grid trace the product's slow
     oscillation around e^gamma log x.
     """
-    return oscillation_grid([x], tables)[0]
+    return oscillation_grid([x])[0]
 
 
-def compute_B1(prime_limit: int, tables: SieveTables | None = None
-               ) -> tuple[float, float]:
+def compute_B1(prime_limit: int) -> tuple[float, float]:
     """B1 from gamma minus the prime series, with a rigorous tail bound.
 
     B1 = gamma - sum_p (-log(1 - 1/p) - 1/p); each term is the closed
     form of sum_{n>=2} 1/(n p^n), so the only truncation is the primes
     above prime_limit.  That tail is below sum_{p > L} 1/(p(p-1)),
     itself below 1/(L - 1).  math.fsum takes the terms of
-    sieve.prime_chunks (the tables' primes, or streamed) and is exact,
-    so the chunking cannot change the result.
+    sieve.prime_chunks and is exact, so the chunking cannot change the
+    result.
 
     Returns:
         (value, tail_bound).
@@ -201,19 +190,18 @@ def compute_B1(prime_limit: int, tables: SieveTables | None = None
     prime_limit = int(prime_limit)
     if prime_limit < 2:
         return _GAMMA, 1.0
-    invs = (1.0 / c for c in prime_chunks(prime_limit, tables=tables))
+    invs = (1.0 / c for c in prime_chunks(prime_limit))
     correction = fsum(chain.from_iterable(
         (-np.log1p(-inv) - inv).tolist() for inv in invs))
     return _GAMMA - correction, 1.0 / (prime_limit - 1)
 
 
-def dusart_bound_grid(xs: Iterable[int], tables: SieveTables | None = None
-                      ) -> list[DusartResult]:
+def dusart_bound_grid(xs: Iterable[int]) -> list[DusartResult]:
     """dusart_bound_check(x) for every x in xs, from one pass over the
-    primes up to max(xs): the tables' if given, else streamed."""
+    primes up to max(xs)."""
     xs = list(xs)
     results = []
-    for x, sample in zip(xs, prime_harmonic_grid(xs, tables)):
+    for x, sample in zip(xs, prime_harmonic_grid(xs)):
         deviation = sample.residual
         lx = log(x)
         bound = 1.0 / (10 * lx ** 2) + 4.0 / (15 * lx ** 3)
@@ -229,7 +217,7 @@ def dusart_bound_grid(xs: Iterable[int], tables: SieveTables | None = None
     return results
 
 
-def dusart_bound_check(x: float, tables: SieveTables) -> DusartResult:
+def dusart_bound_check(x: float) -> DusartResult:
     """Check |sum_{p<=x} 1/p - log log x - B1| against the explicit bound.
 
     The unconditional bound 1/(10 log^2 x) + 4/(15 log^3 x) is asserted
@@ -238,4 +226,4 @@ def dusart_bound_check(x: float, tables: SieveTables) -> DusartResult:
     alongside as an observation, never asserted (it assumes the zeta
     zeros lie on the critical line).
     """
-    return dusart_bound_grid([x], tables)[0]
+    return dusart_bound_grid([x])[0]

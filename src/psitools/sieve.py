@@ -1,39 +1,36 @@
-"""Sieve tables (Mobius and primes), psi blocks and prime blocks.
+"""Prime, psi and squarefree streams, and sieve tables (Mobius and primes).
 
-build_sieve produces one immutable bundle of arrays that most other
-modules consume:
+prime_blocks, psi_blocks and squarefree_blocks stream the primes, exact
+psi(n) and the squarefree n below 2**40 + 1.  Each sieves its own
+primes up to sqrt of the range end and yields one block at a time, so a
+consumer that takes its rows as chunks (such as verify-psi) holds
+O(block) memory whatever the range.  prime_chunks, the one prime
+source, cuts prime_blocks into short chunks, or stops after the first
+count primes; theta(x) sums log p over it.  grid_rows is the one walk
+that answers a grid of x from such a stream: it cuts the blocks at
+every x and reads a running state there.
+
+Every block kernel is one pass, _sieve: updates given as (ufunc, array,
+values) are applied at the multiples of each step, by strided in-place
+ufunc calls for steps up to 1/64 of the block length and by gathered
+hits and ufunc.at for larger ones.  The Mobius kernel divides nothing:
+each prime multiplies mu by -1 and a found-factor product by p at its
+multiples, p^2 zeroes mu, and one comparison of that product with n
+gives the last flip; the n that no sieving prime touched are the
+block's primes above sqrt(hi - 1).  The psi kernel runs the same
+product over prime powers; the prime and squarefree marks are written
+False by plain assignment at the multiples of p and of p^2.
+
+build_sieve fills one immutable bundle over [0, limit] with the Mobius
+kernel, for the table readers (segment_scan, the square-divisor counts
+of squarefree, and the exact oracles):
 
   mobius[n]       mu(n) in {-1, 0, 1}                   (mobius[0] = 0)
   primes[i]       i-th prime (ascending, all <= limit)
 
-Construction is chunked: a base bool sieve finds the primes up to
-sqrt(limit), then fixed-size segments are filled by block kernels that
-are all one pass, _sieve: updates given as (ufunc, array, values) are
-applied at the multiples of each step, by strided in-place ufunc calls
-for steps up to 1/64 of the block length and by gathered hits and
-ufunc.at for larger ones.  The Mobius kernel divides nothing: each
-prime multiplies mu by -1 and a found-factor product by p at its
-multiples, p^2 zeroes mu, and one comparison of that product with n
-gives the last flip.  The n that no sieving prime touched are the
-block's primes above sqrt(limit).  The same kernel serves ranges above
-the base table (segment_scan), so scans beyond limit need only the
-primes up to sqrt of the range end; segment_scan's smallest prime
-factors are np.minimum with p in a kernel of their own, _spf_block.
-
-Nothing derived from the primes is stored: theta(x) sums log p itself,
-and log N_k = theta(p_k) is a column of extrema.primorial_columns.
-
-psi_blocks streams exact psi(n) below 2**40 + 1 from the same pass
-over prime powers, prime_blocks the primes alone, from bool marks
-written False by plain assignment, and squarefree_blocks the squarefree
-n, from bool marks written False at the multiples of each p^2; all
-three sieve their own primes up to sqrt of the range end, need no
-tables and yield one block at a time, so a consumer that takes its rows
-as chunks (such as verify-psi) holds O(block) memory whatever the range.
-prime_chunks alone chooses where primes come from, the tables or
-prime_blocks.  grid_rows is the one walk that answers a grid of x from
-such a stream: it cuts the blocks at every x and reads a running state
-there.
+segment_scan reruns that kernel above the table, needing only the
+primes up to sqrt of the range end, and takes smallest prime factors
+from a kernel of their own, _spf_block (np.minimum with p).
 """
 from __future__ import annotations
 
@@ -346,13 +343,15 @@ def build_sieve(limit: int) -> SieveTables:
     return SieveTables(limit=limit, mobius=mobius, primes=primes)
 
 
-def theta(x: float, tables: SieveTables) -> float:
+def theta(x: float) -> float:
     """Chebyshev theta(x), the sum of log p over the primes p <= x for
-    0 <= x <= tables.limit: a compensated sum over prime_chunks (0.0
-    below 2), the same bits as the log_N column of
-    extrema.primorial_columns at the largest p_k <= x."""
+    0 <= x <= 2**40: a compensated sum over prime_chunks (0.0 below 2),
+    the same bits as the log_N column of extrema.primorial_columns at
+    the largest p_k <= x."""
+    if not 0 <= x <= MAX_LIMIT:
+        raise ValueError(f"x must be in [0, 2**40], got {x}")
     return compensated_sum(np.log(c.astype(float))
-                           for c in prime_chunks(x, tables=tables))
+                           for c in prime_chunks(max(x, 1)))
 
 
 def segment_scan(lo: int, hi: int,
@@ -431,22 +430,14 @@ def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
         yield np.concatenate((base[(base >= first) & (base < last)], above))
 
 
-def prime_chunks(x: int | None = None, count: int | None = None,
-                 tables: SieveTables | None = None) -> Iterator[np.ndarray]:
+def prime_chunks(x: int | None = None,
+                 count: int | None = None) -> Iterator[np.ndarray]:
     """The primes <= x, or the first count >= 1 primes, ascending, in
-    int64 chunks of at most 2**12: the tables' primes if given, else
-    prime_blocks', streamed in the count form up to p_n < n (log n +
-    log log n) for n >= 6 (Rosser, 1941) with margin (100 covers p_5).
-    Raises InsufficientSieveError if the tables stop short, ValueError
-    past 2**40 (a streamed x when first advanced, else when called).
+    int64 chunks of at most 2**12 of prime_blocks'; the count form
+    streams up to p_n < n (log n + log log n) for n >= 6 (Rosser, 1941)
+    with margin (100 covers p_5).  Raises ValueError past 2**40 (x when
+    first advanced, count when called).
     """
-    if tables is not None:
-        if count is None:
-            count = tables.prime_count(tables.check(x, 0))
-        elif count > len(tables.primes):
-            raise InsufficientSieveError(
-                f"{count} primes, but tables hold {len(tables.primes)}")
-        return chunked(tables.primes[:count], _PRIME_CHUNK)
     if count is not None:
         log_c = log(count + 1)
         x = max(100, int(count * (log_c + log(log_c) + 1)))

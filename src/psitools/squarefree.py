@@ -13,10 +13,10 @@ rather than an approximation.  The harmonic-sum identity
 exact rationals.
 
 Q(x) and the float harmonic sum also have grid forms that answer every
-x of a grid from one pass over the squarefree n (sieve.grid_rows): over
-sieve.squarefree_blocks, with no tables and block-sized memory, or over
-the tables' Mobius values.  The per-x calls are the grid forms over the
-tables at one x.
+x of a grid from one pass over the squarefree n (sieve.grid_rows) of
+sieve.squarefree_blocks, in block-sized memory; the per-x calls are the
+grid forms at one x.  The square-divisor counts and the exact oracles
+read the Mobius values and primes of built sieve tables.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
 from .sieve import SieveTables, grid_rows, prime_chunks, squarefree_blocks
-from .summation import _CHUNK, CompensatedSum, chunked
+from .summation import CompensatedSum, chunked
 
 __all__ = [
     "count_squarefree_exact",
@@ -102,25 +102,17 @@ def count_squarefree_formula_range(xmax: int, tables: SieveTables) -> np.ndarray
     return np.cumsum(out, out=out)
 
 
-def _squarefree_ns(top: int, tables: SieveTables | None
-                   ) -> Iterator[tuple[np.ndarray]]:
-    """The squarefree n in [1, top], ascending: from the tables' Mobius
-    values _CHUNK values of n at a time if tables are given, else
-    streamed by sieve.squarefree_blocks, _CHUNK squarefree n at a time."""
-    if tables is None:
-        return ((ns,) for block in squarefree_blocks(1, top + 1)
-                for ns in chunked(block))
-    mobius = tables.mobius[:tables.check(top, 1) + 1]
-    return ((np.flatnonzero(mobius[lo:lo + _CHUNK]) + lo,)
-            for lo in range(1, mobius.size, _CHUNK))
+def _squarefree_ns(top: int) -> Iterator[tuple[np.ndarray]]:
+    """The squarefree n in [1, top], ascending, streamed by
+    sieve.squarefree_blocks, 2**16 squarefree n at a time."""
+    return ((ns,) for block in squarefree_blocks(1, top + 1)
+            for ns in chunked(block))
 
 
 def squarefree_residual_grid(
-        xs: Iterable[int], tables: SieveTables | None = None
-        ) -> list[tuple[ResidualSample, ResidualSample]]:
+        xs: Iterable[int]) -> list[tuple[ResidualSample, ResidualSample]]:
     """squarefree_residual(x) for every x in xs, Q(x) counted in one
-    pass over the squarefree n up to max(xs): the tables' if given,
-    else streamed with no tables."""
+    pass over the squarefree n up to max(xs)."""
     count = 0
 
     def add(ns: np.ndarray) -> None:
@@ -128,8 +120,7 @@ def squarefree_residual_grid(
         count += len(ns)
 
     xs = list(xs)
-    counts = grid_rows(xs, 1, lambda top: _squarefree_ns(top, tables), add,
-                       lambda x: count)
+    counts = grid_rows(xs, 1, _squarefree_ns, add, lambda x: count)
     samples = []
     for x, q in zip(xs, counts):
         main = _SIX_OVER_PI_SQ * x
@@ -138,36 +129,32 @@ def squarefree_residual_grid(
     return samples
 
 
-def squarefree_residual(
-        x: int, tables: SieveTables) -> tuple[ResidualSample, ResidualSample]:
+def squarefree_residual(x: int) -> tuple[ResidualSample, ResidualSample]:
     """Q(x) against its main term (6/pi^2) x, scaled two ways.
 
     Returns samples at scale exponents 0.5 and 0.25; they share x,
     value, main term, and raw residual.
     """
-    return squarefree_residual_grid([x], tables)[0]
+    return squarefree_residual_grid([x])[0]
 
 
-def squarefree_harmonic_grid(xs: Iterable[int],
-                             tables: SieveTables | None = None
-                             ) -> list[ResidualSample]:
+def squarefree_harmonic_grid(xs: Iterable[int]) -> list[ResidualSample]:
     """squarefree_harmonic(x) for every x in xs, from one pass over the
-    squarefree n up to max(xs): the tables' if given, else streamed with
-    no tables.  The compensated sum of 1/n, in ascending n, carries
-    across chunks and is read at each x: within a few ulp of exact, and
-    the same bits whatever the chunks.
+    squarefree n up to max(xs).  The compensated sum of 1/n, in
+    ascending n, carries across chunks and is read at each x: within a
+    few ulp of exact, and the same bits whatever the chunks.
     """
     total = CompensatedSum()
     xs = list(xs)
-    sums = grid_rows(xs, 1, lambda top: _squarefree_ns(top, tables),
-                     lambda ns: total.add(1.0 / ns), lambda x: total.value)
+    sums = grid_rows(xs, 1, _squarefree_ns, lambda ns: total.add(1.0 / ns),
+                     lambda x: total.value)
     return [make_sample(x, value, _SIX_OVER_PI_SQ * log(x))
             for x, value in zip(xs, sums)]
 
 
-def squarefree_harmonic(x: int, tables: SieveTables) -> ResidualSample:
+def squarefree_harmonic(x: int) -> ResidualSample:
     """sum of 1/n over squarefree n <= x, against (6/pi^2) log x."""
-    return squarefree_harmonic_grid([x], tables)[0]
+    return squarefree_harmonic_grid([x])[0]
 
 
 def squarefree_harmonic_exact(x: int, tables: SieveTables) -> Fraction:
@@ -189,8 +176,7 @@ def psi_product_exact(x: int, tables: SieveTables) -> Fraction:
     return total
 
 
-def primorial_divisor_tail(x: int, tables: SieveTables | None = None
-                           ) -> Fraction:
+def primorial_divisor_tail(x: int) -> Fraction:
     """sum of 1/d over divisors d > x of P(x) = prod of primes <= x.
 
     All 2^r divisors of the squarefree P(x) are visited by Gray-code
@@ -201,7 +187,6 @@ def primorial_divisor_tail(x: int, tables: SieveTables | None = None
     Args:
         x: cutoff with 2 <= x <= 52 (beyond 52 the exact integers
             outgrow 128 bits).
-        tables: sieve tables covering x, or None to stream the primes.
 
     Returns:
         The tail as an exact reduced Fraction.
@@ -212,7 +197,7 @@ def primorial_divisor_tail(x: int, tables: SieveTables | None = None
             f"exact tail limited to x <= {TAIL_PRIME_BOUND}, got {x}")
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    primes = [p for c in prime_chunks(x, tables=tables) for p in c.tolist()]
+    primes = [p for c in prime_chunks(x) for p in c.tolist()]
     big_p = 1
     for p in primes:
         big_p *= p

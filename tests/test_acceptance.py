@@ -23,10 +23,10 @@ from psitools.extrema import (
 )
 from psitools.mertens import (
     compute_B1,
-    dusart_bound_check,
+    dusart_bound_grid,
     euler_product_inv,
-    oscillation_g,
-    prime_harmonic_progression,
+    oscillation_grid,
+    prime_harmonic_progression_grid,
     psi_product,
 )
 from psitools.squarefree import (
@@ -45,8 +45,9 @@ def tables_1e7():
 
 
 @pytest.fixture(scope="module")
-def tables_1e8():
-    return build_sieve(100_000_000)
+def columns_1e8():
+    # every primorial column for p_k <= 1e8, streamed once for the module
+    return primorial_columns(100_000_000)
 
 
 def report(num, label, ok, detail=""):
@@ -73,8 +74,8 @@ def test_criterion_01_squarefree_identity_exhaustive(tables_1e6):
            f"{elapsed:.1f} s")
 
 
-def test_criterion_02_primorial_margin_scan(tables_1e8):
-    margin = primorial_columns(100_000_000, tables_1e8)["margin"]
+def test_criterion_02_primorial_margin_scan(columns_1e8):
+    margin = columns_1e8["margin"]
     argmin_k = int(np.argmin(margin)) + 1
     all_positive = bool(np.all(margin > 0))
     min_margin = float(margin[argmin_k - 1])
@@ -85,16 +86,16 @@ def test_criterion_02_primorial_margin_scan(tables_1e8):
            ok, f"min_margin={min_margin:.9e} at k={argmin_k}")
 
 
-def test_criterion_03_b1_reproduction(tables_1e7):
-    value, tail_bound = compute_B1(10_000_000, tables_1e7)
+def test_criterion_03_b1_reproduction():
+    value, tail_bound = compute_B1(10_000_000)
     err = abs(value - 0.2614972128)
     report(3, "B1 recomputation vs published digits",
            err <= 1e-8, f"err={err:.3e}, tail_bound={tail_bound:.1e}")
 
 
-def test_criterion_04_dusart_bound(tables_1e8):
+def test_criterion_04_dusart_bound():
     points = (2_278_383, 5_000_000, 10_000_000, 50_000_000, 100_000_000)
-    results = [dusart_bound_check(x, tables_1e8) for x in points]
+    results = dusart_bound_grid(points)
     ok = all(r.holds for r in results)
     worst = min(r.slack for r in results)
     report(4, "explicit remainder bound at sampled x",
@@ -106,11 +107,11 @@ def test_criterion_05_harmonic_tail_identity(tables_1e4):
     float_ok = True
     for x in range(2, 41):
         lhs = squarefree_harmonic_exact(x, tables_1e4)
-        rhs = psi_product_exact(x, tables_1e4) - primorial_divisor_tail(x, tables_1e4)
+        rhs = psi_product_exact(x, tables_1e4) - primorial_divisor_tail(x)
         exact_ok = exact_ok and lhs == rhs
-        float_ok = float_ok and abs(squarefree_harmonic(x, tables_1e4).value
+        float_ok = float_ok and abs(squarefree_harmonic(x).value
                                     - float(rhs)) <= 1e-12
-    witness = primorial_divisor_tail(10, tables_1e4) == Fraction(3, 10)
+    witness = primorial_divisor_tail(10) == Fraction(3, 10)
     report(5, "harmonic sum equals product minus divisor tail, x in [2,40]",
            exact_ok and float_ok and witness,
            "exact rationals + 1e-12 floats + x=10 witness 3/10")
@@ -153,8 +154,8 @@ def test_criterion_07_squarefree_residual_bound(tables_1e6, tables_1e7):
            f"max |R|/sqrt(x)={worst:.6f}, {changes} sign changes below 1e5")
 
 
-def test_criterion_08_psi_product_convergence(tables_1e6):
-    sample = psi_product(1_000_000, tables_1e6)
+def test_criterion_08_psi_product_convergence():
+    sample = psi_product(1_000_000)
     ratio = sample.value / sample.main_term
     report(8, "prime product tracks its predicted slope at 1e6",
            abs(ratio - 1.0) < 0.01, f"|ratio-1|={abs(ratio - 1):.2e}")
@@ -163,12 +164,12 @@ def test_criterion_08_psi_product_convergence(tables_1e6):
 def test_criterion_09_psi_phi_factorization(tables_1e7):
     rng = np.random.default_rng(20260822)
     draws = rng.integers(1, 10_000_000, size=10_000, endpoint=True)
-    worst_n = max(psi_phi_identity_residual(int(n), tables_1e7) for n in draws)
+    worst_n = max(psi_phi_identity_residual(int(n)) for n in draws)
 
     worst_x = 0.0
     for x in (10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000):
-        plus = psi_product(x, tables_1e7).value
-        minus_inv = euler_product_inv(x, tables_1e7).value
+        plus = psi_product(x).value
+        minus_inv = euler_product_inv(x).value
         primes = tables_1e7.primes[:tables_1e7.prime_count(x)].astype(np.float64)
         direct = math.exp(math.fsum(np.log1p(-1.0 / (primes * primes)).tolist()))
         worst_x = max(worst_x, abs(plus / minus_inv - direct) / direct)
@@ -186,32 +187,30 @@ def test_criterion_10_oscillation_oracle(tables_1e7):
     e_gamma_ld = (np.longdouble(float.fromhex("0x1.c7f45cab1356cp+0"))
                   + np.longdouble(float.fromhex("-0x1.d6b0214a2928cp-57")))
     worst = 0.0
-    for x in xs:
+    for x, got in zip(xs, oscillation_grid(xs)):
         idx = tables_1e7.prime_count(int(x)) - 1
         oracle = np.sqrt(np.longdouble(x)) * (
             running[idx] - e_gamma_ld * np.log(np.longdouble(x)))
-        got = oscillation_g(int(x), tables_1e7)
         worst = max(worst, abs(got - float(oracle)) / abs(float(oracle)))
     report(10, "oscillation statistic matches direct-product oracle",
            worst <= 1e-9, f"worst rel diff={worst:.2e} over {len(xs)} points")
 
 
-def test_criterion_11_progression_stabilization(tables_1e7):
+def test_criterion_11_progression_stabilization():
     moves = {}
     for q, a in ((4, 1), (4, 3), (3, 1), (3, 2)):
-        lo = prime_harmonic_progression(1_000_000, q, a, tables_1e7).b_estimate
-        hi = prime_harmonic_progression(10_000_000, q, a, tables_1e7).b_estimate
-        moves[(q, a)] = abs(hi - lo)
+        lo, hi = prime_harmonic_progression_grid([1_000_000, 10_000_000], q, a)
+        moves[(q, a)] = abs(hi.b_estimate - lo.b_estimate)
     worst = max(moves.values())
     report(11, "residue-class constants move < 0.01 from 1e6 to 1e7",
            worst < 0.01, f"max move={worst:.2e}")
 
 
-def test_criterion_12_recorded_only(tables_1e7):
+def test_criterion_12_recorded_only():
     # no desk-scale pass/fail exists for unbounded oscillation or the
     # threshold-crossing density; record the trajectories and counts
-    xs = sorted(set(np.geomspace(10, 10_000_000, 12).astype(int)))
-    trajectory = [(int(x), oscillation_g(int(x), tables_1e7)) for x in xs]
+    xs = sorted(set(np.geomspace(10, 10_000_000, 12).astype(int).tolist()))
+    trajectory = list(zip(xs, oscillation_grid(xs)))
     for x, g in trajectory:
         print(f"  g({x}) = {g:.5f}")
 
@@ -228,16 +227,16 @@ def test_criterion_12_recorded_only(tables_1e7):
 
 
 # ---------------------------------------------------------------------------
-# slower invariants that ride along with the acceptance tables
+# slower invariants that ride along with the acceptance columns
 
 
-def test_theta_tracks_x(tables_1e8):
-    assert abs(theta(100_000_000, tables_1e8) / 1e8 - 1.0) < 0.01
+def test_theta_tracks_x():
+    assert abs(theta(100_000_000) / 1e8 - 1.0) < 0.01
 
 
-def test_primorial_ratio_envelope(tables_1e8):
+def test_primorial_ratio_envelope(columns_1e8):
     # psi(N)/N over C log log N stays in [1, 1.01] once k >= 1e5
-    cols = primorial_columns(100_000_000, tables_1e8)
+    cols = columns_1e8
     ratios = cols["psi_ratio"][99_999:] / cols["threshold"][99_999:]
     assert ratios.size == 5_761_455 - 99_999
     assert float(ratios.min()) >= 1.0
@@ -245,11 +244,11 @@ def test_primorial_ratio_envelope(tables_1e8):
     assert float(ratios.max()) == pytest.approx(1.00012726, abs=1e-6)
 
 
-def test_upper_bound_certificate_to_1e8(tables_1e8):
+def test_upper_bound_certificate_to_1e8(columns_1e8):
     # R(N_k) = psi(N_k) / (N_k log log N_k) < e^gamma for 4 <= k <= K: as
     # R is largest on [N_k, N_{k+1}) at N_k, this covers every n in
     # [210, N_{K+1}), K = 5,761,455
-    cols = primorial_columns(100_000_000, tables_1e8)
+    cols = columns_1e8
     r = cols["psi_ratio"] / cols["loglog_N"]
     assert r.size == 5_761_455
     e_gamma = get_constant("e_gamma").value
@@ -260,15 +259,15 @@ def test_upper_bound_certificate_to_1e8(tables_1e8):
     assert e_gamma - float(r[3]) == pytest.approx(0.1451, abs=1e-4)
 
 
-def test_margins_decrease_at_scale(tables_1e8):
-    margins = primorial_columns(100_000_000, tables_1e8)["margin"]
+def test_margins_decrease_at_scale(columns_1e8):
+    margins = columns_1e8["margin"]
     assert bool(np.all(np.diff(margins[9:]) < 0))
 
 
 def test_jump_form_stability(tables_1e6):
     # the two closed forms for the primorial jump agree to near machine level
-    ratios = primorial_columns(1_000_000, tables_1e6)["psi_ratio"]
-    deltas = jump_deltas(len(ratios) - 1, tables_1e6)
+    ratios = primorial_columns(1_000_000)["psi_ratio"]
+    deltas = jump_deltas(len(ratios) - 1)
     for k in range(1, len(ratios), 50):
         p_next = int(tables_1e6.primes[k])
         assert abs(deltas[k - 1] - ratios[k - 1] / p_next) <= 1e-12 * deltas[k - 1]

@@ -35,19 +35,21 @@ def brute_profile(n):
     return mu, len(facs), sum(facs.values()), phi, sigma, psi
 
 
-def test_factor_examples(tables_1e4):
-    assert factor(1, tables_1e4).factors == ()
-    assert factor(360, tables_1e4).factors == ((2, 3), (3, 2), (5, 1))
-    assert factor(97, tables_1e4).factors == ((97, 1),)
+def test_factor_examples():
+    assert factor(1).factors == ()
+    assert factor(360).factors == ((2, 3), (3, 2), (5, 1))
+    assert factor(97).factors == ((97, 1),)
 
 
-def assert_factor_matches_sympy(n, tables):
-    assert factor(n, tables).factors == tuple(
+def assert_factor_matches_sympy(n):
+    assert factor(n).factors == tuple(
         sorted(sympy.factorint(n).items())), n
 
 
 @pytest.mark.parametrize("fixture", ["tables_1e4", "tables_1e6"])
 def test_factor_edges_against_sympy(request, fixture):
+    # edges read from the tables: the largest prime, the square of the
+    # last prime below sqrt(limit), and prime pairs near the limit
     tables = request.getfixturevalue(fixture)
     limit, primes = tables.limit, tables.primes
     root_prime = int(primes[tables.prime_count(math.isqrt(limit)) - 1])
@@ -57,20 +59,19 @@ def test_factor_edges_against_sympy(request, fixture):
         edges.append(p * int(primes[tables.prime_count(limit // p) - 1]))
     for n in edges:
         assert 1 <= n <= limit
-        assert_factor_matches_sympy(n, tables)
+        assert_factor_matches_sympy(n)
 
 
-def test_factor_random_against_sympy(tables_1e6):
+def test_factor_random_against_sympy():
     rng = random.Random(20261018)
     for n in rng.sample(range(1, 1_000_001), 2_000):
-        assert_factor_matches_sympy(n, tables_1e6)
+        assert_factor_matches_sympy(n)
 
 
-def test_factor_domain(tables_1e4):
-    with pytest.raises(ValueError):
-        factor(0, tables_1e4)
-    with pytest.raises(ValueError):
-        factor(10_001, tables_1e4)
+def test_factor_domain():
+    for n in (0, -1, MAX_LIMIT + 1):
+        with pytest.raises(ValueError, match="2\\*\\*40"):
+            factor(n)
 
 
 def test_factor_without_tables_against_sympy():
@@ -80,59 +81,56 @@ def test_factor_without_tables_against_sympy():
     edges = [1, 2, 3, 4, 1_000_003 ** 2, 2 * 549_755_813_881, MAX_LIMIT,
              MAX_LIMIT - 1, 100_000_007, *rng.sample(range(1, MAX_LIMIT), 50)]
     for n in edges:
-        assert_factor_matches_sympy(n, None)
+        assert_factor_matches_sympy(n)
     assert profile(100_000_007).phi == 100_000_006
-    for n in (0, MAX_LIMIT + 1):
-        with pytest.raises(ValueError):
-            factor(n)
 
 
-def test_profile_examples(tables_1e4):
-    p10 = profile(10, tables_1e4)
+def test_profile_examples():
+    p10 = profile(10)
     assert p10 == ArithProfile(n=10, mu=1, omega=2, big_omega=2, phi=4, sigma=18, psi=18)
-    p12 = profile(12, tables_1e4)
+    p12 = profile(12)
     assert (p12.phi, p12.sigma, p12.psi) == (4, 28, 24)
     assert p12.mu == 0
-    p1 = profile(1, tables_1e4)
+    p1 = profile(1)
     assert (p1.mu, p1.omega, p1.big_omega, p1.phi, p1.sigma, p1.psi) == (1, 0, 0, 1, 1, 1)
 
 
-def test_profile_against_trial_division(tables_1e4):
+def test_profile_against_trial_division():
     for n in range(1, 2_001):
-        p = profile(n, tables_1e4)
+        p = profile(n)
         assert (p.mu, p.omega, p.big_omega, p.phi, p.sigma, p.psi) == brute_profile(n), n
 
 
 def test_sigma_equals_psi_iff_squarefree(tables_1e4):
     mu = tables_1e4.mobius
     for n in range(1, 10_001):
-        p = profile(n, tables_1e4)
+        p = profile(n)
         if mu[n] != 0:
             assert p.sigma == p.psi, n
         else:
             assert p.sigma != p.psi, n
 
 
-def test_multiplicative_on_coprime_pairs(tables_1e4):
+def test_multiplicative_on_coprime_pairs():
     pairs = [(m, n) for m in range(2, 101) for n in range(2, 101)
              if m * n <= 10_000 and math.gcd(m, n) == 1]
     for m, n in pairs:
-        pm, pn, pmn = profile(m, tables_1e4), profile(n, tables_1e4), profile(m * n, tables_1e4)
+        pm, pn, pmn = profile(m), profile(n), profile(m * n)
         assert pmn.phi == pm.phi * pn.phi
         assert pmn.sigma == pm.sigma * pn.sigma
         assert pmn.psi == pm.psi * pn.psi
 
 
-def test_psi_phi_identity(tables_1e4):
+def test_psi_phi_identity():
     # psi(n)/n * phi(n)/n reproduces prod_{p|n} (1 - 1/p^2) in floats
     for n in range(1, 10_001):
-        assert psi_phi_identity_residual(n, tables_1e4) <= 1e-12, n
+        assert psi_phi_identity_residual(n) <= 1e-12, n
 
 
-def test_psi_phi_identity_values(tables_1e4):
-    p = profile(10, tables_1e4)
+def test_psi_phi_identity_values():
+    p = profile(10)
     assert p.psi * p.phi / 100 == pytest.approx(0.72, abs=0.0)
-    p = profile(8, tables_1e4)
+    p = profile(8)
     assert p.psi * p.phi / 64 == pytest.approx(0.75, abs=0.0)
 
 
@@ -158,12 +156,12 @@ def psi_table(lo, hi):
     return np.concatenate([psi for _, psi in blocks])
 
 
-def test_psi_table_matches_profiles(tables_1e4):
+def test_psi_table_matches_profiles():
     vals = psi_table(0, 5_001)
     assert vals[0] == 0
     assert vals[1] == 1
     for n in range(1, 5_001):
-        assert vals[n] == profile(n, tables_1e4).psi, n
+        assert vals[n] == profile(n).psi, n
 
 
 def test_psi_table_domain():

@@ -1,10 +1,13 @@
 import csv
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -188,7 +191,7 @@ def test_verify_psi_rows_across_chunks(capsys):
     # 5,133 rows: the emit converts the columns in several chunks
     code, out, _ = run(capsys, "verify-psi", "--plimit", "50000")
     assert code == 0
-    cols = extrema.primorial_columns(50_000, sieve.build_sieve(50_000))
+    cols = extrema.primorial_columns(50_000)
     names = ("p", "log_N", "psi_ratio", "loglog_N", "threshold", "margin")
     expect = [
         ",".join([str(k), str(int(cols["p"][k - 1]))]
@@ -295,35 +298,64 @@ def test_grid_xmax_below_xmin_ends_at_xmax(capsys, argv, expected):
 
 
 # ---------------------------------------------------------------------------
-# Streamed x-grids against the per-x table calls
+# Streamed x-grids against oracles read from sieve tables
 # ---------------------------------------------------------------------------
 
 _EDGE = 2 ** 20  # the first block seam of the streamed passes
+_SIX = constants.get_constant("six_over_pi_sq").value
 
 
 @pytest.fixture(scope="module")
 def tables_past_edge():
-    return sieve.build_sieve(_EDGE + 2)
+    # to the first prime past the seam, 2^20 + 7
+    return sieve.build_sieve(_EDGE + 7)
 
 
-def _per_x_row(name, x, tables):
-    """The row of subcommand name at x, from the per-x library calls."""
+@pytest.fixture(scope="module")
+def sums_past_edge(tables_past_edge):
+    """(values, prefix sums) over the tables' primes and squarefree n,
+    each sum the compensated prefix of one array of terms."""
+    p = tables_past_edge.primes
+    ns = np.flatnonzero(tables_past_edge.mobius)
+    p_5_12 = p[p % 12 == 5]
+    return {"prime": (p, compensated_cumsum(1.0 / p)),
+            "euler": (p, compensated_cumsum(-np.log1p(-1.0 / p))),
+            "squarefree": (ns, compensated_cumsum(1.0 / ns)),
+            "progression": (p_5_12, compensated_cumsum(1.0 / p_5_12))}
+
+
+def _per_x_row(name, x, sums):
+    """The row of subcommand name at x, from the tables' prefix sums."""
+    def at(key):
+        """(count, sum) of the values <= x."""
+        values, prefix = sums[key]
+        i = int(np.searchsorted(values, x, side="right"))
+        return i, float(prefix[i - 1]) if i else 0.0
+
+    lx = math.log(x)
     if name == "squarefree":
-        half, quarter = squarefree.squarefree_residual(x, tables)
-        return (x, int(half.value), half.main_term, half.residual,
-                half.scaled_residual, quarter.scaled_residual)
-    if name in ("harmonic", "mertens"):
-        s = (squarefree.squarefree_harmonic if name == "harmonic"
-             else mertens.prime_harmonic)(x, tables)
-        return x, s.value, s.main_term, s.residual
+        q = at("squarefree")[0]
+        residual = q - _SIX * x
+        return (x, q, _SIX * x, residual, residual / x ** 0.5,
+                residual / x ** 0.25)
+    if name == "harmonic":
+        value = at("squarefree")[1]
+        return x, value, _SIX * lx, value - _SIX * lx
     if name == "progression":
-        s = mertens.prime_harmonic_progression(x, 12, 5, tables)
-        return s.q, s.a, x, s.sum, s.b_estimate
+        value = at("progression")[1]
+        return 12, 5, x, value, value - math.log(lx) / 4  # phi(12) = 4
     if name == "oscillation":
-        return x, mertens.oscillation_g(x, tables)
-    r = mertens.dusart_bound_check(x, tables)
-    return (int(r.x), r.holds, r.slack, r.deviation, r.bound, r.rh_bound,
-            r.below_validity)
+        main = constants.get_constant("e_gamma").value * lx
+        return x, math.sqrt(x) * (float(np.exp(at("euler")[1])) - main)
+    value = at("prime")[1]
+    main = math.log(lx) + constants.get_constant("B1").value
+    if name == "mertens":
+        return x, value, main, value - main
+    deviation = value - main
+    bound = 1.0 / (10 * lx ** 2) + 4.0 / (15 * lx ** 3)
+    return (x, abs(deviation) <= bound, bound - abs(deviation), deviation,
+            bound, (3 * lx + 4) / (8 * math.pi * math.sqrt(x)),
+            x < mertens.DUSART_VALIDITY_THRESHOLD)
 
 
 _PER_X = ("squarefree", "harmonic", "mertens", "progression", "oscillation",
@@ -332,15 +364,17 @@ _PER_X = ("squarefree", "harmonic", "mertens", "progression", "oscillation",
 
 @pytest.mark.parametrize("name", _PER_X)
 def test_streamed_grid_rows_equal_per_x_table_calls(
-        name, tables_past_edge, monkeypatch):
-    # the block edges, a prime (2^20 - 3), a non-squarefree x (10^6),
-    # repeats and no order; x = 1 where the subcommand takes it
+        name, tables_past_edge, sums_past_edge, monkeypatch):
+    # the block edges, primes (2^20 - 3, and 2^20 + 7 last, so the stream
+    # must reach its top), a non-squarefree x (10^6), repeats and no
+    # order; x = 1 where the subcommand takes it
     xs = [_EDGE + 1, _EDGE - 1, 10 ** 6, _EDGE, _EDGE - 3, 97, _EDGE + 1,
-          10 ** 6]
+          10 ** 6, _EDGE + 7]
     if name in ("squarefree", "harmonic"):
         xs += [1, 2]
     count = tables_past_edge.prime_count
     assert count(_EDGE - 3) == count(_EDGE - 4) + 1
+    assert count(_EDGE + 7) == count(_EDGE + 6) + 1
 
     def no_tables(limit):
         # progression too: phi(q) comes from trial division
@@ -354,7 +388,7 @@ def test_streamed_grid_rows_equal_per_x_table_calls(
     (chunk,) = cli.COMMANDS[name].rows(args)
     got = list(zip(*chunk))
     monkeypatch.undo()
-    expected = [_per_x_row(name, x, tables_past_edge) for x in xs]
+    expected = [_per_x_row(name, x, sums_past_edge) for x in xs]
     # repr spells every float exactly, so equal text is equal bits
     assert repr(got) == repr(expected)
 
@@ -363,7 +397,7 @@ def test_streamed_sums_match_one_pass_over_the_tables(tables_past_edge):
     # an oracle that shares no chunking and no grid walk: the last
     # compensated prefix of one array of terms
     x = _EDGE + 1
-    primes = tables_past_edge.primes
+    primes = tables_past_edge.primes[:tables_past_edge.prime_count(x)]
     mertens_sum = float(compensated_cumsum(1.0 / primes)[-1])
     ns = np.flatnonzero(tables_past_edge.mobius[:x + 1])
     harmonic_sum = float(compensated_cumsum(1.0 / ns)[-1])
@@ -421,13 +455,20 @@ def test_one_row_prime_subcommands_equal_table_calls(tables_2e6):
     # repr spells every float exactly, so equal text is equal bits
     limit, primes = tables_2e6.limit, tables_2e6.primes
     assert limit == _SEAMS
-    holds, k = extrema.gap_exponent_check(limit, tables_2e6)
+    inv = 1.0 / primes
+    b1 = (constants.get_constant("gamma").value
+          - math.fsum((-np.log1p(-inv) - inv).tolist()))
+    f = primes.astype(np.float64)
+    scores = (f[1:] - f[:-1]) / f[:-1] ** constants.get_constant(
+        "gap_alpha").value
+    k = int(np.argmax(scores)) + 1
     expected = {
-        "b1": (limit, *mertens.compute_B1(limit, tables_2e6)),
-        "gap-check": (limit, holds, k, *primes[k - 1:k + 1].tolist()),
+        "b1": (limit, b1, 1.0 / (limit - 1)),
+        "gap-check": (limit, bool(scores[k - 1] < 1.0), k,
+                      *primes[k - 1:k + 1].tolist()),
         "sieve-info": (limit, len(primes),
                        squarefree.count_squarefree_exact(limit, tables_2e6),
-                       sieve.theta(limit, tables_2e6)),
+                       float(compensated_cumsum(np.log(f))[-1])),
     }
     for name, row in expected.items():
         flag = "--limit" if name == "sieve-info" else "--plimit"
@@ -438,12 +479,14 @@ def test_streamed_primorial_rows_equal_table_calls(tables_2e6):
     # p_k and p_{k+1} run past 2^21, so the streamed primes cross two
     # block seams and many 2^16-prime chunks
     primes = tables_2e6.primes
+    f = primes.astype(np.float64)
     kmax = len(primes) - 1
     assert primes[kmax] > 2 ** 21
     rows, chunks = command_rows("jumps", "--kmax", str(kmax))
     assert chunks > 2
+    ratios = np.exp(compensated_cumsum(np.log1p(1.0 / f)))
     expected = zip(range(1, kmax + 1), primes[1:].tolist(),
-                   extrema.jump_deltas(kmax, tables_2e6).tolist())
+                   (ratios[:-1] / f[1:]).tolist())
     assert repr(rows) == repr(list(expected))
 
     picks = [kmax + 1, 155_612, 82_026, 2, 155_612, 9]
@@ -451,17 +494,34 @@ def test_streamed_primorial_rows_equal_table_calls(tables_2e6):
     rows, chunks = command_rows(
         "loglog-gap", *(f"--k={k}" for k in picks), "--kmax", str(kmax + 1))
     assert chunks > 3
-    expected = zip(ks, primes[np.array(ks) - 1].tolist(),
-                   extrema.loglog_gap(ks, tables_2e6).tolist())
-    assert repr(rows) == repr(list(expected))
+    p_k = primes.tolist()
+    log_n = compensated_cumsum(np.log(f)).tolist()
+    expected = [(k, p_k[k - 1], math.log(math.log(p_k[k - 1]))
+                 - math.log(math.log(log_n[k - 1]))) for k in ks]
+    assert repr(rows) == repr(expected)
 
 
 def test_tail_sum_and_constants_rows_equal_table_calls(tables_1e4, tables_1e6):
     for x in (2, 30, 52):
-        tail = squarefree.primorial_divisor_tail(x, tables_1e4)
+        ps = tables_1e4.primes[tables_1e4.primes <= x].tolist()
+        big_p = math.prod(ps)
+        divisors = [math.prod(c) for r in range(len(ps) + 1)
+                    for c in itertools.combinations(ps, r)]
+        tail = Fraction(sum(big_p // d for d in divisors if d > x), big_p)
         assert command_rows("tail-sum", "--x", str(x))[0] == [
             (x, tail.numerator, tail.denominator)]
-    residuals = dict(constants.crosscheck_constants(tables_1e6))
+    value = {name: constants.get_constant(name).value for name in
+             ("gamma", "B1", "six_over_pi_sq", "e_gamma", "threshold")}
+    f = tables_1e6.primes.astype(np.float64)
+    b1 = value["gamma"] - math.fsum((-np.log1p(-1.0 / f) - 1.0 / f).tolist())
+    six = float(np.exp(math.fsum(np.log1p(-1.0 / f ** 2).tolist())))
+    residuals = {
+        "gamma": abs(constants._gamma_from_harmonic() - value["gamma"]),
+        "B1": abs(b1 - value["B1"]),
+        "six_over_pi_sq": abs(six - value["six_over_pi_sq"]),
+        "threshold": abs(value["e_gamma"] * value["six_over_pi_sq"]
+                         - value["threshold"]),
+    }
     rows, _ = command_rows("constants")
     assert {name: r for name, _, r in rows if r is not None} == residuals
 

@@ -19,8 +19,7 @@ from psitools.extrema import (
     psi_ratio_extremes,
     psi_ratio_extremes_grid,
 )
-from psitools.sieve import (MAX_LIMIT, SEGMENT_SIZE, InsufficientSieveError,
-                            psi_blocks)
+from psitools.sieve import MAX_LIMIT, SEGMENT_SIZE, psi_blocks
 from psitools.summation import compensated_cumsum
 
 
@@ -29,8 +28,8 @@ def _row(cols, k):
     return {name: col[k - 1].item() for name, col in cols.items()}
 
 
-def test_primorial_first_records(tables_1e4):
-    cols = primorial_columns(7, tables_1e4)
+def test_primorial_first_records():
+    cols = primorial_columns(7)
     assert sorted(cols) == sorted(
         ["p", "log_N", "psi_ratio", "loglog_N", "threshold", "margin"])
     assert all(len(col) == 4 for col in cols.values())
@@ -53,12 +52,12 @@ def test_primorial_first_records(tables_1e4):
     assert k4["threshold"] == pytest.approx(1.8153111985791506, rel=1e-13)
     assert k4["threshold"] == pytest.approx(1.815301, abs=5e-5)
     with pytest.raises(ValueError):
-        primorial_columns(1, tables_1e4)  # no primorial below 2
+        primorial_columns(1)  # no primorial below 2
 
 
 def test_primorial_columns_exact_oracle(tables_1e4):
     # every k <= 1000 against exact rationals and correctly rounded sums
-    cols = primorial_columns(int(tables_1e4.primes[999]), tables_1e4)
+    cols = primorial_columns(int(tables_1e4.primes[999]))
     assert len(cols["p"]) == 1000
     primes = tables_1e4.primes[:1000].tolist()
     logs = [math.log(p) for p in primes]
@@ -89,7 +88,7 @@ def test_primorial_stream_gives_the_same_bits_for_any_cut(tables_1e5):
                                              len(primes) - 9000]
     for got in ({name: np.concatenate([c[name] for c in chunks])
                  for name in expect},
-                primorial_columns(int(primes[-1]), tables_1e5)):
+                primorial_columns(int(primes[-1]))):
         assert list(got) == list(expect)
         for name, column in expect.items():
             assert got[name].dtype == column.dtype, name
@@ -97,8 +96,8 @@ def test_primorial_stream_gives_the_same_bits_for_any_cut(tables_1e5):
                                   column.view(np.int64)), name
 
 
-def test_primorial_monotonicity(tables_1e6):
-    cols = primorial_columns(1_000_000, tables_1e6)
+def test_primorial_monotonicity():
+    cols = primorial_columns(1_000_000)
     assert len(cols["p"]) == 78_498
     assert bool(np.all(np.diff(cols["psi_ratio"]) > 0))
     assert bool(np.all(np.diff(cols["log_N"]) > 0))
@@ -122,10 +121,10 @@ def test_upper_bound_violations_per_n():
     assert best[0] == pytest.approx(1.73362, abs=1e-5)
 
 
-def test_upper_bound_on_primorial_columns(tables_1e6):
+def test_upper_bound_on_primorial_columns():
     # R is largest on [N_k, N_{k+1}) at N_k, so R(N_k) < e^gamma for k >= 4
     # (N_4 = 210) covers every n in [210, N_78499)
-    cols = primorial_columns(1_000_000, tables_1e6)
+    cols = primorial_columns(1_000_000)
     r = cols["psi_ratio"] / cols["loglog_N"]
     e_gamma = get_constant("e_gamma").value
     assert bool(np.all(r[3:] < e_gamma))
@@ -173,28 +172,28 @@ def jump_delta_reference(k, tables):
 
 
 def test_jump_delta(tables_1e4):
-    deltas = jump_deltas(3, tables_1e4)
+    deltas = jump_deltas(3)
     assert deltas[0] == pytest.approx(0.5, rel=1e-15)
     assert deltas[1] == pytest.approx(0.4, rel=1e-15)
     assert deltas[2] == pytest.approx(2.4 / 7, rel=1e-14)
     with pytest.raises(ValueError):
-        jump_deltas(0, tables_1e4)
-    with pytest.raises(InsufficientSieveError):
-        jump_deltas(len(tables_1e4.primes), tables_1e4)
-    assert len(jump_deltas(len(tables_1e4.primes) - 1, tables_1e4)) == 1228
+        jump_deltas(0)
+    with pytest.raises(ValueError, match="2\\*\\*40"):
+        jump_deltas(10 ** 11)
+    assert len(jump_deltas(len(tables_1e4.primes) - 1)) == 1228
 
 
 def test_jump_deltas_match_per_k_reference(tables_1e6):
     # bitwise equal to the per-k computation, every k <= 2000 and sampled
     # k up to the last one the 1e6 tables allow
-    deltas = jump_deltas(78_497, tables_1e6)
+    deltas = jump_deltas(78_497)
     assert len(deltas) == 78_497
     sampled = list(range(1, 2001)) + list(range(2001, 78_497, 997)) + [78_497]
     for k in sampled:
         assert deltas[k - 1] == jump_delta_reference(k, tables_1e6), k
 
 
-def test_jump_deltas_cross_check_names_first_bad_k(tables_1e4, monkeypatch):
+def test_jump_deltas_cross_check_names_first_bad_k(monkeypatch):
     # a column that breaks the expm1/log1p form from k = 3 on
     real = extrema.primorial_stream
 
@@ -205,12 +204,12 @@ def test_jump_deltas_cross_check_names_first_bad_k(tables_1e4, monkeypatch):
 
     monkeypatch.setattr(extrema, "primorial_stream", skewed)
     with pytest.raises(FloatingPointError, match="k=3:"):
-        jump_deltas(10, tables_1e4)
+        jump_deltas(10)
 
 
-def test_jump_matches_columns(tables_1e4):
-    ratios = primorial_columns(100, tables_1e4)["psi_ratio"]
-    deltas = jump_deltas(24, tables_1e4)
+def test_jump_matches_columns():
+    ratios = primorial_columns(100)["psi_ratio"]
+    deltas = jump_deltas(24)
     assert deltas == pytest.approx(np.diff(ratios), rel=1e-12)
 
 
@@ -223,11 +222,11 @@ def test_extremes():
     assert psi_ratio_extremes(4) == (2, 1.5, 3, pytest.approx(4 / 3))
 
 
-def test_extremes_hit_primorials_and_primes(tables_1e4):
+def test_extremes_hit_primorials_and_primes():
     # maxima occur at primorials, minima at the largest prime
     max_n, max_ratio, min_n, min_ratio = psi_ratio_extremes(10_000)
     assert max_n == 2 * 3 * 5 * 7 * 11
-    assert max_ratio == pytest.approx(profile(max_n, tables_1e4).psi / max_n, rel=1e-15)
+    assert max_ratio == pytest.approx(profile(max_n).psi / max_n, rel=1e-15)
     assert min_n == 9973  # largest prime below 10^4
     assert min_ratio == pytest.approx(1 + 1 / 9973, rel=1e-15)
 
@@ -254,14 +253,14 @@ def test_classify_records():
     assert 18 / 17 < threshold * math.log(math.log(17))
 
 
-def test_classify_strict_inequality(tables_1e4, monkeypatch):
+def test_classify_strict_inequality(monkeypatch):
     # a flat threshold of 2 is met exactly by psi(6)/6 = psi(12)/12 = 2,
     # and exact equality counts as below: the comparison is strict
     monkeypatch.setattr(extrema, "_thresholds", lambda ns: np.full_like(ns, 2.0))
     steps = above_steps(100)
     assert not steps[6] and not steps[12] and steps[30]
     for n, above in steps.items():
-        assert above == (Fraction(profile(n, tables_1e4).psi, n) > 2), n
+        assert above == (Fraction(profile(n).psi, n) > 2), n
 
 
 def test_classify_domain():
@@ -272,19 +271,19 @@ def test_classify_domain():
 GRID = [500, 2, 97, 500, 30, 2_310, 1_000, 97]  # unsorted, repeated, x = 2
 
 
-def brute_extremes(x, tables):
+def brute_extremes(x):
     # exact rationals; max/min keep the first, so ties go to the smallest n
-    ratios = [(Fraction(profile(n, tables).psi, n), n)
+    ratios = [(Fraction(profile(n).psi, n), n)
               for n in range(2, x + 1)]
     hi = max(ratios, key=lambda r: r[0])
     lo = min(ratios, key=lambda r: r[0])
     return hi[1], float(hi[0]), lo[1], float(lo[0])
 
 
-def test_extremes_grid_matches_scalar_and_oracle(tables_1e4):
+def test_extremes_grid_matches_scalar_and_oracle():
     rows = psi_ratio_extremes_grid(GRID)
     assert rows == [psi_ratio_extremes(x) for x in GRID]
-    assert rows == [brute_extremes(x, tables_1e4) for x in GRID]
+    assert rows == [brute_extremes(x) for x in GRID]
 
 
 def test_extremes_grid_ties_across_intervals():
@@ -371,8 +370,8 @@ def test_grid_domain():
         distribution_tail(MAX_LIMIT + 1, [2.0])
 
 
-def test_loglog_gap(tables_1e4):
-    g2, g3, g4 = loglog_gap([2, 3, 4], tables_1e4)
+def test_loglog_gap():
+    g2, g3, g4 = loglog_gap([2, 3, 4])
     assert g2 == pytest.approx(0.6332762167488643, rel=1e-13)
     assert g3 == pytest.approx(0.2736566167458503, rel=1e-13)
     assert g4 == pytest.approx(0.14898826071745164, rel=1e-13)
@@ -380,10 +379,10 @@ def test_loglog_gap(tables_1e4):
     assert g3 == pytest.approx(0.273699, abs=1e-4)
     assert g4 == pytest.approx(0.14909, abs=2e-4)
     # the ks come back in their own order, repeats included
-    assert loglog_gap([4, 2, 4], tables_1e4).tolist() == [g4, g2, g4]
+    assert loglog_gap([4, 2, 4]).tolist() == [g4, g2, g4]
     for ks in ([1], [3, 1], []):
         with pytest.raises(ValueError):
-            loglog_gap(ks, tables_1e4)
+            loglog_gap(ks)
 
 
 def loglog_gap_reference(k, tables):
@@ -396,7 +395,7 @@ def loglog_gap_reference(k, tables):
 
 def test_loglog_gap_matches_per_k_reference(tables_1e5):
     # bitwise, every k <= 2000
-    gaps = loglog_gap(range(2, 2_001), tables_1e5)
+    gaps = loglog_gap(range(2, 2_001))
     assert gaps.tolist() == [loglog_gap_reference(k, tables_1e5)
                              for k in range(2, 2_001)]
 
@@ -409,7 +408,7 @@ def test_loglog_gap_holds_one_log_n_column():
     top = len(tables.primes)
     tracemalloc.start()
     try:
-        (gap,) = loglog_gap([top], tables)
+        (gap,) = loglog_gap([top])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -417,9 +416,9 @@ def test_loglog_gap_holds_one_log_n_column():
     assert gap == loglog_gap_reference(top, tables)
 
 
-def test_loglog_gap_shrinks(tables_1e4):
+def test_loglog_gap_shrinks():
     # positive everywhere; oscillates with the gaps, but the envelope decays
-    gaps = loglog_gap(range(2, 200), tables_1e4)
+    gaps = loglog_gap(range(2, 200))
     assert all(g > 0 for g in gaps)
     assert max(gaps[100:]) < min(gaps[:3])
 
@@ -452,13 +451,13 @@ def test_distribution_tail_monotone():
     assert fracs[-1] == 0.0
 
 
-def test_gap_exponent_check(tables_1e4):
+def test_gap_exponent_check():
     # the first pairs stay within gap <= p^0.526 ...
-    assert gap_exponent_check(3, tables_1e4) == (True, 1)
+    assert gap_exponent_check(3) == (True, 1)
     # ... but (3,5) and then (7,11) exceed it: honest small-range violations
-    assert gap_exponent_check(5, tables_1e4) == (False, 2)
-    assert gap_exponent_check(11, tables_1e4) == (False, 4)
-    assert gap_exponent_check(150, tables_1e4) == (False, 4)
-    assert gap_exponent_check(10_000, tables_1e4) == (False, 4)
+    assert gap_exponent_check(5) == (False, 2)
+    assert gap_exponent_check(11) == (False, 4)
+    assert gap_exponent_check(150) == (False, 4)
+    assert gap_exponent_check(10_000) == (False, 4)
     with pytest.raises(ValueError):
-        gap_exponent_check(2, tables_1e4)
+        gap_exponent_check(2)

@@ -15,73 +15,73 @@ from psitools.mertens import (
 )
 
 
-def test_prime_harmonic_values(tables_1e4):
-    assert prime_harmonic(2, tables_1e4).value == 0.5
+def test_prime_harmonic_values():
+    assert prime_harmonic(2).value == 0.5
     # 1/2 + 1/3 + 1/5 + 1/7 = 247/210
-    assert prime_harmonic(10, tables_1e4).value == pytest.approx(247 / 210, rel=1e-15)
-    assert prime_harmonic(100, tables_1e4).value == pytest.approx(1.802817201048871, rel=1e-15)
+    assert prime_harmonic(10).value == pytest.approx(247 / 210, rel=1e-15)
+    assert prime_harmonic(100).value == pytest.approx(1.802817201048871, rel=1e-15)
 
 
-def test_prime_harmonic_main_term(tables_1e4):
-    s = prime_harmonic(100, tables_1e4)
+def test_prime_harmonic_main_term():
+    s = prime_harmonic(100)
     expect = math.log(math.log(100)) + get_constant("B1").value
     assert s.main_term == pytest.approx(expect, rel=1e-14)
     assert s.residual == pytest.approx(s.value - expect, abs=1e-15)
     assert s.residual == pytest.approx(0.014140362393327166, abs=1e-12)
 
 
-def test_prime_harmonic_domain(tables_1e4):
+def test_prime_harmonic_domain():
     with pytest.raises(ValueError):
-        prime_harmonic(1, tables_1e4)
-    with pytest.raises(ValueError):
-        prime_harmonic(10_001, tables_1e4)
+        prime_harmonic(1)
+    with pytest.raises(ValueError, match="2\\*\\*40"):
+        prime_harmonic(2 ** 40 + 1)
 
 
-def test_progression_values(tables_1e4):
+def test_progression_values():
     # p = 1 mod 4 up to 100: 5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97
-    s41 = prime_harmonic_progression(100, 4, 1, tables_1e4)
+    s41 = prime_harmonic_progression(100, 4, 1)
     assert s41.sum == pytest.approx(0.4921518665799316, rel=1e-14)
     # p = 3 mod 4 up to 100: 3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83
-    s43 = prime_harmonic_progression(100, 4, 3, tables_1e4)
+    s43 = prime_harmonic_progression(100, 4, 3)
     assert s43.sum == pytest.approx(0.8106653344689393, rel=1e-14)
     # the two odd classes plus 1/2 recover the full prime sum
-    full = prime_harmonic(100, tables_1e4).value
+    full = prime_harmonic(100).value
     assert s41.sum + s43.sum + 0.5 == pytest.approx(full, rel=1e-14)
     # q = 2 keeps every odd prime
-    s21 = prime_harmonic_progression(10, 2, 1, tables_1e4)
+    s21 = prime_harmonic_progression(10, 2, 1)
     assert s21.sum == pytest.approx(71 / 105, rel=1e-15)
     assert (s21.q, s21.a, s21.x) == (2, 1, 10)
 
 
-def test_progression_b_estimate(tables_1e4):
+def test_progression_b_estimate():
     # phi(4) = 2 residue classes share the main term equally
-    s = prime_harmonic_progression(100, 4, 1, tables_1e4)
+    s = prime_harmonic_progression(100, 4, 1)
     expect = s.sum - math.log(math.log(100)) / 2
     assert s.b_estimate == pytest.approx(expect, rel=1e-14)
     assert s.b_estimate == pytest.approx(-0.27143794632401896, abs=1e-12)
 
 
-def test_progression_domain(tables_1e4):
+def test_progression_domain():
     with pytest.raises(ValueError):
-        prime_harmonic_progression(100, 4, 2, tables_1e4)  # gcd > 1
+        prime_harmonic_progression(100, 4, 2)  # gcd > 1
     with pytest.raises(ValueError):
-        prime_harmonic_progression(100, 4, 5, tables_1e4)  # a >= q
+        prime_harmonic_progression(100, 4, 5)  # a >= q
     with pytest.raises(ValueError):
-        prime_harmonic_progression(100, 1, 0, tables_1e4)
+        prime_harmonic_progression(100, 1, 0)
 
 
-def test_euler_product_inv(tables_1e4):
-    two = euler_product_inv(2, tables_1e4)
+def test_euler_product_inv():
+    two = euler_product_inv(2)
     assert two.value == pytest.approx(2.0, rel=1e-15)
-    ten = euler_product_inv(10, tables_1e4)
+    ten = euler_product_inv(10)
     # (1-1/2)(1-1/3)(1-1/5)(1-1/7) inverted = 35/8
     assert ten.value == pytest.approx(4.375, rel=1e-14)
     assert ten.main_term == pytest.approx(get_constant("e_gamma").value * math.log(10), rel=1e-14)
     assert ten.residual == pytest.approx(0.27392920079291017, abs=1e-12)
 
 
-def test_psi_product(tables_1e4):
-    ten = psi_product(10, tables_1e4)
+def test_psi_product():
+    ten = psi_product(10)
     # (3/2)(4/3)(6/5)(8/7) = 96/35
     assert ten.value == pytest.approx(96 / 35, rel=1e-14)
     expect_main = get_constant("threshold").value * math.log(10)
@@ -93,58 +93,58 @@ def test_product_identity(tables_1e4):
     # prod (1+1/p) * prod (1-1/p) = prod (1-1/p^2), at the first 100
     # primes (the primorials N_1..N_100) and at round x
     for x in tables_1e4.primes[:100].tolist() + [10, 100, 1_000, 10_000]:
-        plus = psi_product(x, tables_1e4).value
-        minus_inv = euler_product_inv(x, tables_1e4).value
+        plus = psi_product(x).value
+        minus_inv = euler_product_inv(x).value
         expect = math.exp(math.fsum(
             math.log1p(-1.0 / (int(p) * int(p)))
             for p in tables_1e4.primes if p <= x))
         assert plus / minus_inv == pytest.approx(expect, rel=1e-12), x
 
 
-def test_psi_product_dominates(tables_1e4):
+def test_psi_product_dominates():
     # prod (1+1/p) > (6/pi^2) * prod (1-1/p)^{-1}
     six = get_constant("six_over_pi_sq").value
     for x in (2, 10, 100, 1_000, 10_000):
-        assert psi_product(x, tables_1e4).value > six * euler_product_inv(x, tables_1e4).value
+        assert psi_product(x).value > six * euler_product_inv(x).value
 
 
-def test_zeta2_partial_product(tables_1e4):
+def test_zeta2_partial_product():
     # prod_{p<=x} (1-1/p^2) approaches 6/pi^2 with error < 1/x
     six = get_constant("six_over_pi_sq").value
     for x in (10, 100, 1_000, 10_000):
-        prod = psi_product(x, tables_1e4).value / euler_product_inv(x, tables_1e4).value
+        prod = psi_product(x).value / euler_product_inv(x).value
         assert abs(prod - six) < 1.0 / x, x
 
 
-def test_oscillation_values(tables_1e4):
-    assert oscillation_g(2, tables_1e4) == pytest.approx(1.0825163829040825, rel=1e-12)
-    assert oscillation_g(3, tables_1e4) == pytest.approx(1.8070346724745068, rel=1e-12)
-    assert oscillation_g(10, tables_1e4) == pytest.approx(0.8662401921351982, rel=1e-12)
+def test_oscillation_values():
+    assert oscillation_g(2) == pytest.approx(1.0825163829040825, rel=1e-12)
+    assert oscillation_g(3) == pytest.approx(1.8070346724745068, rel=1e-12)
+    assert oscillation_g(10) == pytest.approx(0.8662401921351982, rel=1e-12)
     # tabulated reference digits carry ~1e-4 rounding slack
-    assert oscillation_g(2, tables_1e4) == pytest.approx(1.08258, abs=2e-4)
-    assert oscillation_g(3, tables_1e4) == pytest.approx(1.80713, abs=2e-4)
+    assert oscillation_g(2) == pytest.approx(1.08258, abs=2e-4)
+    assert oscillation_g(3) == pytest.approx(1.80713, abs=2e-4)
 
 
-def test_compute_b1(tables_1e6):
-    value, tail = compute_B1(1_000_000, tables_1e6)
+def test_compute_b1():
+    value, tail = compute_B1(1_000_000)
     assert abs(value - 0.2614972128) <= 5e-8
     assert tail == pytest.approx(1.0 / 999_999, rel=1e-12)
     gamma = get_constant("gamma").value
-    small_value, small_tail = compute_B1(1, tables_1e6)
+    small_value, small_tail = compute_B1(1)
     assert small_value == gamma
     assert small_tail == 1.0
 
 
-def test_b1_tail_shrinks(tables_1e6):
-    v4, t4 = compute_B1(10_000, tables_1e6)
-    v6, t6 = compute_B1(1_000_000, tables_1e6)
+def test_b1_tail_shrinks():
+    v4, t4 = compute_B1(10_000)
+    v6, t6 = compute_B1(1_000_000)
     assert t6 < t4
     # estimates at the two scales agree within the coarser tail bound
     assert abs(v4 - v6) < t4
 
 
-def test_dusart_below_validity(tables_1e4):
-    res = dusart_bound_check(1_000, tables_1e4)
+def test_dusart_below_validity():
+    res = dusart_bound_check(1_000)
     assert res.below_validity is True
     assert res.x == 1_000
     log_x = math.log(1_000)
@@ -157,15 +157,15 @@ def test_dusart_below_validity(tables_1e4):
     assert res.deviation <= res.rh_bound
 
 
-def test_dusart_fields(tables_1e6):
-    res = dusart_bound_check(1_000_000, tables_1e6)
+def test_dusart_fields():
+    res = dusart_bound_check(1_000_000)
     assert res.below_validity is True  # threshold is 2,278,383
     assert DUSART_VALIDITY_THRESHOLD == 2_278_383
     assert res.slack == pytest.approx(res.bound - res.deviation, abs=1e-15)
     assert res.holds == (res.deviation <= res.bound)
 
 
-def test_residual_positive_at_desk_scale(tables_1e6):
+def test_residual_positive_at_desk_scale():
     # the full-sum remainder keeps one sign through this range
     for x in (100, 1_000, 10_000, 100_000, 1_000_000):
-        assert prime_harmonic(x, tables_1e6).residual > 0, x
+        assert prime_harmonic(x).residual > 0, x

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from psitools import (InsufficientSieveError, SieveTables, build_sieve,
                       segment_scan, theta)
-from psitools import arith, constants, extrema, mertens, sieve, squarefree
+from psitools import extrema, sieve, squarefree
 from psitools.sieve import (MAX_LIMIT, SEGMENT_SIZE, _mobius_block,
                             _prime_block, _psi_block, _small_primes,
                             _spf_block)
@@ -76,17 +76,17 @@ def test_mobius_divisor_sums(tables_1e4):
 
 
 def test_theta_values(tables_1e5):
-    assert theta(1, tables_1e5) == 0.0
-    assert theta(2, tables_1e5) == pytest.approx(math.log(2), abs=0.0)
+    assert theta(1) == 0.0
+    assert theta(2) == pytest.approx(math.log(2), abs=0.0)
     expect10 = math.fsum(math.log(p) for p in (2, 3, 5, 7))
-    assert theta(10, tables_1e5) == pytest.approx(expect10, rel=1e-15)
+    assert theta(10) == pytest.approx(expect10, rel=1e-15)
     expect = math.fsum(math.log(int(p)) for p in tables_1e5.primes)
-    assert theta(100_000, tables_1e5) == pytest.approx(expect, rel=1e-14)
+    assert theta(100_000) == pytest.approx(expect, rel=1e-14)
 
 
 def test_theta_prefix_steps_are_prime_logs(tables_1e5):
     # the theta prefix is the log_N column of the primorials
-    prefix = extrema.primorial_columns(100_000, tables_1e5)["log_N"]
+    prefix = extrema.primorial_columns(100_000)["log_N"]
     steps = np.diff(prefix)
     logs = np.log(tables_1e5.primes[1:].astype(np.float64))
     assert np.max(np.abs(steps - logs)) <= 1e-10
@@ -94,33 +94,34 @@ def test_theta_prefix_steps_are_prime_logs(tables_1e5):
 
 def test_theta_and_log_n_match_one_prefix_pass(tables_2e6):
     # bitwise against one compensated prefix over every prime's log, at
-    # sampled counts i, among them either side of 2**16 and 2**17
+    # sampled counts i, among them either side of 2**16 and 2**17; each
+    # theta streams its primes from 2, so x between primes is tried at
+    # the fixed counts only
     primes = tables_2e6.primes
     reference = compensated_cumsum(np.log(primes.astype(np.float64)))
     assert len(primes) > 2 ** 17 + 1
     rng = random.Random(20261018)
-    counts = sorted({1, 2, 3, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17,
-                     2 ** 17 + 1, len(primes)}
-                    | {rng.randrange(1, len(primes)) for _ in range(300)})
+    fixed = {1, 2, 3, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17,
+             2 ** 17 + 1, len(primes)}
+    counts = sorted(fixed | {rng.randrange(1, len(primes))
+                             for _ in range(100)})
     for i in counts:
         p = int(primes[i - 1])
-        assert theta(p, tables_2e6) == reference[i - 1], i
-        assert theta(p + 0.5, tables_2e6) == reference[i - 1], i
+        assert theta(p) == reference[i - 1], i
+        if i in fixed:
+            assert theta(p + 0.5) == reference[i - 1], i
     assert np.array_equal(
-        extrema.primorial_columns(tables_2e6.limit, tables_2e6)["log_N"],
-        reference)
+        extrema.primorial_columns(tables_2e6.limit)["log_N"], reference)
     for i in (2 ** 16 - 1, 2 ** 16 + 1, 100_003):
-        log_n = extrema.primorial_columns(int(primes[i - 1]),
-                                          tables_2e6)["log_N"]
+        log_n = extrema.primorial_columns(int(primes[i - 1]))["log_N"]
         assert np.array_equal(log_n, reference[:i]), i
 
 
-def test_theta_domain(tables_1e4):
-    assert theta(0, tables_1e4) == 0.0
-    with pytest.raises(ValueError):
-        theta(-1, tables_1e4)
-    with pytest.raises(ValueError):
-        theta(10_001, tables_1e4)
+def test_theta_domain():
+    assert theta(0) == theta(1.5) == 0.0
+    for x in (-1, -0.5, MAX_LIMIT + 1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="2\\*\\*40"):
+            theta(x)
 
 
 def test_segment_scan_matches_tables(tables_1e5):
@@ -182,28 +183,12 @@ def test_build_deterministic():
 
 
 @pytest.mark.parametrize("call", [
-    lambda t: theta(10_001, t),
-    lambda t: arith.factor(10_001, t),
     lambda t: squarefree.count_squarefree_exact(10_001, t),
     lambda t: squarefree.count_squarefree_formula(10_001 ** 2, t),
-    lambda t: squarefree.squarefree_harmonic(10_001, t),
     lambda t: squarefree.squarefree_harmonic_exact(10_001, t),
     lambda t: squarefree.psi_product_exact(10_001, t),
-    # the divisor tail stops at x = 52, so it gets tables that stop at 10
-    lambda t: squarefree.primorial_divisor_tail(11, build_sieve(10)),
-    lambda t: mertens.prime_harmonic(10_001, t),
-    lambda t: mertens.compute_B1(10_001, t),
-    lambda t: extrema.primorial_columns(10_001, t),
-    lambda t: extrema.jump_deltas(1_229, t),  # needs the 1,230th prime
-    lambda t: extrema.loglog_gap([1_230], t),
-    lambda t: extrema.gap_exponent_check(10_001, t),
-    lambda t: constants.crosscheck_constants(t),  # needs limit >= 1e6
-], ids=["theta", "factor", "count_squarefree_exact",
-        "count_squarefree_formula", "squarefree_harmonic",
-        "squarefree_harmonic_exact", "psi_product_exact",
-        "primorial_divisor_tail", "prime_harmonic", "compute_B1",
-        "primorial_columns", "jump_deltas", "loglog_gap",
-        "gap_exponent_check", "crosscheck_constants"])
+], ids=["count_squarefree_exact", "count_squarefree_formula",
+        "squarefree_harmonic_exact", "psi_product_exact"])
 def test_past_the_table_raises_insufficient_sieve(tables_1e4, call):
     assert len(tables_1e4.primes) == 1_229
     with pytest.raises(InsufficientSieveError):
@@ -483,6 +468,37 @@ def test_prime_blocks_domain():
     for lo, hi in [(0, MAX_LIMIT + 2), (-1, 5), (5, 4)]:
         with pytest.raises(ValueError, match="2\\*\\*40"):
             next(sieve.prime_blocks(lo, hi))
+
+
+_PI_2_20 = 82_025  # pi(2^20); p_82026 = 1,048,583 opens the second block
+
+
+@pytest.mark.parametrize("x", [2, 3, 4, 100, 2 ** 20 - 1, 2 ** 20,
+                               2 ** 20 + 1, 2 ** 21 - 1, 2 ** 21, 2 ** 21 + 1])
+def test_prime_chunks_x_form_matches_build_sieve(tables_2e6, x):
+    chunks = list(sieve.prime_chunks(x))
+    assert all(c.dtype == np.int64 and 0 < len(c) <= 2 ** 12 for c in chunks)
+    primes = tables_2e6.primes
+    assert np.array_equal(np.concatenate(chunks), primes[primes <= x])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6, 2 ** 12, 2 ** 12 + 1,
+                                   _PI_2_20, _PI_2_20 + 1, _PI_2_20 + 2])
+def test_prime_chunks_count_form_matches_build_sieve(tables_2e6, count):
+    # the Rosser bound must reach p_n, and _first must cut right after it
+    assert tables_2e6.primes[_PI_2_20] == 1_048_583 > 2 ** 20
+    chunks = list(sieve.prime_chunks(count=count))
+    assert all(c.dtype == np.int64 and 0 < len(c) <= 2 ** 12 for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), tables_2e6.primes[:count])
+
+
+def test_prime_chunks_domain():
+    # the count form sizes its stream when called, before any sieving
+    with pytest.raises(ValueError, match="2\\*\\*40"):
+        sieve.prime_chunks(count=10 ** 11)
+    with pytest.raises(ValueError, match="2\\*\\*40"):
+        next(sieve.prime_chunks(MAX_LIMIT + 1))
+    assert list(sieve.prime_chunks(1)) == []
 
 
 @pytest.mark.parametrize("lo", [0, 10 ** 8, 10 ** 12])

@@ -16,7 +16,7 @@ from psitools.squarefree import (
     squarefree_harmonic_exact,
     squarefree_residual,
 )
-from psitools.summation import compensated_cumsum
+from psitools.summation import chunked, compensated_cumsum
 
 
 def brute_squarefree(n):
@@ -96,8 +96,8 @@ def test_known_density_point(tables_1e6):
     assert count_squarefree_formula(1_000_000, tables_1e6) == 607_926
 
 
-def test_residual_pair(tables_1e4):
-    half, quarter = squarefree_residual(10, tables_1e4)
+def test_residual_pair():
+    half, quarter = squarefree_residual(10)
     assert half.x == quarter.x == 10
     assert half.value == quarter.value == 7.0
     assert half.main_term == quarter.main_term
@@ -110,10 +110,10 @@ def test_residual_pair(tables_1e4):
     assert quarter.scaled_residual == pytest.approx(quarter.residual / 10 ** 0.25, rel=1e-14)
 
 
-def test_harmonic_values(tables_1e4):
-    one = squarefree_harmonic(1, tables_1e4)
+def test_harmonic_values():
+    one = squarefree_harmonic(1)
     assert one.value == 1.0
-    ten = squarefree_harmonic(10, tables_1e4)
+    ten = squarefree_harmonic(10)
     # 1 + 1/2 + 1/3 + 1/5 + 1/6 + 1/7 + 1/10 = 513/210
     assert ten.value == pytest.approx(513 / 210, rel=1e-15)
     assert ten.main_term == pytest.approx((6 / math.pi ** 2) * math.log(10), rel=1e-15)
@@ -129,19 +129,20 @@ def test_harmonic_exact(tables_1e4):
 @pytest.mark.parametrize("chunk,x", [(5, 10_000), (5, 16), (4096, 10_000),
                                      (4096, 4097)])
 def test_harmonic_chunks_match_one_sum(tables_1e4, monkeypatch, chunk, x):
-    # the Mobius table read in chunks gives the bits of one compensated
-    # sum over the squarefree n <= x; with chunk 5 the last chunk of
-    # x = 16, [16, 16], holds no squarefree n
+    # the streamed squarefree n, cut into chunks of any size, give the
+    # bits of one compensated sum over the squarefree n <= x; with chunk
+    # 5 the 11 squarefree n <= 16 end in a chunk of one
     ns = np.nonzero(tables_1e4.mobius[1:x + 1])[0] + 1
     whole = float(compensated_cumsum(1.0 / ns.astype(np.float64))[-1])
-    monkeypatch.setattr(squarefree, "_CHUNK", chunk)
-    assert squarefree_harmonic(x, tables_1e4).value == whole
+    monkeypatch.setattr(squarefree, "chunked",
+                        lambda block: chunked(block, chunk))
+    assert squarefree_harmonic(x).value == whole
 
 
-def test_harmonic_residual_settles(tables_1e6):
+def test_harmonic_residual_settles():
     # residual approaches a constant near 1.0439; successive decades agree to ~1e-2
-    r5 = squarefree_harmonic(100_000, tables_1e6).residual
-    r6 = squarefree_harmonic(1_000_000, tables_1e6).residual
+    r5 = squarefree_harmonic(100_000).residual
+    r6 = squarefree_harmonic(1_000_000).residual
     assert abs(r6 - r5) < 1e-2
     assert r6 == pytest.approx(1.0439, abs=1e-3)
 
@@ -157,18 +158,18 @@ def test_rational_identity(tables_1e4):
     # squarefree divisors of prod p exceeding x of 1/d
     for x in range(2, 21):
         lhs = squarefree_harmonic_exact(x, tables_1e4)
-        rhs = psi_product_exact(x, tables_1e4) - primorial_divisor_tail(x, tables_1e4)
+        rhs = psi_product_exact(x, tables_1e4) - primorial_divisor_tail(x)
         assert lhs == rhs, x
 
 
-def test_tail_values(tables_1e4):
-    assert primorial_divisor_tail(2, tables_1e4) == Fraction(0)
-    assert primorial_divisor_tail(6, tables_1e4) == Fraction(1, 5)
-    assert primorial_divisor_tail(10, tables_1e4) == Fraction(3, 10)
+def test_tail_values():
+    assert primorial_divisor_tail(2) == Fraction(0)
+    assert primorial_divisor_tail(6) == Fraction(1, 5)
+    assert primorial_divisor_tail(10) == Fraction(3, 10)
 
 
-def test_tail_domain(tables_1e4):
+def test_tail_domain():
     with pytest.raises(ValueError):
-        primorial_divisor_tail(1, tables_1e4)
+        primorial_divisor_tail(1)
     with pytest.raises(ValueError):
-        primorial_divisor_tail(53, tables_1e4)
+        primorial_divisor_tail(53)
