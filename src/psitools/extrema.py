@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .constants import get_constant
-from .sieve import grid_rows, prime_chunks, psi_blocks
+from .sieve import MAX_LIMIT, grid_rows, prime_chunks, psi_blocks
 from .summation import _CHUNK, chunked, compensated_chunks
 
 __all__ = [
@@ -73,8 +73,8 @@ def primorial_stream(prime_chunks: Iterable[np.ndarray]
 def primorial_columns(p_limit: int) -> dict[str, np.ndarray]:
     """primorial_stream over the primes p_k <= p_limit, for 2 <= p_limit
     <= 2**40, each column whole: row i holds k = i + 1."""
-    if not 2 <= p_limit:
-        raise ValueError(f"p_limit must be >= 2, got {p_limit}")
+    if not 2 <= p_limit <= MAX_LIMIT:
+        raise ValueError(f"p_limit must be in [2, 2**40], got {p_limit}")
     chunks = list(primorial_stream(prime_chunks(p_limit)))
     # one column at a time, dropping its chunks once joined
     return {name: np.concatenate([chunk.pop(name) for chunk in chunks])

@@ -51,8 +51,9 @@ def test_primorial_first_records():
     # reference table rounds the k=4 threshold to 1.815301; true value differs ~1e-5
     assert k4["threshold"] == pytest.approx(1.8153111985791506, rel=1e-13)
     assert k4["threshold"] == pytest.approx(1.815301, abs=5e-5)
-    with pytest.raises(ValueError):
-        primorial_columns(1)  # no primorial below 2
+    for p_limit in (1, 2 ** 40 + 1):  # no primorial below 2; past 2**40
+        with pytest.raises(ValueError, match="2\\*\\*40"):
+            primorial_columns(p_limit)
 
 
 def test_primorial_columns_exact_oracle(tables_1e4):

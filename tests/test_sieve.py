@@ -94,22 +94,18 @@ def test_theta_prefix_steps_are_prime_logs(tables_1e5):
 
 def test_theta_and_log_n_match_one_prefix_pass(tables_2e6):
     # bitwise against one compensated prefix over every prime's log, at
-    # sampled counts i, among them either side of 2**16 and 2**17; each
-    # theta streams its primes from 2, so x between primes is tried at
-    # the fixed counts only
+    # sampled counts i, among them either side of 2**16 and 2**17
     primes = tables_2e6.primes
     reference = compensated_cumsum(np.log(primes.astype(np.float64)))
     assert len(primes) > 2 ** 17 + 1
     rng = random.Random(20261018)
-    fixed = {1, 2, 3, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17,
-             2 ** 17 + 1, len(primes)}
-    counts = sorted(fixed | {rng.randrange(1, len(primes))
-                             for _ in range(100)})
+    counts = sorted({1, 2, 3, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17,
+                     2 ** 17 + 1, len(primes)}
+                    | {rng.randrange(1, len(primes)) for _ in range(300)})
     for i in counts:
         p = int(primes[i - 1])
         assert theta(p) == reference[i - 1], i
-        if i in fixed:
-            assert theta(p + 0.5) == reference[i - 1], i
+        assert theta(p + 0.5) == reference[i - 1], i
     assert np.array_equal(
         extrema.primorial_columns(tables_2e6.limit)["log_N"], reference)
     for i in (2 ** 16 - 1, 2 ** 16 + 1, 100_003):
