@@ -7,7 +7,8 @@ prod(1 + 1/p) lives as exp of a compensated log sum.  primorial_stream
 is the one source of every per-k value: it turns the chunks of
 sieve.prime_chunks into chunks of rows, carrying both sums across
 chunks; jump_chunks and loglog_gap_chunks hold one chunk at a time, and
-primorial_columns joins them.  N_k/phi(N_k) is mertens.euler_product_inv.
+primorial_columns fills whole columns from them.  N_k/phi(N_k) is
+mertens.euler_product_inv_grid at x = p_k.
 
 The per-n psi(n)/n functions (extremes, classification, tail fractions)
 stream sieve.psi_blocks and read each block in 2**16-value slices.
@@ -21,22 +22,18 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .constants import get_constant
-from .sieve import MAX_LIMIT, grid_rows, prime_chunks, psi_blocks
+from .sieve import MAX_LIMIT, _prime_bound, grid_rows, prime_chunks, psi_blocks
 from .summation import _CHUNK, chunked, compensated_chunks
 
 __all__ = [
     "primorial_stream",
     "primorial_columns",
     "jump_chunks",
-    "jump_deltas",
-    "psi_ratio_extremes",
     "psi_ratio_extremes_grid",
     "classify_counts",
     "loglog_gap_chunks",
-    "loglog_gap",
     "distribution_tail",
     "worst_gap",
-    "gap_exponent_check",
 ]
 
 _THRESHOLD = get_constant("threshold").value
@@ -72,13 +69,23 @@ def primorial_stream(prime_chunks: Iterable[np.ndarray]
 
 def primorial_columns(p_limit: int) -> dict[str, np.ndarray]:
     """primorial_stream over the primes p_k <= p_limit, for 2 <= p_limit
-    <= 2**40, each column whole: row i holds k = i + 1."""
+    <= 2**40, each column whole: row i holds k = i + 1.
+
+    Each column is sized by sieve._prime_bound, filled in place chunk by
+    chunk, and shrunk to the prime count, so no chunk outlives its copy.
+    """
     if not 2 <= p_limit <= MAX_LIMIT:
         raise ValueError(f"p_limit must be in [2, 2**40], got {p_limit}")
-    chunks = list(primorial_stream(prime_chunks(p_limit)))
-    # one column at a time, dropping its chunks once joined
-    return {name: np.concatenate([chunk.pop(name) for chunk in chunks])
-            for name in list(chunks[0])}
+    columns, at = {}, 0
+    for chunk in primorial_stream(prime_chunks(p_limit)):
+        for name, values in chunk.items():
+            if name not in columns:
+                columns[name] = np.empty(_prime_bound(p_limit), values.dtype)
+            columns[name][at:at + len(values)] = values
+        at += len(chunk["p"])
+    for column in columns.values():
+        column.resize(at, refcheck=False)  # no view of it exists
+    return columns
 
 
 def _with_next(chunks: Iterator[np.ndarray]) -> Iterator[tuple]:
@@ -121,11 +128,6 @@ def jump_chunks(kmax: int
         k += len(closed)
 
 
-def jump_deltas(kmax: int) -> np.ndarray:
-    """The deltas of jump_chunks for k = 1..kmax, as one array."""
-    return np.concatenate([delta for *_, delta in jump_chunks(kmax)])
-
-
 def _ratio_blocks(lo: int, hi: int
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(n as float64, psi(n)/n) for n in [lo, hi), _CHUNK values at a time.
@@ -156,11 +158,17 @@ def _ratio_grid(xs: Iterable[int],
 
 def psi_ratio_extremes_grid(
         xs: Iterable[int]) -> list[tuple[int, float, int, float]]:
-    """psi_ratio_extremes(x) for every x in xs, from one pass over psi.
+    """Brute-force argmax/argmin of psi(n)/n over 2 <= n <= x, for every
+    x in xs (x <= 2**40), from one pass over psi.
 
     A running argmax and argmin over the sorted xs.  A later run of n
     replaces the best only when strictly better, so ties resolve to the
-    smallest n as in a single argmax/argmin over [2, x].
+    smallest n as in a single argmax/argmin over [2, x] (equal rationals
+    round to identical floats, and argmax/argmin take the first hit).
+
+    Returns:
+        (max_n, max_ratio, min_n, min_ratio) for each x, in the order of
+        xs.
     """
     max_n = min_n = 0
     max_ratio, min_ratio = -np.inf, np.inf
@@ -176,18 +184,6 @@ def psi_ratio_extremes_grid(
 
     return _ratio_grid(xs, add,
                        lambda x: (max_n, max_ratio, min_n, min_ratio))
-
-
-def psi_ratio_extremes(x: int) -> tuple[int, float, int, float]:
-    """Brute-force argmax/argmin of psi(n)/n over 2 <= n <= x <= 2**40.
-
-    Ties resolve to the smallest n (equal rationals round to identical
-    floats, and argmax/argmin take the first hit).
-
-    Returns:
-        (max_n, max_ratio, min_n, min_ratio).
-    """
-    return psi_ratio_extremes_grid([x])[0]
 
 
 def classify_counts(xs: Iterable[int]) -> list[tuple[int, int]]:
@@ -258,12 +254,6 @@ def loglog_gap_chunks(kmax: int | None = None, ks: Sequence[int] = ()
             yield ks, *(np.concatenate(c)[at] for c in list(zip(*parts))[1:])
 
 
-def loglog_gap(ks: Sequence[int] | np.ndarray) -> np.ndarray:
-    """The gaps of loglog_gap_chunks for each k in ks, in their order."""
-    ((_, _, gaps),) = loglog_gap_chunks(ks=ks)
-    return gaps
-
-
 def distribution_tail(x: int, t_grid) -> list[tuple[float, float]]:
     """Fraction of n in [2, x] with psi(n)/n > t, for each t in t_grid.
 
@@ -292,6 +282,11 @@ def worst_gap(p_limit: int) -> tuple[int, int, int, float]:
     (p_{k+1} - p_k) / p_k^0.526 over consecutive primes <= p_limit >= 3,
     from one pass over sieve.prime_chunks that carries each chunk's last
     prime into the next.
+
+    p_{k+1} < p_k + p_k^0.526 holds for every pair exactly when the score
+    is below 1.  The bound is asymptotic, so small ranges contain honest
+    violations (already at the pair 7, 11), which the score reports
+    rather than masks.
     """
     p_limit = int(p_limit)
     if p_limit < 3:
@@ -306,11 +301,3 @@ def worst_gap(p_limit: int) -> tuple[int, int, int, float]:
         k, last = k + len(scores), f[-1:]
     return best
 
-
-def gap_exponent_check(p_limit: int) -> tuple[bool, int]:
-    """(holds, worst_k): whether p_{k+1} < p_k + p_k^0.526 for all
-    consecutive primes <= p_limit, and worst_gap's k.  The bound is
-    asymptotic, so small ranges contain honest violations (already at
-    the pair 7, 11), which the check reports rather than masks."""
-    k, _, _, score = worst_gap(p_limit)
-    return score < 1.0, k

@@ -5,11 +5,11 @@ log terms; a naive running float product over ~10^6 factors would
 accumulate visible rounding drift, the log path keeps relative error at
 a few ulp.
 
-Each prime sum has a grid form that answers every x of a grid from one
-pass over ascending primes (sieve.grid_rows), carrying one compensated
-sum and reading it at each x: over sieve.prime_chunks, streamed in
-block-sized memory, a chunk at a time.  The per-x calls are the grid
-form at one x, so the sum and everything after it exist once.
+Each prime sum but psi_product and compute_B1 is a grid form: one pass
+over ascending primes (sieve.grid_rows) answers every x of a grid,
+carrying one compensated sum over sieve.prime_chunks, in block-sized
+memory, and reading it at each x.  A single x is the grid [x], so the
+sum and everything after it exist once.
 """
 from __future__ import annotations
 
@@ -29,16 +29,12 @@ __all__ = [
     "ProgressionSum",
     "DusartResult",
     "DUSART_VALIDITY_THRESHOLD",
-    "prime_harmonic",
     "prime_harmonic_grid",
-    "prime_harmonic_progression",
     "prime_harmonic_progression_grid",
-    "euler_product_inv",
+    "euler_product_inv_grid",
     "psi_product",
-    "oscillation_g",
     "oscillation_grid",
     "compute_B1",
-    "dusart_bound_check",
     "dusart_bound_grid",
 ]
 
@@ -92,23 +88,23 @@ def _prime_sums(xs: Iterable[int],
 
 
 def prime_harmonic_grid(xs: Iterable[int]) -> list[ResidualSample]:
-    """prime_harmonic(x) for every x in xs, from one pass over the primes
-    up to max(xs)."""
+    """sum_{p <= x} 1/p against its main term log log x + B1, for every
+    x in xs (2 <= x <= 2**40), from one pass over the primes up to
+    max(xs)."""
     xs = list(xs)
     return [make_sample(x, value, log(log(x)) + _B1)
             for x, value in zip(xs, _prime_sums(xs, lambda p: 1.0 / p))]
 
 
-def prime_harmonic(x: float) -> ResidualSample:
-    """sum_{p <= x} 1/p against its main term log log x + B1."""
-    return prime_harmonic_grid([x])[0]
-
-
 def prime_harmonic_progression_grid(xs: Iterable[int], q: int,
                                     a: int) -> list[ProgressionSum]:
-    """prime_harmonic_progression(x, q, a) for every x in xs, from one
-    pass over the primes up to max(xs).  phi(q) comes from trial
-    division by the primes up to sqrt(q) alone, for q <= 2**40.
+    """The reciprocal sum over the primes p <= x with p = a (mod q), for
+    every x in xs, from one pass over the primes up to max(xs).
+
+    b_estimate subtracts the progression's share log log x / phi(q) of
+    the main term, leaving the analogue of B1 for the class (a, q).
+    phi(q) comes from trial division by the primes up to sqrt(q) alone,
+    for q <= 2**40.
     """
     from .arith import profile
 
@@ -127,27 +123,13 @@ def prime_harmonic_progression_grid(xs: Iterable[int], q: int,
             for x, total in zip(xs, sums)]
 
 
-def prime_harmonic_progression(x: float, q: int, a: int) -> ProgressionSum:
-    """Reciprocal sum over primes p <= x with p = a (mod q).
-
-    b_estimate subtracts the progression's share log log x / phi(q) of
-    the main term, leaving the analogue of B1 for the class (a, q).
-    """
-    return prime_harmonic_progression_grid([x], q, a)[0]
-
-
-def _euler_product_inv_grid(xs: Iterable[int]) -> list[ResidualSample]:
-    """euler_product_inv(x) for every x in xs, from one pass over the
-    primes up to max(xs)."""
+def euler_product_inv_grid(xs: Iterable[int]) -> list[ResidualSample]:
+    """prod_{p <= x} (1 - 1/p)^(-1) against e^gamma log x, for every x
+    in xs, from one pass over the primes up to max(xs)."""
     xs = list(xs)
     sums = _prime_sums(xs, lambda p: -np.log1p(-1.0 / p))
     return [make_sample(x, float(np.exp(total)), _E_GAMMA * log(x))
             for x, total in zip(xs, sums)]
-
-
-def euler_product_inv(x: float) -> ResidualSample:
-    """prod_{p <= x} (1 - 1/p)^(-1) against e^gamma log x."""
-    return _euler_product_inv_grid([x])[0]
 
 
 def psi_product(x: float) -> ResidualSample:
@@ -157,21 +139,16 @@ def psi_product(x: float) -> ResidualSample:
 
 
 def oscillation_grid(xs: Iterable[int]) -> list[float]:
-    """oscillation_g(x) for every x in xs, from one pass over the primes
-    up to max(xs)."""
-    xs = list(xs)
-    return [sqrt(x) * s.residual
-            for x, s in zip(xs, _euler_product_inv_grid(xs))]
-
-
-def oscillation_g(x: float) -> float:
-    """sqrt(x) * (prod_{p <= x}(1 - 1/p)^(-1) - e^gamma log x).
+    """sqrt(x) * (prod_{p <= x}(1 - 1/p)^(-1) - e^gamma log x) for every
+    x in xs, from one pass over the primes up to max(xs).
 
     The scaled deviation of the inverse Euler product from its limit
     law; its sign and size over an x grid trace the product's slow
     oscillation around e^gamma log x.
     """
-    return oscillation_grid([x])[0]
+    xs = list(xs)
+    return [sqrt(x) * s.residual
+            for x, s in zip(xs, euler_product_inv_grid(xs))]
 
 
 def compute_B1(prime_limit: int) -> tuple[float, float]:
@@ -197,8 +174,15 @@ def compute_B1(prime_limit: int) -> tuple[float, float]:
 
 
 def dusart_bound_grid(xs: Iterable[int]) -> list[DusartResult]:
-    """dusart_bound_check(x) for every x in xs, from one pass over the
-    primes up to max(xs)."""
+    """Check |sum_{p<=x} 1/p - log log x - B1| against the explicit bound
+    for every x in xs, from one pass over the primes up to max(xs).
+
+    The unconditional bound 1/(10 log^2 x) + 4/(15 log^3 x) is asserted
+    only at x >= DUSART_VALIDITY_THRESHOLD; smaller x are evaluated but
+    flagged below_validity.  The stronger square-root form is reported
+    alongside as an observation, never asserted (it assumes the zeta
+    zeros lie on the critical line).
+    """
     xs = list(xs)
     results = []
     for x, sample in zip(xs, prime_harmonic_grid(xs)):
@@ -216,14 +200,3 @@ def dusart_bound_grid(xs: Iterable[int]) -> list[DusartResult]:
         ))
     return results
 
-
-def dusart_bound_check(x: float) -> DusartResult:
-    """Check |sum_{p<=x} 1/p - log log x - B1| against the explicit bound.
-
-    The unconditional bound 1/(10 log^2 x) + 4/(15 log^3 x) is asserted
-    only at x >= DUSART_VALIDITY_THRESHOLD; smaller x are evaluated but
-    flagged below_validity.  The stronger square-root form is reported
-    alongside as an observation, never asserted (it assumes the zeta
-    zeros lie on the critical line).
-    """
-    return dusart_bound_grid([x])[0]

@@ -12,11 +12,11 @@ rather than an approximation.  The harmonic-sum identity
 (P(x) = product of primes <= x) is evaluated both in floats and in
 exact rationals.
 
-Q(x) and the float harmonic sum also have grid forms that answer every
-x of a grid from one pass over the squarefree n (sieve.grid_rows) of
-sieve.squarefree_blocks, in block-sized memory; the per-x calls are the
-grid forms at one x.  The square-divisor counts and the exact oracles
-read the Mobius values and primes of built sieve tables.
+Q(x) against (6/pi^2) x and the float harmonic sum are grid forms that
+answer every x of a grid from one pass over the squarefree n
+(sieve.grid_rows) of sieve.squarefree_blocks, in block-sized memory; a
+single x is the grid [x].  The square-divisor counts and the
+exact oracles read the Mobius values and primes of built sieve tables.
 """
 from __future__ import annotations
 
@@ -35,9 +35,7 @@ __all__ = [
     "count_squarefree_exact",
     "count_squarefree_formula",
     "count_squarefree_formula_range",
-    "squarefree_residual",
     "squarefree_residual_grid",
-    "squarefree_harmonic",
     "squarefree_harmonic_grid",
     "squarefree_harmonic_exact",
     "psi_product_exact",
@@ -111,8 +109,13 @@ def _squarefree_ns(top: int) -> Iterator[tuple[np.ndarray]]:
 
 def squarefree_residual_grid(
         xs: Iterable[int]) -> list[tuple[ResidualSample, ResidualSample]]:
-    """squarefree_residual(x) for every x in xs, Q(x) counted in one
-    pass over the squarefree n up to max(xs)."""
+    """Q(x) against its main term (6/pi^2) x, scaled two ways, for every
+    x in xs (1 <= x <= 2**40), Q(x) counted in one pass over the
+    squarefree n up to max(xs).
+
+    Each row is a pair of samples at scale exponents 0.5 and 0.25; they
+    share x, value, main term, and raw residual.
+    """
     count = 0
 
     def add(ns: np.ndarray) -> None:
@@ -129,17 +132,9 @@ def squarefree_residual_grid(
     return samples
 
 
-def squarefree_residual(x: int) -> tuple[ResidualSample, ResidualSample]:
-    """Q(x) against its main term (6/pi^2) x, scaled two ways.
-
-    Returns samples at scale exponents 0.5 and 0.25; they share x,
-    value, main term, and raw residual.
-    """
-    return squarefree_residual_grid([x])[0]
-
-
 def squarefree_harmonic_grid(xs: Iterable[int]) -> list[ResidualSample]:
-    """squarefree_harmonic(x) for every x in xs, from one pass over the
+    """The sum of 1/n over the squarefree n <= x, against (6/pi^2) log x,
+    for every x in xs (1 <= x <= 2**40), from one pass over the
     squarefree n up to max(xs).  The compensated sum of 1/n, in
     ascending n, carries across chunks and is read at each x: within a
     few ulp of exact, and the same bits whatever the chunks.
@@ -150,11 +145,6 @@ def squarefree_harmonic_grid(xs: Iterable[int]) -> list[ResidualSample]:
                      lambda x: total.value)
     return [make_sample(x, value, _SIX_OVER_PI_SQ * log(x))
             for x, value in zip(xs, sums)]
-
-
-def squarefree_harmonic(x: int) -> ResidualSample:
-    """sum of 1/n over squarefree n <= x, against (6/pi^2) log x."""
-    return squarefree_harmonic_grid([x])[0]
 
 
 def squarefree_harmonic_exact(x: int, tables: SieveTables) -> Fraction:

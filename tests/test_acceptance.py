@@ -17,14 +17,14 @@ from psitools.arith import psi_phi_identity_residual
 from psitools.constants import get_constant
 from psitools.extrema import (
     classify_counts,
-    jump_deltas,
+    jump_chunks,
     primorial_columns,
-    psi_ratio_extremes,
+    psi_ratio_extremes_grid,
 )
 from psitools.mertens import (
     compute_B1,
     dusart_bound_grid,
-    euler_product_inv,
+    euler_product_inv_grid,
     oscillation_grid,
     prime_harmonic_progression_grid,
     psi_product,
@@ -34,8 +34,8 @@ from psitools.squarefree import (
     count_squarefree_formula_range,
     primorial_divisor_tail,
     psi_product_exact,
-    squarefree_harmonic,
     squarefree_harmonic_exact,
+    squarefree_harmonic_grid,
 )
 
 
@@ -105,12 +105,12 @@ def test_criterion_04_dusart_bound():
 def test_criterion_05_harmonic_tail_identity(tables_1e4):
     exact_ok = True
     float_ok = True
-    for x in range(2, 41):
+    xs = range(2, 41)
+    for x, sample in zip(xs, squarefree_harmonic_grid(xs)):
         lhs = squarefree_harmonic_exact(x, tables_1e4)
         rhs = psi_product_exact(x, tables_1e4) - primorial_divisor_tail(x)
         exact_ok = exact_ok and lhs == rhs
-        float_ok = float_ok and abs(squarefree_harmonic(x).value
-                                    - float(rhs)) <= 1e-12
+        float_ok = float_ok and abs(sample.value - float(rhs)) <= 1e-12
     witness = primorial_divisor_tail(10) == Fraction(3, 10)
     report(5, "harmonic sum equals product minus divisor tail, x in [2,40]",
            exact_ok and float_ok and witness,
@@ -124,10 +124,9 @@ def test_criterion_06_extreme_locations():
         10_000: (2_310, 9_973),
         100_000: (30_030, 99_991),
     }
-    ok = True
-    for x, (primorial, prime) in expected.items():
-        max_n, _, min_n, _ = psi_ratio_extremes(x)
-        ok = ok and max_n == primorial and min_n == prime
+    rows = psi_ratio_extremes_grid(expected)
+    ok = [(max_n, min_n) for max_n, _, min_n, _ in rows] == list(
+        expected.values())
     elapsed = time.perf_counter() - start
     report(6, "argmax at largest primorial, argmin at largest prime",
            ok and elapsed < 10, f"{elapsed:.1f} s")
@@ -167,9 +166,10 @@ def test_criterion_09_psi_phi_factorization(tables_1e7):
     worst_n = max(psi_phi_identity_residual(int(n)) for n in draws)
 
     worst_x = 0.0
-    for x in (10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000):
+    xs = (10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
+    for x, inv in zip(xs, euler_product_inv_grid(xs)):
         plus = psi_product(x).value
-        minus_inv = euler_product_inv(x).value
+        minus_inv = inv.value
         primes = tables_1e7.primes[:tables_1e7.prime_count(x)].astype(np.float64)
         direct = math.exp(math.fsum(np.log1p(-1.0 / (primes * primes)).tolist()))
         worst_x = max(worst_x, abs(plus / minus_inv - direct) / direct)
@@ -267,7 +267,8 @@ def test_margins_decrease_at_scale(columns_1e8):
 def test_jump_form_stability(tables_1e6):
     # the two closed forms for the primorial jump agree to near machine level
     ratios = primorial_columns(1_000_000)["psi_ratio"]
-    deltas = jump_deltas(len(ratios) - 1)
+    deltas = np.concatenate(
+        [delta for *_, delta in jump_chunks(len(ratios) - 1)])
     for k in range(1, len(ratios), 50):
         p_next = int(tables_1e6.primes[k])
         assert abs(deltas[k - 1] - ratios[k - 1] / p_next) <= 1e-12 * deltas[k - 1]

@@ -12,14 +12,13 @@ from psitools.constants import get_constant
 from psitools.extrema import (
     classify_counts,
     distribution_tail,
-    gap_exponent_check,
-    jump_deltas,
-    loglog_gap,
+    jump_chunks,
+    loglog_gap_chunks,
     primorial_columns,
-    psi_ratio_extremes,
     psi_ratio_extremes_grid,
+    worst_gap,
 )
-from psitools.sieve import MAX_LIMIT, SEGMENT_SIZE, psi_blocks
+from psitools.sieve import MAX_LIMIT, SEGMENT_SIZE, prime_chunks, psi_blocks
 from psitools.summation import compensated_cumsum
 
 
@@ -97,6 +96,23 @@ def test_primorial_stream_gives_the_same_bits_for_any_cut(tables_1e5):
                                   column.view(np.int64)), name
 
 
+@pytest.mark.parametrize("p_limit", [
+    2, 38_867, 38_873, 38_891, SEGMENT_SIZE + 100,
+], ids=["2", "p_4095", "p_4096", "p_4097", "past_one_block"])
+def test_primorial_columns_match_the_joined_stream_at_seams(p_limit):
+    # p_4096 = 38873 ends the first 2^12-prime chunk exactly; its
+    # neighbours end one short of it and one into the next chunk
+    chunks = list(extrema.primorial_stream(prime_chunks(p_limit)))
+    cols = primorial_columns(p_limit)
+    assert list(cols) == list(chunks[0])
+    for name, column in cols.items():
+        joined = np.concatenate([chunk[name] for chunk in chunks])
+        assert column.dtype == joined.dtype, name
+        assert column.tobytes() == joined.tobytes(), name
+        assert len(column) == sympy.primepi(p_limit), name
+        assert column.flags.owndata and column.base is None, name
+
+
 def test_primorial_monotonicity():
     cols = primorial_columns(1_000_000)
     assert len(cols["p"]) == 78_498
@@ -162,7 +178,7 @@ def test_psi_ratio_maximisers_are_the_primorial_radicals(x, argmax_set):
 
 
 def jump_delta_reference(k, tables):
-    """The former per-k jump, O(k) work for one k: jump_deltas reference."""
+    """The former per-k jump, O(k) work for one k: jump_chunks reference."""
     ps = tables.primes[:k].astype(np.float64)
     ratio_k = float(np.exp(compensated_cumsum(np.log1p(1.0 / ps))[-1]))
     p_next = int(tables.primes[k])
@@ -173,21 +189,23 @@ def jump_delta_reference(k, tables):
 
 
 def test_jump_delta(tables_1e4):
-    deltas = jump_deltas(3)
+    _, _, deltas = next(jump_chunks(3))
     assert deltas[0] == pytest.approx(0.5, rel=1e-15)
     assert deltas[1] == pytest.approx(0.4, rel=1e-15)
     assert deltas[2] == pytest.approx(2.4 / 7, rel=1e-14)
     with pytest.raises(ValueError):
-        jump_deltas(0)
+        next(jump_chunks(0))
     with pytest.raises(ValueError, match="2\\*\\*40"):
-        jump_deltas(10 ** 11)
-    assert len(jump_deltas(len(tables_1e4.primes) - 1)) == 1228
+        next(jump_chunks(10 ** 11))
+    # the last prime below 1e4, p_1229, is the look-ahead of k = 1228
+    _, p_next, deltas = next(jump_chunks(len(tables_1e4.primes) - 1))
+    assert len(deltas) == 1228 and p_next[-1] == tables_1e4.primes[-1]
 
 
 def test_jump_deltas_match_per_k_reference(tables_1e6):
     # bitwise equal to the per-k computation, every k <= 2000 and sampled
     # k up to the last one the 1e6 tables allow
-    deltas = jump_deltas(78_497)
+    deltas = np.concatenate([delta for *_, delta in jump_chunks(78_497)])
     assert len(deltas) == 78_497
     sampled = list(range(1, 2001)) + list(range(2001, 78_497, 997)) + [78_497]
     for k in sampled:
@@ -205,27 +223,28 @@ def test_jump_deltas_cross_check_names_first_bad_k(monkeypatch):
 
     monkeypatch.setattr(extrema, "primorial_stream", skewed)
     with pytest.raises(FloatingPointError, match="k=3:"):
-        jump_deltas(10)
+        next(jump_chunks(10))
 
 
 def test_jump_matches_columns():
     ratios = primorial_columns(100)["psi_ratio"]
-    deltas = jump_deltas(24)
+    _, _, deltas = next(jump_chunks(24))
     assert deltas == pytest.approx(np.diff(ratios), rel=1e-12)
 
 
 def test_extremes():
-    assert psi_ratio_extremes(10) == (6, 2.0, 7, pytest.approx(8 / 7))
-    assert psi_ratio_extremes(100) == (
-        30, pytest.approx(2.4), 97, pytest.approx(1.0103092783505154))
-    assert psi_ratio_extremes(2) == (2, 1.5, 2, 1.5)
-    # ties resolve to the smallest n: psi(2)/2 = psi(4)/4 = 3/2
-    assert psi_ratio_extremes(4) == (2, 1.5, 3, pytest.approx(4 / 3))
+    assert psi_ratio_extremes_grid([10, 100, 2, 4]) == [
+        (6, 2.0, 7, pytest.approx(8 / 7)),
+        (30, pytest.approx(2.4), 97, pytest.approx(1.0103092783505154)),
+        (2, 1.5, 2, 1.5),
+        # ties resolve to the smallest n: psi(2)/2 = psi(4)/4 = 3/2
+        (2, 1.5, 3, pytest.approx(4 / 3))]
 
 
 def test_extremes_hit_primorials_and_primes():
     # maxima occur at primorials, minima at the largest prime
-    max_n, max_ratio, min_n, min_ratio = psi_ratio_extremes(10_000)
+    [(max_n, max_ratio, min_n, min_ratio)] = psi_ratio_extremes_grid(
+        [10_000])
     assert max_n == 2 * 3 * 5 * 7 * 11
     assert max_ratio == pytest.approx(profile(max_n).psi / max_n, rel=1e-15)
     assert min_n == 9973  # largest prime below 10^4
@@ -282,9 +301,7 @@ def brute_extremes(x):
 
 
 def test_extremes_grid_matches_scalar_and_oracle():
-    rows = psi_ratio_extremes_grid(GRID)
-    assert rows == [psi_ratio_extremes(x) for x in GRID]
-    assert rows == [brute_extremes(x) for x in GRID]
+    assert psi_ratio_extremes_grid(GRID) == [brute_extremes(x) for x in GRID]
 
 
 def test_extremes_grid_ties_across_intervals():
@@ -372,7 +389,7 @@ def test_grid_domain():
 
 
 def test_loglog_gap():
-    g2, g3, g4 = loglog_gap([2, 3, 4])
+    _, _, (g2, g3, g4) = next(loglog_gap_chunks(ks=[2, 3, 4]))
     assert g2 == pytest.approx(0.6332762167488643, rel=1e-13)
     assert g3 == pytest.approx(0.2736566167458503, rel=1e-13)
     assert g4 == pytest.approx(0.14898826071745164, rel=1e-13)
@@ -380,14 +397,16 @@ def test_loglog_gap():
     assert g3 == pytest.approx(0.273699, abs=1e-4)
     assert g4 == pytest.approx(0.14909, abs=2e-4)
     # the ks come back in their own order, repeats included
-    assert loglog_gap([4, 2, 4]).tolist() == [g4, g2, g4]
+    ks, _, gaps = next(loglog_gap_chunks(ks=[4, 2, 4]))
+    assert ks.tolist() == [4, 2, 4] and gaps.tolist() == [g4, g2, g4]
     for ks in ([1], [3, 1], []):
         with pytest.raises(ValueError):
-            loglog_gap(ks)
+            next(loglog_gap_chunks(ks=ks))
 
 
 def loglog_gap_reference(k, tables):
-    """The former per-k gap, O(k) work for one k: loglog_gap reference."""
+    """The former per-k gap, O(k) work for one k: loglog_gap_chunks
+    reference."""
     ps = tables.primes[:k].astype(np.float64)
     log_n = float(compensated_cumsum(np.log(ps))[-1])
     return math.log(math.log(int(tables.primes[k - 1]))) - math.log(
@@ -396,7 +415,7 @@ def loglog_gap_reference(k, tables):
 
 def test_loglog_gap_matches_per_k_reference(tables_1e5):
     # bitwise, every k <= 2000
-    gaps = loglog_gap(range(2, 2_001))
+    _, _, gaps = next(loglog_gap_chunks(ks=range(2, 2_001)))
     assert gaps.tolist() == [loglog_gap_reference(k, tables_1e5)
                              for k in range(2, 2_001)]
 
@@ -409,7 +428,7 @@ def test_loglog_gap_holds_one_log_n_column():
     top = len(tables.primes)
     tracemalloc.start()
     try:
-        (gap,) = loglog_gap([top])
+        _, _, (gap,) = next(loglog_gap_chunks(ks=[top]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -419,7 +438,7 @@ def test_loglog_gap_holds_one_log_n_column():
 
 def test_loglog_gap_shrinks():
     # positive everywhere; oscillates with the gaps, but the envelope decays
-    gaps = loglog_gap(range(2, 200))
+    _, _, gaps = next(loglog_gap_chunks(ks=range(2, 200)))
     assert all(g > 0 for g in gaps)
     assert max(gaps[100:]) < min(gaps[:3])
 
@@ -453,12 +472,14 @@ def test_distribution_tail_monotone():
 
 
 def test_gap_exponent_check():
-    # the first pairs stay within gap <= p^0.526 ...
-    assert gap_exponent_check(3) == (True, 1)
+    # the bound p_{k+1} < p_k + p_k^0.526 holds for every pair exactly
+    # when the worst score is below 1; (worst score < 1, worst k) per
+    # p_limit: the first pair stays within it ...
+    checks = [(score < 1, k) for k, _, _, score in
+              map(worst_gap, (3, 5, 11, 150, 10_000))]
     # ... but (3,5) and then (7,11) exceed it: honest small-range violations
-    assert gap_exponent_check(5) == (False, 2)
-    assert gap_exponent_check(11) == (False, 4)
-    assert gap_exponent_check(150) == (False, 4)
-    assert gap_exponent_check(10_000) == (False, 4)
+    assert checks == [(True, 1), (False, 2), (False, 4), (False, 4),
+                      (False, 4)]
+    assert worst_gap(11)[1:3] == (7, 11)
     with pytest.raises(ValueError):
-        gap_exponent_check(2)
+        worst_gap(2)

@@ -12,9 +12,9 @@ from psitools.squarefree import (
     count_squarefree_formula_range,
     primorial_divisor_tail,
     psi_product_exact,
-    squarefree_harmonic,
     squarefree_harmonic_exact,
-    squarefree_residual,
+    squarefree_harmonic_grid,
+    squarefree_residual_grid,
 )
 from psitools.summation import chunked, compensated_cumsum
 
@@ -97,7 +97,7 @@ def test_known_density_point(tables_1e6):
 
 
 def test_residual_pair():
-    half, quarter = squarefree_residual(10)
+    ((half, quarter),) = squarefree_residual_grid([10])
     assert half.x == quarter.x == 10
     assert half.value == quarter.value == 7.0
     assert half.main_term == quarter.main_term
@@ -111,9 +111,8 @@ def test_residual_pair():
 
 
 def test_harmonic_values():
-    one = squarefree_harmonic(1)
+    one, ten = squarefree_harmonic_grid([1, 10])
     assert one.value == 1.0
-    ten = squarefree_harmonic(10)
     # 1 + 1/2 + 1/3 + 1/5 + 1/6 + 1/7 + 1/10 = 513/210
     assert ten.value == pytest.approx(513 / 210, rel=1e-15)
     assert ten.main_term == pytest.approx((6 / math.pi ** 2) * math.log(10), rel=1e-15)
@@ -136,13 +135,13 @@ def test_harmonic_chunks_match_one_sum(tables_1e4, monkeypatch, chunk, x):
     whole = float(compensated_cumsum(1.0 / ns.astype(np.float64))[-1])
     monkeypatch.setattr(squarefree, "chunked",
                         lambda block: chunked(block, chunk))
-    assert squarefree_harmonic(x).value == whole
+    assert squarefree_harmonic_grid([x])[0].value == whole
 
 
 def test_harmonic_residual_settles():
     # residual approaches a constant near 1.0439; successive decades agree to ~1e-2
-    r5 = squarefree_harmonic(100_000).residual
-    r6 = squarefree_harmonic(1_000_000).residual
+    r5, r6 = [s.residual
+              for s in squarefree_harmonic_grid([100_000, 1_000_000])]
     assert abs(r6 - r5) < 1e-2
     assert r6 == pytest.approx(1.0439, abs=1e-3)
 
