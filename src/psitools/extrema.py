@@ -202,7 +202,11 @@ def classify_counts(xs: Iterable[int]) -> list[tuple[int, int]]:
 
     def add(ns: np.ndarray, ratios: np.ndarray) -> None:
         nonlocal above
-        above += int(np.count_nonzero(ratios > _thresholds(ns)))
+        # the thresholds rise with n, so only a ratio above the first
+        # n's threshold (less 1e-9 for the rounding of log) can beat its
+        # own: about 0.8% of the n to 1e7
+        near = ratios > _thresholds(ns[:1])[0] - 1e-9
+        above += int(np.count_nonzero(ratios[near] > _thresholds(ns[near])))
 
     return _ratio_grid(xs, add, lambda x: (above, x - 1 - above))
 

@@ -18,8 +18,12 @@ each prime multiplies mu by -1 and a found-factor product by p at its
 multiples, p^2 zeroes mu, and one comparison of that product with n
 gives the last flip; the n that no sieving prime touched are the
 block's primes above sqrt(hi - 1).  The psi kernel runs the same
-product over prime powers; the prime and squarefree marks are written
-False by plain assignment at the multiples of p and of p^2.
+product over prime powers, on a wheel (Pritchard, "Explaining the
+wheel sieve", Acta Informatica 1982): the factors of 2, 4, 8, 3, 5, 7,
+11 and 13 repeat with period 120120, so one precomputed period is
+copied in instead of sieved, and it closes with one float64 division
+n / found per n, exact below 2**53.  The prime and squarefree marks
+are written False by plain assignment at the multiples of p and of p^2.
 
 build_sieve fills one immutable bundle over [0, limit] with the Mobius
 kernel, for the table readers (segment_scan, the square-divisor counts
@@ -35,6 +39,7 @@ from a kernel of their own, _spf_block (np.minimum with p).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt, log
 from typing import Callable, Iterable, Iterator
 
@@ -228,46 +233,110 @@ def _spf_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return spf
 
 
+# the wheel: 2^3 * 3 * 5 * 7 * 11 * 13, whose psi and found factors
+# _psi_block copies instead of sieving them
+_WHEEL = 120120
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+# steps below this are sieved one wheel period at a time, in cache
+_DENSE = 128
+
+
+@cache
+def _wheel() -> tuple[np.ndarray, np.ndarray]:
+    """One period of _psi_block's starting state, as read-only int32
+    (psi factor, found factor) at n = 0, 1, ..., _WHEEL - 1: the factors
+    of every prime power dividing _WHEEL, exactly as the sieve would
+    apply them.  The found factor is gcd(n, _WHEEL), and the psi factor
+    its psi.
+    """
+    psi = np.ones(_WHEEL, dtype=np.int32)
+    found = np.ones(_WHEEL, dtype=np.int32)
+    for p in _WHEEL_PRIMES:
+        psi[::p] *= p + 1
+        found[::p] *= p
+        power = p * p
+        while _WHEEL % power == 0:
+            psi[::power] *= p
+            found[::power] *= p
+            power *= p
+    for pattern in (psi, found):
+        pattern.setflags(write=False)  # one copy serves every caller
+    return psi, found
+
+
+def _higher_powers(primes: np.ndarray,
+                   top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every power p^a <= top with a >= 2, ascending, and its p, for the
+    primes p <= sqrt(top) given."""
+    powers, bases = [primes * primes], [primes]
+    while powers[-1].size:
+        keep = powers[-1] <= top // bases[-1]
+        bases.append(bases[-1][keep])
+        powers.append(powers[-1][keep] * bases[-1])
+    powers = np.concatenate(powers)
+    order = np.argsort(powers)
+    return powers[order], np.concatenate(bases)[order]
+
+
 def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
     """Write psi(n) for n in [lo, hi) into out; primes must cover sqrt(hi - 1).
 
     The found-factor product of _mobius_block, over prime powers: each
     prime p multiplies its multiples by p + 1 in out and by p in found,
-    and each higher power p^a <= hi - 1 multiplies both by a further p,
-    all in a second pass.  found is then the part of n made of primes
-    up to sqrt(hi - 1), and the one division q = n / found leaves 1 or
-    the one prime factor q above it; q += (q > 1) turns those into the
-    final factor, 1 or q + 1, by which out is multiplied unmasked.  That
-    closing step runs over _CHUNK-value slices of out and found, so out
-    and found are the only block-sized arrays.  Entry n = 0, a multiple
-    of every prime, is left to the caller.
+    and each higher power p^a <= hi - 1 multiplies both by a further p.
+    The prime powers that divide _WHEEL = 120120 (2, 4, 8, 3, 5, 7, 11
+    and 13) repeat with that period, so their factors are not sieved:
+    each period of the block is copied from _wheel() into out and found,
+    and the other steps below _DENSE are sieved on it while its 1.4 MB
+    are in cache; the rest are sieved over the whole block.  11 and 13
+    come from the wheel even where they exceed sqrt(hi - 1).
+
+    found is then the part of n made of those primes and the primes up
+    to sqrt(hi - 1), and the one division q = n / found leaves 1 or the
+    one prime factor q above it; q += (q > 1) turns those into the final
+    factor, 1 or q + 1, by which out is multiplied unmasked.  The
+    division is done in float64 and is exact: n <= 2**40 < 2**53 and
+    found divides n, so the quotient is an integer that float64 holds
+    exactly, and IEEE division rounds to it.  That closing step runs
+    over _CHUNK-value slices of out and found, so out and found are the
+    only block-sized arrays.  Entry n = 0, a multiple of every prime, is
+    left to the caller.
     """
-    out[:] = 1
     dtype = _index_dtype(hi)
-    found = np.ones(hi - lo, dtype=dtype)
-    if lo == 0:
-        found[0] = 0
+    found = np.empty(hi - lo, dtype=dtype)
     primes = primes[primes <= isqrt(hi - 1)]
-    _sieve(lo, hi, primes, (np.multiply, out, primes + 1),
-           (np.multiply, found, primes.astype(dtype)))
-    # every higher power p^a <= hi - 1 beside its p, in one ascending pass
-    powers, bases = [primes * primes], [primes]
-    while powers[-1].size:
-        keep = powers[-1] <= (hi - 1) // bases[-1]
-        bases.append(bases[-1][keep])
-        powers.append(powers[-1][keep] * bases[-1])
-    order = np.argsort(np.concatenate(powers))
-    base = np.concatenate(bases)[order]
-    _sieve(lo, hi, np.concatenate(powers)[order], (np.multiply, out, base),
-           (np.multiply, found, base.astype(dtype)))
+    powers, base = _higher_powers(primes, hi - 1)
+    keep = _WHEEL % powers != 0
+    powers, base = powers[keep], base[keep]
+    sieving = primes[np.searchsorted(primes, _WHEEL_PRIMES[-1], "right"):]
+    # outside the wheel, each prime p multiplies psi by p + 1 and found
+    # by p, and each higher power both by a further p
+    passes = [(sieving, sieving + 1, sieving.astype(dtype, copy=False)),
+              (powers, base, base.astype(dtype, copy=False))]
+    dense = [int(np.searchsorted(steps, _DENSE)) for steps, _, _ in passes]
+    psi_wheel, found_wheel = _wheel()
+    cuts = [lo, *range(lo - lo % _WHEEL + _WHEEL, hi, _WHEEL), hi]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        o, f = out[a - lo:b - lo], found[a - lo:b - lo]
+        start = a % _WHEEL
+        o[:] = psi_wheel[start:start + b - a]
+        f[:] = found_wheel[start:start + b - a]
+        for (steps, psi_by, found_by), d in zip(passes, dense):
+            _sieve(a, b, steps[:d], (np.multiply, o, psi_by[:d]),
+                   (np.multiply, f, found_by[:d]))
+    for (steps, psi_by, found_by), d in zip(passes, dense):
+        _sieve(lo, hi, steps[d:], (np.multiply, out, psi_by[d:]),
+               (np.multiply, found, found_by[d:]))
     if lo == 0:
         found[0] = 1  # so that q = 0 there
     for a, part, divisor in zip(range(lo, hi, _CHUNK), chunked(out),
                                 chunked(found)):
-        q = np.arange(a, a + len(part), dtype=np.int64)
-        q //= divisor
+        q = np.arange(a, a + len(part), dtype=np.float64)
+        q /= divisor
         q += q > 1
-        part *= q
+        # q holds integers, so its cast to int64 is exact; made a buffer
+        # at a time, it allocates no array the size of q
+        np.multiply(part, q, out=part, dtype=np.int64, casting="unsafe")
 
 
 def _prime_bound(x: int) -> int:
@@ -401,6 +470,15 @@ def psi_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
     psi(0) = 0 and psi(1) = 1, one _blocks block at a time; no tables
     are needed and only one block is held.  Raises ValueError, when
     first advanced, unless 0 <= lo <= hi and hi - 1 <= 2**40.
+
+    Memory: the psi block (8 bytes per n, 8 MiB for a whole block), the
+    found product of its sieve (4 bytes per n, 8 when hi > 2**31), the
+    wheel period of _psi_block (two int32 arrays of 120120, 0.96 MB,
+    kept for the process), the closing step's 2**16-value temporaries
+    (about 1 MiB), and the sieve's step arrays and gathered hits, which
+    grow with sqrt(hi).  One whole block peaks at 13.0 MiB (tracemalloc)
+    at 1e7, 18.5 MiB past 2**31 and 23.9 MiB at 2**40; all but the psi
+    block and the wheel are freed before the block is yielded.
     """
     for first, last, primes in _blocks(lo, hi):
         psi = np.empty(last - first, dtype=np.int64)

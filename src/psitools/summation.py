@@ -41,10 +41,18 @@ class CompensatedSum:
         """Prefix sums of the float64 terms a, after every earlier add."""
         if not len(a):
             return np.zeros(0)
-        buf = np.cumsum(np.concatenate(([self._sum], a)))
+        buf = np.empty(len(a) + 1)
+        buf[0] = self._sum
+        buf[1:] = a
+        np.cumsum(buf, out=buf)
         prev, s = buf[:-1], buf[1:]
-        z = s - prev
-        err = (prev - (s - z)) + (a - z)
+        # err = (prev - (s - z)) + (a - z), the same IEEE operations in
+        # the same order, in two temporaries
+        z = np.subtract(s, prev)
+        err = np.subtract(s, z)
+        np.subtract(prev, err, out=err)
+        np.subtract(a, z, out=z)
+        np.add(err, z, out=err)
         err[0] += self._err
         np.cumsum(err, out=err)
         self._sum, self._err = s[-1], err[-1]

@@ -283,6 +283,23 @@ def test_classify_strict_inequality(monkeypatch):
         assert above == (Fraction(profile(n).psi, n) > 2), n
 
 
+def test_classify_counts_match_a_brute_count_over_every_n():
+    # every n against the whole _thresholds array of its psi block, with
+    # no lower bound taken first: classify_counts' prefilter skips none,
+    # n = 2 (negative threshold) included
+    xs = [2, 3, 1 << 16, (1 << 16) + 1, 10 ** 6, 10 ** 7]
+    above, counts = 0, {}
+    for first, psi in psi_blocks(2, xs[-1] + 1):
+        ns = np.arange(first, first + len(psi), dtype=np.float64)
+        hits = np.cumsum(psi / ns > extrema._thresholds(ns)) + above
+        for x in xs:
+            if first <= x < first + len(psi):
+                counts[x] = int(hits[x - first])
+        above = int(hits[-1])
+    assert extrema._thresholds(np.array([2.0]))[0] < 0 < counts[2] == 1
+    assert classify_counts(xs) == [(counts[x], x - 1 - counts[x]) for x in xs]
+
+
 def test_classify_domain():
     with pytest.raises(ValueError):
         classify_counts([1])

@@ -420,6 +420,61 @@ def test_kernels_at_the_int32_edge(tables_2e6, hi, length):
         assert (mu[i], untouched[i], psi[i]) == (-1, True, 2 ** 31)
 
 
+W = sieve._WHEEL
+# a multiple m of the wheel's period at 0, near 1e8, just below 2^31 (so
+# that every window below holds 2^31 - 1 and 2^31) and just below TOP
+WHEEL_EDGES = [W, round(1e8 / W) * W, 2 ** 31 - 2 ** 31 % W,
+               (TOP - 2 * W - 3) // W * W]
+
+
+def test_wheel_period_is_the_gcd_and_its_psi():
+    # the tiled starting state: found = gcd(n, W) and psi of it, shared
+    # read-only by every block
+    psi, found = sieve._wheel()
+    assert np.array_equal(found, np.gcd(np.arange(W), W))
+    psi_of = {d: factorint_psi(d) for d in sympy.divisors(W)}
+    assert psi.tolist() == [psi_of[d] for d in found.tolist()]
+    assert not psi.flags.writeable and not found.flags.writeable
+
+
+@pytest.mark.parametrize("m", WHEEL_EDGES, ids=["0", "1e8", "2^31", "TOP"])
+def test_psi_block_at_wheel_boundaries(tables_2e6, m):
+    # windows from lo = m - 1, m and m + 1 (and lo = 0 and 1 near 0), of
+    # lengths W - 1, W, W + 1 and 2W + 3: the tiled period starts, ends
+    # and repeats at every offset.  Every n against one reference pass
+    # over them all (psi(n) does not depend on the window), and the
+    # window edges against sympy
+    starts = (m - 1, m, m + 1) if m > W else (0, 1, m - 1, m, m + 1)
+    span_lo, span_hi = starts[0], m + 1 + 2 * W + 3
+    assert span_hi - 1 <= TOP
+    want = reference_sieve_block(span_lo, span_hi, tables_2e6.primes,
+                                 np.int64)[2]
+    for lo in starts:
+        for length in (W - 1, W, W + 1, 2 * W + 3):
+            hi = lo + length
+            psi = np.empty(length, dtype=np.int64)
+            _psi_block(lo, hi, tables_2e6.primes, psi)
+            at = 1 if lo == 0 else 0  # psi(0) is left to the caller
+            assert np.array_equal(psi[at:], want[lo + at - span_lo:
+                                                 hi - span_lo]), (lo, hi)
+            for n in {max(lo, 1), m - 1, m, m + 1, hi - 1} & {*range(lo, hi)}:
+                assert psi[n - lo] == factorint_psi(n), n
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 2), (0, 12), (1, 14), (10, 14), (11, 12), (13, 14), (2, 120),
+    (0, 121), (100, 121), (120, 121)])
+def test_psi_block_where_11_and_13_are_not_sieving_primes(tables_1e4, lo, hi):
+    # hi <= 121: 11 and 13 are above sqrt(hi - 1), so they are not
+    # sieving primes, but their factors come from the tiled period
+    psi = np.empty(hi - lo, dtype=np.int64)
+    _psi_block(lo, hi, tables_1e4.primes, psi)
+    want = reference_sieve_block(lo, hi, tables_1e4.primes, np.int32)[2]
+    n = np.arange(lo, hi)
+    assert np.array_equal(psi[n > 0], want[n > 0]), (lo, hi)
+    assert psi[n > 0].tolist() == [factorint_psi(k) for k in n[n > 0]]
+
+
 @pytest.mark.parametrize("limit", [2, 3, 4, 1000, 2 ** 20 - 1, 2 ** 20,
                                    2 ** 20 + 1, 3 * 2 ** 20 + 7])
 def test_build_primes_match_plain_sieve(limit):

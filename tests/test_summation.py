@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from psitools import summation
-from psitools.summation import (chunked, compensated_chunks,
+from psitools.summation import (CompensatedSum, chunked, compensated_chunks,
                                 compensated_cumsum, compensated_sum)
 
 
@@ -73,3 +73,37 @@ def test_compensated_sum_is_the_last_prefix(monkeypatch, chunk):
     total = compensated_sum(pieces)
     assert total.hex() == float(_one_pass_reference(values)[-1]).hex()
     assert compensated_sum([]) == compensated_sum([np.array([])]) == 0.0
+
+
+def _concatenating_add(carried, a):
+    """CompensatedSum.add by its one-expression formula, as a pure
+    function of the carried (sum, error): (prefixes, (sum, error))."""
+    total, error = carried
+    buf = np.cumsum(np.concatenate(([total], a)))
+    prev, s = buf[:-1], buf[1:]
+    z = s - prev
+    err = (prev - (s - z)) + (a - z)
+    err[0] += error
+    np.cumsum(err, out=err)
+    return s + err, (s[-1], err[-1])
+
+
+@pytest.mark.parametrize("cuts", [
+    [], [1], [0, 0, 3, 3, 4], [2, 7, 500], list(range(1, 1_001, 37)),
+    [999, 1_000]])
+def test_compensated_sum_add_matches_the_concatenating_formula(cuts):
+    # add fills one buffer and writes its TwoSum terms in place; each
+    # prefix and value keeps the bits of the expression it replaces, for
+    # every split, empty pieces and zeros of either sign included
+    rng = np.random.default_rng(19)
+    values = np.concatenate((
+        [-0.0, 0.0], rng.standard_normal(400) * 1e8, rng.random(400) * 1e-9,
+        1.0 / np.arange(1.0, 199.0), [1e300, -1e300, -0.0]))
+    total, carried, value = CompensatedSum(), (0.0, 0.0), 0.0
+    for piece in np.split(values, cuts):
+        got, want = total.add(piece), np.zeros(0)
+        if len(piece):
+            want, carried = _concatenating_add(carried, piece)
+            value = float(want[-1])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert total.value.hex() == value.hex()
