@@ -17,7 +17,6 @@ __all__ = [
     "ArithProfile",
     "factor",
     "profile",
-    "psi_phi_identity_residual",
 ]
 
 
@@ -70,10 +69,7 @@ def profile(n: int) -> ArithProfile:
     psi(n) = n * prod_{p|n}(1 + 1/p) = prod p^(e-1) * (p + 1);
     on squarefree n it coincides with sigma.
     """
-    return _profile(factor(n))
-
-
-def _profile(fac: Factorization) -> ArithProfile:
+    fac = factor(n)
     mu = 1
     phi = sigma = psi = 1
     big_omega = 0
@@ -86,20 +82,3 @@ def _profile(fac: Factorization) -> ArithProfile:
         psi *= pe1 * (p + 1)
     return ArithProfile(n=fac.n, mu=mu, omega=len(fac.factors),
                         big_omega=big_omega, phi=phi, sigma=sigma, psi=psi)
-
-
-def psi_phi_identity_residual(n: int) -> float:
-    """|psi(n)*phi(n)/n^2 - prod_{p|n}(1 - 1/p^2)|.
-
-    Both sides equal the same product of exact rationals, so the result
-    measures only float evaluation error (a few ulp).  The left side is
-    formed as (psi/n)*(phi/n) to keep intermediates well inside exact
-    float64 integer range.
-    """
-    fac = factor(n)
-    prof = _profile(fac)
-    lhs = (prof.psi / prof.n) * (prof.phi / prof.n)
-    rhs = 1.0
-    for p, _ in fac.factors:
-        rhs *= 1.0 - 1.0 / (p * p)
-    return abs(lhs - rhs)

@@ -3,7 +3,11 @@
 Output is CSV (RFC-4180 style: comma, header row, LF endings, floats at
 15 significant digits) or a JSON array of flat objects.  Exit codes:
 0 success, 1 a verification subcommand found a counterexample, 2 usage
-or domain error, or a numerical cross-check that failed.
+or domain error, an unwritable --output, or a numerical cross-check
+that failed.  When the reader of the output closes it early (as
+`verify-psi ... | head` does), the run stops there with nothing on
+stderr, and exits 1 if a row written or checked so far was a
+counterexample, else 0.
 
 Each subcommand is declared once, as a COMMANDS entry: its help text and
 extra flags, its output column names, a rows(args) generator that yields
@@ -74,6 +78,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import astuple, dataclass
 from math import log
@@ -664,6 +669,14 @@ def main(argv: list[str] | None = None) -> int:
         with (open(args.output, "w", newline="") if args.output
               else contextlib.nullcontext(sys.stdout)) as sink:
             emit(first, args.format, sink, chunks)
+            sink.flush()
+    except BrokenPipeError:
+        # the reader left early, as under `| head`: stop quietly, with
+        # stdout on devnull so that the interpreter's last flush cannot
+        # fail again ("Note on SIGPIPE" in Python's signal docs)
+        if not args.output:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1 if failed else 0
     except (ValueError, OverflowError, FloatingPointError, KeyError, OSError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

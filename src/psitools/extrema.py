@@ -5,17 +5,16 @@ k = 15, so everything here stays in the log domain: log N_k = theta(p_k)
 is a compensated prefix sum of log p, and the ratio psi(N_k)/N_k =
 prod(1 + 1/p) lives as exp of a compensated log sum.  primorial_stream
 is the one source of every per-k value: it turns the chunks of
-sieve.prime_chunks into chunks of rows, carrying both sums across
-chunks; jump_chunks and loglog_gap_chunks hold one chunk at a time, and
-primorial_columns fills whole columns from them.  N_k/phi(N_k) is
-mertens.euler_product_inv_grid at x = p_k.
+sieve.prime_chunks into chunks of rows, each sum one CompensatedSum
+carried across chunks; jump_chunks and loglog_gap_chunks hold one chunk
+at a time, and primorial_columns fills whole columns from them.
+N_k/phi(N_k) is mertens.euler_product_inv_grid at x = p_k.
 
 The per-n psi(n)/n functions (extremes, classification, tail fractions)
 stream sieve.psi_blocks and read each block in 2**16-value slices.
 """
 from __future__ import annotations
 
-from itertools import tee
 from math import isnan, log
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .constants import get_constant
 from .sieve import MAX_LIMIT, _prime_bound, grid_rows, prime_chunks, psi_blocks
-from .summation import _CHUNK, chunked, compensated_chunks
+from .summation import _CHUNK, CompensatedSum, chunked
 
 __all__ = [
     "primorial_stream",
@@ -53,13 +52,11 @@ def primorial_stream(prime_chunks: Iterable[np.ndarray]
     that order.  Both compensated sums carry across chunks, so every cut
     gives the same bits.
     """
-    ps, for_log_n, for_ratio = tee(filter(len, prime_chunks), 3)
-    log_ns = compensated_chunks(np.log(p.astype(np.float64))
-                                for p in for_log_n)
-    log_ratios = compensated_chunks(np.log1p(1.0 / p.astype(np.float64))
-                                    for p in for_ratio)
-    for p, log_n, log_ratio in zip(ps, log_ns, log_ratios):
-        psi_ratio = np.exp(log_ratio)
+    log_n_sum, ratio_sum = CompensatedSum(), CompensatedSum()
+    for p in filter(len, prime_chunks):
+        f = p.astype(np.float64)
+        log_n = log_n_sum.add(np.log(f))
+        psi_ratio = np.exp(ratio_sum.add(np.log1p(1.0 / f)))
         loglog_n = np.log(log_n)
         threshold = _THRESHOLD * loglog_n
         yield {"p": p, "log_N": log_n, "psi_ratio": psi_ratio,
@@ -88,21 +85,11 @@ def primorial_columns(p_limit: int) -> dict[str, np.ndarray]:
     return columns
 
 
-def _with_next(chunks: Iterator[np.ndarray]) -> Iterator[tuple]:
-    """(p, p_next) pairs: every prime but the last, and the next."""
-    prev = next(chunks)
-    for c in chunks:
-        yield prev, np.concatenate((prev[1:], c[:1]))
-        prev = c
-    yield prev[:-1], prev[1:]  # empty for a last chunk of one prime
-
-
 def jump_chunks(kmax: int
                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(k, p_{k+1}, delta) chunks for k = 1..kmax: delta, the increase
     of psi(N)/N from primorial k to k+1, is (psi(N_k)/N_k) / p_{k+1},
-    from one primorial_stream over sieve.prime_chunks and one prime of
-    look-ahead.
+    from one primorial_stream over the first kmax + 1 primes.
 
     Each delta is checked against ratio_k * expm1(log1p(1/p_{k+1})), the
     difference by its exact exponent increment (subtracting two rounded
@@ -112,10 +99,14 @@ def jump_chunks(kmax: int
     kmax = int(kmax)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    ps, nexts = tee(_with_next(prime_chunks(count=kmax + 1)))
-    k = 1
-    for cols, (_, p_next) in zip(primorial_stream(p for p, _ in ps), nexts):
-        ratio, after = cols["psi_ratio"], p_next.astype(np.float64)
+    # row k pairs ratio_k with p_{k+1}: a chunk's primes follow the last
+    # ratio of the chunk before (none before the first)
+    k, last = 1, np.zeros(0)
+    for cols in primorial_stream(prime_chunks(count=kmax + 1)):
+        ratio = np.concatenate((last, cols["psi_ratio"][:-1]))
+        p_next = cols["p"][len(cols["p"]) - len(ratio):]
+        last = cols["psi_ratio"][-1:]
+        after = p_next.astype(np.float64)
         difference = ratio * np.expm1(np.log1p(1.0 / after))
         closed = ratio / after
         bad = np.flatnonzero(~(np.abs(difference - closed) <= 1e-12 * closed))

@@ -5,11 +5,12 @@ log terms; a naive running float product over ~10^6 factors would
 accumulate visible rounding drift, the log path keeps relative error at
 a few ulp.
 
-Each prime sum but psi_product and compute_B1 is a grid form: one pass
-over ascending primes (sieve.grid_rows) answers every x of a grid,
-carrying one compensated sum over sieve.prime_chunks, in block-sized
-memory, and reading it at each x.  A single x is the grid [x], so the
-sum and everything after it exist once.
+Each prime sum but compute_B1 is a grid form: one pass over ascending
+primes (sieve.grid_rows) answers every x of a grid, carrying one
+CompensatedSum over sieve.prime_chunks, in block-sized memory, and
+reading it at each x.  A single x is the grid [x], so the sum and
+everything after it exist once.  The product of (1 + 1/p) over the
+primes p <= x is the psi_ratio column of extrema.primorial_stream.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ __all__ = [
     "prime_harmonic_grid",
     "prime_harmonic_progression_grid",
     "euler_product_inv_grid",
-    "psi_product",
     "oscillation_grid",
     "compute_B1",
     "dusart_bound_grid",
@@ -41,7 +41,6 @@ __all__ = [
 _GAMMA = get_constant("gamma").value
 _B1 = get_constant("B1").value
 _E_GAMMA = get_constant("e_gamma").value
-_THRESHOLD = get_constant("threshold").value
 
 # smallest x for which the explicit |R(x)| bound below is known to be
 # proven; smaller x get a below-validity flag instead of pass/fail
@@ -130,12 +129,6 @@ def euler_product_inv_grid(xs: Iterable[int]) -> list[ResidualSample]:
     sums = _prime_sums(xs, lambda p: -np.log1p(-1.0 / p))
     return [make_sample(x, float(np.exp(total)), _E_GAMMA * log(x))
             for x, total in zip(xs, sums)]
-
-
-def psi_product(x: float) -> ResidualSample:
-    """prod_{p <= x} (1 + 1/p) against (6 e^gamma / pi^2) log x."""
-    (total,) = _prime_sums([x], lambda p: np.log1p(1.0 / p))
-    return make_sample(x, float(np.exp(total)), _THRESHOLD * log(x))
 
 
 def oscillation_grid(xs: Iterable[int]) -> list[float]:

@@ -6,9 +6,9 @@ primes up to sqrt of the range end and yields one block at a time, so a
 consumer that takes its rows as chunks (such as verify-psi) holds
 O(block) memory whatever the range.  prime_chunks, the one prime
 source, cuts prime_blocks into short chunks, or stops after the first
-count primes; theta(x) sums log p over it.  grid_rows is the one walk
-that answers a grid of x from such a stream: it cuts the blocks at
-every x and reads a running state there.
+count primes.  grid_rows is the one walk that answers a grid of x from
+such a stream: it cuts the blocks at every x and reads a running state
+there.
 
 Every block kernel is one pass, _sieve: updates given as (ufunc, array,
 values) are applied at the multiples of each step, by strided in-place
@@ -26,8 +26,8 @@ n / found per n, exact below 2**53.  The prime and squarefree marks
 are written False by plain assignment at the multiples of p and of p^2.
 
 build_sieve fills one immutable bundle over [0, limit] with the Mobius
-kernel, for the table readers (segment_scan, the square-divisor counts
-of squarefree, and the exact oracles):
+kernel, for the table readers (segment_scan and the square-divisor
+counts of squarefree):
 
   mobius[n]       mu(n) in {-1, 0, 1}                   (mobius[0] = 0)
   primes[i]       i-th prime (ascending, all <= limit)
@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .summation import _CHUNK, chunked, compensated_sum
+from .summation import _CHUNK, chunked
 
 __all__ = [
     "SEGMENT_SIZE",
@@ -53,7 +53,6 @@ __all__ = [
     "InsufficientSieveError",
     "SieveTables",
     "build_sieve",
-    "theta",
     "segment_scan",
     "psi_blocks",
     "prime_blocks",
@@ -410,17 +409,6 @@ def build_sieve(limit: int) -> SieveTables:
     mobius[0] = 0
     primes.resize(count, refcheck=False)  # no view of it exists yet
     return SieveTables(limit=limit, mobius=mobius, primes=primes)
-
-
-def theta(x: float) -> float:
-    """Chebyshev theta(x), the sum of log p over the primes p <= x for
-    0 <= x <= 2**40: a compensated sum over prime_chunks (0.0 below 2),
-    the same bits as the log_N column of extrema.primorial_columns at
-    the largest p_k <= x."""
-    if not 0 <= x <= MAX_LIMIT:
-        raise ValueError(f"x must be in [0, 2**40], got {x}")
-    return compensated_sum(np.log(c.astype(float))
-                           for c in prime_chunks(max(x, 1)))
 
 
 def segment_scan(lo: int, hi: int,

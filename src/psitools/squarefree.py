@@ -1,22 +1,22 @@
 """Squarefree counting, harmonic sums, and the primorial divisor tail.
 
 Two independent routes to Q(x), the count of squarefree n <= x, are
-kept deliberately separate: a direct tally of nonzero Mobius values,
-and the inclusion-exclusion sum over square divisors
+kept deliberately separate: a streamed tally of the squarefree n, and
+the inclusion-exclusion sum over square divisors
 sum_{d <= sqrt(x)} mu(d) * floor(x / d^2), which is an exact identity
 rather than an approximation.  The harmonic-sum identity
 
     sum_{n <= x, n squarefree} 1/n
         = prod_{p <= x}(1 + 1/p) - sum_{d | P(x), d > x} 1/d
 
-(P(x) = product of primes <= x) is evaluated both in floats and in
-exact rationals.
+(P(x) = product of primes <= x) has its left side here in floats and
+its divisor tail in exact rationals.
 
 Q(x) against (6/pi^2) x and the float harmonic sum are grid forms that
 answer every x of a grid from one pass over the squarefree n
 (sieve.grid_rows) of sieve.squarefree_blocks, in block-sized memory; a
-single x is the grid [x].  The square-divisor counts and the
-exact oracles read the Mobius values and primes of built sieve tables.
+single x is the grid [x].  The square-divisor counts read the Mobius
+values of built sieve tables up to sqrt(x).
 """
 from __future__ import annotations
 
@@ -32,13 +32,10 @@ from .sieve import SieveTables, grid_rows, prime_chunks, squarefree_blocks
 from .summation import CompensatedSum, chunked
 
 __all__ = [
-    "count_squarefree_exact",
     "count_squarefree_formula",
     "count_squarefree_formula_range",
     "squarefree_residual_grid",
     "squarefree_harmonic_grid",
-    "squarefree_harmonic_exact",
-    "psi_product_exact",
     "primorial_divisor_tail",
     "TAIL_PRIME_BOUND",
 ]
@@ -48,12 +45,6 @@ _SIX_OVER_PI_SQ = get_constant("six_over_pi_sq").value
 # largest cutoff for the exact divisor tail: P(x) and the numerator
 # sums stay inside 128 bits through x = 52
 TAIL_PRIME_BOUND = 52
-
-
-def count_squarefree_exact(x: int, tables: SieveTables) -> int:
-    """Q(x) by direct tally of n <= x with mu(n) != 0."""
-    tables.check(x, 1)
-    return int(np.count_nonzero(tables.mobius[1:int(x) + 1]))
 
 
 def count_squarefree_formula(x: int, tables: SieveTables) -> int:
@@ -145,25 +136,6 @@ def squarefree_harmonic_grid(xs: Iterable[int]) -> list[ResidualSample]:
                      lambda x: total.value)
     return [make_sample(x, value, _SIX_OVER_PI_SQ * log(x))
             for x, value in zip(xs, sums)]
-
-
-def squarefree_harmonic_exact(x: int, tables: SieveTables) -> Fraction:
-    """The same squarefree harmonic sum as an exact rational."""
-    tables.check(x, 1)
-    ns = (np.nonzero(tables.mobius[1:int(x) + 1])[0] + 1).tolist()
-    total = Fraction(0)
-    for n in ns:
-        total += Fraction(1, int(n))
-    return total
-
-
-def psi_product_exact(x: int, tables: SieveTables) -> Fraction:
-    """prod_{p <= x} (1 + 1/p) as an exact rational."""
-    tables.check(x, 0)
-    total = Fraction(1)
-    for p in tables.primes[tables.primes <= x].tolist():
-        total *= Fraction(p + 1, p)
-    return total
 
 
 def primorial_divisor_tail(x: int) -> Fraction:

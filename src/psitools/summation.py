@@ -1,17 +1,18 @@
 """Compensated floating-point accumulation.
 
-Left-to-right summation of n terms can lose ~n ulp of accuracy; the
-prefix sums here track the rounding error of every addition so they
-stay within a few ulp regardless of length, _CHUNK values at a time.
+Left-to-right summation of n terms can lose ~n ulp of accuracy.
+CompensatedSum, the one accumulator of every prime and squarefree sum,
+tracks the rounding error of every addition, so its prefix sums stay
+within a few ulp regardless of length; its callers feed it one chunk at
+a time, and chunked cuts an array into _CHUNK-value slices.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-__all__ = ["chunked", "CompensatedSum", "compensated_chunks",
-           "compensated_cumsum", "compensated_sum"]
+__all__ = ["chunked", "CompensatedSum"]
 
 _CHUNK = 1 << 16  # elements per chunk, and so per temporary
 
@@ -59,28 +60,3 @@ class CompensatedSum:
         sums = np.add(s, err, out=err)
         self.value = float(sums[-1])
         return sums
-
-
-def compensated_chunks(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Prefix sums of the concatenated float64 chunks, one array per
-    nonempty chunk, from one CompensatedSum."""
-    total = CompensatedSum()
-    for a in filter(len, chunks):
-        yield total.add(a)
-
-
-def compensated_cumsum(values) -> np.ndarray:
-    """Prefix sums of a float64 array, each accurate to ~1 ulp."""
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    out = np.empty_like(a)
-    for dest, sums in zip(chunked(out), compensated_chunks(chunked(a))):
-        dest[:] = sums
-    return out
-
-
-def compensated_sum(chunks: Iterable[np.ndarray]) -> float:
-    """The whole sum, the last prefix of compensated_chunks (0.0 if none)."""
-    total = CompensatedSum()
-    for a in chunks:
-        total.add(a)
-    return total.value

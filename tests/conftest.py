@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from psitools import build_sieve
+from psitools.arith import profile
 from psitools.sieve import SEGMENT_SIZE
 
 
@@ -29,20 +32,35 @@ def tables_2e6():
     return build_sieve(2_200_000)
 
 
-def all_primes_psi(x):
-    """Exact psi(n) for n in [0, x] (psi(0) = 0), independent of psitools.
-
-    A plain bool sieve gives every prime up to x; each prime multiplies
-    its multiples by p + 1 and each higher power by a further p, with no
-    residual step and no blocks.
-    """
+def plain_primes(x):
+    """The primes <= x by a plain bool sieve, independent of psitools."""
     marks = np.ones(x + 1, dtype=bool)
     marks[:2] = False
     for p in range(2, math.isqrt(x) + 1):
         if marks[p]:
             marks[p * p::p] = False
+    return np.flatnonzero(marks)
+
+
+def squarefree_upto(x):
+    """The squarefree n in [1, x] (mu(n) != 0), ascending: a plain bool
+    sieve strikes the multiples of p^2 for each prime p <= sqrt(x)."""
+    marks = np.ones(x + 1, dtype=bool)
+    marks[0] = False
+    for p in plain_primes(math.isqrt(x)).tolist():
+        marks[p * p::p * p] = False
+    return np.flatnonzero(marks)
+
+
+def all_primes_psi(x):
+    """Exact psi(n) for n in [0, x] (psi(0) = 0), independent of psitools.
+
+    Each prime up to x, from plain_primes, multiplies its multiples by
+    p + 1 and each higher power by a further p, with no residual step
+    and no blocks.
+    """
     vals = np.ones(x + 1, dtype=np.int64)
-    for p in np.nonzero(marks)[0].tolist():
+    for p in plain_primes(x).tolist():
         vals[p::p] *= p + 1
         power = p * p
         while power <= x:
@@ -50,6 +68,36 @@ def all_primes_psi(x):
             power *= p
     vals[0] = 0
     return vals
+
+
+def psi_phi_identity_holds(n):
+    """Whether psi(n) phi(n) prod_{p|n} p^2 == n^2 prod_{p|n} (p^2 - 1)
+    in integers, psi and phi from arith.profile, the primes of n from
+    sympy."""
+    prof, primes = profile(n), sympy.primefactors(n)
+    return (prof.psi * prof.phi * math.prod(p * p for p in primes)
+            == n * n * math.prod(p * p - 1 for p in primes))
+
+
+# exact oracles of the squarefree and primorial identities, read from
+# the plain sieves above rather than from the library's kernels
+
+
+def count_squarefree_exact(x):
+    """Q(x), the number of squarefree n <= x, for x >= 1."""
+    return len(squarefree_upto(x))
+
+
+def squarefree_harmonic_exact(x):
+    """The sum of 1/n over the squarefree n <= x, as an exact rational."""
+    return sum((Fraction(1, n) for n in squarefree_upto(x).tolist()),
+               Fraction(0))
+
+
+def psi_product_exact(x):
+    """prod_{p <= x} (1 + 1/p) as an exact rational."""
+    return math.prod((Fraction(p + 1, p) for p in plain_primes(x).tolist()),
+                     start=Fraction(1))
 
 
 @pytest.fixture(scope="session")

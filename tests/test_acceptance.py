@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from psitools import build_sieve, theta
-from psitools.arith import psi_phi_identity_residual
+from psitools import build_sieve
 from psitools.constants import get_constant
 from psitools.extrema import (
     classify_counts,
@@ -27,16 +26,16 @@ from psitools.mertens import (
     euler_product_inv_grid,
     oscillation_grid,
     prime_harmonic_progression_grid,
-    psi_product,
 )
 from psitools.squarefree import (
     count_squarefree_formula,
     count_squarefree_formula_range,
     primorial_divisor_tail,
-    psi_product_exact,
-    squarefree_harmonic_exact,
     squarefree_harmonic_grid,
 )
+
+from conftest import (psi_phi_identity_holds, psi_product_exact,
+                      squarefree_harmonic_exact)
 
 
 @pytest.fixture(scope="module")
@@ -102,13 +101,13 @@ def test_criterion_04_dusart_bound():
            ok, f"min slack={worst:.3e}")
 
 
-def test_criterion_05_harmonic_tail_identity(tables_1e4):
+def test_criterion_05_harmonic_tail_identity():
     exact_ok = True
     float_ok = True
     xs = range(2, 41)
     for x, sample in zip(xs, squarefree_harmonic_grid(xs)):
-        lhs = squarefree_harmonic_exact(x, tables_1e4)
-        rhs = psi_product_exact(x, tables_1e4) - primorial_divisor_tail(x)
+        lhs = squarefree_harmonic_exact(x)
+        rhs = psi_product_exact(x) - primorial_divisor_tail(x)
         exact_ok = exact_ok and lhs == rhs
         float_ok = float_ok and abs(sample.value - float(rhs)) <= 1e-12
     witness = primorial_divisor_tail(10) == Fraction(3, 10)
@@ -153,29 +152,38 @@ def test_criterion_07_squarefree_residual_bound(tables_1e6, tables_1e7):
            f"max |R|/sqrt(x)={worst:.6f}, {changes} sign changes below 1e5")
 
 
-def test_criterion_08_psi_product_convergence():
-    sample = psi_product(1_000_000)
-    ratio = sample.value / sample.main_term
+def psi_product(cols, x):
+    """prod_{p <= x} (1 + 1/p): psi_ratio at the last p <= x of the
+    primorial columns cols."""
+    return float(cols["psi_ratio"][np.searchsorted(cols["p"], x, "right") - 1])
+
+
+def test_criterion_08_psi_product_convergence(columns_1e8):
+    ratio = (psi_product(columns_1e8, 1_000_000)
+             / (get_constant("threshold").value * math.log(1_000_000)))
     report(8, "prime product tracks its predicted slope at 1e6",
            abs(ratio - 1.0) < 0.01, f"|ratio-1|={abs(ratio - 1):.2e}")
 
 
-def test_criterion_09_psi_phi_factorization(tables_1e7):
+def test_criterion_09_psi_phi_factorization(tables_1e7, columns_1e8):
+    # psi(n) phi(n) prod_{p|n} p^2 = n^2 prod_{p|n} (p^2 - 1), exactly in
+    # integers, at 10,000 random n
     rng = np.random.default_rng(20260822)
     draws = rng.integers(1, 10_000_000, size=10_000, endpoint=True)
-    worst_n = max(psi_phi_identity_residual(int(n)) for n in draws)
+    wrong = [n for n in draws.tolist() if not psi_phi_identity_holds(n)]
 
     worst_x = 0.0
     xs = (10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
     for x, inv in zip(xs, euler_product_inv_grid(xs)):
-        plus = psi_product(x).value
+        plus = psi_product(columns_1e8, x)
         minus_inv = inv.value
         primes = tables_1e7.primes[:tables_1e7.prime_count(x)].astype(np.float64)
         direct = math.exp(math.fsum(np.log1p(-1.0 / (primes * primes)).tolist()))
         worst_x = max(worst_x, abs(plus / minus_inv - direct) / direct)
     report(9, "psi*phi factorization residuals",
-           worst_n <= 1e-12 and worst_x <= 1e-12,
-           f"random-n worst={worst_n:.2e}, product-form worst={worst_x:.2e}")
+           not wrong and worst_x <= 1e-12,
+           f"random n exact, {len(wrong)} wrong; "
+           f"product-form worst={worst_x:.2e}")
 
 
 def test_criterion_10_oscillation_oracle(tables_1e7):
@@ -230,8 +238,9 @@ def test_criterion_12_recorded_only():
 # slower invariants that ride along with the acceptance columns
 
 
-def test_theta_tracks_x():
-    assert abs(theta(100_000_000) / 1e8 - 1.0) < 0.01
+def test_theta_tracks_x(columns_1e8):
+    # theta(1e8) = log N_k at the last p_k <= 1e8
+    assert abs(columns_1e8["log_N"][-1] / 1e8 - 1.0) < 0.01
 
 
 def test_primorial_ratio_envelope(columns_1e8):

@@ -9,11 +9,10 @@ from psitools.arith import (
     ArithProfile,
     factor,
     profile,
-    psi_phi_identity_residual,
 )
 from psitools.sieve import MAX_LIMIT, SEGMENT_SIZE, psi_blocks
 
-from conftest import all_primes_psi
+from conftest import all_primes_psi, psi_phi_identity_holds
 
 
 def brute_profile(n):
@@ -122,9 +121,9 @@ def test_multiplicative_on_coprime_pairs():
 
 
 def test_psi_phi_identity():
-    # psi(n)/n * phi(n)/n reproduces prod_{p|n} (1 - 1/p^2) in floats
+    # psi(n)/n * phi(n)/n is prod_{p|n} (1 - 1/p^2), exactly
     for n in range(1, 10_001):
-        assert psi_phi_identity_residual(n) <= 1e-12, n
+        assert psi_phi_identity_holds(n), n
 
 
 def test_psi_phi_identity_values():

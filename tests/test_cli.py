@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 import psitools
 from psitools import cli, constants, extrema, mertens, sieve, squarefree
 from psitools.cli import emit, main
-from psitools.summation import compensated_cumsum
+from psitools.summation import CompensatedSum
+
+from conftest import count_squarefree_exact
 
 
 def run(capsys, *argv):
@@ -27,14 +29,19 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def run_module(module, *argv):
-    """Run python -m module argv in a fresh process on this psitools."""
+def _child_env():
+    """os.environ with this psitools first on PYTHONPATH."""
     src = str(Path(psitools.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_module(module, *argv):
+    """Run python -m module argv in a fresh process on this psitools."""
     return subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=_child_env(),
                           timeout=60)
 
 
@@ -171,20 +178,25 @@ def test_jumps(capsys):
 
 def test_jumps_sums_the_log_terms_once(capsys, monkeypatch):
     # one compensated sum over all k for each of the theta prefix and the
-    # psi-ratio prefix, not one per k
-    calls = []
-    real = extrema.compensated_chunks
+    # psi-ratio prefix, not one per k: two sums, fed the 501 primes to
+    # p_501 once each
+    sums = []
 
-    def counting(chunks):
-        sizes = []
-        calls.append(sizes)
-        return real(sizes.append(len(c)) or c for c in chunks)
+    class Counting(CompensatedSum):
+        def __init__(self):
+            super().__init__()
+            self.fed = []
+            sums.append(self.fed)
 
-    monkeypatch.setattr(extrema, "compensated_chunks", counting)
+        def add(self, a):
+            self.fed.append(len(a))
+            return super().add(a)
+
+    monkeypatch.setattr(extrema, "CompensatedSum", Counting)
     code, out, _ = run(capsys, "jumps", "--kmax", "500")
     assert code == 0
     assert len(out.splitlines()) == 501
-    assert [sum(sizes) for sizes in calls] == [500, 500]
+    assert [sum(fed) for fed in sums] == [501, 501]
 
 
 def test_verify_psi_rows_across_chunks(capsys):
@@ -318,10 +330,10 @@ def sums_past_edge(tables_past_edge):
     p = tables_past_edge.primes
     ns = np.flatnonzero(tables_past_edge.mobius)
     p_5_12 = p[p % 12 == 5]
-    return {"prime": (p, compensated_cumsum(1.0 / p)),
-            "euler": (p, compensated_cumsum(-np.log1p(-1.0 / p))),
-            "squarefree": (ns, compensated_cumsum(1.0 / ns)),
-            "progression": (p_5_12, compensated_cumsum(1.0 / p_5_12))}
+    return {"prime": (p, CompensatedSum().add(1.0 / p)),
+            "euler": (p, CompensatedSum().add(-np.log1p(-1.0 / p))),
+            "squarefree": (ns, CompensatedSum().add(1.0 / ns)),
+            "progression": (p_5_12, CompensatedSum().add(1.0 / p_5_12))}
 
 
 def _per_x_row(name, x, sums):
@@ -398,9 +410,9 @@ def test_streamed_sums_match_one_pass_over_the_tables(tables_past_edge):
     # compensated prefix of one array of terms
     x = _EDGE + 1
     primes = tables_past_edge.primes[:tables_past_edge.prime_count(x)]
-    mertens_sum = float(compensated_cumsum(1.0 / primes)[-1])
+    mertens_sum = float(CompensatedSum().add(1.0 / primes)[-1])
     ns = np.flatnonzero(tables_past_edge.mobius[:x + 1])
-    harmonic_sum = float(compensated_cumsum(1.0 / ns)[-1])
+    harmonic_sum = float(CompensatedSum().add(1.0 / ns)[-1])
     assert mertens.prime_harmonic_grid([x])[0].value == mertens_sum
     assert squarefree.squarefree_harmonic_grid([x])[0].value == harmonic_sum
     assert squarefree.squarefree_residual_grid([x])[0][0].value == len(ns)
@@ -467,8 +479,8 @@ def test_one_row_prime_subcommands_equal_table_calls(tables_2e6):
         "gap-check": (limit, bool(scores[k - 1] < 1.0), k,
                       *primes[k - 1:k + 1].tolist()),
         "sieve-info": (limit, len(primes),
-                       squarefree.count_squarefree_exact(limit, tables_2e6),
-                       float(compensated_cumsum(np.log(f))[-1])),
+                       count_squarefree_exact(limit),
+                       float(CompensatedSum().add(np.log(f))[-1])),
     }
     for name, row in expected.items():
         flag = "--limit" if name == "sieve-info" else "--plimit"
@@ -484,7 +496,7 @@ def test_streamed_primorial_rows_equal_table_calls(tables_2e6):
     assert primes[kmax] > 2 ** 21
     rows, chunks = command_rows("jumps", "--kmax", str(kmax))
     assert chunks > 2
-    ratios = np.exp(compensated_cumsum(np.log1p(1.0 / f)))
+    ratios = np.exp(CompensatedSum().add(np.log1p(1.0 / f)))
     expected = zip(range(1, kmax + 1), primes[1:].tolist(),
                    (ratios[:-1] / f[1:]).tolist())
     assert repr(rows) == repr(list(expected))
@@ -495,7 +507,7 @@ def test_streamed_primorial_rows_equal_table_calls(tables_2e6):
         "loglog-gap", *(f"--k={k}" for k in picks), "--kmax", str(kmax + 1))
     assert chunks > 3
     p_k = primes.tolist()
-    log_n = compensated_cumsum(np.log(f)).tolist()
+    log_n = CompensatedSum().add(np.log(f)).tolist()
     expected = [(k, p_k[k - 1], math.log(math.log(p_k[k - 1]))
                  - math.log(math.log(log_n[k - 1]))) for k in ks]
     assert repr(rows) == repr(expected)
@@ -700,6 +712,56 @@ def test_output_unwritable(capsys):
                        "--output", "/nonexistent-dir/x.csv")
     assert code == 2
     assert "error" in err
+
+
+# verify-psi's own fails, or one made to pick the row k = 3
+_FAILS_AT_K3 = (
+    "import dataclasses, sys\n"
+    "from psitools import cli\n"
+    "cli.COMMANDS['verify-psi'] = dataclasses.replace(\n"
+    "    cli.COMMANDS['verify-psi'], fails=lambda c: c['k'] == 3)\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def _verify_psi_child(entry, plimit, stdout):
+    """verify-psi --plimit plimit in a child whose stdout is
+    block-buffered, as it is by default on a pipe."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, *entry, "verify-psi", "--plimit", str(plimit)],
+        stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("entry, code", [(["-m", "psitools"], 0),
+                                         (["-c", _FAILS_AT_K3], 1)],
+                         ids=["module", "counterexample"])
+def test_closed_pipe_stops_quietly(entry, code):
+    # the reader takes two lines and leaves, as `| head -2` does: nothing
+    # on stderr, and exit 1 only if a row checked so far was a
+    # counterexample
+    child = _verify_psi_child(entry, 10_000_000, subprocess.PIPE)
+    lines = [child.stdout.readline() for _ in range(2)]
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == code, err
+    assert lines[0] == b"k,p_k,log_N,psi_ratio,loglog_N,threshold,margin\n"
+    assert lines[1].startswith(b"1,2,")
+    assert err == b""
+
+
+def test_pipe_closed_before_any_output_stops_quietly():
+    # the whole output fits stdout's buffer, and the reader is gone
+    # before it is flushed: the flush fails in main, and the
+    # interpreter's last flush must not fail again (it would print
+    # "Exception ignored" and exit 120)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    child = _verify_psi_child(["-m", "psitools"], 100, write_end)
+    os.close(write_end)
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 0, err
+    assert err == b""
 
 
 def test_emit_empty_records_writes_header():

@@ -19,7 +19,7 @@ from psitools.extrema import (
     worst_gap,
 )
 from psitools.sieve import MAX_LIMIT, SEGMENT_SIZE, prime_chunks, psi_blocks
-from psitools.summation import compensated_cumsum
+from psitools.summation import CompensatedSum
 
 
 def _row(cols, k):
@@ -75,8 +75,8 @@ def test_primorial_stream_gives_the_same_bits_for_any_cut(tables_1e5):
     # both compensated sums across uneven cuts and skips empty chunks
     primes = tables_1e5.primes
     ps = primes.astype(np.float64)
-    log_n = compensated_cumsum(np.log(ps))
-    psi_ratio = np.exp(compensated_cumsum(np.log1p(1.0 / ps)))
+    log_n = CompensatedSum().add(np.log(ps))
+    psi_ratio = np.exp(CompensatedSum().add(np.log1p(1.0 / ps)))
     threshold = get_constant("threshold").value * np.log(log_n)
     expect = {"p": primes, "log_N": log_n, "psi_ratio": psi_ratio,
               "loglog_N": np.log(log_n), "threshold": threshold,
@@ -180,7 +180,7 @@ def test_psi_ratio_maximisers_are_the_primorial_radicals(x, argmax_set):
 def jump_delta_reference(k, tables):
     """The former per-k jump, O(k) work for one k: jump_chunks reference."""
     ps = tables.primes[:k].astype(np.float64)
-    ratio_k = float(np.exp(compensated_cumsum(np.log1p(1.0 / ps))[-1]))
+    ratio_k = float(np.exp(CompensatedSum().add(np.log1p(1.0 / ps))[-1]))
     p_next = int(tables.primes[k])
     difference = ratio_k * math.expm1(math.log1p(1.0 / p_next))
     closed = ratio_k / p_next
@@ -425,7 +425,7 @@ def loglog_gap_reference(k, tables):
     """The former per-k gap, O(k) work for one k: loglog_gap_chunks
     reference."""
     ps = tables.primes[:k].astype(np.float64)
-    log_n = float(compensated_cumsum(np.log(ps))[-1])
+    log_n = float(CompensatedSum().add(np.log(ps))[-1])
     return math.log(math.log(int(tables.primes[k - 1]))) - math.log(
         math.log(log_n))
 

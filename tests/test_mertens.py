@@ -3,6 +3,7 @@ import math
 import pytest
 
 from psitools.constants import get_constant
+from psitools.extrema import primorial_columns
 from psitools.mertens import (
     DUSART_VALIDITY_THRESHOLD,
     compute_B1,
@@ -11,8 +12,13 @@ from psitools.mertens import (
     oscillation_grid,
     prime_harmonic_grid,
     prime_harmonic_progression_grid,
-    psi_product,
 )
+
+
+def psi_product(x):
+    """prod_{p <= x} (1 + 1/p): the psi_ratio column of the primorials at
+    the last p <= x."""
+    return float(primorial_columns(x)["psi_ratio"][-1])
 
 
 def test_prime_harmonic_values():
@@ -83,10 +89,10 @@ def test_euler_product_inv():
 def test_psi_product():
     ten = psi_product(10)
     # (3/2)(4/3)(6/5)(8/7) = 96/35
-    assert ten.value == pytest.approx(96 / 35, rel=1e-14)
-    expect_main = get_constant("threshold").value * math.log(10)
-    assert ten.main_term == pytest.approx(expect_main, rel=1e-14)
-    assert ten.residual == pytest.approx(0.24970505739699966, abs=1e-12)
+    assert ten == pytest.approx(96 / 35, rel=1e-14)
+    # against (6 e^gamma / pi^2) log x
+    residual = ten - get_constant("threshold").value * math.log(10)
+    assert residual == pytest.approx(0.24970505739699966, abs=1e-12)
 
 
 def test_product_identity(tables_1e4):
@@ -94,7 +100,7 @@ def test_product_identity(tables_1e4):
     # primes (the primorials N_1..N_100) and at round x
     xs = tables_1e4.primes[:100].tolist() + [10, 100, 1_000, 10_000]
     for x, inv in zip(xs, euler_product_inv_grid(xs)):
-        plus = psi_product(x).value
+        plus = psi_product(x)
         minus_inv = inv.value
         expect = math.exp(math.fsum(
             math.log1p(-1.0 / (int(p) * int(p)))
@@ -107,7 +113,7 @@ def test_psi_product_dominates():
     six = get_constant("six_over_pi_sq").value
     xs = (2, 10, 100, 1_000, 10_000)
     for x, inv in zip(xs, euler_product_inv_grid(xs)):
-        assert psi_product(x).value > six * inv.value
+        assert psi_product(x) > six * inv.value
 
 
 def test_zeta2_partial_product():
@@ -115,7 +121,7 @@ def test_zeta2_partial_product():
     six = get_constant("six_over_pi_sq").value
     xs = (10, 100, 1_000, 10_000)
     for x, inv in zip(xs, euler_product_inv_grid(xs)):
-        prod = psi_product(x).value / inv.value
+        prod = psi_product(x) / inv.value
         assert abs(prod - six) < 1.0 / x, x
 
 

@@ -11,13 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psitools import (InsufficientSieveError, SieveTables, build_sieve,
-                      segment_scan, theta)
-from psitools import extrema, sieve, squarefree
+                      segment_scan)
+from psitools import cli, extrema, mertens, sieve
 from psitools.sieve import (MAX_LIMIT, SEGMENT_SIZE, _mobius_block,
                             _prime_block, _psi_block, _small_primes,
                             _spf_block)
 from psitools.squarefree import count_squarefree_formula
-from psitools.summation import compensated_cumsum
+from psitools.summation import CompensatedSum
 
 
 def brute_mobius(n):
@@ -75,13 +75,21 @@ def test_mobius_divisor_sums(tables_1e4):
     assert not sums[2:].any()
 
 
+def sieve_info_theta(limit):
+    """The theta column of sieve-info --limit limit: the compensated sum
+    of log p over the primes p <= limit."""
+    args = cli.build_parser().parse_args(["sieve-info", "--limit",
+                                          str(limit)])
+    (chunk,) = cli.COMMANDS["sieve-info"].rows(args)
+    return chunk[3][0]
+
+
 def test_theta_values(tables_1e5):
-    assert theta(1) == 0.0
-    assert theta(2) == pytest.approx(math.log(2), abs=0.0)
+    assert sieve_info_theta(2) == math.log(2)
     expect10 = math.fsum(math.log(p) for p in (2, 3, 5, 7))
-    assert theta(10) == pytest.approx(expect10, rel=1e-15)
+    assert sieve_info_theta(10) == pytest.approx(expect10, rel=1e-15)
     expect = math.fsum(math.log(int(p)) for p in tables_1e5.primes)
-    assert theta(100_000) == pytest.approx(expect, rel=1e-14)
+    assert sieve_info_theta(100_000) == pytest.approx(expect, rel=1e-14)
 
 
 def test_theta_prefix_steps_are_prime_logs(tables_1e5):
@@ -94,30 +102,36 @@ def test_theta_prefix_steps_are_prime_logs(tables_1e5):
 
 def test_theta_and_log_n_match_one_prefix_pass(tables_2e6):
     # bitwise against one compensated prefix over every prime's log, at
-    # sampled counts i, among them either side of 2**16 and 2**17
+    # sampled counts i, among them either side of 2**16 and 2**17:
+    # sieve-info at the edge counts and the grid walk of the prime sums
+    # at every sampled count, each at p_i and just below p_{i+1}, and the
+    # log_N column at every k
     primes = tables_2e6.primes
-    reference = compensated_cumsum(np.log(primes.astype(np.float64)))
+    reference = CompensatedSum().add(np.log(primes.astype(np.float64)))
     assert len(primes) > 2 ** 17 + 1
     rng = random.Random(20261018)
-    counts = sorted({1, 2, 3, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17,
-                     2 ** 17 + 1, len(primes)}
-                    | {rng.randrange(1, len(primes)) for _ in range(300)})
-    for i in counts:
-        p = int(primes[i - 1])
-        assert theta(p) == reference[i - 1], i
-        assert theta(p + 0.5) == reference[i - 1], i
+    edges = {1, 2, 3, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17,
+             2 ** 17 + 1, len(primes)}
+    counts = sorted(edges | {rng.randrange(1, len(primes))
+                             for _ in range(300)})
+
+    def cuts(i):
+        """p_i, and the last x before p_{i+1} (the limit after the last)."""
+        after = (int(primes[i]) - 1 if i < len(primes)
+                 else tables_2e6.limit)
+        return int(primes[i - 1]), after
+
+    for i in sorted(edges):
+        for x in cuts(i):
+            assert sieve_info_theta(x) == reference[i - 1], (i, x)
+    xs = [x for i in counts for x in cuts(i)]
+    sums = mertens._prime_sums(xs, lambda p: np.log(p.astype(np.float64)))
+    assert sums == [float(reference[i - 1]) for i in counts for _ in cuts(i)]
     assert np.array_equal(
         extrema.primorial_columns(tables_2e6.limit)["log_N"], reference)
     for i in (2 ** 16 - 1, 2 ** 16 + 1, 100_003):
         log_n = extrema.primorial_columns(int(primes[i - 1]))["log_N"]
         assert np.array_equal(log_n, reference[:i]), i
-
-
-def test_theta_domain():
-    assert theta(0) == theta(1.5) == 0.0
-    for x in (-1, -0.5, MAX_LIMIT + 1, math.nan, math.inf):
-        with pytest.raises(ValueError, match="2\\*\\*40"):
-            theta(x)
 
 
 def test_segment_scan_matches_tables(tables_1e5):
@@ -179,12 +193,8 @@ def test_build_deterministic():
 
 
 @pytest.mark.parametrize("call", [
-    lambda t: squarefree.count_squarefree_exact(10_001, t),
-    lambda t: squarefree.count_squarefree_formula(10_001 ** 2, t),
-    lambda t: squarefree.squarefree_harmonic_exact(10_001, t),
-    lambda t: squarefree.psi_product_exact(10_001, t),
-], ids=["count_squarefree_exact", "count_squarefree_formula",
-        "squarefree_harmonic_exact", "psi_product_exact"])
+    lambda t: count_squarefree_formula(10_001 ** 2, t),
+], ids=["count_squarefree_formula"])
 def test_past_the_table_raises_insufficient_sieve(tables_1e4, call):
     assert len(tables_1e4.primes) == 1_229
     with pytest.raises(InsufficientSieveError):

@@ -7,16 +7,16 @@ import pytest
 from psitools import InsufficientSieveError, build_sieve, squarefree
 from psitools.sieve import SieveTables
 from psitools.squarefree import (
-    count_squarefree_exact,
     count_squarefree_formula,
     count_squarefree_formula_range,
     primorial_divisor_tail,
-    psi_product_exact,
-    squarefree_harmonic_exact,
     squarefree_harmonic_grid,
     squarefree_residual_grid,
 )
-from psitools.summation import chunked, compensated_cumsum
+from psitools.summation import CompensatedSum, chunked
+
+from conftest import (count_squarefree_exact, psi_product_exact,
+                      squarefree_harmonic_exact, squarefree_upto)
 
 
 def brute_squarefree(n):
@@ -28,18 +28,18 @@ def brute_squarefree(n):
     return True
 
 
-def test_counts_small(tables_1e4):
-    assert count_squarefree_exact(10, tables_1e4) == 7
-    assert count_squarefree_exact(100, tables_1e4) == 61
+def test_counts_small():
+    assert count_squarefree_exact(10) == 7
+    assert count_squarefree_exact(100) == 61
     brute = 0
     for x in range(1, 1_001):
         brute += brute_squarefree(x)
-        assert count_squarefree_exact(x, tables_1e4) == brute, x
+        assert count_squarefree_exact(x) == brute, x
 
 
 def test_formula_matches_exact(tables_1e4):
     for x in range(1, 10_001):
-        assert count_squarefree_formula(x, tables_1e4) == count_squarefree_exact(x, tables_1e4), x
+        assert count_squarefree_formula(x, tables_1e4) == count_squarefree_exact(x), x
 
 
 def test_formula_range_matches_scalar(tables_1e4):
@@ -119,20 +119,20 @@ def test_harmonic_values():
     assert ten.residual == pytest.approx(1.0430532605009883, abs=1e-12)
 
 
-def test_harmonic_exact(tables_1e4):
-    assert squarefree_harmonic_exact(1, tables_1e4) == Fraction(1)
-    assert squarefree_harmonic_exact(10, tables_1e4) == Fraction(171, 70)
+def test_harmonic_exact():
+    assert squarefree_harmonic_exact(1) == Fraction(1)
+    assert squarefree_harmonic_exact(10) == Fraction(171, 70)
     assert Fraction(171, 70) == Fraction(513, 210)
 
 
 @pytest.mark.parametrize("chunk,x", [(5, 10_000), (5, 16), (4096, 10_000),
                                      (4096, 4097)])
-def test_harmonic_chunks_match_one_sum(tables_1e4, monkeypatch, chunk, x):
+def test_harmonic_chunks_match_one_sum(monkeypatch, chunk, x):
     # the streamed squarefree n, cut into chunks of any size, give the
     # bits of one compensated sum over the squarefree n <= x; with chunk
     # 5 the 11 squarefree n <= 16 end in a chunk of one
-    ns = np.nonzero(tables_1e4.mobius[1:x + 1])[0] + 1
-    whole = float(compensated_cumsum(1.0 / ns.astype(np.float64))[-1])
+    ns = squarefree_upto(x)
+    whole = float(CompensatedSum().add(1.0 / ns.astype(np.float64))[-1])
     monkeypatch.setattr(squarefree, "chunked",
                         lambda block: chunked(block, chunk))
     assert squarefree_harmonic_grid([x])[0].value == whole
@@ -146,18 +146,18 @@ def test_harmonic_residual_settles():
     assert r6 == pytest.approx(1.0439, abs=1e-3)
 
 
-def test_psi_product_exact(tables_1e4):
-    assert psi_product_exact(10, tables_1e4) == Fraction(96, 35)
+def test_psi_product_exact():
+    assert psi_product_exact(10) == Fraction(96, 35)
     # prod_{p<=x} (1 + 1/p) over 2,3,5,7: (3/2)(4/3)(6/5)(8/7)
-    assert psi_product_exact(2, tables_1e4) == Fraction(3, 2)
+    assert psi_product_exact(2) == Fraction(3, 2)
 
 
-def test_rational_identity(tables_1e4):
+def test_rational_identity():
     # sum_{n<=x squarefree} 1/n = prod_{p<=x} (1+1/p) - sum over the
     # squarefree divisors of prod p exceeding x of 1/d
     for x in range(2, 21):
-        lhs = squarefree_harmonic_exact(x, tables_1e4)
-        rhs = psi_product_exact(x, tables_1e4) - primorial_divisor_tail(x)
+        lhs = squarefree_harmonic_exact(x)
+        rhs = psi_product_exact(x) - primorial_divisor_tail(x)
         assert lhs == rhs, x
 
 

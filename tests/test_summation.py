@@ -3,32 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from psitools import summation
-from psitools.summation import (CompensatedSum, chunked, compensated_chunks,
-                                compensated_cumsum, compensated_sum)
+from psitools.summation import CompensatedSum, chunked
 
 
 def test_compensated_cumsum_prefixes_match_fsum():
     rng = np.random.default_rng(11)
     values = rng.standard_normal(50_000) * 1e-3 + 1e-7
-    prefixes = compensated_cumsum(values)
+    prefixes = CompensatedSum().add(values)
     for idx in (0, 1, 999, 12_345, 49_999):
         expect = math.fsum(values[:idx + 1].tolist())
         assert prefixes[idx] == pytest.approx(expect, rel=5e-16, abs=1e-300)
 
 
 def test_compensated_cumsum_log_terms():
-    # the shape used for theta prefixes: many small positive logs
+    # the shape of the primorial log sums: many small positive logs
     values = np.log1p(1.0 / np.arange(2.0, 20_002.0))
-    prefixes = compensated_cumsum(values)
+    prefixes = CompensatedSum().add(values)
     expect = math.fsum(values.tolist())
     assert prefixes[-1] == pytest.approx(expect, rel=2e-16)
 
 
 def test_compensated_cumsum_empty_and_single():
-    assert compensated_cumsum(np.array([])).size == 0
-    out = compensated_cumsum(np.array([3.25]))
-    assert out.tolist() == [3.25]
+    total = CompensatedSum()
+    assert total.add(np.array([])).size == 0
+    assert total.value == 0.0
+    assert total.add(np.array([3.25])).tolist() == [3.25]
+    assert total.value == 3.25
 
 
 def _one_pass_reference(values):
@@ -41,38 +41,38 @@ def _one_pass_reference(values):
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 16])
-def test_compensated_cumsum_chunks_are_bit_identical(monkeypatch, chunk):
+def test_compensated_cumsum_chunks_are_bit_identical(chunk):
     # the carried sum and error total make every chunk split give the
     # bits of one pass, zeros of either sign included
     rng = np.random.default_rng(5)
     values = np.concatenate((
         [-0.0, 0.0, -0.0], rng.standard_normal(200) * 1e8,
         rng.random(300) * 1e-9, [0.0, -0.0, 1e300, -1e300, 3.0]))
-    monkeypatch.setattr(summation, "_CHUNK", chunk)
-    out = compensated_cumsum(values)
+    total = CompensatedSum()
+    out = np.concatenate([total.add(c) for c in chunked(values, chunk)])
     assert out.tobytes() == _one_pass_reference(values).tobytes()
 
 
 def test_compensated_chunks_carry_across_uneven_chunks():
     values = np.log1p(1.0 / np.arange(2.0, 5_002.0))
     pieces = np.split(values, [0, 1, 17, 17, 2_000, 4_999])
-    joined = np.concatenate(list(compensated_chunks(pieces)))
+    total = CompensatedSum()
+    joined = np.concatenate([total.add(p) for p in pieces])
     assert joined.tobytes() == _one_pass_reference(values).tobytes()
-    assert list(compensated_chunks([np.array([])])) == []
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
-def test_compensated_sum_is_the_last_prefix(monkeypatch, chunk):
+def test_compensated_sum_is_the_last_prefix(chunk):
     # the whole sum over chunked slices has the bits of one pass's last
     # prefix, for any chunk length
     values = np.log1p(1.0 / np.arange(2.0, 5_002.0))
-    monkeypatch.setattr(summation, "_CHUNK", chunk)
-    pieces = list(chunked(values))
+    pieces = list(chunked(values, chunk))
     assert [len(p) for p in pieces[:-1]] == [chunk] * (len(pieces) - 1)
     assert np.concatenate(pieces).tobytes() == values.tobytes()
-    total = compensated_sum(pieces)
-    assert total.hex() == float(_one_pass_reference(values)[-1]).hex()
-    assert compensated_sum([]) == compensated_sum([np.array([])]) == 0.0
+    total = CompensatedSum()
+    for piece in pieces:
+        total.add(piece)
+    assert total.value.hex() == float(_one_pass_reference(values)[-1]).hex()
 
 
 def _concatenating_add(carried, a):
