@@ -13,17 +13,20 @@ there.
 Every block kernel is one pass, _sieve: updates given as (ufunc, array,
 values) are applied at the multiples of each step, by strided in-place
 ufunc calls for steps up to 1/64 of the block length and by gathered
-hits and ufunc.at for larger ones.  The Mobius kernel divides nothing:
-each prime multiplies mu by -1 and a found-factor product by p at its
-multiples, p^2 zeroes mu, and one comparison of that product with n
-gives the last flip; the n that no sieving prime touched are the
-block's primes above sqrt(hi - 1).  The psi kernel runs the same
-product over prime powers, on a wheel (Pritchard, "Explaining the
-wheel sieve", Acta Informatica 1982): the factors of 2, 4, 8, 3, 5, 7,
-11 and 13 repeat with period 120120, so one precomputed period is
-copied in instead of sieved, and it closes with one float64 division
-n / found per n, exact below 2**53.  The prime and squarefree marks
-are written False by plain assignment at the multiples of p and of p^2.
+hits and ufunc.at for larger ones.  The Mobius and psi kernels start on
+a wheel (Pritchard, "Explaining the wheel sieve", Acta Informatica
+1982): the factors of 2, 4, 8, 3, 5, 7, 11 and 13 repeat with period
+120120, so one precomputed period is copied in instead of sieved, by
+one tiling helper, _wheel_sieve, for both.  The Mobius kernel divides
+nothing and keeps one signed array: each prime above 13 multiplies it
+by -p at its multiples, so its sign is (-1)^omega and its magnitude the
+found-factor product; p^2 zeroes mu, and one comparison of that
+product with n gives the last flip.  The n that no sieving prime
+touched are the block's primes above sqrt(hi - 1).  The psi kernel
+runs the same product over prime powers and closes with one float64
+division n / found per n, exact below 2**53.  The prime and squarefree
+marks are written False by plain assignment at the multiples of p and
+of p^2.
 
 build_sieve fills one immutable bundle over [0, limit] with the Mobius
 kernel, for the table readers (segment_scan and the square-divisor
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from math import isqrt, log
 from typing import Callable, Iterable, Iterator
 
@@ -171,31 +175,50 @@ def _mobius_block(lo: int, hi: int,
                   primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mobius values of [lo, hi), and where no sieving prime divides n.
 
-    primes must cover sqrt(hi - 1).  Each prime p negates mobius at its
-    multiples, multiplies a found-factor product by p there, and zeroes
-    mobius at multiples of p^2.  found stays a divisor of n, so it fits
-    the int32 of _index_dtype; n = 0, a multiple of every prime, starts
-    and stays at 0.  An index with found < n has exactly one prime factor
-    above sqrt(hi - 1) when it is squarefree, and gets one final flip
-    (indices already zeroed stay zero under negation).  untouched
-    (found == 1) marks exactly the primes above sqrt(hi - 1), and n = 1.
+    primes must cover sqrt(hi - 1).  One signed array, found, carries
+    both the sign and the found-factor product.  It starts from the
+    period of _signed_wheel(): (-1)^omega(g) * g for g = gcd(n, 30030),
+    and 0 at the multiples of 4.  Each sieving prime p > 13 then
+    multiplies it by -p at its multiples.  |found| is the product of the
+    distinct
+    primes up to max(13, sqrt(hi - 1)) that divide n, a divisor of n
+    (so it fits the int32 of _index_dtype), and its sign is (-1) to the
+    number of those primes.  A squarefree n with |found| < n has exactly
+    one prime factor above them, so mu(n) = sign(found), negated there.
+    That closing step runs over _CHUNK-value slices, so found, mobius
+    and untouched are the only block-sized arrays.  Then each p^2 with
+    3 <= p <= sqrt(hi - 1) zeroes mobius at its multiples, as the period
+    did for 4.
 
-    Entry n = 0 is left to the caller.
+    untouched (|found| == 1) marks exactly the primes above sqrt(hi - 1),
+    and n = 1; the wheel primes above sqrt(hi - 1), which the period
+    multiplies in, are marked too.  Entry n = 0 is left to the caller.
     """
     dtype = _index_dtype(hi)
-    mobius = np.ones(hi - lo, dtype=np.int8)
-    found = np.ones(hi - lo, dtype=dtype)
-    if lo == 0:
-        found[0] = 0
-    primes = primes[primes <= isqrt(hi - 1)]
-    _sieve(lo, hi, primes,
-           (np.multiply, mobius, np.full(len(primes), -1, dtype=np.int8)),
-           (np.multiply, found, primes.astype(dtype)))
-    _sieve(lo, hi, primes * primes,
-           (None, mobius, np.zeros(len(primes), dtype=np.int8)))
-    np.negative(mobius, out=mobius,
-                where=found < np.arange(lo, hi, dtype=dtype))
-    return mobius, found == 1
+    found = np.empty(hi - lo, dtype=dtype)
+    root = isqrt(hi - 1)
+    primes = primes[primes <= root]
+    sieving = primes[np.searchsorted(primes, _WHEEL_PRIMES[-1], "right"):]
+    _wheel_sieve(lo, hi, [(found, _signed_wheel())], [
+        (sieving, [(np.multiply, found, (-sieving).astype(dtype))])])
+    mobius = np.empty(hi - lo, dtype=np.int8)
+    untouched = np.empty(hi - lo, dtype=bool)
+    for a, f, mu, mark in zip(range(lo, hi, _CHUNK), chunked(found),
+                              chunked(mobius), chunked(untouched)):
+        size = np.abs(f)
+        np.equal(size, 1, out=mark)
+        # 1 where |found| == n, -1 where one prime factor is left
+        flip = np.less(size, np.arange(a, a + len(f), dtype=dtype))
+        flip = flip.view(np.int8)
+        flip *= -2
+        flip += 1
+        np.multiply(np.sign(f, out=f), flip, out=mu, casting="unsafe")
+    squares = primes[1:] ** 2  # 4 is in the period
+    _sieve(lo, hi, squares, (None, mobius, np.zeros(len(squares), np.int8)))
+    for p in _WHEEL_PRIMES:
+        if root < p and lo <= p < hi:
+            untouched[p - lo] = True
+    return mobius, untouched
 
 
 def _prime_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
@@ -232,8 +255,8 @@ def _spf_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return spf
 
 
-# the wheel: 2^3 * 3 * 5 * 7 * 11 * 13, whose psi and found factors
-# _psi_block copies instead of sieving them
+# the wheel: 2^3 * 3 * 5 * 7 * 11 * 13, whose factors _mobius_block and
+# _psi_block copy instead of sieving them
 _WHEEL = 120120
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 # steps below this are sieved one wheel period at a time, in cache
@@ -263,6 +286,43 @@ def _wheel() -> tuple[np.ndarray, np.ndarray]:
     return psi, found
 
 
+@cache
+def _signed_wheel() -> np.ndarray:
+    """One period of _mobius_block's starting state at n = 0, 1, ...,
+    _WHEEL - 1, read-only: (-1)^omega(g) * g for g = gcd(n, 30030), and
+    0 at multiples of 4.  |g| <= 30030, so it is int16.
+    """
+    signed = np.ones(_WHEEL, dtype=np.int16)
+    for p in _WHEEL_PRIMES:
+        signed[::p] *= -p
+    signed[::4] = 0
+    signed.setflags(write=False)
+    return signed
+
+
+def _wheel_sieve(lo: int, hi: int, tiles: list, passes: list) -> None:
+    """Fill arrays over [lo, hi) from one _WHEEL period, then sieve them.
+
+    tiles holds (array, pattern) pairs: each period of the block is
+    copied from the pattern, one period long, into the array.  passes
+    holds (steps, updates) pairs, as _sieve takes them over the whole
+    block.  Steps below _DENSE are sieved on each period right after it
+    is copied, while it is in cache; the rest over the whole block.
+    """
+    dense = [int(np.searchsorted(steps, _DENSE)) for steps, _ in passes]
+    cuts = [lo, *range(lo - lo % _WHEEL + _WHEEL, hi, _WHEEL), hi]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        start = a % _WHEEL
+        for array, pattern in tiles:
+            array[a - lo:b - lo] = pattern[start:start + b - a]
+        for (steps, updates), d in zip(passes, dense):
+            _sieve(a, b, steps[:d], *((ufunc, array[a - lo:b - lo], by[:d])
+                                      for ufunc, array, by in updates))
+    for (steps, updates), d in zip(passes, dense):
+        _sieve(lo, hi, steps[d:], *((ufunc, array, by[d:])
+                                    for ufunc, array, by in updates))
+
+
 def _higher_powers(primes: np.ndarray,
                    top: int) -> tuple[np.ndarray, np.ndarray]:
     """Every power p^a <= top with a >= 2, ascending, and its p, for the
@@ -285,10 +345,10 @@ def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
     and each higher power p^a <= hi - 1 multiplies both by a further p.
     The prime powers that divide _WHEEL = 120120 (2, 4, 8, 3, 5, 7, 11
     and 13) repeat with that period, so their factors are not sieved:
-    each period of the block is copied from _wheel() into out and found,
-    and the other steps below _DENSE are sieved on it while its 1.4 MB
-    are in cache; the rest are sieved over the whole block.  11 and 13
-    come from the wheel even where they exceed sqrt(hi - 1).
+    _wheel_sieve copies each period of the block from _wheel() into out
+    and found, and sieves the other steps below _DENSE on it while its
+    1.4 MB are in cache; the rest are sieved over the whole block.  11
+    and 13 come from the wheel even where they exceed sqrt(hi - 1).
 
     found is then the part of n made of those primes and the primes up
     to sqrt(hi - 1), and the one division q = n / found leaves 1 or the
@@ -310,22 +370,12 @@ def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
     sieving = primes[np.searchsorted(primes, _WHEEL_PRIMES[-1], "right"):]
     # outside the wheel, each prime p multiplies psi by p + 1 and found
     # by p, and each higher power both by a further p
-    passes = [(sieving, sieving + 1, sieving.astype(dtype, copy=False)),
-              (powers, base, base.astype(dtype, copy=False))]
-    dense = [int(np.searchsorted(steps, _DENSE)) for steps, _, _ in passes]
     psi_wheel, found_wheel = _wheel()
-    cuts = [lo, *range(lo - lo % _WHEEL + _WHEEL, hi, _WHEEL), hi]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        o, f = out[a - lo:b - lo], found[a - lo:b - lo]
-        start = a % _WHEEL
-        o[:] = psi_wheel[start:start + b - a]
-        f[:] = found_wheel[start:start + b - a]
-        for (steps, psi_by, found_by), d in zip(passes, dense):
-            _sieve(a, b, steps[:d], (np.multiply, o, psi_by[:d]),
-                   (np.multiply, f, found_by[:d]))
-    for (steps, psi_by, found_by), d in zip(passes, dense):
-        _sieve(lo, hi, steps[d:], (np.multiply, out, psi_by[d:]),
-               (np.multiply, found, found_by[d:]))
+    _wheel_sieve(lo, hi, [(out, psi_wheel), (found, found_wheel)], [
+        (sieving, [(np.multiply, out, sieving + 1),
+                   (np.multiply, found, sieving.astype(dtype, copy=False))]),
+        (powers, [(np.multiply, out, base),
+                  (np.multiply, found, base.astype(dtype, copy=False))])])
     if lo == 0:
         found[0] = 1  # so that q = 0 there
     for a, part, divisor in zip(range(lo, hi, _CHUNK), chunked(out),
@@ -418,21 +468,29 @@ def segment_scan(lo: int, hi: int,
     Works above tables.limit as long as the prime list covers sqrt(hi);
     mu is recomputed segment by segment with the same kernel that built
     the base table, so a scan over the base range reproduces it exactly,
-    and spf by the separate pass _spf_block.
+    and spf by the separate pass _spf_block.  lo, hi and the table are
+    checked when called.  The tuples come from one zip per _CHUNK values,
+    chained at C level, so no Python frame runs per n.
     """
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
     root = tables.check(isqrt(hi), 0, "sqrt(hi)")
     need = tables.primes[:tables.prime_count(root)]
+    return chain.from_iterable(_scan_slices(lo, hi, need))
+
+
+def _scan_slices(lo: int, hi: int,
+                 primes: np.ndarray) -> Iterator[Iterator[tuple]]:
+    """The zips of segment_scan, one per _CHUNK values of [lo, hi]."""
     for seg_lo in range(lo, hi + 1, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE, hi + 1)
-        blk_mob, _ = _mobius_block(seg_lo, seg_hi, need)
-        blk_spf = _spf_block(seg_lo, seg_hi, need)
+        blk_mob, _ = _mobius_block(seg_lo, seg_hi, primes)
+        blk_spf = _spf_block(seg_lo, seg_hi, primes)
         # Python ints a sub-chunk at a time: fast to iterate, small lists
         for a in range(0, seg_hi - seg_lo, _CHUNK):
             b = a + _CHUNK
-            yield from zip(range(seg_lo + a, min(seg_lo + b, seg_hi)),
-                           blk_spf[a:b].tolist(), blk_mob[a:b].tolist())
+            yield zip(range(seg_lo + a, min(seg_lo + b, seg_hi)),
+                      blk_spf[a:b].tolist(), blk_mob[a:b].tolist())
 
 
 def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:

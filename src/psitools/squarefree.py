@@ -17,6 +17,16 @@ answer every x of a grid from one pass over the squarefree n
 (sieve.grid_rows) of sieve.squarefree_blocks, in block-sized memory; a
 single x is the grid [x].  The square-divisor counts read the Mobius
 values of built sieve tables up to sqrt(x).
+
+count_squarefree_formula splits the sum at c = x^(1/3), the simple end
+of J. Pawlewicz, "Counting square-free numbers" (arXiv:1107.4890): the
+d <= c directly, and the d in (c, sqrt(x)] grouped by v = floor(x / d^2)
+through the Mertens function M, the prefix sum of mu, as
+sum_{v <= V} M(isqrt(x // v)) - V M(c) with V = x // (c+1)^2.  Both
+parts take about x^(1/3) terms.  The isqrt of a whole array is a float64
+sqrt with one -1 integer fix-up, exact for x <= 2**62: the float root
+is never below the true one's floor and less than 2**-20 above it, and
+its square fits int64.  Above 2**62 every term is a Python integer.
 """
 from __future__ import annotations
 
@@ -28,7 +38,8 @@ import numpy as np
 
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
-from .sieve import SieveTables, grid_rows, prime_chunks, squarefree_blocks
+from .sieve import (SieveTables, _index_dtype, grid_rows, prime_chunks,
+                    squarefree_blocks)
 from .summation import CompensatedSum, chunked
 
 __all__ = [
@@ -51,22 +62,60 @@ def count_squarefree_formula(x: int, tables: SieveTables) -> int:
     """Q(x) as the exact integer sum over square divisors.
 
     Only needs Mobius values up to sqrt(x), so x may exceed the table
-    limit (up to limit^2).
+    limit (up to limit^2).  For x <= 2**62 the sum is split at
+    c = x^(1/3): the d <= c are summed directly, and the d in (c, r],
+    r = isqrt(x), by the values v = floor(x / d^2) they share,
+
+        sum_{c < d <= r} mu(d) floor(x / d^2)
+            = sum_{v=1}^{V} M(isqrt(x // v)) - V M(c),  V = x // (c+1)^2,
+
+    with M the prefix sum of mu over [0, r], held in the int32 of
+    sieve._index_dtype below 2**31: d counts once for each
+    v <= floor(x / d^2), that is for each v with d <= isqrt(x // v).
+    Both parts take about x^(1/3) terms, and M one pass over r values.
+    The isqrt of all V values x // v at once is _isqrt: a float64 sqrt
+    with one -1 integer fix-up, exact for x <= 2**62.
+    Beyond 2**62 each term is a Python integer.
     """
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     root = tables.check(isqrt(x), 0, "sqrt(x)")
     mob = tables.mobius[:root + 1]
-    d = np.nonzero(mob)[0][1:]  # squarefree d in [2, sqrt(x)]
-    if d.size == 0:
-        return x
     if x > 2 ** 62:  # keep the floor divisions exact beyond int64
+        d = np.nonzero(mob)[0][1:]  # squarefree d in [2, sqrt(x)]
         return x + sum(int(mob[dd]) * (x // (int(dd) * int(dd)))
                        for dd in d.tolist())
-    sq = d * d
-    np.floor_divide(x, sq, out=sq)
-    return x + int(np.dot(mob[d], sq))
+    top = len(mob) - 1  # root, unless a hand-built table ends first
+    c = min(int(x ** (1 / 3)), top)
+    d = np.arange(1, c + 1, dtype=np.int64)
+    total = int(np.dot(mob[1:c + 1], x // (d * d)))
+    if c == top:
+        return total
+    prefix = mob.astype(_index_dtype(root + 1))
+    np.cumsum(prefix, out=prefix)  # in place: no second r-sized array
+    v = x // (c + 1) ** 2
+    m = np.arange(1, v + 1, dtype=np.int64)
+    np.floor_divide(x, m, out=m)
+    r = np.minimum(_isqrt(m), top)
+    return (total + int(prefix[r].sum(dtype=np.int64))
+            - v * int(prefix[c]))
+
+
+def _isqrt(m: np.ndarray) -> np.ndarray:
+    """isqrt of every int64 m in [0, 2**62], exactly.
+
+    The floor of the float64 sqrt, lowered by one where its square
+    exceeds m.  It is never too low: for k = isqrt(m), float64(m) is at
+    least float64(k^2) = k^2 (1 + e) with |e| <= 2**-53, whose sqrt lies
+    within k * 2**-54 of k or above it, less than half the float spacing
+    below k, so it rounds to k or more.  It is at most one too high: the
+    float root is off by less than 2**-20, as m <= 2**62 and the root is
+    at most 2**31, so its square fits int64 too.
+    """
+    r = np.sqrt(m).astype(np.int64)
+    r -= r * r > m
+    return r
 
 
 def count_squarefree_formula_range(xmax: int, tables: SieveTables) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -18,6 +19,8 @@ from psitools.sieve import (MAX_LIMIT, SEGMENT_SIZE, _mobius_block,
                             _spf_block)
 from psitools.squarefree import count_squarefree_formula
 from psitools.summation import CompensatedSum
+
+from conftest import plain_primes
 
 
 def brute_mobius(n):
@@ -157,12 +160,13 @@ def test_segment_scan_single_value(tables_1e4):
 
 
 def test_segment_scan_domain(tables_1e4):
+    # checked when called, before any value is asked for
     with pytest.raises(ValueError):
-        list(segment_scan(1, 10, tables_1e4))
+        segment_scan(1, 10, tables_1e4)
     with pytest.raises(ValueError):
-        list(segment_scan(10, 9, tables_1e4))
+        segment_scan(10, 9, tables_1e4)
     with pytest.raises(InsufficientSieveError):
-        list(segment_scan(2, 10_001 ** 2, tables_1e4))
+        segment_scan(2, 10_001 ** 2, tables_1e4)
 
 
 def test_build_small():
@@ -330,8 +334,8 @@ def assert_block_matches_reference(lo, length, primes):
     n = np.arange(lo, hi)
     for name, g, w in zip(("spf", "mu", "psi", "marks"), got, want):
         assert g.dtype == w.dtype, name
-        # psi(0) is left to the caller
-        at = n > 0 if name == "psi" else slice(None)
+        # psi(0) and mu(0) are left to the caller
+        at = n > 0 if name in ("psi", "mu") else slice(None)
         assert np.array_equal(g[at], w[at]), (name, lo, hi)
     # untouched marks the primes above sqrt(hi - 1), and n = 1
     primes_above = (want[0] == n) & (n > math.isqrt(hi - 1))
@@ -447,28 +451,81 @@ def test_wheel_period_is_the_gcd_and_its_psi():
     assert not psi.flags.writeable and not found.flags.writeable
 
 
+def wheel_edge_windows(m):
+    """(lo, hi) from lo = m - 1, m and m + 1 (and lo = 0 and 1 near 0),
+    of lengths W - 1, W, W + 1 and 2W + 3: the tiled period starts, ends
+    and repeats at every offset."""
+    starts = (m - 1, m, m + 1) if m > W else (0, 1, m - 1, m, m + 1)
+    return [(lo, lo + length) for lo in starts
+            for length in (W - 1, W, W + 1, 2 * W + 3)]
+
+
+@functools.cache
+def wheel_edge_reference(m):
+    """span_lo and reference_sieve_block's spf, Mobius and psi over the
+    span of every wheel_edge_windows(m): spf(n), mu(n) and psi(n) do not
+    depend on the window, so one reference pass serves them all."""
+    windows = wheel_edge_windows(m)
+    span_lo, span_hi = windows[0][0], windows[-1][1]
+    assert span_hi - 1 <= TOP
+    spf, mobius, psi, _ = reference_sieve_block(
+        span_lo, span_hi, plain_primes(math.isqrt(TOP)), np.int64)
+    return span_lo, spf, mobius, psi
+
+
 @pytest.mark.parametrize("m", WHEEL_EDGES, ids=["0", "1e8", "2^31", "TOP"])
 def test_psi_block_at_wheel_boundaries(tables_2e6, m):
-    # windows from lo = m - 1, m and m + 1 (and lo = 0 and 1 near 0), of
-    # lengths W - 1, W, W + 1 and 2W + 3: the tiled period starts, ends
-    # and repeats at every offset.  Every n against one reference pass
-    # over them all (psi(n) does not depend on the window), and the
+    # every n against one reference pass over all the windows, and the
     # window edges against sympy
-    starts = (m - 1, m, m + 1) if m > W else (0, 1, m - 1, m, m + 1)
-    span_lo, span_hi = starts[0], m + 1 + 2 * W + 3
-    assert span_hi - 1 <= TOP
-    want = reference_sieve_block(span_lo, span_hi, tables_2e6.primes,
-                                 np.int64)[2]
-    for lo in starts:
-        for length in (W - 1, W, W + 1, 2 * W + 3):
-            hi = lo + length
-            psi = np.empty(length, dtype=np.int64)
-            _psi_block(lo, hi, tables_2e6.primes, psi)
-            at = 1 if lo == 0 else 0  # psi(0) is left to the caller
-            assert np.array_equal(psi[at:], want[lo + at - span_lo:
-                                                 hi - span_lo]), (lo, hi)
-            for n in {max(lo, 1), m - 1, m, m + 1, hi - 1} & {*range(lo, hi)}:
-                assert psi[n - lo] == factorint_psi(n), n
+    span_lo, _, _, want = wheel_edge_reference(m)
+    for lo, hi in wheel_edge_windows(m):
+        psi = np.empty(hi - lo, dtype=np.int64)
+        _psi_block(lo, hi, tables_2e6.primes, psi)
+        at = 1 if lo == 0 else 0  # psi(0) is left to the caller
+        assert np.array_equal(psi[at:], want[lo + at - span_lo:
+                                             hi - span_lo]), (lo, hi)
+        for n in {max(lo, 1), m - 1, m, m + 1, hi - 1} & {*range(lo, hi)}:
+            assert psi[n - lo] == factorint_psi(n), n
+
+
+@pytest.mark.parametrize("m", WHEEL_EDGES, ids=["0", "1e8", "2^31", "TOP"])
+def test_mobius_block_at_wheel_boundaries(tables_2e6, m):
+    # mu against the reference pass, and untouched against the primes
+    # above sqrt(hi - 1) (spf(n) == n), and n = 1, for every window
+    span_lo, spf, mobius, _ = wheel_edge_reference(m)
+    for lo, hi in wheel_edge_windows(m):
+        mu, untouched = _mobius_block(lo, hi, tables_2e6.primes)
+        assert mu.dtype == np.int8 and untouched.dtype == bool
+        at = 1 if lo == 0 else 0  # mu(0) is left to the caller
+        assert np.array_equal(mu[at:], mobius[lo + at - span_lo:
+                                              hi - span_lo]), (lo, hi)
+        n = np.arange(lo, hi)
+        prime_above = ((spf[lo - span_lo:hi - span_lo] == n)
+                       & (n > math.isqrt(hi - 1)))
+        assert np.array_equal(untouched, prime_above | (n == 1)), (lo, hi)
+
+
+def test_mobius_wheel_pattern():
+    # _mobius_block's starting state: (-1)^omega(g) g for g = gcd(n,
+    # 30030), and 0 at multiples of 4, shared read-only by every block
+    signed = sieve._signed_wheel()
+    g = np.gcd(np.arange(W), 30030)
+    sign = {d: (-1) ** len(sympy.primefactors(d))
+            for d in sympy.divisors(30030)}
+    want = np.array([sign[d] * d for d in g.tolist()])
+    want[::4] = 0
+    assert np.array_equal(signed, want)
+    assert not signed.flags.writeable
+
+
+def test_build_sieve_small_limits_match_plain_sieve_and_sympy():
+    # below 169 the wheel primes 11 and 13 exceed sqrt(limit), and the
+    # primes must still come out of untouched
+    mu = [0] + [sympy.mobius(n) for n in range(1, 401)]
+    for limit in range(2, 401):
+        tables = build_sieve(limit)
+        assert np.array_equal(tables.primes, plain_primes(limit)), limit
+        assert tables.mobius.tolist() == mu[:limit + 1], limit
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -628,6 +685,25 @@ def test_build_refuses_limit_beyond_available_memory(monkeypatch):
     assert len(build_sieve(1000).primes) == 168
     monkeypatch.setattr(sieve, "_available_bytes", lambda: 2 ** 22)
     assert len(build_sieve(1000).primes) == 168
+
+
+def test_memory_estimate_covers_build_peak(monkeypatch):
+    # _check_memory's estimate, read from its refusal, against the
+    # tracemalloc peak of the build it guards
+    limit = 3 * 2 ** 20
+    monkeypatch.setattr(sieve, "_available_bytes", lambda: 0)
+    with pytest.raises(MemoryError) as refusal:
+        build_sieve(limit)
+    need_mib = float(refusal.value.args[0].split("needs about ")[1]
+                     .split(" MiB")[0].replace(",", ""))
+    monkeypatch.setattr(sieve, "_available_bytes", lambda: None)
+    tracemalloc.start()
+    try:
+        build_sieve(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < need_mib * 2 ** 20, (peak, need_mib)
 
 
 def test_available_bytes_reads_meminfo():

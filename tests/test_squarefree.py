@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from psitools.squarefree import (
 )
 from psitools.summation import CompensatedSum, chunked
 
-from conftest import (count_squarefree_exact, psi_product_exact,
+from conftest import (count_squarefree_exact, plain_primes, psi_product_exact,
                       squarefree_harmonic_exact, squarefree_upto)
 
 
@@ -90,6 +91,77 @@ def test_formula_exact_beyond_2_62():
               2 ** 63, 2 ** 64 - 1, 2 ** 64):
         expect = x + sum(mu[d] * (x // (d * d)) for d in range(2, len(mu)))
         assert count_squarefree_formula(x, tables) == expect, x
+
+
+def plain_mobius(x):
+    """mu(n) for n in [0, x] (mu(0) = 0) as int64, by a plain sieve over
+    plain_primes, independent of psitools."""
+    mu = np.ones(x + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in plain_primes(x).tolist():
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return mu
+
+
+def direct_sum(x, mu):
+    """sum_{1 <= d <= sqrt(x), d < len(mu)} mu(d) floor(x / d^2) for
+    x <= 2**62.  In int64 the sum wraps modulo 2**64 at worst, and the
+    exact value lies in [0, x], so the result is exact."""
+    d = np.arange(1, min(math.isqrt(x), len(mu) - 1) + 1, dtype=np.int64)
+    return int(np.dot(mu[d], x // (d * d)))
+
+
+def test_formula_matches_direct_sum_to_20000(tables_1e4):
+    # both parts of the split, and the switch between them, at small x
+    mu = plain_mobius(math.isqrt(20_000))
+    xs = np.arange(20_001, dtype=np.int64)
+    want = sum(int(mu[d]) * (xs // (d * d)) for d in range(1, len(mu)))
+    for x in range(1, 20_001):
+        assert count_squarefree_formula(x, tables_1e4) == want[x], x
+
+
+# k^3 - 1, k^3, k^3 + 1 move the split c = x^(1/3), and k^2 - 1, k^2,
+# k^2 + 1 the top of the Mertens part, up to 4e12
+_CUBE_ROOTS = sorted({int(1.25 ** i) for i in range(44)} | {15_874})
+_SQUARE_ROOTS = sorted({int(1.4 ** i) for i in range(44)} | {2_000_000})
+
+
+def test_formula_around_the_split(tables_2e6):
+    mu = plain_mobius(math.isqrt(4 * 10 ** 12 + 1))
+    xs = {k ** e + step for e, ks in ((3, _CUBE_ROOTS), (2, _SQUARE_ROOTS))
+          for k in ks for step in (-1, 0, 1)}
+    for x in sorted(xs - {0}):
+        assert x <= 4 * 10 ** 12 + 1
+        assert count_squarefree_formula(x, tables_2e6) == direct_sum(x, mu), x
+
+
+@pytest.mark.parametrize("limit", [3000, 2_200_000])
+@pytest.mark.parametrize("x", [2 ** 62 - 1, 2 ** 62], ids=["2^62-1", "2^62"])
+def test_formula_at_2_62_reads_inside_a_short_table(tables_2e6, limit, x):
+    # the last x of the int64 path, with the fake table of
+    # test_formula_exact_beyond_2_62: at 3000 the table ends below
+    # x^(1/3), at 2.2e6 above it, so isqrt(x // v) runs past the table's
+    # end for the small v and the Mertens part must stop at it
+    small = tables_2e6 if limit == tables_2e6.limit else build_sieve(limit)
+    tables = SieveTables(2 ** 32, small.mobius, small.primes)
+    want = direct_sum(x, plain_mobius(limit))
+    assert count_squarefree_formula(x, tables) == want
+
+
+def test_isqrt_exact_to_2_62():
+    # k^2 - 1, k^2 and k^2 + 1 up to 2^62, where float64 rounds m: the
+    # float root's floor is one too high for some k^2 - 1 near 2^31, so
+    # the fix-up is needed, and never too low, as _isqrt shows
+    rng = random.Random(22)
+    ks = [0, 1, 2, 3, 2 ** 26, 2 ** 26 + 1, 2 ** 31 - 1, 2 ** 31,
+          *(rng.randrange(2, 2 ** 31) for _ in range(3000))]
+    m = np.array(sorted({k * k + e for k in ks for e in (-1, 0, 1)
+                         if 0 <= k * k + e <= 2 ** 62}), dtype=np.int64)
+    want = np.array([math.isqrt(v) for v in m.tolist()])
+    assert np.array_equal(squarefree._isqrt(m), want)
+    floor = np.sqrt(m).astype(np.int64)
+    assert (floor > want).any() and (floor >= want).all()
 
 
 def test_known_density_point(tables_1e6):
