@@ -418,6 +418,9 @@ def _grid(args: argparse.Namespace, smallest: int) -> list[int]:
     if args.xmax is not None:
         if args.xmax < smallest:
             raise ValueError(f"--xmax must be >= {smallest}")
+        # past int64, np.geomspace fails with a TypeError
+        if args.xmax > sieve.MAX_LIMIT:
+            raise ValueError(f"--xmax must be <= 2**40, got {args.xmax}")
         # an --xmax below --xmin ends the grid at --xmax, never above it
         lo = min(max(smallest, args.xmin), args.xmax)
         raw = np.geomspace(lo, args.xmax, args.points)

@@ -24,13 +24,14 @@ found-factor product; p^2 zeroes mu, and one comparison of that
 product with n gives the last flip.  The n that no sieving prime
 touched are the block's primes above sqrt(hi - 1).  The psi kernel
 runs the same product over prime powers and closes with one float64
-division n / found per n, exact below 2**53.  The prime and squarefree
-marks are written False by plain assignment at the multiples of p and
-of p^2.
+division n / found per n, exact below 2**53; psi_blocks holds each
+block in int32 while psi fits it (psi(n) < 5n, so up to n = 2**31 // 5)
+and in int64 above.  The prime and squarefree marks are written False
+by plain assignment at the multiples of p and of p^2.
 
 build_sieve fills one immutable bundle over [0, limit] with the Mobius
-kernel, for the table readers (segment_scan and the square-divisor
-counts of squarefree):
+kernel, every block computed in one reused workspace, for the table
+readers (segment_scan and the square-divisor counts of squarefree):
 
   mobius[n]       mu(n) in {-1, 0, 1}                   (mobius[0] = 0)
   primes[i]       i-th prime (ascending, all <= limit)
@@ -122,6 +123,17 @@ def _index_dtype(hi: int) -> type:
     return np.int32 if hi <= 2 ** 31 else np.int64
 
 
+def _psi_dtype(hi: int) -> type:
+    """int32 when psi(n) fits it for every n below hi, else int64.
+
+    psi(n) < 5n for n <= 2**40: psi(n) / n <= prod(1 + 1/p) over the
+    distinct primes of n, n has at most 11 of them (N_12 > 2**40), and
+    that product over the first 11 primes is below 5.  So
+    5 (hi - 1) < 2**31 is enough.
+    """
+    return np.int32 if 5 * (hi - 1) < 2 ** 31 else np.int64
+
+
 def _sieve(lo: int, hi: int, steps: np.ndarray, *updates) -> None:
     """Apply every update at the multiples of each step in [lo, hi).
 
@@ -171,8 +183,16 @@ def _sieve(lo: int, hi: int, steps: np.ndarray, *updates) -> None:
                 ufunc.at(array, index, values[j])
 
 
-def _mobius_block(lo: int, hi: int,
-                  primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mobius_work(size: int, hi: int) -> tuple[np.ndarray, ...]:
+    """Empty (found, mobius, untouched) arrays of size values for
+    _mobius_block on blocks that end at or below hi."""
+    return (np.empty(size, dtype=_index_dtype(hi)),
+            np.empty(size, dtype=np.int8), np.empty(size, dtype=bool))
+
+
+def _mobius_block(lo: int, hi: int, primes: np.ndarray,
+                  work: tuple[np.ndarray, ...] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Mobius values of [lo, hi), and where no sieving prime divides n.
 
     primes must cover sqrt(hi - 1).  One signed array, found, carries
@@ -193,22 +213,25 @@ def _mobius_block(lo: int, hi: int,
     untouched (|found| == 1) marks exactly the primes above sqrt(hi - 1),
     and n = 1; the wheel primes above sqrt(hi - 1), which the period
     multiplies in, are marked too.  Entry n = 0 is left to the caller.
+
+    work is the three arrays, from _mobius_work, that the block is
+    computed in; build_sieve passes one set for all its blocks.  Without
+    it they are allocated.  The mobius and untouched returned are views
+    of the first hi - lo values of its second and third.
     """
-    dtype = _index_dtype(hi)
-    found = np.empty(hi - lo, dtype=dtype)
+    found, mobius, untouched = (
+        a[:hi - lo] for a in work or _mobius_work(hi - lo, hi))
     root = isqrt(hi - 1)
     primes = primes[primes <= root]
     sieving = primes[np.searchsorted(primes, _WHEEL_PRIMES[-1], "right"):]
     _wheel_sieve(lo, hi, [(found, _signed_wheel())], [
-        (sieving, [(np.multiply, found, (-sieving).astype(dtype))])])
-    mobius = np.empty(hi - lo, dtype=np.int8)
-    untouched = np.empty(hi - lo, dtype=bool)
+        (sieving, [(np.multiply, found, (-sieving).astype(found.dtype))])])
     for a, f, mu, mark in zip(range(lo, hi, _CHUNK), chunked(found),
                               chunked(mobius), chunked(untouched)):
         size = np.abs(f)
         np.equal(size, 1, out=mark)
         # 1 where |found| == n, -1 where one prime factor is left
-        flip = np.less(size, np.arange(a, a + len(f), dtype=dtype))
+        flip = np.less(size, np.arange(a, a + len(f), dtype=found.dtype))
         flip = flip.view(np.int8)
         flip *= -2
         flip += 1
@@ -340,14 +363,17 @@ def _higher_powers(primes: np.ndarray,
 def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
     """Write psi(n) for n in [lo, hi) into out; primes must cover sqrt(hi - 1).
 
+    out is int64, or the int32 of _psi_dtype(hi): every product below is
+    made in out's own dtype, and no value it takes exceeds psi(n).
+
     The found-factor product of _mobius_block, over prime powers: each
     prime p multiplies its multiples by p + 1 in out and by p in found,
     and each higher power p^a <= hi - 1 multiplies both by a further p.
     The prime powers that divide _WHEEL = 120120 (2, 4, 8, 3, 5, 7, 11
     and 13) repeat with that period, so their factors are not sieved:
     _wheel_sieve copies each period of the block from _wheel() into out
-    and found, and sieves the other steps below _DENSE on it while its
-    1.4 MB are in cache; the rest are sieved over the whole block.  11
+    and found, and sieves the other steps below _DENSE on it while the
+    period is in cache; the rest are sieved over the whole block.  11
     and 13 come from the wheel even where they exceed sqrt(hi - 1).
 
     found is then the part of n made of those primes and the primes up
@@ -372,9 +398,10 @@ def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
     # by p, and each higher power both by a further p
     psi_wheel, found_wheel = _wheel()
     _wheel_sieve(lo, hi, [(out, psi_wheel), (found, found_wheel)], [
-        (sieving, [(np.multiply, out, sieving + 1),
+        (sieving, [(np.multiply, out,
+                    (sieving + 1).astype(out.dtype, copy=False)),
                    (np.multiply, found, sieving.astype(dtype, copy=False))]),
-        (powers, [(np.multiply, out, base),
+        (powers, [(np.multiply, out, base.astype(out.dtype, copy=False)),
                   (np.multiply, found, base.astype(dtype, copy=False))])])
     if lo == 0:
         found[0] = 1  # so that q = 0 there
@@ -383,9 +410,10 @@ def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
         q = np.arange(a, a + len(part), dtype=np.float64)
         q /= divisor
         q += q > 1
-        # q holds integers, so its cast to int64 is exact; made a buffer
-        # at a time, it allocates no array the size of q
-        np.multiply(part, q, out=part, dtype=np.int64, casting="unsafe")
+        # q holds integers no larger than psi(n), so its cast to out's
+        # dtype is exact; made a buffer at a time, it allocates no array
+        # the size of q
+        np.multiply(part, q, out=part, dtype=part.dtype, casting="unsafe")
 
 
 def _prime_bound(x: int) -> int:
@@ -448,9 +476,12 @@ def build_sieve(limit: int) -> SieveTables:
     primes = np.empty(_prime_bound(limit), dtype=np.int64)
     count = len(base_primes)
     primes[:count] = base_primes
+    # one workspace for every block: arrays freed block by block leave
+    # their heap resident once glibc raises its mmap threshold
+    work = _mobius_work(min(SEGMENT_SIZE, limit + 1), limit + 1)
     for lo in range(0, limit + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, limit + 1)
-        mobius[lo:hi], untouched = _mobius_block(lo, hi, base_primes)
+        mobius[lo:hi], untouched = _mobius_block(lo, hi, base_primes, work)
         # the primes above sqrt(limit) are exactly the untouched n above it
         hits = np.flatnonzero(untouched[max(root + 1 - lo, 0):])
         hits += max(root + 1, lo)
@@ -512,22 +543,25 @@ def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
 def psi_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (first, psi) blocks that cover the half-open range [lo, hi).
 
-    psi[i] = psi(first + i) exactly, as int64 (psi(n) < 5n here), with
-    psi(0) = 0 and psi(1) = 1, one _blocks block at a time; no tables
-    are needed and only one block is held.  Raises ValueError, when
-    first advanced, unless 0 <= lo <= hi and hi - 1 <= 2**40.
+    psi[i] = psi(first + i) exactly, with psi(0) = 0 and psi(1) = 1,
+    one _blocks block at a time; no tables are needed and only one block
+    is held.  psi(n) < 5n here, so a block whose last n is at most
+    2**31 // 5 = 429496729 is int32, and any later block int64.  Raises
+    ValueError, when first advanced, unless 0 <= lo <= hi and
+    hi - 1 <= 2**40.
 
-    Memory: the psi block (8 bytes per n, 8 MiB for a whole block), the
-    found product of its sieve (4 bytes per n, 8 when hi > 2**31), the
-    wheel period of _psi_block (two int32 arrays of 120120, 0.96 MB,
-    kept for the process), the closing step's 2**16-value temporaries
-    (about 1 MiB), and the sieve's step arrays and gathered hits, which
-    grow with sqrt(hi).  One whole block peaks at 13.0 MiB (tracemalloc)
-    at 1e7, 18.5 MiB past 2**31 and 23.9 MiB at 2**40; all but the psi
-    block and the wheel are freed before the block is yielded.
+    Memory: the psi block (4 bytes per n up to 2**31 // 5, 8 above; 4 or
+    8 MiB for a whole block), the found product of its sieve (4 bytes
+    per n, 8 when hi > 2**31), the wheel period of _psi_block (two int32
+    arrays of 120120, 0.96 MB, kept for the process), the closing step's
+    2**16-value temporaries (about 1 MiB), and the sieve's step arrays
+    and gathered hits, which grow with sqrt(hi).  One whole block peaks
+    at 9.0 MiB (tracemalloc) at 1e7, 13.2 MiB just past 2**31 // 5,
+    18.5 MiB past 2**31 and 23.9 MiB at 2**40; all but the psi block and
+    the wheel are freed before the block is yielded.
     """
     for first, last, primes in _blocks(lo, hi):
-        psi = np.empty(last - first, dtype=np.int64)
+        psi = np.empty(last - first, dtype=_psi_dtype(last))
         _psi_block(first, last, primes, psi)
         if first == 0:
             psi[0] = 0

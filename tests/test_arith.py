@@ -150,8 +150,10 @@ def psi_table(lo, hi):
     blocks = list(psi_blocks(lo, hi))
     firsts = [first for first, _ in blocks]
     assert firsts == list(range(lo, hi, SEGMENT_SIZE))
-    for _, psi in blocks:
-        assert psi.dtype == np.int64
+    for first, psi in blocks:
+        # the documented rule: int32 while psi(n) < 5n stays below 2**31
+        last = first + len(psi) - 1
+        assert psi.dtype == (np.int32 if 5 * last < 2 ** 31 else np.int64)
     return np.concatenate([psi for _, psi in blocks])
 
 

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -9,10 +12,11 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import psitools
@@ -286,6 +290,14 @@ def test_grid_xmax_below_smallest_x_exits_2(subcommand, xmax, smallest):
     assert done.stdout == ""
     assert done.stderr == f"error: --xmax must be >= {smallest}\n"
     assert "Warning" not in done.stderr
+
+
+@pytest.mark.parametrize("xmax", [2 ** 40 + 1, 2 ** 63, 10 ** 30])
+def test_grid_xmax_past_2_40_exits_2(capsys, xmax):
+    # refused before np.geomspace, which raises TypeError past int64
+    code, out, err = run(capsys, "extremes", "--xmax", str(xmax))
+    assert (code, out) == (2, "")
+    assert err == f"error: --xmax must be <= 2**40, got {xmax}\n"
 
 
 @pytest.mark.parametrize("subcommand, smallest", [("mertens", 2),
@@ -1114,3 +1126,90 @@ def test_module_entry_point(module):
     done = run_module(module, "tail-sum", "--x", "10")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "x,numerator,denominator\n10,3,10\n"
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over every subcommand, with argv drawn from its
+# flags
+
+_BEYOND = st.sampled_from([2 ** 40 + 1, 2 ** 62, 2 ** 63, 10 ** 30])
+# values that sieve, sum or count up to them: kept small, or past 2**40,
+# where each is refused before any sieving; two in three are in range
+_SIZE = st.integers(-3, 3000) | st.integers(2, 3000) | _BEYOND
+# prime counts (kmax, k) and moduli: 2**40 is refused before sieving too,
+# as its count needs primes past 2**40 and its modulus only primes to 2**20
+_COUNT = _SIZE | st.just(2 ** 40)
+_FLAG_VALUES = {
+    "--limit": _SIZE, "--plimit": _SIZE, "--x": _SIZE, "--xmax": _SIZE,
+    "--xmin": _SIZE, "--points": st.integers(-1, 30), "--kmax": _COUNT,
+    "--k": _COUNT, "--q": st.integers(-3, 100) | st.just(2 ** 40) | _BEYOND,
+    "--a": st.integers(-3, 40),
+    "--t": st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
+}
+# the crosscheck sums 1/n to 1e8; one real run serves every example
+_CROSSCHECK = functools.cache(constants.crosscheck_constants)
+
+
+@st.composite
+def _argv(draw, name, out_dir):
+    """argv for subcommand name: each of its flags and --limit left out,
+    or given once (a repeatable flag up to three times), more often
+    given than not."""
+    argv = [name]
+    flags = [(flag, kwargs.get("action")) for flag, kwargs
+             in cli.COMMANDS[name].flags] + [("--limit", None)]
+    for flag, action in flags:
+        if action == "store_true":
+            if draw(st.booleans()):
+                argv.append(flag)
+            continue
+        times = draw(st.sampled_from((0, 1, 1, 2, 3) if action == "append"
+                                     else (0, 1, 1)))
+        for value in draw(st.lists(_FLAG_VALUES[flag], min_size=times,
+                                   max_size=times)):
+            # "--t -inf" is an option string to argparse; "--t=-inf" not
+            argv += (([f"{flag}={value}"] if draw(st.booleans())
+                      else [flag, str(value)]))
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    output = draw(st.sampled_from(
+        [None, None, "out.csv", ".", "missing/out.csv"]))
+    if output is not None:
+        argv += ["--output", str(out_dir / output)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract(out_dir, name, data):
+    # every run ends in 0, 1 or 2 with no traceback, and in 1 only where
+    # the subcommand's fails marked a row
+    argv = data.draw(_argv(name, out_dir))
+    fired = []
+    command = cli.COMMANDS[name]
+
+    def fails(columns):
+        marks = command.fails(columns)
+        fired.append(bool(np.any(marks)))
+        return marks
+
+    patched = dataclasses.replace(
+        command, fails=None if command.fails is None else fails)
+    err = io.StringIO()
+    with (mock.patch.dict(cli.COMMANDS, {name: patched}),
+          mock.patch.object(constants, "crosscheck_constants", _CROSSCHECK),
+          contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    # a row may fail before a later error (an unwritable --output) exits 2
+    assert code != 1 or any(fired), (argv, fired)
+    assert code != 0 or not any(fired), (argv, fired)

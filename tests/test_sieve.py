@@ -4,6 +4,7 @@ import math
 import os
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -434,6 +435,46 @@ def test_kernels_at_the_int32_edge(tables_2e6, hi, length):
         assert (mu[i], untouched[i], psi[i]) == (-1, True, 2 ** 31)
 
 
+PSI32_TOP = 2 ** 31 // 5  # the last n of an int32 psi block
+
+
+@pytest.mark.parametrize("last, dtype", [(PSI32_TOP, np.int32),
+                                         (PSI32_TOP + 1, np.int64)])
+@pytest.mark.parametrize("length", [1, 2, 3000, sieve._WHEEL + 1])
+def test_psi_blocks_at_the_int32_psi_edge(last, dtype, length):
+    # psi(n) < 5n, so a block whose last n is 2**31 // 5 = 429496729 is
+    # int32 (5n = 2**31 - 3) and one ending one later is int64; every
+    # value against the reference pass, and the last 3000 against sympy
+    lo = last + 1 - length
+    (first, psi), = sieve.psi_blocks(lo, last + 1)
+    assert first == lo and psi.dtype == dtype
+    want = reference_sieve_block(lo, last + 1, plain_primes(math.isqrt(last)),
+                                 np.int64)[2]
+    assert np.array_equal(psi, want)
+    tail = range(max(lo, last - 2999), last + 1)
+    assert psi[tail.start - lo:].tolist() == list(map(factorint_psi, tail))
+
+
+def test_psi_of_the_ninth_primorial_in_an_int32_block():
+    # N_9 = 223092870 has the largest psi(n)/n below 2**31 // 5:
+    # psi(N_9) = 3 * 4 * 6 * ... * 24 = 836075520 < 2**31
+    n9 = math.prod(sympy.primerange(2, 24))
+    assert n9 == 223_092_870
+    (first, psi), = sieve.psi_blocks(n9 - 3, n9 + 4)
+    assert psi.dtype == np.int32
+    assert psi[n9 - first] == math.prod(p + 1 for p in
+                                        sympy.primerange(2, 24)) == 836075520
+    assert psi.tolist() == [factorint_psi(n) for n in range(n9 - 3, n9 + 4)]
+
+
+def test_psi_below_5n_to_the_top_of_the_domain():
+    # psi(n) / n <= prod(1 + 1/p) over the primes of n; an n <= 2**40 has
+    # at most 11 of them, since N_12 > 2**40, so psi(n) < 5n there
+    primes = list(sympy.primerange(2, 38))
+    assert len(primes) == 12 and math.prod(primes) > MAX_LIMIT
+    assert math.prod(Fraction(p + 1, p) for p in primes[:11]) < 5
+
+
 W = sieve._WHEEL
 # a multiple m of the wheel's period at 0, near 1e8, just below 2^31 (so
 # that every window below holds 2^31 - 1 and 2^31) and just below TOP
@@ -549,6 +590,42 @@ def test_build_primes_match_plain_sieve(limit):
     assert primes.dtype == np.int64
     assert np.array_equal(primes, _small_primes(limit))
     assert len(primes) < 1.25506 * limit / math.log(limit)
+
+
+@pytest.mark.parametrize("limit", [2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1,
+                                   3 * 2 ** 20 + 7])
+def test_build_sieve_reuses_one_workspace(monkeypatch, limit):
+    # build_sieve hands every block the same workspace; its tables must
+    # equal separate _mobius_block calls, the short last block included,
+    # and share no memory with that workspace
+    works = []
+
+    def recording(lo, hi, primes, work=None):
+        works.append(work)
+        return _mobius_block(lo, hi, primes, work)
+
+    monkeypatch.setattr(sieve, "_mobius_block", recording)
+    tables = build_sieve(limit)
+    monkeypatch.undo()
+    starts = range(0, limit + 1, SEGMENT_SIZE)
+    assert len(works) == len(starts)
+    work = works[0]
+    assert all(w is work for w in works)
+    assert [len(a) for a in work] == [min(SEGMENT_SIZE, limit + 1)] * 3
+    base = _small_primes(math.isqrt(limit))
+    parts = [_mobius_block(lo, min(lo + SEGMENT_SIZE, limit + 1), base)
+             for lo in starts]
+    mobius = np.concatenate([mu for mu, _ in parts])
+    mobius[0] = 0
+    assert len(parts[-1][0]) == ((limit + 1) % SEGMENT_SIZE or SEGMENT_SIZE)
+    assert np.array_equal(tables.mobius, mobius)
+    untouched = np.concatenate([mark for _, mark in parts])
+    above = np.flatnonzero(untouched[math.isqrt(limit) + 1:])
+    assert np.array_equal(tables.primes, np.concatenate(
+        (base, above + math.isqrt(limit) + 1)))
+    for table in (tables.mobius, tables.primes):
+        assert not table.flags.writeable
+        assert not any(np.shares_memory(table, a) for a in work)
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 1000, 2 ** 20 - 1, 2 ** 20,
