@@ -28,46 +28,38 @@ bytes between the fields.  NUL bytes are gaps, so a cell shorter than
 its field, or an unused sign or exponent place, costs nothing: one
 boolean compress removes every NUL before the chunk is written.
 
-int64 columns are spelled as %d by array arithmetic.  float64 columns in
-CSV are spelled as %.15g the same way, and exactly.  With e =
-floor(log10 |x|), the 15 digits are the integer nearest to the real
-product |x| * 10^(14 - e), ties to even.  10^s is an exact double for
-0 <= s <= 22, so that product is rounded once, to y, and it lies in
-[10^14, 10^15), below 2^50, where the spacing of doubles is at most
-1/8: every half-integer is a double there, and y rounds to the same
-integer as the real product unless y is itself a half-integer.  Only
-then is the rounding error wanted, which Dekker's exact product (1971;
-numpy has no fused multiply-add) gives as a second double.  log10 can
-miss e by one next to a power of ten, which a product outside
-[10^14, 10^15) shows, and a carry to 10^15 raises e by one.  Fixed or
-scientific notation and the trailing zeros then follow C's %g rule
-with precision 15.  That covers |x| in [1e-8, 1e15).
+int64 columns are spelled as %d by array arithmetic, and float64
+columns the same way, exactly: as %.15g in CSV, and in JSON as repr
+spells them, the shortest decimal that reads back as the same double
+and of those the nearest, ties to even.  Both start from one exact
+expansion.  With e = floor(log10 |x|), y = |x| * 10^(16 - e) is rounded
+once, to an even integer in [10^16, 10^17), above 2^53, and Dekker's
+exact product (1971; numpy has no fused multiply-add) gives its error
+err exactly, since 10^s is an exact double for 0 <= s <= 22.  So
+|x| * 10^(16 - e) is exactly m + r with m = y + rint(err) and
+r = err - rint(err), |r| <= 1/2, both exact.  The nearest n-digit
+decimal comes from m by integer division by 10^(17 - n); the sign of r
+decides the halves, and r = 0 sends a tie to even.  log10 can miss e by
+one, which a y outside [10^16, 10^17) shows; where y sits on the edge,
+m + r outside that range sends the cell to the per-cell path.
 
-float64 columns in JSON are spelled as repr spells them: the shortest
-decimal that reads back as the same double, and of those the nearest,
-ties to even.  y = |x| * 10^(16 - e) is rounded once, to an even integer
-in [10^16, 10^17), above 2^53, and Dekker's product gives its error err
-exactly, so |x| * 10^(16 - e) is exactly M + r with M = y + rint(err)
-and r = err - rint(err), |r| <= 1/2, both exact.  The nearest 16- and
-15-digit decimals come from M by integer division by 10 and by 100; the
-sign of r decides the halves, and r = 0 sends a tie to even.  Unless x
-is a power of two, its rounding interval (the reals that read back as x)
-is centred on x, so when some n-digit decimal reads back, the nearest
-one does too.  The interval is narrower than a quarter of the 15-digit
-spacing, so it holds at most one 15-digit decimal, and every shorter
-answer is that one with zeros dropped.  The answer is thus the nearest
-15-digit decimal, zeros dropped, if it reads back, else the nearest 16-
-digit one if that does, else M, since 17 digits always do.  A read-back
-is one correctly rounded product or quotient of the candidate and an
-exact 10^s, |s| <= 22.  The candidate is an exact double when it is at
-most 2^53, or even: a 16-digit one is below 10^16 < 2^54, where the
-doubles are the even integers.  log10 can miss e by one, which a y
-outside [10^16, 10^17) shows; where y sits on the edge, M + r outside
-that range sends the cell to the per-cell path.  repr writes scientific
-notation when e < -4 or e >= 16, a bare 1e-05, and appends .0 to an
-integral value.  That covers |x| in [1e-6, 1e17) except powers of two,
-whose interval is lopsided, and odd 16-digit candidates above 2^53,
-which are not doubles.
+CSV takes the nearest 15-digit decimal; fixed or scientific notation
+and the trailing zeros then follow C's %g rule with precision 15.  JSON
+needs the shortest.  Unless x is a power of two, its rounding interval
+(the reals that read back as x) is centred on x, so when some n-digit
+decimal reads back, the nearest one does too.  The interval is narrower
+than a quarter of the 15-digit spacing, so it holds at most one 15-digit
+decimal, and every shorter answer is that one with zeros dropped.  The
+answer is thus the nearest 15-digit decimal, zeros dropped, if it reads
+back, else the nearest 16-digit one if that does, else m, since 17
+digits always do.  A read-back is one correctly rounded product or
+quotient of the candidate and an exact 10^s, |s| <= 22.  The candidate
+is an exact double when it is at most 2^53, or even: a 16-digit one is
+below 10^16 < 2^54, where the doubles are the even integers.  repr
+writes scientific notation when e < -4 or e >= 16, a bare 1e-05, and
+appends .0 to an integral value.  That covers |x| in [1e-6, 1e17), in
+JSON except powers of two, whose interval is lopsided, and odd 16-digit
+candidates above 2^53, which are not doubles.
 
 Zero, non-finite values and the floats outside those ranges keep their
 per-cell spelling (%.15g, or repr through json.dumps), as do bools, None,
@@ -128,7 +120,7 @@ def _digits(m: np.ndarray, width: int) -> np.ndarray:
     """ASCII digits of the integers m >= 0, zero-padded to width: row j
     holds digit j of every m.
 
-    m is uint64, or float64 holding integers below 2^53, whose
+    m is int64 or uint64, or float64 holding integers below 2^53, whose
     floor(m / 10^4) is exact.  Each base-10^4 group is split in float32:
     for g < 10^4 and k >= 1, g / 10^k is within 10^-4 of its float32
     rounding and at least 10^-3 below the next integer, so the floor is
@@ -157,19 +149,19 @@ def _int_field(v: np.ndarray) -> np.ndarray:
     return np.vstack((np.uint8(45) * (v < 0), digits))
 
 
-def _scaled(a: np.ndarray, ok: np.ndarray, top: int):
-    """e = floor(log10 a) and y = a * 10^(top - e), rounded once, in
-    [10^top, 10^(top + 1)).  Rows whose 10^(top - e) is not in _TEN leave
-    ok; they read a = 1.5 and e = 0 from then on."""
+def _scaled(a: np.ndarray, ok: np.ndarray):
+    """e = floor(log10 a) and y = a * 10^(16 - e), rounded once, in
+    [10^16, 10^17).  Rows whose 10^(16 - e) is not in _TEN leave ok; they
+    read a = 1.5 and e = 0 from then on."""
     a[~ok] = 1.5
-    e = np.clip(np.floor(np.log10(a)), top - 22, top).astype(np.int64)
-    y = a * _TEN[top - e]
-    off = np.flatnonzero((y < 10.0 ** top) | (y >= 10.0 ** (top + 1)))
+    e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.int64)
+    y = a * _TEN[16 - e]
+    off = np.flatnonzero((y < 1e16) | (y >= 1e17))
     if off.size:  # e was one off, or a is out of range
-        e[off] += np.where(y[off] < 10.0 ** top, -1, 1)
-        ok &= (e >= top - 22) & (e <= top)
+        e[off] += np.where(y[off] < 1e16, -1, 1)
+        ok &= (e >= -6) & (e <= 16)
         a[~ok], e[~ok] = 1.5, 0
-        y[off] = a[off] * _TEN[top - e[off]]
+        y[off] = a[off] * _TEN[16 - e[off]]
     return e, y
 
 
@@ -183,29 +175,31 @@ def _product_error(a: np.ndarray, ten: np.ndarray,
     return ((a_hi * t_hi - y) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo
 
 
-def _round_15(a: np.ndarray, ok: np.ndarray):
-    """The 15 digits of %.15g, as float64 integers, and their exponent."""
-    e, y = _scaled(a, ok, 14)
-    m = np.floor(y)
-    frac = y - m
-    m += frac > 0.5
-    tie = np.flatnonzero(frac == 0.5)
-    if tie.size:
-        err = _product_error(a[tie], _TEN[14 - e[tie]], y[tie])
-        m[tie] += (err > 0) | (err == 0) & (m[tie] % 2 == 1)
-    carry = np.flatnonzero(m == 1e15)
-    m[carry] = 1e14
-    e[carry] += 1
-    return m, e
+def _exact(a: np.ndarray, ok: np.ndarray):
+    """m, r and e with a * 10^(16 - e) == m + r exactly, m a 17-digit
+    integer and |r| <= 1/2.  Rows whose m + r falls outside
+    [10^16, 10^17) leave ok."""
+    e, y = _scaled(a, ok)
+    err = _product_error(a, _TEN[16 - e], y)
+    step = np.rint(err)
+    r = err - step  # exact
+    m = y.astype(np.int64) + step.astype(np.int64)
+    # m + r outside [10^16, 10^17): e is off by one next to a power of ten
+    ok &= ~((m < 10 ** 16) | (m == 10 ** 16) & (r < 0)
+            | (m > 10 ** 17) | (m == 10 ** 17) & (r >= 0))
+    carry = m == 10 ** 17  # rounded up from below 10^17
+    m[carry] = 10 ** 16
+    return m, r, e + carry
 
 
 def _nearest(m: np.ndarray, r: np.ndarray, e: np.ndarray, digits: int):
     """The digits-digit decimal nearest m + r, ties to even, for 17-digit
     integers m and |r| <= 1/2, and its exponent."""
     unit = 10 ** (17 - digits)
-    q, d = np.divmod(m, unit)
+    q = m // unit
+    d = m - unit * q
     half = unit // 2
-    q += (d > half) | (d == half) & ((r > 0) | (r == 0) & (q % 2 == 1))
+    q += (d > half) | (d == half) & ((r > 0) | (r == 0) & ((q & 1) == 1))
     carry = q == 10 ** digits
     q[carry] = 10 ** (digits - 1)
     return q, e + carry
@@ -220,20 +214,10 @@ def _read_back(m: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _shortest(a: np.ndarray, ok: np.ndarray):
-    """repr's digits, padded with zeros to 17 as uint64, and their
+    """repr's digits, padded with zeros to 17 as int64, and their
     exponent."""
     ok &= (a.view(np.int64) & (2 ** 52 - 1)) != 0  # not a power of two
-    e, y = _scaled(a, ok, 16)
-    err = _product_error(a, _TEN[16 - e], y)
-    step = np.rint(err)
-    r = err - step  # exact; a * 10^(16 - e) == m + r
-    m = y.astype(np.int64) + step.astype(np.int64)
-    # m + r outside [10^16, 10^17): e is off by one next to a power of ten
-    ok &= ~((m < 10 ** 16) | (m == 10 ** 16) & (r < 0)
-            | (m > 10 ** 17) | (m == 10 ** 17) & (r >= 0))
-    carry = m == 10 ** 17  # rounded up from below 10^17
-    m[carry] = 10 ** 16
-    e += carry
+    m, r, e = _exact(a, ok)
     m16, e16 = _nearest(m, r, e, 16)
     m15, e15 = _nearest(m, r, e, 15)
     fits15 = _read_back(m15, e15 - 14) == a
@@ -243,8 +227,7 @@ def _shortest(a: np.ndarray, ok: np.ndarray):
     fits16 = exact16 & (_read_back(m16, e16 - 15) == a)
     ok &= fits15 | exact16
     best = np.where(fits15, 100 * m15, np.where(fits16, 10 * m16, m))
-    return best.astype(np.uint64), np.where(fits15, e15,
-                                            np.where(fits16, e16, e))
+    return best, np.where(fits15, e15, np.where(fits16, e16, e))
 
 
 def _float_field(x: np.ndarray, fmt: str) -> np.ndarray:
@@ -253,7 +236,7 @@ def _float_field(x: np.ndarray, fmt: str) -> np.ndarray:
     a = np.abs(x)
     ok = np.isfinite(a) & (a > 0)
     if fmt == "csv":
-        m, e = _round_15(a, ok)
+        m, e = _nearest(*_exact(a, ok), 15)
         digits, sci, point_zero = _digits(m, 15), (e < -4) | (e >= 15), 0
     else:
         m, e = _shortest(a, ok)
@@ -331,24 +314,25 @@ def _field(part: Sequence, fmt: str) -> np.ndarray:
 
 def emit(columns: dict[str, Sequence], output_format: str, sink,
          more: Iterable[dict[str, Sequence]] = ()) -> None:
-    """Write equal-length named columns to sink as CSV or a JSON array,
-    then the rows of each chunk of columns in more, which have the same
-    names.
+    """Write equal-length named columns to the binary sink as CSV or a
+    JSON array, in UTF-8, then the rows of each chunk of columns in more,
+    which have the same names.
 
     The CSV header or the JSON brackets are written once.  Rows go out
     _ROW_CHUNK at a time, as one byte matrix each (see the module
     docstring); no rows give a header-only CSV, or [].
     """
     if output_format == "csv":
-        sink.write(",".join(_text(name, "csv") for name in columns) + "\n")
+        sink.write(",".join(_text(name, "csv")
+                            for name in columns).encode() + b"\n")
         keys, lead, sep, end = [b""] * len(columns), b"", b",", b"\n"
-        skip, tail = 0, ""
+        skip, tail = 0, b""
     elif output_format == "json":
-        sink.write("[")
+        sink.write(b"[")
         keys = [json.dumps(name).encode() + b": " for name in columns]
         # every row is led by ",\n  "; the first row drops the comma
         lead, sep, end = b",\n  {", b", ", b"}"
-        skip, tail = 1, "\n]\n"
+        skip, tail = 1, b"\n]\n"
     else:
         raise ValueError(f"unknown output format {output_format!r}")
     joins = [np.frombuffer(j + k, np.uint8)[:, None] for j, k
@@ -368,10 +352,10 @@ def emit(columns: dict[str, Sequence], output_format: str, sink,
             for part in parts:
                 rows[:, at:at + len(part)] = part.T
                 at += len(part)
-            text = rows[rows != 0].tobytes().decode()
+            text = rows[rows != 0].tobytes()
             sink.write(text if written else text[skip:])
             written = True
-    sink.write(tail if written else tail.lstrip("\n"))
+    sink.write(tail if written else tail.lstrip(b"\n"))
 
 
 @dataclass(frozen=True)
@@ -669,8 +653,8 @@ def main(argv: list[str] | None = None) -> int:
         # every validation error comes with the first chunk, before the
         # output is opened or a byte written
         first = next(chunks)
-        with (open(args.output, "w", newline="") if args.output
-              else contextlib.nullcontext(sys.stdout)) as sink:
+        with (open(args.output, "wb") if args.output
+              else contextlib.nullcontext(sys.stdout.buffer)) as sink:
             emit(first, args.format, sink, chunks)
             sink.flush()
     except BrokenPipeError:

@@ -777,15 +777,15 @@ def test_pipe_closed_before_any_output_stops_quietly():
 
 
 def test_emit_empty_records_writes_header():
-    sink = io.StringIO()
+    sink = io.BytesIO()
     emit({"a": [], "b": np.array([])}, "csv", sink)
-    assert sink.getvalue() == "a,b\n"
+    assert sink.getvalue() == b"a,b\n"
 
 
 def test_emit_json_empty():
-    sink = io.StringIO()
+    sink = io.BytesIO()
     emit({"a": [], "b": np.array([])}, "json", sink)
-    assert sink.getvalue() == "[]\n"
+    assert sink.getvalue() == b"[]\n"
     assert json.loads(sink.getvalue()) == []
 
 
@@ -801,11 +801,11 @@ def test_emit_cells_match_csv_and_json_modules():
     py = [[v.item() if isinstance(v, np.generic) else v for v in row]
           for row in rows]
 
-    sink = io.StringIO()
+    sink = io.BytesIO()
     emit(columns, "json", sink)
     expect = "[\n  " + ",\n  ".join(
         json.dumps(dict(zip(names, row))) for row in py) + "\n]\n"
-    assert sink.getvalue() == expect
+    assert sink.getvalue().decode() == expect
 
     def csv_cell(v):
         if isinstance(v, bool):
@@ -814,12 +814,12 @@ def test_emit_cells_match_csv_and_json_modules():
             return "%.15g" % v
         return "" if v is None else v
 
-    sink, want = io.StringIO(), io.StringIO()
+    sink, want = io.BytesIO(), io.StringIO()
     emit(columns, "csv", sink)
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(names)
     writer.writerows([csv_cell(v) for v in row] for row in py)
-    assert sink.getvalue() == want.getvalue()
+    assert sink.getvalue().decode() == want.getvalue()
 
 
 def test_emit_text_cells_utf8_and_nul():
@@ -827,14 +827,14 @@ def test_emit_text_cells_utf8_and_nul():
     # CSV cell holding one is refused rather than shortened (JSON
     # escapes it)
     columns = {"s": ["π ≈ 3.14", "a\0b"]}
-    sink = io.StringIO()
+    sink = io.BytesIO()
     emit(columns, "json", sink)
     assert [r["s"] for r in json.loads(sink.getvalue())] == columns["s"]
-    sink = io.StringIO()
+    sink = io.BytesIO()
     emit({"s": columns["s"][:1]}, "csv", sink)
-    assert sink.getvalue() == "s\nπ ≈ 3.14\n"
+    assert sink.getvalue() == "s\nπ ≈ 3.14\n".encode()
     with pytest.raises(ValueError, match="NUL"):
-        emit(columns, "csv", io.StringIO())
+        emit(columns, "csv", io.BytesIO())
 
 
 def test_emit_chunks_match_one_chunk(monkeypatch):
@@ -843,31 +843,31 @@ def test_emit_chunks_match_one_chunk(monkeypatch):
     columns["v"][7] = np.inf
     whole = {}
     for fmt in ("csv", "json"):
-        sink = io.StringIO()
+        sink = io.BytesIO()
         emit(columns, fmt, sink)
-        whole[fmt] = sink.getvalue()
+        whole[fmt] = sink.getvalue().decode()
     monkeypatch.setattr(cli, "_ROW_CHUNK", 3)
     for fmt in ("csv", "json"):
-        sink = io.StringIO()
+        sink = io.BytesIO()
         emit(columns, fmt, sink)
-        assert sink.getvalue() == whole[fmt]
+        assert sink.getvalue().decode() == whole[fmt]
         # the same rows as an empty first chunk and more chunks of 4: the
         # header or brackets are written once
-        sink = io.StringIO()
+        sink = io.BytesIO()
         emit({name: c[:0] for name, c in columns.items()}, fmt, sink,
              ({name: c[a:a + 4] for name, c in columns.items()}
               for a in range(0, 10, 4)))
-        assert sink.getvalue() == whole[fmt]
+        assert sink.getvalue().decode() == whole[fmt]
     assert '"v": Infinity' in whole["json"]
 
 
 def emitted_cells(values, fmt="csv"):
     """The cells emit writes for a one-column table, in row order."""
-    sink = io.StringIO()
+    sink = io.BytesIO()
     emit({"v": values}, fmt, sink)
     if fmt == "json":
         return [row["v"] for row in json.loads(sink.getvalue())]
-    return sink.getvalue().split("\n")[1:-1]
+    return sink.getvalue().decode().split("\n")[1:-1]
 
 
 def float_cases():
@@ -885,8 +885,19 @@ def float_cases():
                     + [float(10 ** j) for j in range(31)])
     tens = np.concatenate([tens, np.nextafter(tens, 0),
                            np.nextafter(tens, np.inf)])
+    # both sides of the array path's lower end, 1e-6, and [1e15, 1e17)
+    # below its upper end; every power of two; and exact ties at the 15th
+    # digit in [1e15, 2^54), integers ending in 5, or in 50 above 1e16
+    edges = np.concatenate([rng.uniform(1, 100, n) * 1e-8,
+                            rng.uniform(1, 100, n) * 1e15,
+                            np.ldexp(1.0, np.arange(-1074, 1024))])
+    ties = np.concatenate([rng.integers(10 ** 14, 10 ** 15, n) * 10 + 5,
+                           rng.integers(10 ** 14, 2 ** 54 // 100, n) * 100
+                           + 50]).astype(np.float64)
     return {"bits": bits, "magnitudes": magnitudes, "halves": halves,
-            "dyadic": dyadic, "tens": np.concatenate([tens, -tens])}
+            "dyadic": dyadic, "tens": np.concatenate([tens, -tens]),
+            "edges": np.concatenate([edges, -edges]),
+            "ties": np.concatenate([ties, -ties])}
 
 
 @pytest.mark.parametrize("name", sorted(float_cases()))
@@ -896,14 +907,21 @@ def test_csv_float_cells_are_printf_15g(name):
 
 
 def test_csv_float_halfway_cases_go_to_even():
-    # the first three are exact doubles halfway between two 15-digit
-    # decimals; the rest sit next to a carry or a change of notation
+    # the first nine are exact doubles halfway between two 15-digit
+    # decimals, after an even and an odd 15th digit, in fixed and in
+    # scientific notation (the last two of them 2^-22 and 3 * 2^-22); the
+    # rest sit next to a carry or a change of notation
     values = [12345678901234.25, 12345678901234.75, 1234567890123.125,
+              1234567890123445.0, 1234567890123455.0, 12345678901234450.0,
+              12345678901234550.0, 2.0 ** -22, 3 * 2.0 ** -22,
               0.5, 2.5, 99999999999999.95, 999999999999999.5, 5e-5,
-              0.000123456789012345]
+              0.000123456789012345, 99999999999999984.0]
     assert emitted_cells(values) == ["%.15g" % v for v in values]
-    assert emitted_cells(values)[:3] == [
-        "12345678901234.2", "12345678901234.8", "1234567890123.12"]
+    assert emitted_cells(values)[:9] == [
+        "12345678901234.2", "12345678901234.8", "1234567890123.12",
+        "1.23456789012344e+15", "1.23456789012346e+15",
+        "1.23456789012344e+16", "1.23456789012346e+16",
+        "2.38418579101562e-07", "7.15255737304688e-07"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -919,20 +937,20 @@ def test_csv_float_cells_match_printf_for_any_floats(values):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=40))
 def test_json_float_cells_are_repr(values):
-    sink = io.StringIO()
+    sink = io.BytesIO()
     emit({"v": np.array(values)}, "json", sink)
     cells = [line[len('  {"v": '):].rstrip(",}")
-             for line in sink.getvalue().splitlines()[1:-1]]
+             for line in sink.getvalue().decode().splitlines()[1:-1]]
     assert cells == [repr(v) for v in values]
 
 
 
 def json_cells(values):
     """The text of each cell emit writes for a one-column JSON table."""
-    sink = io.StringIO()
+    sink = io.BytesIO()
     emit({"v": values}, "json", sink)
     return [line[len('  {"v": '):].rstrip(",}")
-            for line in sink.getvalue().splitlines()[1:-1]]
+            for line in sink.getvalue().decode().splitlines()[1:-1]]
 
 
 def repr_cases():
@@ -1204,7 +1222,7 @@ def test_exit_code_contract(out_dir, name, data):
     err = io.StringIO()
     with (mock.patch.dict(cli.COMMANDS, {name: patched}),
           mock.patch.object(constants, "crosscheck_constants", _CROSSCHECK),
-          contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())),
           contextlib.redirect_stderr(err)):
         code = main(argv)
     event(f"exit {code}")

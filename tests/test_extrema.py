@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -148,6 +149,63 @@ def test_upper_bound_on_primorial_columns():
     # N_2 = 6 and N_3 = 30 are among the exceptions (R(2) < 0)
     assert bool(np.all(r[1:3] >= e_gamma))
     assert float(r[3:].max()) == pytest.approx(1.63601, abs=1e-5)
+
+
+def _upper_ratio(psi_over_n: Fraction, log_n) -> mpmath.mpf:
+    """R = (psi(n) / n) / log log n in mpmath, from the exact psi(n) / n."""
+    return (mpmath.mpf(psi_over_n.numerator) / psi_over_n.denominator
+            / mpmath.log(log_n))
+
+
+def test_upper_bound_finite_part_exact():
+    # the finite part of the proof that R(n) = psi(n) / (n log log n) <
+    # e^gamma for every n >= 31, in exact rationals and mpmath at 30
+    # digits.  R is largest on [N_k, N_{k+1}) at N_k, so n >= 210 needs
+    # R(N_k) < e^gamma for k >= 4; the tail covers p_k >= 286, that is
+    # k >= 62 (p_61 = 283, p_62 = 293)
+    assert (sympy.prime(61), sympy.prime(62)) == (283, 293)
+    with mpmath.workdps(30):
+        e_gamma = mpmath.exp(mpmath.euler)
+        ratio, log_n, primorial = Fraction(1), mpmath.mpf(0), {}
+        for k, p in enumerate(sympy.primerange(2, 294), 1):
+            ratio *= Fraction(p + 1, p)
+            log_n += mpmath.log(p)
+            if k >= 4:
+                primorial[k] = _upper_ratio(ratio, log_n)
+        below = {n: _upper_ratio(math.prod(Fraction(p + 1, p) for p in
+                                           sympy.primefactors(n)),
+                                 mpmath.log(n))
+                 for n in range(31, 210)}
+    assert sorted(primorial) == list(range(4, 63))
+    k, worst = max(primorial.items(), key=lambda item: item[1])
+    assert k == 4 and worst < e_gamma
+    assert mpmath.nstr(worst, 8) == "1.6360071"  # R(210)
+    assert mpmath.nstr(e_gamma - worst, 5) == "0.14507"
+    n, worst = max(below.items(), key=lambda item: item[1])
+    assert n == 42 and worst < e_gamma
+    assert mpmath.nstr(worst, 8) == "1.7336212"
+
+
+def test_upper_bound_tail_majorant():
+    # the tail of that proof: for x >= 286, Rosser and Schoenfeld (1962)
+    # give prod_{p <= x} p / (p - 1) < e^gamma L (1 + 1 / (2 L^2)), L =
+    # log x, and theta(x) > x (1 - 1 / L) for x >= 41; with prod (1 -
+    # 1 / p^2) <= 3 / 4, R(N_k) < f(p_k) e^gamma for p_k >= 286, where
+    # f(x) = 3/4 L (1 + 1 / (2 L^2)) / log(x (1 - 1 / L))
+    def f(x):
+        big_l = mpmath.log(x)
+        return (mpmath.mpf(3) / 4 * big_l * (1 + 1 / (2 * big_l ** 2))
+                / mpmath.log(x * (1 - 1 / big_l)))
+
+    with mpmath.workdps(30):
+        spot = [f(mpmath.mpf(x)) for x in (286, 10 ** 3, 10 ** 6, 10 ** 12)]
+        # a geometric grid of 400 points from 286 to 1e12
+        grid = [f(mpmath.exp(t)) for t in mpmath.linspace(
+            mpmath.log(286), mpmath.log(10 ** 12), 400)]
+    assert [mpmath.nstr(v, 6) for v in spot] == [
+        "0.788858", "0.775413", "0.756077", "0.751494"]
+    assert spot[0] < 0.789
+    assert all(a > b for a, b in zip(grid, grid[1:]))
 
 
 @pytest.mark.parametrize("x, argmax_set", [
