@@ -165,13 +165,23 @@ def _scaled(a: np.ndarray, ok: np.ndarray):
     return e, y
 
 
-def _product_error(a: np.ndarray, ten: np.ndarray,
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of x at 2^27 + 1: hi + lo == x exactly, and each
+    part has at most 26 significant bits."""
+    big = 134217729.0 * x
+    hi = big - (big - x)
+    return hi, x - hi
+
+
+_TEN_HI, _TEN_LO = _split(_TEN)  # each cell's 10^(16 - e), split once
+
+
+def _product_error(a: np.ndarray, s: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
-    """a * ten - y exactly, for y the rounded product: Dekker's exact
-    product, splitting both factors at 2^27 + 1."""
-    big_a, big_t = 134217729.0 * a, 134217729.0 * ten
-    a_hi, t_hi = big_a - (big_a - a), big_t - (big_t - ten)
-    a_lo, t_lo = a - a_hi, ten - t_hi
+    """a * _TEN[s] - y exactly, for y the rounded product: Dekker's exact
+    product."""
+    a_hi, a_lo = _split(a)
+    t_hi, t_lo = _TEN_HI[s], _TEN_LO[s]
     return ((a_hi * t_hi - y) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo
 
 
@@ -180,7 +190,7 @@ def _exact(a: np.ndarray, ok: np.ndarray):
     integer and |r| <= 1/2.  Rows whose m + r falls outside
     [10^16, 10^17) leave ok."""
     e, y = _scaled(a, ok)
-    err = _product_error(a, _TEN[16 - e], y)
+    err = _product_error(a, 16 - e, y)
     step = np.rint(err)
     r = err - step  # exact
     m = y.astype(np.int64) + step.astype(np.int64)

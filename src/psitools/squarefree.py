@@ -80,7 +80,7 @@ def count_squarefree_formula(x: int, tables: SieveTables) -> int:
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    root = tables.check(isqrt(x), 0, "sqrt(x)")
+    root = tables.check(isqrt(x), "sqrt(x)")
     mob = tables.mobius[:root + 1]
     if x > 2 ** 62:  # keep the floor divisions exact beyond int64
         d = np.nonzero(mob)[0][1:]  # squarefree d in [2, sqrt(x)]
@@ -131,7 +131,7 @@ def count_squarefree_formula_range(xmax: int, tables: SieveTables) -> np.ndarray
     xmax = int(xmax)
     if xmax < 1:
         raise ValueError(f"xmax must be >= 1, got {xmax}")
-    root = tables.check(isqrt(xmax), 0, "sqrt(xmax)")
+    root = tables.check(isqrt(xmax), "sqrt(xmax)")
     out = np.zeros(xmax + 1, dtype=np.int64)
     mob = tables.mobius[:root + 1]
     for d in np.nonzero(mob)[0].tolist():

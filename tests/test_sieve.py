@@ -16,8 +16,7 @@ from psitools import (InsufficientSieveError, SieveTables, build_sieve,
                       segment_scan)
 from psitools import cli, extrema, mertens, sieve
 from psitools.sieve import (MAX_LIMIT, SEGMENT_SIZE, _mobius_block,
-                            _prime_block, _psi_block, _small_primes,
-                            _spf_block)
+                            _psi_block, _small_primes, _spf_block, _unmarked)
 from psitools.squarefree import count_squarefree_formula
 from psitools.summation import CompensatedSum
 
@@ -286,7 +285,7 @@ def reference_sieve_block(lo, hi, primes, spf_dtype):
     """spf, Mobius, psi and prime marks of [lo, hi) from the old kernel:
     a strided-write loop over every prime that divides some n here and a
     residual divided at every prime power.  _spf_block, _mobius_block,
-    _psi_block and _prime_block must match it."""
+    _psi_block and _unmarked over the sieving primes must match it."""
     n = hi - lo
     spf = np.zeros(n, dtype=spf_dtype)
     mobius = np.ones(n, dtype=np.int8)
@@ -326,21 +325,21 @@ def reference_sieve_block(lo, hi, primes, spf_dtype):
 def assert_block_matches_reference(lo, length, primes):
     hi = lo + length
     dtype = np.int32 if hi <= 2 ** 31 else np.int64
-    mu, untouched = _mobius_block(lo, hi, primes)
     psi = np.empty(length, dtype=np.int64)
     _psi_block(lo, hi, primes, psi)
-    got = (_spf_block(lo, hi, primes), mu, psi,
-           _prime_block(lo, hi, primes))
-    want = reference_sieve_block(lo, hi, primes, dtype)
+    got = (_spf_block(lo, hi, primes), _mobius_block(lo, hi, primes), psi)
+    spf, mu, psi_want, marks = reference_sieve_block(lo, hi, primes, dtype)
     n = np.arange(lo, hi)
-    for name, g, w in zip(("spf", "mu", "psi", "marks"), got, want):
+    for name, g, w in zip(("spf", "mu", "psi"), got, (spf, mu, psi_want)):
         assert g.dtype == w.dtype, name
         # psi(0) and mu(0) are left to the caller
         at = n > 0 if name in ("psi", "mu") else slice(None)
         assert np.array_equal(g[at], w[at]), (name, lo, hi)
-    # untouched marks the primes above sqrt(hi - 1), and n = 1
-    primes_above = (want[0] == n) & (n > math.isqrt(hi - 1))
-    assert np.array_equal(untouched, primes_above | (n == 1)), (lo, hi)
+    # the n that no sieving prime divides
+    unmarked = _unmarked(lo, hi, primes[primes <= math.isqrt(hi - 1)],
+                         np.empty(length, dtype=bool))
+    assert unmarked.dtype == np.int64
+    assert np.array_equal(unmarked, n[marks]), (lo, hi)
 
 
 # the reference loops only over the primes that divide some n in the
@@ -371,13 +370,12 @@ def test_sieve_block_matches_reference_fixed(tables_2e6, lo, length):
 @pytest.mark.parametrize("length", [1, 2, 3, 64, 200, 4096])
 def test_sieve_block_at_start(tables_1e4, lo, length):
     hi = lo + length
-    mu, untouched = _mobius_block(lo, hi, tables_1e4.primes)
+    mu = _mobius_block(lo, hi, tables_1e4.primes)
     spf = _spf_block(lo, hi, tables_1e4.primes)
     assert spf.dtype == np.int32 and mu.dtype == np.int8
-    assert spf.shape == mu.shape == untouched.shape == (length,)
+    assert spf.shape == mu.shape == (length,)
     for n in range(max(lo, 2), hi):
         assert (spf[n - lo], mu[n - lo]) == factorint_spf_mu(n), n
-        assert untouched[n - lo] == (spf[n - lo] == n > math.isqrt(hi - 1))
     if lo <= 1 < hi:
         assert mu[1 - lo] == 1
     if lo == 0:  # the kernel sets spf to 0 below 2
@@ -430,9 +428,10 @@ def test_kernels_at_the_int32_edge(tables_2e6, hi, length):
     assert first == lo and psi.dtype == np.int64
     assert psi.tolist() == [factorint_psi(n) for n in range(lo, hi)]
     if lo < 2 ** 31:
-        mu, untouched = _mobius_block(lo, hi, tables_2e6.primes)
+        mu = _mobius_block(lo, hi, tables_2e6.primes)
+        (primes,) = sieve.prime_blocks(lo, hi)
         i = 2 ** 31 - 1 - lo
-        assert (mu[i], untouched[i], psi[i]) == (-1, True, 2 ** 31)
+        assert (mu[i], psi[i], primes[-1]) == (-1, 2 ** 31, 2 ** 31 - 1)
 
 
 PSI32_TOP = 2 ** 31 // 5  # the last n of an int32 psi block
@@ -531,19 +530,14 @@ def test_psi_block_at_wheel_boundaries(tables_2e6, m):
 
 @pytest.mark.parametrize("m", WHEEL_EDGES, ids=["0", "1e8", "2^31", "TOP"])
 def test_mobius_block_at_wheel_boundaries(tables_2e6, m):
-    # mu against the reference pass, and untouched against the primes
-    # above sqrt(hi - 1) (spf(n) == n), and n = 1, for every window
-    span_lo, spf, mobius, _ = wheel_edge_reference(m)
+    # mu against the reference pass for every window
+    span_lo, _, mobius, _ = wheel_edge_reference(m)
     for lo, hi in wheel_edge_windows(m):
-        mu, untouched = _mobius_block(lo, hi, tables_2e6.primes)
-        assert mu.dtype == np.int8 and untouched.dtype == bool
+        mu = _mobius_block(lo, hi, tables_2e6.primes)
+        assert mu.dtype == np.int8
         at = 1 if lo == 0 else 0  # mu(0) is left to the caller
         assert np.array_equal(mu[at:], mobius[lo + at - span_lo:
                                               hi - span_lo]), (lo, hi)
-        n = np.arange(lo, hi)
-        prime_above = ((spf[lo - span_lo:hi - span_lo] == n)
-                       & (n > math.isqrt(hi - 1)))
-        assert np.array_equal(untouched, prime_above | (n == 1)), (lo, hi)
 
 
 def test_mobius_wheel_pattern():
@@ -560,8 +554,8 @@ def test_mobius_wheel_pattern():
 
 
 def test_build_sieve_small_limits_match_plain_sieve_and_sympy():
-    # below 169 the wheel primes 11 and 13 exceed sqrt(limit), and the
-    # primes must still come out of untouched
+    # below 169 the wheel primes 11 and 13 exceed sqrt(limit), though
+    # the Mobius kernel's period still holds their factors
     mu = [0] + [sympy.mobius(n) for n in range(1, 401)]
     for limit in range(2, 401):
         tables = build_sieve(limit)
@@ -595,9 +589,10 @@ def test_build_primes_match_plain_sieve(limit):
 @pytest.mark.parametrize("limit", [2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1,
                                    3 * 2 ** 20 + 7])
 def test_build_sieve_reuses_one_workspace(monkeypatch, limit):
-    # build_sieve hands every block the same workspace; its tables must
+    # build_sieve hands every block the same workspace; its mobius must
     # equal separate _mobius_block calls, the short last block included,
-    # and share no memory with that workspace
+    # its primes the plain sieve's, and neither share memory with that
+    # workspace
     works = []
 
     def recording(lo, hi, primes, work=None):
@@ -611,18 +606,15 @@ def test_build_sieve_reuses_one_workspace(monkeypatch, limit):
     assert len(works) == len(starts)
     work = works[0]
     assert all(w is work for w in works)
-    assert [len(a) for a in work] == [min(SEGMENT_SIZE, limit + 1)] * 3
+    assert [len(a) for a in work] == [min(SEGMENT_SIZE, limit + 1)] * 2
     base = _small_primes(math.isqrt(limit))
     parts = [_mobius_block(lo, min(lo + SEGMENT_SIZE, limit + 1), base)
              for lo in starts]
-    mobius = np.concatenate([mu for mu, _ in parts])
+    mobius = np.concatenate(parts)
     mobius[0] = 0
-    assert len(parts[-1][0]) == ((limit + 1) % SEGMENT_SIZE or SEGMENT_SIZE)
+    assert len(parts[-1]) == ((limit + 1) % SEGMENT_SIZE or SEGMENT_SIZE)
     assert np.array_equal(tables.mobius, mobius)
-    untouched = np.concatenate([mark for _, mark in parts])
-    above = np.flatnonzero(untouched[math.isqrt(limit) + 1:])
-    assert np.array_equal(tables.primes, np.concatenate(
-        (base, above + math.isqrt(limit) + 1)))
+    assert np.array_equal(tables.primes, plain_primes(limit))
     for table in (tables.mobius, tables.primes):
         assert not table.flags.writeable
         assert not any(np.shares_memory(table, a) for a in work)
@@ -631,7 +623,10 @@ def test_build_sieve_reuses_one_workspace(monkeypatch, limit):
 @pytest.mark.parametrize("limit", [2, 3, 4, 1000, 2 ** 20 - 1, 2 ** 20,
                                    2 ** 20 + 1, 3 * 2 ** 20 + 7])
 def test_prime_blocks_match_build_sieve(limit):
-    primes = build_sieve(limit).primes
+    # build_sieve reads its primes from prime_blocks, so both are held to
+    # the plain sieve
+    primes = plain_primes(limit)
+    assert np.array_equal(build_sieve(limit).primes, primes)
     for lo in [lo for lo in (0, 2, 7) if lo <= limit]:
         blocks = list(sieve.prime_blocks(lo, limit + 1))
         assert len(blocks) == -(-(limit + 1 - lo) // SEGMENT_SIZE)
@@ -641,14 +636,25 @@ def test_prime_blocks_match_build_sieve(limit):
 
 @pytest.mark.parametrize("lo, hi", [
     (2 ** 31 - 5000, 2 ** 31 + 5000),
-    (10 ** 12 - 12_345, 10 ** 12 + SEGMENT_SIZE + 6_789)])
-def test_prime_blocks_unaligned_windows_match_mobius_kernel(lo, hi):
-    # every n here is above sqrt(hi - 1), so untouched marks its primes
-    _, untouched = _mobius_block(lo, hi, _small_primes(math.isqrt(hi - 1)))
-    blocks = list(sieve.prime_blocks(lo, hi))
-    assert len(blocks) == -(-(hi - lo) // SEGMENT_SIZE)
-    assert np.array_equal(np.concatenate(blocks),
-                          lo + np.flatnonzero(untouched))
+    (10 ** 12 - 12_345, 10 ** 12 + SEGMENT_SIZE + 6_789),
+    # empty, starting at 0 to 3, across the block seams, and at 1e8,
+    # 1e12, 2^31 and the top of the domain
+    (5, 5), (0, 1), (0, 2), (0, 3), (1, 4), (2, 200), (3, 5000),
+    (SEGMENT_SIZE - 3, SEGMENT_SIZE + 3), (0, 2 * SEGMENT_SIZE + 1),
+    (10 ** 8 - 1000, 10 ** 8 + 1000), (10 ** 12 - 1000, 10 ** 12 + 1000),
+    (2 ** 31 - 1000, 2 ** 31 + 1000), (MAX_LIMIT - 1000, MAX_LIMIT + 1)])
+def test_prime_and_squarefree_blocks_match_reference(lo, hi):
+    # the primes are the n >= 2 that are their own smallest prime factor,
+    # and the squarefree n the n >= 1 with mu(n) != 0
+    spf, mobius, _, _ = reference_sieve_block(
+        lo, hi, plain_primes(math.isqrt(max(hi - 1, 0))), np.int64)
+    n = np.arange(lo, hi)
+    for blocks, want in ((sieve.prime_blocks, (spf == n) & (n >= 2)),
+                         (sieve.squarefree_blocks, (mobius != 0) & (n >= 1))):
+        blocks = list(blocks(lo, hi))
+        assert len(blocks) == -(-(hi - lo) // SEGMENT_SIZE)
+        assert all(block.dtype == np.int64 for block in blocks)
+        assert np.array_equal(np.concatenate([n[:0], *blocks]), n[want])
 
 
 def test_prime_blocks_count_to_1e8():
@@ -660,6 +666,9 @@ def test_prime_blocks_domain():
     assert top.tolist() == [n for n in range(MAX_LIMIT - 200, MAX_LIMIT + 1)
                             if sympy.isprime(n)]
     assert list(sieve.prime_blocks(5, 5)) == []
+    # sqrt(2**40) = 2**20, so the first block holds no n above the root
+    first = next(sieve.prime_blocks(0, MAX_LIMIT + 1))
+    assert np.array_equal(first, plain_primes(SEGMENT_SIZE - 1))
     for lo, hi in [(0, MAX_LIMIT + 2), (-1, 5), (5, 4)]:
         with pytest.raises(ValueError, match="2\\*\\*40"):
             next(sieve.prime_blocks(lo, hi))
@@ -700,7 +709,7 @@ def test_prime_chunks_domain():
 def test_squarefree_blocks_match_mobius_kernel(lo):
     # a whole block and an unaligned part of the next
     hi = lo + SEGMENT_SIZE + 12_345
-    mu, _ = _mobius_block(lo, hi, _small_primes(math.isqrt(hi - 1)))
+    mu = _mobius_block(lo, hi, _small_primes(math.isqrt(hi - 1)))
     if lo == 0:
         mu[0] = 0  # left to the caller by the kernel
     blocks = list(sieve.squarefree_blocks(lo, hi))
