@@ -235,12 +235,11 @@ def _unmarked(lo: int, hi: int, steps: np.ndarray,
               marks: np.ndarray) -> np.ndarray:
     """The n in [lo, hi) that no step divides, ascending, as int64.
 
-    marks is a bool array of at least hi - lo values, overwritten: one
+    marks is a bool array of hi - lo values, overwritten: one
     assignment pass of _sieve writes False there at the multiples of
     each step.  prime_blocks passes primes, squarefree_blocks their
     squares.
     """
-    marks = marks[:hi - lo]
     marks.fill(True)
     _sieve(lo, hi, steps, (None, marks, np.zeros(len(steps), dtype=bool)))
     found = np.flatnonzero(marks)
@@ -621,8 +620,9 @@ def squarefree_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
         # the yield, their memory went to the consumer, and the next
         # block's squarefree n (4.9 MB at 1e7) missed the heap's holes
         # (harmonic to 1e7 peaked at 48.5 MB, against 44.5)
-        marks = np.empty(last - first, dtype=bool)
-        yield _unmarked(max(first, 1), last, squares, marks)
+        start = max(first, 1)
+        marks = np.empty(last - start, dtype=bool)
+        yield _unmarked(start, last, squares, marks)
 
 
 def grid_rows(xs: Iterable[int], least: int,

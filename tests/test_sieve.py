@@ -649,9 +649,9 @@ def test_prime_and_squarefree_blocks_match_reference(lo, hi):
     spf, mobius, _, _ = reference_sieve_block(
         lo, hi, plain_primes(math.isqrt(max(hi - 1, 0))), np.int64)
     n = np.arange(lo, hi)
-    for blocks, want in ((sieve.prime_blocks, (spf == n) & (n >= 2)),
+    for stream, want in ((sieve.prime_blocks, (spf == n) & (n >= 2)),
                          (sieve.squarefree_blocks, (mobius != 0) & (n >= 1))):
-        blocks = list(blocks(lo, hi))
+        blocks = list(stream(lo, hi))
         assert len(blocks) == -(-(hi - lo) // SEGMENT_SIZE)
         assert all(block.dtype == np.int64 for block in blocks)
         assert np.array_equal(np.concatenate([n[:0], *blocks]), n[want])
