@@ -32,38 +32,45 @@ int64 columns are spelled as %d by array arithmetic, and float64
 columns the same way, exactly: as %.15g in CSV, and in JSON as repr
 spells them, the shortest decimal that reads back as the same double
 and of those the nearest, ties to even.  Both start from one exact
-expansion.  With e = floor(log10 |x|), y = |x| * 10^(16 - e) is rounded
-once, to an even integer in [10^16, 10^17), above 2^53, and Dekker's
-exact product (1971; numpy has no fused multiply-add) gives its error
-err exactly, since 10^s is an exact double for 0 <= s <= 22.  So
-|x| * 10^(16 - e) is exactly m + r with m = y + rint(err) and
-r = err - rint(err), |r| <= 1/2, both exact.  The nearest n-digit
-decimal comes from m by integer division by 10^(17 - n); the sign of r
-decides the halves, and r = 0 sends a tie to even.  log10 can miss e by
-one, which a y outside [10^16, 10^17) shows; where y sits on the edge,
-m + r outside that range sends the cell to the per-cell path.
+expansion.  With e = floor(log10 |x|) and s = 16 - e, y = |x| * 10^s is
+rounded once, to an even integer in [10^16, 10^17), above 2^53.  10^s
+is an exact double for 0 <= s <= 22, and for s = 23 and 24 it is the
+double _TEN[s] plus 2^s.  Dekker's exact product (1971; numpy has no
+fused multiply-add) gives the error of y exactly, and |x| * 2^s is
+exact.  Write |x| = M * 2^q with M a 53-bit integer: |x| * 10^s is
+M * 5^s * 2^(q + s), and q + s >= -55 where that is 10^16 or more, so
+both terms are multiples of 2^-55, below 9, and exact int64s in units
+of 2^-56.  So |x| * 10^s is exactly m + r / 2^56, with m the nearest
+integer (ties to even) and |r| <= 2^55.  The nearest n-digit decimal
+comes from m by integer division by 10^(17 - n); the sign of r decides
+the halves, and r = 0 sends a tie to even.  log10 can miss e by one,
+which a y outside [10^16, 10^17) shows; where y sits on the edge,
+m + r / 2^56 outside that range sends the cell to the per-cell path.
 
 CSV takes the nearest 15-digit decimal; fixed or scientific notation
 and the trailing zeros then follow C's %g rule with precision 15.  JSON
-needs the shortest.  Unless x is a power of two, its rounding interval
-(the reals that read back as x) is centred on x, so when some n-digit
-decimal reads back, the nearest one does too.  The interval is narrower
-than a quarter of the 15-digit spacing, so it holds at most one 15-digit
-decimal, and every shorter answer is that one with zeros dropped.  The
-answer is thus the nearest 15-digit decimal, zeros dropped, if it reads
-back, else the nearest 16-digit one if that does, else m, since 17
-digits always do.  A read-back is one correctly rounded product or
-quotient of the candidate and an exact 10^s, |s| <= 22.  The candidate
-is an exact double when it is at most 2^53, or even: a 16-digit one is
-below 10^16 < 2^54, where the doubles are the even integers.  repr
-writes scientific notation when e < -4 or e >= 16, a bare 1e-05, and
-appends .0 to an integral value.  That covers |x| in [1e-6, 1e17), in
-JSON except powers of two, whose interval is lopsided, and odd 16-digit
-candidates above 2^53, which are not doubles.
+needs the shortest, and tests each candidate C (an integer in units of
+10^(e - 16)) against the rounding interval of x, the reals that read
+back as x, as Ryu does (Adams, PLDI 2018).  In those units it reaches
+H = 2^(q - 1) * 10^s above x and H_below = H below, or H / 2 when x is
+a power of two, whose predecessor is nearer; the ends count when M is
+even.  H is a multiple of 2^-56 too, so C reads back exactly when
+-H_below < (C - m) * 2^56 - r < H, an int64 test with no float in it.
+H = (m + r / 2^56) / 2M lies in (1/2, 12).  An interval that narrow
+holds at most one 15-digit decimal (their spacing is 100) and, if one,
+the nearest; every shorter answer is that one with zeros dropped.
+Failing that, the nearest 16-digit decimal reads back if any does,
+except at a power of two, whose interval is narrower below: there the
+next one up can read back instead (2^-24 is one).  Failing both, m
+does, since |r| / 2^56 <= 1/2 < H_below.
+repr writes scientific notation when e < -4 or e >= 16, a bare 1e-05,
+and appends .0 to an integral value.  That covers |x| in [1e-8, 1e17)
+in both formats.
 
-Zero, non-finite values and the floats outside those ranges keep their
-per-cell spelling (%.15g, or repr through json.dumps), as do bools, None,
-strings and integers beyond int64.
+The cells left keep their per-cell spelling (%.15g, or repr through
+json.dumps): zero, non-finite values, floats outside [1e-8, 1e17), and
+the few next to a power of ten whose m + r / 2^56 leaves [10^16, 10^17),
+such as 1e-6; and bools, None, strings and integers beyond int64.
 """
 from __future__ import annotations
 
@@ -87,7 +94,11 @@ __all__ = ["COMMANDS", "Command", "main", "emit", "script_entry"]
 
 _ROW_CHUNK = 1 << 12  # emit's rows per chunk; more raise peak RSS, not speed
 
-_TEN = np.array([float(10 ** s) for s in range(23)])  # exact: 5^22 < 2^53
+_TEN = np.array([float(10 ** s) for s in range(25)])  # exact to 5^22 < 2^53
+# 10^s - _TEN[s] in units of 2^-56: 0, but 2^23 and 2^24 at s = 23 and 24
+_TEN_LOW = np.array([float(10 ** s - int(t) << 56)
+                     for s, t in enumerate(_TEN)])
+_FIVE = np.array([5 ** s for s in range(25)], np.int64)
 _TEN4 = np.array([1e3, 1e2, 1e1, 1e0], np.float32)[:, None]
 _POW10 = np.array([10 ** k for k in range(1, 20)], np.uint64)
 
@@ -150,16 +161,16 @@ def _int_field(v: np.ndarray) -> np.ndarray:
 
 
 def _scaled(a: np.ndarray, ok: np.ndarray):
-    """e = floor(log10 a) and y = a * 10^(16 - e), rounded once, in
+    """e = floor(log10 a) and y = a * _TEN[16 - e], rounded once, in
     [10^16, 10^17).  Rows whose 10^(16 - e) is not in _TEN leave ok; they
     read a = 1.5 and e = 0 from then on."""
     a[~ok] = 1.5
-    e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.int64)
+    e = np.clip(np.floor(np.log10(a)), -8, 16).astype(np.int64)
     y = a * _TEN[16 - e]
     off = np.flatnonzero((y < 1e16) | (y >= 1e17))
     if off.size:  # e was one off, or a is out of range
         e[off] += np.where(y[off] < 1e16, -1, 1)
-        ok &= (e >= -6) & (e <= 16)
+        ok &= (e >= -8) & (e <= 16)
         a[~ok], e[~ok] = 1.5, 0
         y[off] = a[off] * _TEN[16 - e[off]]
     return e, y
@@ -186,58 +197,63 @@ def _product_error(a: np.ndarray, s: np.ndarray,
 
 
 def _exact(a: np.ndarray, ok: np.ndarray):
-    """m, r and e with a * 10^(16 - e) == m + r exactly, m a 17-digit
-    integer and |r| <= 1/2.  Rows whose m + r falls outside
-    [10^16, 10^17) leave ok."""
+    """m, r and e with a * 10^(16 - e) == m + r / 2^56 exactly, m the
+    nearest integer (ties to even) in [10^16, 10^17] and r an int64 with
+    |r| <= 2^55.  Rows whose m + r / 2^56 falls outside [10^16, 10^17)
+    leave ok."""
     e, y = _scaled(a, ok)
-    err = _product_error(a, 16 - e, y)
-    step = np.rint(err)
-    r = err - step  # exact
-    m = y.astype(np.int64) + step.astype(np.int64)
+    s = 16 - e
+    # y's error and a * (10^s - _TEN[s]): multiples of 2^-55, below 9
+    w = ((_product_error(a, s, y) * 2.0 ** 56).astype(np.int64)
+         + (a * _TEN_LOW[s]).astype(np.int64))
+    step = (w + (2 ** 55 - 1) + ((w >> 56) & 1)) >> 56  # y is even
+    m = y.astype(np.int64) + step
+    r = w - (step << 56)
     # m + r outside [10^16, 10^17): e is off by one next to a power of ten
-    ok &= ~((m < 10 ** 16) | (m == 10 ** 16) & (r < 0)
-            | (m > 10 ** 17) | (m == 10 ** 17) & (r >= 0))
-    carry = m == 10 ** 17  # rounded up from below 10^17
-    m[carry] = 10 ** 16
-    return m, r, e + carry
+    floor = m - (r < 0)
+    ok &= (floor >= 10 ** 16) & (floor < 10 ** 17)
+    return m, r, e
 
 
-def _nearest(m: np.ndarray, r: np.ndarray, e: np.ndarray, digits: int):
-    """The digits-digit decimal nearest m + r, ties to even, for 17-digit
-    integers m and |r| <= 1/2, and its exponent."""
+def _nearest(m: np.ndarray, r: np.ndarray, digits: int) -> np.ndarray:
+    """The digits-digit decimal nearest m + r / 2^56, ties to even, for
+    m and r from _exact; 10^digits where m + r / 2^56 rounds up to 10^17."""
     unit = 10 ** (17 - digits)
     q = m // unit
     d = m - unit * q
     half = unit // 2
     q += (d > half) | (d == half) & ((r > 0) | (r == 0) & ((q & 1) == 1))
+    return q
+
+
+def _carried(q: np.ndarray, e: np.ndarray, digits: int):
+    """digits-digit decimals q and their exponent e, with a q that
+    rounded up to 10^digits written as 10^(digits - 1) and e + 1."""
     carry = q == 10 ** digits
     q[carry] = 10 ** (digits - 1)
     return q, e + carry
 
 
-def _read_back(m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The double nearest m * 10^s, for integers m below 2^53 and
-    |s| <= 22: one correctly rounded operation on exact doubles."""
-    m = m.astype(np.float64)
-    return np.where(s >= 0, m * _TEN[np.maximum(s, 0)],
-                    m / _TEN[np.maximum(-s, 0)])
-
-
 def _shortest(a: np.ndarray, ok: np.ndarray):
     """repr's digits, padded with zeros to 17 as int64, and their
     exponent."""
-    ok &= (a.view(np.int64) & (2 ** 52 - 1)) != 0  # not a power of two
     m, r, e = _exact(a, ok)
-    m16, e16 = _nearest(m, r, e, 16)
-    m15, e15 = _nearest(m, r, e, 15)
-    fits15 = _read_back(m15, e15 - 14) == a
-    # 16 digits are below 10^16 < 2^54: exact doubles up to 2^53, and
-    # the even ones above
-    exact16 = (m16 <= 2 ** 53) | (m16 % 2 == 0)
-    fits16 = exact16 & (_read_back(m16, e16 - 15) == a)
-    ok &= fits15 | exact16
-    best = np.where(fits15, 100 * m15, np.where(fits16, 10 * m16, m))
-    return best, np.where(fits15, e15, np.where(fits16, e16, e))
+    bits = a.view(np.int64)  # a = M * 2^q, q = (bits >> 52) - 1075
+    s = 16 - e
+    # H = 2^(q - 1) * 10^s, half the gap to the next double, in units of
+    # 2^-56; half the gap to the one before is H, or H / 2 at M = 2^52
+    above = _FIVE[s] << ((bits >> 52) - 1075 + s + 55)
+    below = above >> ((bits & (2 ** 52 - 1)) == 0)
+    even = 1 - (bits & 1)  # M even: a tie reads back as a
+    lo, hi = r - below - even, r + above + even  # bounds on (C - m) * 2^56
+    c16 = 10 * _nearest(m, r, 16)
+    best = m
+    # c16 + 10 can read back where c16 does not only at a power of two,
+    # whose interval is narrower below
+    for c in (c16 + 10, c16, 100 * _nearest(m, r, 15)):
+        gap = (c - m) << 56
+        best = np.where((lo < gap) & (gap < hi), c, best)
+    return _carried(best, e, 17)
 
 
 def _float_field(x: np.ndarray, fmt: str) -> np.ndarray:
@@ -246,7 +262,8 @@ def _float_field(x: np.ndarray, fmt: str) -> np.ndarray:
     a = np.abs(x)
     ok = np.isfinite(a) & (a > 0)
     if fmt == "csv":
-        m, e = _nearest(*_exact(a, ok), 15)
+        m, r, e = _exact(a, ok)
+        m, e = _carried(_nearest(m, r, 15), e, 15)
         digits, sci, point_zero = _digits(m, 15), (e < -4) | (e >= 15), 0
     else:
         m, e = _shortest(a, ok)

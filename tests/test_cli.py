@@ -885,7 +885,7 @@ def float_cases():
                     + [float(10 ** j) for j in range(31)])
     tens = np.concatenate([tens, np.nextafter(tens, 0),
                            np.nextafter(tens, np.inf)])
-    # both sides of the array path's lower end, 1e-6, and [1e15, 1e17)
+    # [1e-8, 1e-6), the array path's two lowest decades, and [1e15, 1e17)
     # below its upper end; every power of two; and exact ties at the 15th
     # digit in [1e15, 2^54), integers ending in 5, or in 50 above 1e16
     edges = np.concatenate([rng.uniform(1, 100, n) * 1e-8,
@@ -916,12 +916,24 @@ def test_csv_float_halfway_cases_go_to_even():
               12345678901234550.0, 2.0 ** -22, 3 * 2.0 ** -22,
               0.5, 2.5, 99999999999999.95, 999999999999999.5, 5e-5,
               0.000123456789012345, 99999999999999984.0]
+    # at e = -8 no double is a 15-digit tie: one would be an odd multiple
+    # of 2^-23, which is above 1e-7.  The doubles nearest the ties after
+    # an even and an odd 15th digit fall below them; the next ones up are
+    # above.
+    near = [1.234567890123445e-08, 1.234567890123455e-08,
+            9.876543210987655e-08, 5.000000000000015e-08]
+    values += near + [math.nextafter(v, 1) for v in near]
     assert emitted_cells(values) == ["%.15g" % v for v in values]
     assert emitted_cells(values)[:9] == [
         "12345678901234.2", "12345678901234.8", "1234567890123.12",
         "1.23456789012344e+15", "1.23456789012346e+15",
         "1.23456789012344e+16", "1.23456789012346e+16",
         "2.38418579101562e-07", "7.15255737304688e-07"]
+    assert emitted_cells(values)[-8:] == [
+        "1.23456789012344e-08", "1.23456789012345e-08",
+        "9.87654321098765e-08", "5.00000000000001e-08",
+        "1.23456789012345e-08", "1.23456789012346e-08",
+        "9.87654321098766e-08", "5.00000000000002e-08"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -982,6 +994,11 @@ def repr_cases():
                      for s in (-20, -16, -8, -1, 0, 1)])
     near = np.concatenate([near, np.nextafter(near, 0),
                            np.nextafter(near, np.inf)])
+    # odd 16-digit candidates in (2^53, 10^16), which no double equals:
+    # log_N of verify-psi lies in [9e5, 1e6) at --plimit 1e6
+    odd16 = np.array([float(f"{k}e{s}") for s in (-25, -16, -10, -3, 0)
+                      for k in rng.integers(2 ** 52, 10 ** 16 // 2, 2_000)
+                      * 2 + 1])
     # repr switches to scientific notation at e < -4 and e >= 16
     switches = np.array([float(f"{m}e{e}") for e in (-6, -5, -4, -3, 14, 15,
                                                      16, 17)
@@ -997,7 +1014,7 @@ def repr_cases():
                            np.nextafter(tens, np.inf)])
     cases = {"bits": bits, "subnormal": subnormal, "powers": powers,
              "digits": digits, "halves": halves, "ties": ties,
-             "near_2_53": near, "switches": switches,
+             "near_2_53": near, "odd16": odd16, "switches": switches,
              "integral": integral, "tens": tens}
     return {name: np.concatenate([v, -v]) for name, v in cases.items()}
 
@@ -1014,6 +1031,9 @@ def test_json_float_cases_cover_every_length_and_tie():
     lengths = {len(repr(v).split("e")[0].lstrip("-0.").replace(".", ""))
                for v in cases["digits"].tolist()}
     assert lengths == set(range(1, 18))
+    odd16 = [repr(v).split("e")[0].lstrip("-0.").replace(".", "")
+             for v in cases["odd16"].tolist()]
+    assert sum(len(d) == 16 and int(d[-1]) % 2 == 1 for d in odd16) > 5_000
     ties = cases["ties"][:5].tolist()
     assert all(len(repr(v)) == 17 and int(repr(v)[-1]) % 2 == 0
                for v in ties)
@@ -1032,17 +1052,9 @@ def test_json_float_cells_match_json_dumps_for_any_floats(values):
         assert json_cells(column) == [json.dumps(v) for v in values]
 
 
-def test_json_cells_left_to_repr_are_only_the_undecided(monkeypatch):
-    # NaN, +-inf, zeros, powers of two, magnitudes outside [1e-6, 1e17)
-    # and odd 16-digit candidates above 2^53 are spelled one by one; the
-    # finite cells around them stay on the array path
-    values = np.linspace(1.1, 7.3, 1_000)
-    undecided = {3: np.nan, 500: np.inf, 999: -np.inf, 10: 2.0, 11: 0.5,
-                 12: -0.0, 13: 1e-7, 14: 1e17, 15: 9.071234567890123}
-    values[list(undecided)] = list(undecided.values())
-    values[16] = 9.5  # 15 digits read back: no 16-digit candidate needed
-    # an even 16-digit candidate above 2^53 is an exact double
-    values[17] = 9.071234567890126
+def spelled_one_by_one(monkeypatch, values, fmt):
+    """The cells of a one-column table that emit spells through
+    _text_field, after checking every cell against %.15g or json.dumps."""
     spelled = []
     real = cli._text_field
 
@@ -1051,8 +1063,45 @@ def test_json_cells_left_to_repr_are_only_the_undecided(monkeypatch):
         return real(texts)
 
     monkeypatch.setattr(cli, "_text_field", counting)
-    assert json_cells(values) == [json.dumps(v) for v in values.tolist()]
-    assert sorted(spelled) == sorted(map(json.dumps, undecided.values()))
+    if fmt == "csv":
+        assert emitted_cells(values) == ["%.15g" % v for v in values.tolist()]
+    else:
+        assert json_cells(values) == [json.dumps(v) for v in values.tolist()]
+    return spelled
+
+
+# zeros, non-finite values, magnitudes outside [1e-8, 1e17) and 1e-6, whose
+# m + r is just below 10^16, are left to _text; the cells around them are
+# not, nor these, at rows 10 and up: powers of two, an odd 16-digit
+# candidate above 2^53, the ends of [1e-8, 1e-6), and the tie 2^-22
+UNDECIDED = {3: np.nan, 500: np.inf, 999: -np.inf, 4: -0.0, 5: 9e-9,
+             6: 1e17, 7: 1e-6}
+DECIDED = {10: 2.0, 11: 0.5, 12: 2.0 ** -24, 13: 9.071234567890123,
+           14: 1e-8, 15: 1e-7, 16: 9.99e-7, 17: 2.0 ** -22}
+
+
+def undecided_table(filler):
+    """The 1,000 values filler with UNDECIDED and DECIDED in their rows."""
+    values = filler.copy()
+    for cells in (UNDECIDED, DECIDED):
+        values[list(cells)] = list(cells.values())
+    return values
+
+
+def test_json_cells_left_to_repr_are_only_the_undecided(monkeypatch):
+    values = undecided_table(np.linspace(1.1, 7.3, 1_000))
+    values[18] = 9.5  # 15 digits read back: no 16-digit candidate needed
+    values[19] = 9.071234567890126  # an even 16-digit candidate
+    spelled = spelled_one_by_one(monkeypatch, values, "json")
+    assert sorted(spelled) == sorted(map(json.dumps, UNDECIDED.values()))
+
+
+def test_csv_cells_left_to_printf_are_only_the_undecided(monkeypatch):
+    # the cells of [1e-8, 1e-6) stay on the array path, as jumps' deltas
+    # past k = 1,156,932 need
+    values = undecided_table(np.geomspace(1e-8, 1e-6, 1_000, endpoint=False))
+    spelled = spelled_one_by_one(monkeypatch, values, "csv")
+    assert sorted(spelled) == sorted("%.15g" % v for v in UNDECIDED.values())
 
 
 INT64 = (-2 ** 63, 2 ** 63 - 1)
