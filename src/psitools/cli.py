@@ -14,7 +14,8 @@ extra flags, its output column names, a rows(args) generator that yields
 the rows as chunks of columns (equal-length sequences), and an optional
 vector predicate fails(columns) that marks the rows of a chunk that are
 counterexamples.  No subcommand builds sieve tables; each streams its
-primes, psi(n) or squarefree n, and --limit is read by sieve-info alone.
+primes, psi(n) or squarefree n, except that Q(x) is the square-divisor
+sum over mu up to sqrt(x).  --limit is read by sieve-info alone.
 Most yield a few rows as one chunk; verify-psi, jumps and loglog-gap
 --kmax yield a chunk per chunk of primes, never whole columns.  main
 takes the first chunk before it opens the output, so an invalid request
@@ -466,13 +467,13 @@ def _sample(x: int, s) -> tuple:
 
 def _sieve_info(args):
     """pi and theta from one pass over the primes (theta.add returns a
-    prefix sum per prime), and Q from the squarefree blocks."""
+    prefix sum per prime), and Q from the square-divisor sum, as the
+    squarefree subcommand takes it."""
     limit, theta = _need(args, "limit", 2), CompensatedSum()
     count = sum(len(theta.add(np.log(p.astype(float))))
                 for p in sieve.prime_chunks(limit))
-    yield [[limit], [count],
-           [sum(map(len, sieve.squarefree_blocks(1, limit + 1)))],
-           [theta.value]]
+    ((q, _),) = squarefree.squarefree_residual_grid([limit])
+    yield [[limit], [count], [int(q.value)], [theta.value]]
 
 
 def _verify_psi(args):
@@ -647,7 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--limit", type=int, default=None,
                         help="the limit sieve-info reports on; every other "
                              "subcommand streams what it needs and ignores "
-                             "it (constants always cross-checks to 1e6)")
+                             "it (constants always sums its primes to 1e6 "
+                             "and H_n to 1e8)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=command.help)

@@ -6,9 +6,10 @@ is a compensated prefix sum of log p, and the ratio psi(N_k)/N_k =
 prod(1 + 1/p) lives as exp of a compensated log sum.  primorial_stream
 is the one source of every per-k value: it turns the chunks of
 sieve.prime_chunks into chunks of rows, each sum one CompensatedSum
-carried across chunks; jump_chunks and loglog_gap_chunks hold one chunk
-at a time, and primorial_columns fills whole columns from them.
-N_k/phi(N_k) is mertens.euler_product_inv_grid at x = p_k.
+carried across chunks.  Its consumers (verify-psi, jump_chunks and
+loglog_gap_chunks) hold one chunk at a time, and nothing here fills a
+whole column.  N_k/phi(N_k) is mertens.euler_product_inv_grid at
+x = p_k.
 
 The per-n psi(n)/n functions (extremes, classification, tail fractions)
 stream sieve.psi_blocks and read each block in 2**16-value slices.
@@ -21,12 +22,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .constants import get_constant
-from .sieve import MAX_LIMIT, _prime_bound, grid_rows, prime_chunks, psi_blocks
+from .sieve import grid_rows, prime_chunks, psi_blocks
 from .summation import _CHUNK, CompensatedSum, chunked
 
 __all__ = [
     "primorial_stream",
-    "primorial_columns",
     "jump_chunks",
     "psi_ratio_extremes_grid",
     "classify_counts",
@@ -62,27 +62,6 @@ def primorial_stream(prime_chunks: Iterable[np.ndarray]
         yield {"p": p, "log_N": log_n, "psi_ratio": psi_ratio,
                "loglog_N": loglog_n, "threshold": threshold,
                "margin": psi_ratio - threshold}
-
-
-def primorial_columns(p_limit: int) -> dict[str, np.ndarray]:
-    """primorial_stream over the primes p_k <= p_limit, for 2 <= p_limit
-    <= 2**40, each column whole: row i holds k = i + 1.
-
-    Each column is sized by sieve._prime_bound, filled in place chunk by
-    chunk, and shrunk to the prime count, so no chunk outlives its copy.
-    """
-    if not 2 <= p_limit <= MAX_LIMIT:
-        raise ValueError(f"p_limit must be in [2, 2**40], got {p_limit}")
-    columns, at = {}, 0
-    for chunk in primorial_stream(prime_chunks(p_limit)):
-        for name, values in chunk.items():
-            if name not in columns:
-                columns[name] = np.empty(_prime_bound(p_limit), values.dtype)
-            columns[name][at:at + len(values)] = values
-        at += len(chunk["p"])
-    for column in columns.values():
-        column.resize(at, refcheck=False)  # no view of it exists
-    return columns
 
 
 def jump_chunks(kmax: int

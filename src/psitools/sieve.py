@@ -34,16 +34,19 @@ psi kernel closes with one float64 division n / found per n, exact
 below 2**53; psi_blocks holds each block in int32 while psi fits it
 (psi(n) < 5n, so up to n = 2**31 // 5) and in int64 above.
 
-build_sieve fills one immutable bundle over [0, limit] for the table
-readers (segment_scan and the square-divisor counts of squarefree):
+_mobius_table runs the Mobius kernel over the blocks of [0, limit], every
+block computed in one reused workspace; squarefree's Q(x) reads it to
+sqrt(x).  build_sieve fills one immutable bundle over [0, limit] for the
+table readers (segment_scan, and the square-divisor counts of squarefree
+given tables):
 
   mobius[n]       mu(n) in {-1, 0, 1}                   (mobius[0] = 0)
   primes[i]       i-th prime (ascending, all <= limit)
 
-The primes come from prime_blocks and mu from the Mobius kernel, every
-block computed in one reused workspace.  segment_scan reruns that
-kernel above the table, needing only the primes up to sqrt of the range
-end, and takes smallest prime factors from _spf_block.
+The primes come from prime_blocks and mu from _mobius_table.
+segment_scan reruns the Mobius kernel above the table, needing only the
+primes up to sqrt of the range end, and takes smallest prime factors
+from _spf_block.
 """
 from __future__ import annotations
 
@@ -209,7 +212,7 @@ def _mobius_block(lo: int, hi: int, primes: np.ndarray,
     caller.
 
     work is the two arrays, from _mobius_work, that the block is
-    computed in; build_sieve passes one pair for all its blocks.  Without
+    computed in; _mobius_table passes one pair for all its blocks.  Without
     it they are allocated.  The mobius returned is a view of the first
     hi - lo values of its second.
     """
@@ -448,11 +451,9 @@ def build_sieve(limit: int) -> SieveTables:
         SieveTables with read-only arrays.
 
     The primes are copied from prime_blocks, block by block, into one
-    array sized by _prime_bound and then shrunk in place; mu is
-    _mobius_block over the blocks of _blocks, each computed in one
-    workspace and copied into mobius.  Raises MemoryError, before
-    allocating, if the estimate of _check_memory exceeds the memory
-    available.
+    array sized by _prime_bound and then shrunk in place; mu comes from
+    _mobius_table after them.  Raises MemoryError, before allocating, if
+    the estimate of _check_memory exceeds the memory available.
     """
     if not isinstance(limit, (int, np.integer)) or isinstance(limit, bool):
         raise ValueError(f"limit must be an integer, got {limit!r}")
@@ -470,6 +471,18 @@ def build_sieve(limit: int) -> SieveTables:
         primes[count:count + len(block)] = block
         count += len(block)
     primes.resize(count, refcheck=False)  # no view of it exists yet
+    # the last prime block goes before mu's workspace: freed after it,
+    # once the workspace's unmap has raised glibc's trim threshold, its
+    # heap stays resident (2.3 MB more RSS after build_sieve(2_000_000))
+    del block
+    return SieveTables(limit=limit, mobius=_mobius_table(limit),
+                       primes=primes)
+
+
+def _mobius_table(limit: int) -> np.ndarray:
+    """mu(n) for every n in [0, limit], limit >= 1, as int8 (mu(0) = 0):
+    _mobius_block over the blocks of _blocks, each computed in one
+    workspace and copied into the table."""
     mobius = np.empty(limit + 1, dtype=np.int8)
     # one workspace for every block: arrays freed block by block leave
     # their heap resident once glibc raises its mmap threshold
@@ -477,7 +490,7 @@ def build_sieve(limit: int) -> SieveTables:
     for lo, hi, base in _blocks(0, limit + 1):
         mobius[lo:hi] = _mobius_block(lo, hi, base, work)
     mobius[0] = 0
-    return SieveTables(limit=limit, mobius=mobius, primes=primes)
+    return mobius
 
 
 def segment_scan(lo: int, hi: int,
@@ -639,12 +652,7 @@ def grid_rows(xs: Iterable[int], least: int,
     are handed to add(*arrays) in order of n; once every n <= x has been
     added, row(x) returns the row for x from the state that add carries.
     """
-    xs = [int(x) for x in xs]
-    if not xs:
-        raise ValueError("xs must be nonempty")
-    for x in xs:
-        if not least <= x <= MAX_LIMIT:
-            raise ValueError(f"x must be in [{least}, 2**40], got {x}")
+    xs = _grid_xs(xs, least)
     ends = sorted(set(xs), reverse=True)  # the next x to reach is last
     rows = {}
     for arrays in blocks(ends[0]):
@@ -662,3 +670,15 @@ def grid_rows(xs: Iterable[int], least: int,
         x = ends.pop()
         rows[x] = row(x)
     return [rows[x] for x in xs]
+
+
+def _grid_xs(xs: Iterable[int], least: int) -> list[int]:
+    """xs as a list of ints; a ValueError unless it is nonempty and each
+    x is in [least, 2**40]."""
+    xs = [int(x) for x in xs]
+    if not xs:
+        raise ValueError("xs must be nonempty")
+    for x in xs:
+        if not least <= x <= MAX_LIMIT:
+            raise ValueError(f"x must be in [{least}, 2**40], got {x}")
+    return xs

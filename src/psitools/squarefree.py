@@ -1,10 +1,12 @@
 """Squarefree counting, harmonic sums, and the primorial divisor tail.
 
-Two independent routes to Q(x), the count of squarefree n <= x, are
-kept deliberately separate: a streamed tally of the squarefree n, and
-the inclusion-exclusion sum over square divisors
+Q(x), the count of squarefree n <= x, has one route in the library: the
+inclusion-exclusion sum over square divisors
 sum_{d <= sqrt(x)} mu(d) * floor(x / d^2), which is an exact identity
-rather than an approximation.  The harmonic-sum identity
+rather than an approximation, and needs mu only up to sqrt(x).  A
+streamed tally of the squarefree n (sieve.squarefree_blocks) is the
+tests' independent oracle for it; in the library that stream feeds only
+the harmonic sum.  The harmonic-sum identity
 
     sum_{n <= x, n squarefree} 1/n
         = prod_{p <= x}(1 + 1/p) - sum_{d | P(x), d > x} 1/d
@@ -12,11 +14,12 @@ rather than an approximation.  The harmonic-sum identity
 (P(x) = product of primes <= x) has its left side here in floats and
 its divisor tail in exact rationals.
 
-Q(x) against (6/pi^2) x and the float harmonic sum are grid forms that
-answer every x of a grid from one pass over the squarefree n
-(sieve.grid_rows) of sieve.squarefree_blocks, in block-sized memory; a
-single x is the grid [x].  The square-divisor counts read the Mobius
-values of built sieve tables up to sqrt(x).
+squarefree_residual_grid compares Q(x) with (6/pi^2) x at every x of a
+grid, from one Mobius table up to sqrt of the largest x
+(sieve._mobius_table): Q(2**40) reads mu to 2**20, one block.  The
+float harmonic sum is a grid form that answers every x from one pass
+over the squarefree n (sieve.grid_rows) of sieve.squarefree_blocks, in
+block-sized memory; a single x is the grid [x].
 
 count_squarefree_formula splits the sum at c = x^(1/3), the simple end
 of J. Pawlewicz, "Counting square-free numbers" (arXiv:1107.4890): the
@@ -38,8 +41,8 @@ import numpy as np
 
 from .constants import get_constant
 from .residual import ResidualSample, make_sample
-from .sieve import (SieveTables, _index_dtype, grid_rows, prime_chunks,
-                    squarefree_blocks)
+from .sieve import (SieveTables, _grid_xs, _index_dtype, _mobius_table,
+                    grid_rows, prime_chunks, squarefree_blocks)
 from .summation import CompensatedSum, chunked
 
 __all__ = [
@@ -81,18 +84,24 @@ def count_squarefree_formula(x: int, tables: SieveTables) -> int:
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     root = tables.check(isqrt(x), "sqrt(x)")
-    mob = tables.mobius[:root + 1]
+    return _count_squarefree(x, tables.mobius[:root + 1])
+
+
+def _count_squarefree(x: int, mob: np.ndarray) -> int:
+    """The sum of count_squarefree_formula, x >= 1, over the d that mob
+    covers: mob holds mu over [0, isqrt(x)], or over a shorter range
+    where a hand-built table ends first."""
     if x > 2 ** 62:  # keep the floor divisions exact beyond int64
         d = np.nonzero(mob)[0][1:]  # squarefree d in [2, sqrt(x)]
         return x + sum(int(mob[dd]) * (x // (int(dd) * int(dd)))
                        for dd in d.tolist())
-    top = len(mob) - 1  # root, unless a hand-built table ends first
+    top = len(mob) - 1  # r, unless a hand-built table ends first
     c = min(int(x ** (1 / 3)), top)
     d = np.arange(1, c + 1, dtype=np.int64)
     total = int(np.dot(mob[1:c + 1], x // (d * d)))
     if c == top:
         return total
-    prefix = mob.astype(_index_dtype(root + 1))
+    prefix = mob.astype(_index_dtype(top + 1))
     np.cumsum(prefix, out=prefix)  # in place: no second r-sized array
     v = x // (c + 1) ** 2
     m = np.arange(1, v + 1, dtype=np.int64)
@@ -150,22 +159,19 @@ def _squarefree_ns(top: int) -> Iterator[tuple[np.ndarray]]:
 def squarefree_residual_grid(
         xs: Iterable[int]) -> list[tuple[ResidualSample, ResidualSample]]:
     """Q(x) against its main term (6/pi^2) x, scaled two ways, for every
-    x in xs (1 <= x <= 2**40), Q(x) counted in one pass over the
-    squarefree n up to max(xs).
+    x in xs (1 <= x <= 2**40, checked as sieve.grid_rows checks its x).
 
-    Each row is a pair of samples at scale exponents 0.5 and 0.25; they
-    share x, value, main term, and raw residual.
+    Each Q(x) is the square-divisor sum of count_squarefree_formula,
+    read from one Mobius table up to isqrt(max(xs)): 2**20 + 1 bytes at
+    most, with no sieve tables and no pass over the squarefree n.  Each
+    row is a pair of samples at scale exponents 0.5 and 0.25; they share
+    x, value, main term, and raw residual.
     """
-    count = 0
-
-    def add(ns: np.ndarray) -> None:
-        nonlocal count
-        count += len(ns)
-
-    xs = list(xs)
-    counts = grid_rows(xs, 1, _squarefree_ns, add, lambda x: count)
+    xs = _grid_xs(xs, 1)
+    mobius = _mobius_table(isqrt(max(xs)))
     samples = []
-    for x, q in zip(xs, counts):
+    for x in xs:
+        q = _count_squarefree(x, mobius[:isqrt(x) + 1])
         main = _SIX_OVER_PI_SQ * x
         samples.append((make_sample(x, q, main, scale_exponent=0.5),
                         make_sample(x, q, main, scale_exponent=0.25)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ import sympy
 
 from psitools import build_sieve
 from psitools.arith import profile
-from psitools.sieve import SEGMENT_SIZE
+from psitools.cli import main
+from psitools.extrema import primorial_stream
+from psitools.sieve import SEGMENT_SIZE, prime_chunks
 
 
 @pytest.fixture(scope="session")
@@ -98,6 +101,28 @@ def psi_product_exact(x):
     """prod_{p <= x} (1 + 1/p) as an exact rational."""
     return math.prod((Fraction(p + 1, p) for p in plain_primes(x).tolist()),
                      start=Fraction(1))
+
+
+def primorial_columns(p_limit):
+    """The chunks of primorial_stream over the primes <= p_limit joined
+    into whole columns by name: row i holds k = i + 1.  For small
+    p_limit only; the library itself never holds a whole column."""
+    chunks = list(primorial_stream(prime_chunks(p_limit)))
+    return {name: np.concatenate([c[name] for c in chunks])
+            for name in chunks[0]}
+
+
+def traced_peak(*argv):
+    """(exit code, tracemalloc peak in bytes) of one subcommand, main(argv)
+    run in this process.  Its output goes to stdout unless argv names an
+    --output."""
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from psitools.constants import get_constant
 from psitools.extrema import (
     classify_counts,
     jump_chunks,
-    primorial_columns,
+    primorial_stream,
     psi_ratio_extremes_grid,
 )
 from psitools.mertens import (
@@ -27,6 +27,7 @@ from psitools.mertens import (
     oscillation_grid,
     prime_harmonic_progression_grid,
 )
+from psitools.sieve import prime_chunks
 from psitools.squarefree import (
     count_squarefree_formula,
     count_squarefree_formula_range,
@@ -34,8 +35,8 @@ from psitools.squarefree import (
     squarefree_harmonic_grid,
 )
 
-from conftest import (psi_phi_identity_holds, psi_product_exact,
-                      squarefree_harmonic_exact)
+from conftest import (primorial_columns, psi_phi_identity_holds,
+                      psi_product_exact, squarefree_harmonic_exact)
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +44,44 @@ def tables_1e7():
     return build_sieve(10_000_000)
 
 
+# the x at which the tests read prod_{p <= x} (1 + 1/p)
+_PRODUCT_XS = (10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
+_ENVELOPE_K = 100_000
+
+
 @pytest.fixture(scope="module")
-def columns_1e8():
-    # every primorial column for p_k <= 1e8, streamed once for the module
-    return primorial_columns(100_000_000)
+def primorials_1e8():
+    """One primorial_stream pass over the p_k <= 1e8, for the module.
+
+    It keeps the margin column whole (46 MB) and, of the other columns,
+    only what the tests read: the count of k, the last log_N,
+    psi_product(x) for each x of _PRODUCT_XS, R = psi_ratio / loglog_N
+    at k = 4 and its largest value past k = 4, and the count, least and
+    largest of psi_ratio / threshold for k >= _ENVELOPE_K.
+    """
+    margins, k, found = [], 0, {"psi_product": {}}
+    r_after, envelope = [], []
+    for cols in primorial_stream(prime_chunks(100_000_000)):
+        ks = np.arange(k + 1, k + len(cols["p"]) + 1)
+        k += len(ks)
+        margins.append(cols["margin"])
+        for x in _PRODUCT_XS:
+            i = int(np.searchsorted(cols["p"], x, "right"))
+            if i:
+                found["psi_product"][x] = float(cols["psi_ratio"][i - 1])
+        r = cols["psi_ratio"] / cols["loglog_N"]
+        if ks[0] == 1:
+            found["r_4"] = float(r[3])
+        r_after.append(r[ks > 4].max(initial=-np.inf))
+        ratio = (cols["psi_ratio"] / cols["threshold"])[ks >= _ENVELOPE_K]
+        if ratio.size:
+            envelope.append((ratio.size, ratio.min(), ratio.max()))
+        found["last_log_N"] = float(cols["log_N"][-1])
+    sizes, lows, highs = zip(*envelope)
+    found.update(k=k, margin=np.concatenate(margins),
+                 r_max_after_4=float(max(r_after)),
+                 envelope=(sum(sizes), float(min(lows)), float(max(highs))))
+    return found
 
 
 def report(num, label, ok, detail=""):
@@ -73,8 +108,8 @@ def test_criterion_01_squarefree_identity_exhaustive(tables_1e6):
            f"{elapsed:.1f} s")
 
 
-def test_criterion_02_primorial_margin_scan(columns_1e8):
-    margin = columns_1e8["margin"]
+def test_criterion_02_primorial_margin_scan(primorials_1e8):
+    margin = primorials_1e8["margin"]
     argmin_k = int(np.argmin(margin)) + 1
     all_positive = bool(np.all(margin > 0))
     min_margin = float(margin[argmin_k - 1])
@@ -152,20 +187,14 @@ def test_criterion_07_squarefree_residual_bound(tables_1e6, tables_1e7):
            f"max |R|/sqrt(x)={worst:.6f}, {changes} sign changes below 1e5")
 
 
-def psi_product(cols, x):
-    """prod_{p <= x} (1 + 1/p): psi_ratio at the last p <= x of the
-    primorial columns cols."""
-    return float(cols["psi_ratio"][np.searchsorted(cols["p"], x, "right") - 1])
-
-
-def test_criterion_08_psi_product_convergence(columns_1e8):
-    ratio = (psi_product(columns_1e8, 1_000_000)
+def test_criterion_08_psi_product_convergence(primorials_1e8):
+    ratio = (primorials_1e8["psi_product"][1_000_000]
              / (get_constant("threshold").value * math.log(1_000_000)))
     report(8, "prime product tracks its predicted slope at 1e6",
            abs(ratio - 1.0) < 0.01, f"|ratio-1|={abs(ratio - 1):.2e}")
 
 
-def test_criterion_09_psi_phi_factorization(tables_1e7, columns_1e8):
+def test_criterion_09_psi_phi_factorization(tables_1e7, primorials_1e8):
     # psi(n) phi(n) prod_{p|n} p^2 = n^2 prod_{p|n} (p^2 - 1), exactly in
     # integers, at 10,000 random n
     rng = np.random.default_rng(20260822)
@@ -173,9 +202,8 @@ def test_criterion_09_psi_phi_factorization(tables_1e7, columns_1e8):
     wrong = [n for n in draws.tolist() if not psi_phi_identity_holds(n)]
 
     worst_x = 0.0
-    xs = (10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
-    for x, inv in zip(xs, euler_product_inv_grid(xs)):
-        plus = psi_product(columns_1e8, x)
+    for x, inv in zip(_PRODUCT_XS, euler_product_inv_grid(_PRODUCT_XS)):
+        plus = primorials_1e8["psi_product"][x]
         minus_inv = inv.value
         primes = tables_1e7.primes[:tables_1e7.prime_count(x)].astype(np.float64)
         direct = math.exp(math.fsum(np.log1p(-1.0 / (primes * primes)).tolist()))
@@ -238,38 +266,35 @@ def test_criterion_12_recorded_only():
 # slower invariants that ride along with the acceptance columns
 
 
-def test_theta_tracks_x(columns_1e8):
+def test_theta_tracks_x(primorials_1e8):
     # theta(1e8) = log N_k at the last p_k <= 1e8
-    assert abs(columns_1e8["log_N"][-1] / 1e8 - 1.0) < 0.01
+    assert abs(primorials_1e8["last_log_N"] / 1e8 - 1.0) < 0.01
 
 
-def test_primorial_ratio_envelope(columns_1e8):
+def test_primorial_ratio_envelope(primorials_1e8):
     # psi(N)/N over C log log N stays in [1, 1.01] once k >= 1e5
-    cols = columns_1e8
-    ratios = cols["psi_ratio"][99_999:] / cols["threshold"][99_999:]
-    assert ratios.size == 5_761_455 - 99_999
-    assert float(ratios.min()) >= 1.0
-    assert float(ratios.max()) <= 1.01
-    assert float(ratios.max()) == pytest.approx(1.00012726, abs=1e-6)
+    size, least, largest = primorials_1e8["envelope"]
+    assert size == 5_761_455 - 99_999
+    assert least >= 1.0
+    assert largest <= 1.01
+    assert largest == pytest.approx(1.00012726, abs=1e-6)
 
 
-def test_upper_bound_certificate_to_1e8(columns_1e8):
+def test_upper_bound_certificate_to_1e8(primorials_1e8):
     # R(N_k) = psi(N_k) / (N_k log log N_k) < e^gamma for 4 <= k <= K: as
     # R is largest on [N_k, N_{k+1}) at N_k, this covers every n in
     # [210, N_{K+1}), K = 5,761,455
-    cols = columns_1e8
-    r = cols["psi_ratio"] / cols["loglog_N"]
-    assert r.size == 5_761_455
+    assert primorials_1e8["k"] == 5_761_455
+    r_4 = primorials_1e8["r_4"]
     e_gamma = get_constant("e_gamma").value
-    assert bool(np.all(r[3:] < e_gamma))
-    # the largest is at k = 4, N = 210
-    assert int(np.argmax(r[3:])) == 0
-    assert float(r[3]) == pytest.approx(1.636007, abs=1e-6)
-    assert e_gamma - float(r[3]) == pytest.approx(0.1451, abs=1e-4)
+    # the largest is at k = 4, N = 210, and it is below e^gamma
+    assert primorials_1e8["r_max_after_4"] <= r_4 < e_gamma
+    assert r_4 == pytest.approx(1.636007, abs=1e-6)
+    assert e_gamma - r_4 == pytest.approx(0.1451, abs=1e-4)
 
 
-def test_margins_decrease_at_scale(columns_1e8):
-    margins = columns_1e8["margin"]
+def test_margins_decrease_at_scale(primorials_1e8):
+    margins = primorials_1e8["margin"]
     assert bool(np.all(np.diff(margins[9:]) < 0))
 
 

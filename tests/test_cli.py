@@ -9,7 +9,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -24,7 +23,7 @@ from psitools import cli, constants, extrema, mertens, sieve, squarefree
 from psitools.cli import emit, main
 from psitools.summation import CompensatedSum
 
-from conftest import count_squarefree_exact
+from conftest import count_squarefree_exact, primorial_columns, traced_peak
 
 
 def run(capsys, *argv):
@@ -103,6 +102,28 @@ def test_squarefree_rows(capsys):
     assert lines[0] == "x,Q,main,residual,scaled_half,scaled_quarter"
     assert lines[1].split(",")[:2] == ["10", "7"]
     assert lines[2].split(",")[:2] == ["100", "61"]
+
+
+def test_squarefree_at_2_40_reads_mu_to_2_20_alone(tmp_path):
+    # Q(2^40) from the square-divisor sum over mu up to 2^20, one block:
+    # the traced peak stays in block-sized memory (7.1 MiB measured)
+    target = tmp_path / "q.csv"
+    code, peak = traced_peak("squarefree", "--x", "1099511627776",
+                             "--output", str(target))
+    assert code == 0
+    row = target.read_text().splitlines()[1].split(",")
+    assert row[:2] == ["1099511627776", "668422917419"]
+    assert int(row[1]) == squarefree.count_squarefree_formula(
+        2 ** 40, sieve.build_sieve(2 ** 20))
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("x, message", [
+    (0, "x must be >= 1, got [0]"),
+    (2 ** 40 + 1, "x must be in [1, 2**40], got 1099511627777")])
+def test_squarefree_x_outside_the_domain_exits_2(capsys, x, message):
+    assert run(capsys, "squarefree", "--x", str(x)) == (
+        2, "", f"error: {message}\n")
 
 
 def test_harmonic_row(capsys):
@@ -207,7 +228,7 @@ def test_verify_psi_rows_across_chunks(capsys):
     # 5,133 rows: the emit converts the columns in several chunks
     code, out, _ = run(capsys, "verify-psi", "--plimit", "50000")
     assert code == 0
-    cols = extrema.primorial_columns(50_000)
+    cols = primorial_columns(50_000)
     names = ("p", "log_N", "psi_ratio", "loglog_N", "threshold", "margin")
     expect = [
         ",".join([str(k), str(int(cols["p"][k - 1]))]
@@ -221,13 +242,8 @@ def test_verify_psi_streams_in_bounded_memory(tmp_path):
     # 216,816 rows go out a chunk at a time: no sieve tables and no
     # whole columns, which took a traced peak of 17.5 MB
     target = tmp_path / "v.csv"
-    tracemalloc.start()
-    try:
-        code = main(["verify-psi", "--plimit", "3000000",
-                     "--output", str(target)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak("verify-psi", "--plimit", "3000000",
+                             "--output", str(target))
     assert code == 0
     assert target.read_text().count("\n") == 216_817
     assert peak < 8 * 2 ** 20
@@ -1176,12 +1192,8 @@ def test_loglog_gap_oversized_kmax_exits_2_before_building_k(
         capsys, kmax, message):
     # the prime stream is sized, and refused, before any of the kmax ks
     # exist
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "loglog-gap", "--kmax", str(kmax))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak("loglog-gap", "--kmax", str(kmax))
+    out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert message in err

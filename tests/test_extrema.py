@@ -15,16 +15,18 @@ from psitools.extrema import (
     distribution_tail,
     jump_chunks,
     loglog_gap_chunks,
-    primorial_columns,
     psi_ratio_extremes_grid,
     worst_gap,
 )
-from psitools.sieve import MAX_LIMIT, SEGMENT_SIZE, prime_chunks, psi_blocks
+from psitools.sieve import MAX_LIMIT, SEGMENT_SIZE, psi_blocks
 from psitools.summation import CompensatedSum
+
+from conftest import plain_primes, primorial_columns
 
 
 def _row(cols, k):
-    """Row k (from 1) of primorial_columns as Python numbers by column."""
+    """Row k (from 1) of the primorial columns as Python numbers by
+    column."""
     return {name: col[k - 1].item() for name, col in cols.items()}
 
 
@@ -51,9 +53,6 @@ def test_primorial_first_records():
     # reference table rounds the k=4 threshold to 1.815301; true value differs ~1e-5
     assert k4["threshold"] == pytest.approx(1.8153111985791506, rel=1e-13)
     assert k4["threshold"] == pytest.approx(1.815301, abs=5e-5)
-    for p_limit in (1, 2 ** 40 + 1):  # no primorial below 2; past 2**40
-        with pytest.raises(ValueError, match="2\\*\\*40"):
-            primorial_columns(p_limit)
 
 
 def test_primorial_columns_exact_oracle(tables_1e4):
@@ -71,30 +70,38 @@ def test_primorial_columns_exact_oracle(tables_1e4):
         assert abs(float(cols["log_N"][k - 1]) - log_n) <= 1e-14 * log_n, k
 
 
-def test_primorial_stream_gives_the_same_bits_for_any_cut(tables_1e5):
-    # the whole-array prefix sums are the reference; the stream carries
-    # both compensated sums across uneven cuts and skips empty chunks
-    primes = tables_1e5.primes
+def _whole_columns(primes):
+    """The primorial columns over the int64 primes, each sum one
+    compensated prefix over the whole array: the stream's reference."""
     ps = primes.astype(np.float64)
     log_n = CompensatedSum().add(np.log(ps))
     psi_ratio = np.exp(CompensatedSum().add(np.log1p(1.0 / ps)))
     threshold = get_constant("threshold").value * np.log(log_n)
-    expect = {"p": primes, "log_N": log_n, "psi_ratio": psi_ratio,
-              "loglog_N": np.log(log_n), "threshold": threshold,
-              "margin": psi_ratio - threshold}
+    return {"p": primes, "log_N": log_n, "psi_ratio": psi_ratio,
+            "loglog_N": np.log(log_n), "threshold": threshold,
+            "margin": psi_ratio - threshold}
+
+
+def _assert_same_bits(got, expect):
+    assert list(got) == list(expect)
+    for name, column in expect.items():
+        assert got[name].dtype == column.dtype, name
+        assert np.array_equal(got[name].view(np.int64),
+                              column.view(np.int64)), name
+
+
+def test_primorial_stream_gives_the_same_bits_for_any_cut(tables_1e5):
+    # the whole-array prefix sums are the reference; the stream carries
+    # both compensated sums across uneven cuts and skips empty chunks
+    primes = tables_1e5.primes
+    expect = _whole_columns(primes)
     cuts = [0, 1, 1, 2, 3, 100, 4096, 4097, 9000, len(primes)]
     chunks = list(extrema.primorial_stream(
         primes[a:b] for a, b in zip(cuts[:-1], cuts[1:])))
     assert [len(c["p"]) for c in chunks] == [1, 1, 1, 97, 3996, 1, 4903,
                                              len(primes) - 9000]
-    for got in ({name: np.concatenate([c[name] for c in chunks])
-                 for name in expect},
-                primorial_columns(int(primes[-1]))):
-        assert list(got) == list(expect)
-        for name, column in expect.items():
-            assert got[name].dtype == column.dtype, name
-            assert np.array_equal(got[name].view(np.int64),
-                                  column.view(np.int64)), name
+    _assert_same_bits({name: np.concatenate([c[name] for c in chunks])
+                       for name in expect}, expect)
 
 
 @pytest.mark.parametrize("p_limit", [
@@ -102,16 +109,12 @@ def test_primorial_stream_gives_the_same_bits_for_any_cut(tables_1e5):
 ], ids=["2", "p_4095", "p_4096", "p_4097", "past_one_block"])
 def test_primorial_columns_match_the_joined_stream_at_seams(p_limit):
     # p_4096 = 38873 ends the first 2^12-prime chunk exactly; its
-    # neighbours end one short of it and one into the next chunk
-    chunks = list(extrema.primorial_stream(prime_chunks(p_limit)))
+    # neighbours end one short of it and one into the next chunk.  The
+    # stream over prime_chunks' own cuts, joined, has the bits of the
+    # columns computed whole over a plain sieve's primes
     cols = primorial_columns(p_limit)
-    assert list(cols) == list(chunks[0])
-    for name, column in cols.items():
-        joined = np.concatenate([chunk[name] for chunk in chunks])
-        assert column.dtype == joined.dtype, name
-        assert column.tobytes() == joined.tobytes(), name
-        assert len(column) == sympy.primepi(p_limit), name
-        assert column.flags.owndata and column.base is None, name
+    assert len(cols["p"]) == sympy.primepi(p_limit)
+    _assert_same_bits(cols, _whole_columns(plain_primes(p_limit)))
 
 
 def test_primorial_monotonicity():

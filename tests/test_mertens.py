@@ -3,7 +3,6 @@ import math
 import pytest
 
 from psitools.constants import get_constant
-from psitools.extrema import primorial_columns
 from psitools.mertens import (
     DUSART_VALIDITY_THRESHOLD,
     compute_B1,
@@ -13,6 +12,8 @@ from psitools.mertens import (
     prime_harmonic_grid,
     prime_harmonic_progression_grid,
 )
+
+from conftest import primorial_columns
 
 
 def psi_product(x):

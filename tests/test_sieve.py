@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from psitools import (InsufficientSieveError, SieveTables, build_sieve,
                       segment_scan)
-from psitools import cli, extrema, mertens, sieve
+from psitools import cli, mertens, sieve
 from psitools.sieve import (MAX_LIMIT, SEGMENT_SIZE, _mobius_block,
                             _psi_block, _small_primes, _spf_block, _unmarked)
 from psitools.squarefree import count_squarefree_formula
 from psitools.summation import CompensatedSum
 
-from conftest import plain_primes
+from conftest import plain_primes, primorial_columns
 
 
 def brute_mobius(n):
@@ -97,7 +97,7 @@ def test_theta_values(tables_1e5):
 
 def test_theta_prefix_steps_are_prime_logs(tables_1e5):
     # the theta prefix is the log_N column of the primorials
-    prefix = extrema.primorial_columns(100_000)["log_N"]
+    prefix = primorial_columns(100_000)["log_N"]
     steps = np.diff(prefix)
     logs = np.log(tables_1e5.primes[1:].astype(np.float64))
     assert np.max(np.abs(steps - logs)) <= 1e-10
@@ -131,9 +131,9 @@ def test_theta_and_log_n_match_one_prefix_pass(tables_2e6):
     sums = mertens._prime_sums(xs, lambda p: np.log(p.astype(np.float64)))
     assert sums == [float(reference[i - 1]) for i in counts for _ in cuts(i)]
     assert np.array_equal(
-        extrema.primorial_columns(tables_2e6.limit)["log_N"], reference)
+        primorial_columns(tables_2e6.limit)["log_N"], reference)
     for i in (2 ** 16 - 1, 2 ** 16 + 1, 100_003):
-        log_n = extrema.primorial_columns(int(primes[i - 1]))["log_N"]
+        log_n = primorial_columns(int(primes[i - 1]))["log_N"]
         assert np.array_equal(log_n, reference[:i]), i
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from psitools import InsufficientSieveError, build_sieve, squarefree
-from psitools.sieve import SieveTables
+from psitools import InsufficientSieveError, build_sieve, sieve, squarefree
+from psitools.sieve import SieveTables, squarefree_blocks
 from psitools.squarefree import (
     count_squarefree_formula,
     count_squarefree_formula_range,
@@ -166,6 +166,31 @@ def test_isqrt_exact_to_2_62():
 
 def test_known_density_point(tables_1e6):
     assert count_squarefree_formula(1_000_000, tables_1e6) == 607_926
+
+
+# A071172: the number of squarefree n <= 10^k, for k = 1..12
+A071172 = [7, 61, 608, 6083, 60794, 607926, 6079291, 60792694, 607927124,
+           6079270942, 60792710280, 607927102274]
+
+
+def test_residual_grid_counts_equal_the_squarefree_stream():
+    # Q from the square-divisor sum against the tests' oracle, a count
+    # of the streamed squarefree n: every x to 300, either side of the
+    # block seams 2^20 and 2^21, and last 1733^2, whose root is prime, so
+    # the Mobius table must reach isqrt(max(xs)) itself
+    xs = [*range(1, 301), 2 ** 20 - 1, 2 ** 20 + 1, 2 ** 21 - 1,
+          2 ** 21 + 1, 3 * 10 ** 6, 1733 ** 2]
+    got = [half.value for half, _ in squarefree_residual_grid(xs)]
+    assert got == [sum(map(len, squarefree_blocks(1, x + 1))) for x in xs]
+
+
+def test_residual_grid_gives_a071172_without_tables(monkeypatch):
+    def no_tables(limit):
+        raise AssertionError(f"build_sieve({limit}) called")
+
+    monkeypatch.setattr(sieve, "build_sieve", no_tables)
+    samples = squarefree_residual_grid([10 ** k for k in range(1, 13)])
+    assert [int(half.value) for half, _ in samples] == A071172
 
 
 def test_residual_pair():
