@@ -204,9 +204,11 @@ def _exact(a: np.ndarray, ok: np.ndarray):
     leave ok."""
     e, y = _scaled(a, ok)
     s = 16 - e
-    # y's error and a * (10^s - _TEN[s]): multiples of 2^-55, below 9
-    w = ((_product_error(a, s, y) * 2.0 ** 56).astype(np.int64)
-         + (a * _TEN_LOW[s]).astype(np.int64))
+    # y's error and a * (10^s - _TEN[s]): multiples of 2^-55, below 9;
+    # the second is 0 unless s >= 23, at a cell below 1e-6
+    w = (_product_error(a, s, y) * 2.0 ** 56).astype(np.int64)
+    if (s >= 23).any():
+        w += (a * _TEN_LOW[s]).astype(np.int64)
     step = (w + (2 ** 55 - 1) + ((w >> 56) & 1)) >> 56  # y is even
     m = y.astype(np.int64) + step
     r = w - (step << 56)

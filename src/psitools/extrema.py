@@ -103,9 +103,9 @@ def _ratio_blocks(lo: int, hi: int
     """(n as float64, psi(n)/n) for n in [lo, hi), _CHUNK values at a time.
 
     Each psi block is cut into _CHUNK-value slices, and the n and ratios
-    are made per slice, so the only block-sized arrays are the psi
-    block and its sieve's found product; the finished block is dropped
-    before the next one is sieved.
+    are made per slice, so the only block-sized array is the psi block,
+    which its sieve fills in place; the finished block is dropped before
+    the next one is sieved.
     """
     for first, psi in psi_blocks(lo, hi):
         for a, part in zip(range(first, first + len(psi), _CHUNK),
@@ -116,7 +116,11 @@ def _ratio_blocks(lo: int, hi: int
 
 
 def _thresholds(ns: np.ndarray) -> np.ndarray:
-    return _THRESHOLD * np.log(np.log(ns))
+    """_THRESHOLD * log log n, made in one array."""
+    t = np.log(ns)
+    np.log(t, out=t)
+    t *= _THRESHOLD
+    return t
 
 
 def _ratio_grid(xs: Iterable[int],

@@ -10,29 +10,32 @@ chunks, or stops after the first count primes.  grid_rows is the one
 walk that answers a grid of x from such a stream: it cuts the blocks at
 every x and reads a running state there.
 
-Each block fact has one kernel, and every kernel is one pass, _sieve:
-updates given as (ufunc, array, values) are applied at the multiples of
-each step, by strided in-place ufunc calls for steps up to 1/64 of the
-block length and by gathered hits and ufunc.at for larger ones.
+Each block fact has one kernel, and every kernel sieves one array with
+one update per pass of _sieve: (ufunc, array, values) is applied at the
+multiples of each step, by strided in-place ufunc calls for steps up to
+1/64 of the block length and by gathered hits and ufunc.at for larger
+ones.
 
   primes, squarefree  _unmarked: bool marks written False at the
                       multiples of each prime (each p^2), then the n
                       left unmarked
   mu                  _mobius_block: a signed found-factor product
-  psi                 _psi_block: the same product over prime powers
+  psi                 _psi_block: the same product over prime powers,
+                      turned into its last factor in place, then the
+                      psi factors multiplied onto it
   spf                 _spf_block: np.minimum with each prime
 
 The Mobius and psi kernels start on a wheel (Pritchard, "Explaining the
 wheel sieve", Acta Informatica 1982): the factors of 2, 4, 8, 3, 5, 7,
 11 and 13 repeat with period 120120, so one precomputed period is
-copied in instead of sieved, by one tiling helper, _wheel_sieve, for
-both.  The Mobius kernel divides nothing: each prime above 13
-multiplies its array by -p at its multiples, so its sign is
-(-1)^omega and its magnitude the found-factor product; p^2 zeroes mu,
-and one comparison of that product with n gives the last flip.  The
-psi kernel closes with one float64 division n / found per n, exact
-below 2**53; psi_blocks holds each block in int32 while psi fits it
-(psi(n) < 5n, so up to n = 2**31 // 5) and in int64 above.
+tiled in instead of sieved, by one helper, _wheel_sieve, for both.  The
+Mobius kernel divides nothing: each prime above 13 multiplies its array
+by -p at its multiples, so its sign is (-1)^omega and its magnitude the
+found-factor product; p^2 zeroes mu, and one comparison of that
+product with n gives the last flip.  The psi kernel closes its found
+product with one float64 division n / found per n, exact below 2**53;
+psi_blocks holds each block in int32 while psi fits it (psi(n) < 5n,
+so up to n = 2**31 // 5) and in int64 above.
 
 _mobius_table runs the Mobius kernel over the blocks of [0, limit], every
 block computed in one reused workspace; squarefree's Q(x) reads it to
@@ -136,32 +139,32 @@ def _psi_dtype(hi: int) -> type:
     return np.int32 if 5 * (hi - 1) < 2 ** 31 else np.int64
 
 
-def _sieve(lo: int, hi: int, steps: np.ndarray, *updates) -> None:
-    """Apply every update at the multiples of each step in [lo, hi).
+def _sieve(lo: int, hi: int, steps: np.ndarray, ufunc, array: np.ndarray,
+           values: np.ndarray) -> None:
+    """Apply ufunc with values at the multiples of each step in [lo, hi).
 
-    steps is an ascending int64 array.  Each update is (ufunc, array,
-    values): at every multiple m of steps[j], array[m - lo] becomes
-    ufunc(array[m - lo], values[j]), or values[j] when ufunc is None
-    (assignment, which is order-free only where all steps write the same
-    value).  Steps up to the block length / 64 are applied by in-place
-    ufunc calls on strided views.  Larger ones hit the block about 64
-    times at most: their multiples are gathered, whole steps and about
-    _HIT_CHUNK hits at a time, and applied by unbuffered ufunc.at, so the
-    Python loop runs once per chunk of hits rather than once per step.
+    steps is an ascending int64 array.  At every multiple m of steps[j],
+    array[m - lo] becomes ufunc(array[m - lo], values[j]), or values[j]
+    when ufunc is None (assignment, which is order-free only where all
+    steps write the same value).  Steps up to the block length / 64 are
+    applied by in-place ufunc calls on strided views.  Larger ones hit
+    the block about 64 times at most: their multiples are gathered, whole
+    steps and about _HIT_CHUNK hits at a time, and applied by unbuffered
+    ufunc.at, so the Python loop runs once per chunk of hits rather than
+    once per step.
     """
     n = hi - lo
     split = int(np.searchsorted(steps, n >> 6, side="right"))
     starts = ((-lo) % steps[:split]).tolist()
-    small = steps[:split].tolist()
-    for ufunc, array, values in updates:
-        # Python scalars: a ufunc takes them faster than numpy ones
-        for start, step, value in zip(starts, small, values[:split].tolist()):
-            if ufunc is None:
-                array[start::step] = value
-            else:
-                view = array[start::step]
-                ufunc(view, value, out=view)
-    large = steps[split:]
+    # Python scalars: a ufunc takes them faster than numpy ones
+    for start, step, value in zip(starts, steps[:split].tolist(),
+                                  values[:split].tolist()):
+        if ufunc is None:
+            array[start::step] = value
+        else:
+            view = array[start::step]
+            ufunc(view, value, out=view)
+    large, values = steps[split:], values[split:]
     if not large.size:
         return
     first = (-lo) % large
@@ -177,12 +180,10 @@ def _sieve(lo: int, hi: int, steps: np.ndarray, *updates) -> None:
         k = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
         j = np.repeat(np.arange(a, b), c)
         index = first[j] + large[j] * k
-        j += split
-        for ufunc, array, values in updates:
-            if ufunc is None:
-                array[index] = values[j]
-            else:
-                ufunc.at(array, index, values[j])
+        if ufunc is None:
+            array[index] = values[j]
+        else:
+            ufunc.at(array, index, values[j])
 
 
 def _mobius_work(size: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,8 +220,8 @@ def _mobius_block(lo: int, hi: int, primes: np.ndarray,
     found, mobius = (a[:hi - lo] for a in work or _mobius_work(hi - lo, hi))
     primes = primes[primes <= isqrt(hi - 1)]
     sieving = primes[np.searchsorted(primes, _WHEEL_PRIMES[-1], "right"):]
-    _wheel_sieve(lo, hi, [(found, _signed_wheel())], [
-        (sieving, [(np.multiply, found, (-sieving).astype(found.dtype))])])
+    _wheel_sieve(lo, hi, None, found, _signed_wheel(), sieving,
+                 (-sieving).astype(found.dtype))
     for a, f, mu in zip(range(lo, hi, _CHUNK), chunked(found),
                         chunked(mobius)):
         # 1 where |found| == n, -1 where one prime factor is left
@@ -230,7 +231,7 @@ def _mobius_block(lo: int, hi: int, primes: np.ndarray,
         flip += 1
         np.multiply(np.sign(f, out=f), flip, out=mu, casting="unsafe")
     squares = primes[1:] ** 2  # 4 is in the period
-    _sieve(lo, hi, squares, (None, mobius, np.zeros(len(squares), np.int8)))
+    _sieve(lo, hi, squares, None, mobius, np.zeros(len(squares), np.int8))
     return mobius
 
 
@@ -244,7 +245,7 @@ def _unmarked(lo: int, hi: int, steps: np.ndarray,
     squares.
     """
     marks.fill(True)
-    _sieve(lo, hi, steps, (None, marks, np.zeros(len(steps), dtype=bool)))
+    _sieve(lo, hi, steps, None, marks, np.zeros(len(steps), dtype=bool))
     found = np.flatnonzero(marks)
     found += lo
     return found
@@ -264,13 +265,13 @@ def _spf_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     head = spf[:2 if lo == 0 else 0]
     head[:] = unset
     primes = primes[primes <= isqrt(hi - 1)]
-    _sieve(lo, hi, primes, (np.minimum, spf, primes.astype(dtype)))
+    _sieve(lo, hi, primes, np.minimum, spf, primes.astype(dtype))
     head[head == unset] = 0
     return spf
 
 
 # the wheel: 2^3 * 3 * 5 * 7 * 11 * 13, whose factors _mobius_block and
-# _psi_block copy instead of sieving them
+# _psi_block tile in instead of sieving them
 _WHEEL = 120120
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 # steps below this are sieved one wheel period at a time, in cache
@@ -279,11 +280,12 @@ _DENSE = 128
 
 @cache
 def _wheel() -> tuple[np.ndarray, np.ndarray]:
-    """One period of _psi_block's starting state, as read-only int32
+    """One period of _psi_block's wheel factors, as read-only int32
     (psi factor, found factor) at n = 0, 1, ..., _WHEEL - 1: the factors
     of every prime power dividing _WHEEL, exactly as the sieve would
-    apply them.  The found factor is gcd(n, _WHEEL), and the psi factor
-    its psi.
+    apply them; its first pass copies the found factors, its second
+    multiplies by the psi factors.  The found factor is gcd(n, _WHEEL),
+    and the psi factor its psi.
     """
     psi = np.ones(_WHEEL, dtype=np.int32)
     found = np.ones(_WHEEL, dtype=np.int32)
@@ -314,97 +316,97 @@ def _signed_wheel() -> np.ndarray:
     return signed
 
 
-def _wheel_sieve(lo: int, hi: int, tiles: list, passes: list) -> None:
-    """Fill arrays over [lo, hi) from one _WHEEL period, then sieve them.
+def _wheel_sieve(lo: int, hi: int, tile, array: np.ndarray,
+                 pattern: np.ndarray, steps: np.ndarray,
+                 values: np.ndarray) -> None:
+    """Tile one _WHEEL period of pattern into array over [lo, hi), then
+    multiply array by values[j] at the multiples of each steps[j].
 
-    tiles holds (array, pattern) pairs: each period of the block is
-    copied from the pattern, one period long, into the array.  passes
-    holds (steps, updates) pairs, as _sieve takes them over the whole
-    block.  Steps below _DENSE are sieved on each period right after it
-    is copied, while it is in cache; the rest over the whole block.
+    tile is None to copy each period of the block from the pattern, or a
+    ufunc that combines the pattern into it (np.multiply).  steps and
+    values are as _sieve takes them.  Steps below _DENSE are sieved on
+    each period right after it is tiled, while it is in cache; the rest
+    over the whole block.
     """
-    dense = [int(np.searchsorted(steps, _DENSE)) for steps, _ in passes]
+    dense = int(np.searchsorted(steps, _DENSE))
     cuts = [lo, *range(lo - lo % _WHEEL + _WHEEL, hi, _WHEEL), hi]
     for a, b in zip(cuts[:-1], cuts[1:]):
+        period = array[a - lo:b - lo]
         start = a % _WHEEL
-        for array, pattern in tiles:
-            array[a - lo:b - lo] = pattern[start:start + b - a]
-        for (steps, updates), d in zip(passes, dense):
-            _sieve(a, b, steps[:d], *((ufunc, array[a - lo:b - lo], by[:d])
-                                      for ufunc, array, by in updates))
-    for (steps, updates), d in zip(passes, dense):
-        _sieve(lo, hi, steps[d:], *((ufunc, array, by[d:])
-                                    for ufunc, array, by in updates))
+        if tile is None:
+            period[:] = pattern[start:start + b - a]
+        else:
+            tile(period, pattern[start:start + b - a], out=period)
+        _sieve(a, b, steps[:dense], np.multiply, period, values[:dense])
+    _sieve(lo, hi, steps[dense:], np.multiply, array, values[dense:])
 
 
-def _higher_powers(primes: np.ndarray,
-                   top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every power p^a <= top with a >= 2, ascending, and its p, for the
-    primes p <= sqrt(top) given."""
-    powers, bases = [primes * primes], [primes]
+def _prime_powers(primes: np.ndarray,
+                  top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every power p^a <= top <= 2**40 with a >= 1, ascending, and its
+    p, for the ascending primes p <= sqrt(top) given."""
+    powers, bases = [primes], [primes]
     while powers[-1].size:
-        keep = powers[-1] <= top // bases[-1]
-        bases.append(bases[-1][keep])
-        powers.append(powers[-1][keep] * bases[-1])
+        # p^(a + 1) <= 2**60 fits int64, and rises with p
+        higher = powers[-1] * bases[-1]
+        count = int(np.searchsorted(higher, top, side="right"))
+        powers.append(higher[:count])
+        bases.append(bases[-1][:count])
     powers = np.concatenate(powers)
-    order = np.argsort(powers)
+    # one ascending run per exponent, which a stable sort merges
+    order = np.argsort(powers, kind="stable")
     return powers[order], np.concatenate(bases)[order]
 
 
 def _psi_block(lo: int, hi: int, primes: np.ndarray, out: np.ndarray) -> None:
     """Write psi(n) for n in [lo, hi) into out; primes must cover sqrt(hi - 1).
 
-    out is int64, or the int32 of _psi_dtype(hi): every product below is
-    made in out's own dtype, and no value it takes exceeds psi(n).
+    out is int64, or the int32 of _psi_dtype(hi), and the only
+    block-sized array: every product below is made in out's own dtype,
+    and no value it takes at n >= 1 exceeds psi(n).
 
-    The found-factor product of _mobius_block, over prime powers: each
-    prime p multiplies its multiples by p + 1 in out and by p in found,
-    and each higher power p^a <= hi - 1 multiplies both by a further p.
     The prime powers that divide _WHEEL = 120120 (2, 4, 8, 3, 5, 7, 11
     and 13) repeat with that period, so their factors are not sieved:
-    _wheel_sieve copies each period of the block from _wheel() into out
-    and found, and sieves the other steps below _DENSE on it while the
-    period is in cache; the rest are sieved over the whole block.  11
-    and 13 come from the wheel even where they exceed sqrt(hi - 1).
+    _wheel_sieve tiles each period of the block from _wheel(), and
+    sieves the other steps below _DENSE on it while the period is in
+    cache; the rest are sieved over the whole block.  11 and 13 come
+    from the wheel even where they exceed sqrt(hi - 1).  Two passes of
+    it fill out:
 
-    found is then the part of n made of those primes and the primes up
-    to sqrt(hi - 1), and the one division q = n / found leaves 1 or the
-    one prime factor q above it; q += (q > 1) turns those into the final
-    factor, 1 or q + 1, by which out is multiplied unmasked.  The
-    division is done in float64 and is exact: n <= 2**40 < 2**53 and
-    found divides n, so the quotient is an integer that float64 holds
-    exactly, and IEEE division rounds to it.  That closing step runs
-    over _CHUNK-value slices of out and found, so out and found are the
-    only block-sized arrays.  Entry n = 0, a multiple of every prime, is
-    left to the caller.
+    1. The found-factor product of _mobius_block, over prime powers:
+       the wheel's found factors are copied in, and each other prime
+       power p^a <= hi - 1 multiplies its multiples by p.  out is then
+       the part of n made of those primes and the primes up to
+       sqrt(hi - 1), a divisor of n.  The one division q = n / found
+       leaves 1 or the one prime factor q above them, and q += (q > 1)
+       turns those into the last factor, 1 or q + 1, written over found.
+       The division is done in float64 and is exact: n <= 2**40 < 2**53
+       and found divides n, so the quotient is an integer that float64
+       holds exactly, and IEEE division rounds to it.  This closing step
+       runs over _CHUNK-value slices of out.
+    2. The psi factors are multiplied onto the last factor: the wheel's
+       psi factors, then p + 1 at each prime p and a further p at each
+       higher power.
+
+    Entry n = 0, a multiple of every prime, is left to the caller.
     """
-    dtype = _index_dtype(hi)
-    found = np.empty(hi - lo, dtype=dtype)
     primes = primes[primes <= isqrt(hi - 1)]
-    powers, base = _higher_powers(primes, hi - 1)
+    powers, base = _prime_powers(primes, hi - 1)
     keep = _WHEEL % powers != 0
     powers, base = powers[keep], base[keep]
-    sieving = primes[np.searchsorted(primes, _WHEEL_PRIMES[-1], "right"):]
-    # outside the wheel, each prime p multiplies psi by p + 1 and found
-    # by p, and each higher power both by a further p
     psi_wheel, found_wheel = _wheel()
-    _wheel_sieve(lo, hi, [(out, psi_wheel), (found, found_wheel)], [
-        (sieving, [(np.multiply, out,
-                    (sieving + 1).astype(out.dtype, copy=False)),
-                   (np.multiply, found, sieving.astype(dtype, copy=False))]),
-        (powers, [(np.multiply, out, base.astype(out.dtype, copy=False)),
-                  (np.multiply, found, base.astype(dtype, copy=False))])])
+    _wheel_sieve(lo, hi, None, out, found_wheel, powers,
+                 base.astype(out.dtype))
     if lo == 0:
-        found[0] = 1  # so that q = 0 there
-    for a, part, divisor in zip(range(lo, hi, _CHUNK), chunked(out),
-                                chunked(found)):
+        out[0] = 1  # so that q = 0 there
+    for a, part in zip(range(lo, hi, _CHUNK), chunked(out)):
         q = np.arange(a, a + len(part), dtype=np.float64)
-        q /= divisor
+        q /= part
         q += q > 1
-        # q holds integers no larger than psi(n), so its cast to out's
-        # dtype is exact; made a buffer at a time, it allocates no array
-        # the size of q
-        np.multiply(part, q, out=part, dtype=part.dtype, casting="unsafe")
+        part[:] = q  # integers no larger than n + 1: the cast is exact
+    base += powers == base  # p + 1 at the primes
+    _wheel_sieve(lo, hi, np.multiply, out, psi_wheel, powers,
+                 base.astype(out.dtype))
 
 
 def _prime_bound(x: int) -> int:
@@ -551,15 +553,15 @@ def psi_blocks(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
     ValueError, when first advanced, unless 0 <= lo <= hi and
     hi - 1 <= 2**40.
 
-    Memory: the psi block (4 bytes per n up to 2**31 // 5, 8 above; 4 or
-    8 MiB for a whole block), the found product of its sieve (4 bytes
-    per n, 8 when hi > 2**31), the wheel period of _psi_block (two int32
-    arrays of 120120, 0.96 MB, kept for the process), the closing step's
-    2**16-value temporaries (about 1 MiB), and the sieve's step arrays
-    and gathered hits, which grow with sqrt(hi).  One whole block peaks
-    at 9.0 MiB (tracemalloc) at 1e7, 13.2 MiB just past 2**31 // 5,
-    18.5 MiB past 2**31 and 23.9 MiB at 2**40; all but the psi block and
-    the wheel are freed before the block is yielded.
+    Memory: the psi block, which its sieve fills in place (4 bytes per n
+    up to 2**31 // 5, 8 above; 4 or 8 MiB for a whole block), the wheel
+    period of _psi_block (two int32 arrays of 120120, 0.96 MB, kept for
+    the process), the closing step's 2**16-value temporaries (about
+    0.6 MiB), and the sieve's step arrays and gathered hits, which grow
+    with sqrt(hi).  One whole block peaks at 5.0 MiB (tracemalloc, the
+    wheel already built) at 1e7, 9.8 MiB just past 2**31 // 5, 11.3 MiB
+    past 2**31 and 20.6 MiB at 2**40; all but the psi block and the
+    wheel are freed before the block is yielded.
     """
     for first, last, primes in _blocks(lo, hi):
         psi = np.empty(last - first, dtype=_psi_dtype(last))
@@ -651,6 +653,8 @@ def grid_rows(xs: Iterable[int], least: int,
     block is cut after its last n <= x at every x, and its nonempty parts
     are handed to add(*arrays) in order of n; once every n <= x has been
     added, row(x) returns the row for x from the state that add carries.
+    No block is held past its turn, so a stream that frees each block
+    before it makes the next holds one at a time.
     """
     xs = _grid_xs(xs, least)
     ends = sorted(set(xs), reverse=True)  # the next x to reach is last
@@ -666,6 +670,9 @@ def grid_rows(xs: Iterable[int], least: int,
             rows[x] = row(x)
         if len(arrays[0]):
             add(*arrays)
+        # a view of the stream's block: dropped so that the block is
+        # freed before the next one is made
+        del arrays
     while ends:  # every n came at or below these x
         x = ends.pop()
         rows[x] = row(x)

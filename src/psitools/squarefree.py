@@ -151,9 +151,11 @@ def count_squarefree_formula_range(xmax: int, tables: SieveTables) -> np.ndarray
 
 def _squarefree_ns(top: int) -> Iterator[tuple[np.ndarray]]:
     """The squarefree n in [1, top], ascending, streamed by
-    sieve.squarefree_blocks, 2**16 squarefree n at a time."""
-    return ((ns,) for block in squarefree_blocks(1, top + 1)
-            for ns in chunked(block))
+    sieve.squarefree_blocks, 2**16 squarefree n at a time; each block
+    is dropped before the next one is sieved."""
+    for block in squarefree_blocks(1, top + 1):
+        yield from ((ns,) for ns in chunked(block))
+        del block
 
 
 def squarefree_residual_grid(

@@ -249,6 +249,21 @@ def test_verify_psi_streams_in_bounded_memory(tmp_path):
     assert peak < 8 * 2 ** 20
 
 
+@pytest.mark.parametrize("command", ["extremes", "classify", "harmonic"])
+def test_grid_subcommands_hold_one_block_whatever_x(tmp_path, command):
+    # one block-sized array at a time, each freed before the next block
+    # is sieved, so ten times the n add less than 1 MiB to the traced
+    # peak (1.3 to 3.3 MB when a block outlived the next one's sieve)
+    target = tmp_path / "out.csv"
+    peaks = []
+    for x in ("1000000", "10000000"):
+        code, peak = traced_peak(command, "--x", x, "--output", str(target))
+        assert code == 0
+        assert target.read_text().splitlines()[1].startswith(x + ",")
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < 2 ** 20, peaks
+
+
 def test_verify_psi_counterexample_in_a_later_chunk(capsys, monkeypatch):
     # a margin <= 0 in the second chunk fails the run, but only after
     # every row is written

@@ -441,17 +441,17 @@ def test_grids_across_segments_match_whole_arrays(psi_past_two_segments):
     lambda x: distribution_tail(x, [1.9]),
 ], ids=["classify_counts", "psi_ratio_extremes_grid", "distribution_tail"])
 def test_ratio_grids_hold_one_psi_block(grid):
-    # one int64 psi block (8 bytes per n) and its int32 found product (4)
-    # are the only block-sized arrays; the n, the ratios and the
-    # thresholds come 2^16 values at a time, and each block is freed
-    # before the next is allocated (17 bytes per n if it is not)
+    # one int32 psi block (4 bytes per n), sieved in place, is the only
+    # block-sized array; the n, the ratios and the thresholds come 2^16
+    # values at a time, and each block is freed before the next is
+    # sieved (a found product beside it, or two blocks, pass 10)
     tracemalloc.start()
     try:
         grid(3 * SEGMENT_SIZE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * SEGMENT_SIZE, peak
+    assert peak < 8 * SEGMENT_SIZE, peak
 
 
 def test_grid_domain():

@@ -16,7 +16,8 @@ from psitools import (InsufficientSieveError, SieveTables, build_sieve,
                       segment_scan)
 from psitools import cli, mertens, sieve
 from psitools.sieve import (MAX_LIMIT, SEGMENT_SIZE, _mobius_block,
-                            _psi_block, _small_primes, _spf_block, _unmarked)
+                            _psi_block, _psi_dtype, _small_primes, _spf_block,
+                            _unmarked)
 from psitools.squarefree import count_squarefree_formula
 from psitools.summation import CompensatedSum
 
@@ -325,13 +326,15 @@ def reference_sieve_block(lo, hi, primes, spf_dtype):
 def assert_block_matches_reference(lo, length, primes):
     hi = lo + length
     dtype = np.int32 if hi <= 2 ** 31 else np.int64
-    psi = np.empty(length, dtype=np.int64)
+    # the dtype psi_blocks gives: int32 up to 2**31 // 5, sieved in place
+    psi = np.empty(length, dtype=_psi_dtype(hi))
     _psi_block(lo, hi, primes, psi)
     got = (_spf_block(lo, hi, primes), _mobius_block(lo, hi, primes), psi)
     spf, mu, psi_want, marks = reference_sieve_block(lo, hi, primes, dtype)
     n = np.arange(lo, hi)
     for name, g, w in zip(("spf", "mu", "psi"), got, (spf, mu, psi_want)):
-        assert g.dtype == w.dtype, name
+        # psi against the int64 reference by value, never cast
+        assert g.dtype == (_psi_dtype(hi) if name == "psi" else w.dtype), name
         # psi(0) and mu(0) are left to the caller
         at = n > 0 if name in ("psi", "mu") else slice(None)
         assert np.array_equal(g[at], w[at]), (name, lo, hi)
@@ -350,6 +353,9 @@ def assert_block_matches_reference(lo, length, primes):
                                     st.integers(64, 1 << 14)))
 @example(lo=0, length=1 << 14)
 @example(lo=2 ** 31 - 5000, length=10_000)
+# the last int32 psi window, and one a step past it
+@example(lo=2 ** 31 // 5 - 9_999, length=10_000)
+@example(lo=2 ** 31 // 5 - 9_998, length=10_000)
 @example(lo=TOP - 63, length=63)
 def test_sieve_block_matches_reference(tables_2e6, lo, length):
     assert_block_matches_reference(lo, length, tables_2e6.primes)

@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from psitools import InsufficientSieveError, build_sieve, sieve, squarefree
-from psitools.sieve import SieveTables, squarefree_blocks
+from psitools.sieve import SEGMENT_SIZE, SieveTables, squarefree_blocks
 from psitools.squarefree import (
     count_squarefree_formula,
     count_squarefree_formula_range,
@@ -233,6 +234,20 @@ def test_harmonic_chunks_match_one_sum(monkeypatch, chunk, x):
     monkeypatch.setattr(squarefree, "chunked",
                         lambda block: chunked(block, chunk))
     assert squarefree_harmonic_grid([x])[0].value == whole
+
+
+def test_harmonic_grid_holds_one_squarefree_block():
+    # one int64 block of squarefree n (about 4.9 bytes per n) and the
+    # bool marks of the next (1) are the only block-sized arrays; the
+    # 1/n come 2^16 at a time, and each block is freed before the next
+    # is sieved (two blocks at once pass 10 bytes per n)
+    tracemalloc.start()
+    try:
+        squarefree_harmonic_grid([3 * SEGMENT_SIZE])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * SEGMENT_SIZE, peak
 
 
 def test_harmonic_residual_settles():
