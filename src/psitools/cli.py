@@ -15,7 +15,8 @@ the rows as chunks of columns (equal-length sequences), and an optional
 vector predicate fails(columns) that marks the rows of a chunk that are
 counterexamples.  No subcommand builds sieve tables; each streams its
 primes, psi(n) or squarefree n, except that Q(x) is the square-divisor
-sum over mu up to sqrt(x).  --limit is read by sieve-info alone.
+sum over mu up to sqrt(x).  A grid subcommand's library call returns
+the rows it writes, x first, and _x_grid passes them through unchanged.
 Most yield a few rows as one chunk; verify-psi, jumps and loglog-gap
 --kmax yield a chunk per chunk of primes, never whole columns.  main
 takes the first chunk before it opens the output, so an invalid request
@@ -80,8 +81,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import astuple, dataclass
-from math import log
+from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -449,22 +449,16 @@ def _grid(args: argparse.Namespace, smallest: int) -> list[int]:
 
 
 def _x_grid(grid: Callable[[list[int], argparse.Namespace], list],
-            row: Callable[[int, Any], tuple] = lambda x, answer: (x, *answer),
             smallest: int = 2):
-    """rows(args) for a grid subcommand: row(x, answer) for each x.
+    """rows(args) for a grid subcommand: the rows of grid(xs, args).
 
     One grid and one grid(xs, args) call, which answers every x from one
-    streamed pass; all rows are computed before any is written, as one
-    chunk.
+    streamed pass with the row written for it; all rows are computed
+    before any is written, as one chunk.
     """
     def rows(args: argparse.Namespace) -> Iterator[list[tuple]]:
-        xs = _grid(args, smallest)
-        yield list(zip(*map(row, xs, grid(xs, args))))
+        yield list(zip(*grid(_grid(args, smallest), args)))
     return rows
-
-
-def _sample(x: int, s) -> tuple:
-    return x, s.value, s.main_term, s.residual
 
 
 def _sieve_info(args):
@@ -474,8 +468,8 @@ def _sieve_info(args):
     limit, theta = _need(args, "limit", 2), CompensatedSum()
     count = sum(len(theta.add(np.log(p.astype(float))))
                 for p in sieve.prime_chunks(limit))
-    ((q, _),) = squarefree.squarefree_residual_grid([limit])
-    yield [[limit], [count], [int(q.value)], [theta.value]]
+    ((_, q, *_),) = squarefree.squarefree_residual_grid([limit])
+    yield [[limit], [count], [q], [theta.value]]
 
 
 def _verify_psi(args):
@@ -488,16 +482,6 @@ def _verify_psi(args):
         yield [ks, *cols.values()]
 
 
-def _squarefree(x, samples):
-    half, quarter = samples
-    return (x, int(half.value), half.main_term, half.residual,
-            half.scaled_residual, quarter.scaled_residual)
-
-
-def _progression(x, s):
-    return s.q, s.a, x, s.sum, s.b_estimate
-
-
 def _b1(args):
     p_limit = _need(args, "plimit", 2)
     value, tail = mertens.compute_B1(p_limit)
@@ -505,9 +489,7 @@ def _b1(args):
 
 
 def _dist_tail(args):
-    x = _need(args, "x", 2)
-    ts, fractions = zip(*extrema.distribution_tail(x, args.t))
-    yield [[x] * len(ts), ts, fractions]
+    yield list(zip(*extrema.distribution_tail(_need(args, "x", 2), args.t)))
 
 
 def _loglog_gap(args):
@@ -541,7 +523,9 @@ def _constants(args):
 COMMANDS: dict[str, Command] = {
     "sieve-info": Command(
         "table summary: prime count, squarefree count, theta",
-        ("limit", "primes", "squarefree", "theta"), _sieve_info),
+        ("limit", "primes", "squarefree", "theta"), _sieve_info,
+        (_flag("--limit", type=int,
+               help="count primes, squarefree n and theta up to here"),)),
     "verify-psi": Command(
         "scan primorials for psi ratio above threshold",
         ("k", "p_k", "log_N", "psi_ratio", "loglog_N", "threshold",
@@ -553,30 +537,29 @@ COMMANDS: dict[str, Command] = {
         "squarefree counts vs (6/pi^2) x",
         ("x", "Q", "main", "residual", "scaled_half", "scaled_quarter"),
         _x_grid(lambda xs, args: squarefree.squarefree_residual_grid(xs),
-                _squarefree, smallest=1), _GRID_FLAGS),
+                smallest=1), _GRID_FLAGS),
     "harmonic": Command(
         "squarefree harmonic sum vs (6/pi^2) log x",
         ("x", "value", "main", "residual"),
         _x_grid(lambda xs, args: squarefree.squarefree_harmonic_grid(xs),
-                _sample, smallest=1), _GRID_FLAGS),
+                smallest=1), _GRID_FLAGS),
     "mertens": Command(
         "prime reciprocal sum vs log log x + B1",
         ("x", "sum", "main", "residual"),
-        _x_grid(lambda xs, args: mertens.prime_harmonic_grid(xs), _sample),
+        _x_grid(lambda xs, args: mertens.prime_harmonic_grid(xs)),
         _GRID_FLAGS),
     "progression": Command(
         "prime reciprocal sum along a residue class",
         ("q", "a", "x", "sum", "b_estimate"),
         _x_grid(lambda xs, args: mertens.prime_harmonic_progression_grid(
-            xs, args.q, args.a), _progression),
+            xs, args.q, args.a)),
         _GRID_FLAGS + (_flag("--q", type=int, required=True, help="modulus"),
                        _flag("--a", type=int, required=True,
                              help="residue"))),
     "oscillation": Command(
         "scaled deviation of the inverse Euler product",
         ("x", "g"),
-        _x_grid(lambda xs, args: mertens.oscillation_grid(xs),
-                lambda x, g: (x, g)),
+        _x_grid(lambda xs, args: mertens.oscillation_grid(xs)),
         _GRID_FLAGS),
     "b1": Command(
         "recompute the prime-sum constant B1",
@@ -587,8 +570,7 @@ COMMANDS: dict[str, Command] = {
         "explicit error bound check for the prime sum",
         ("x", "holds", "slack", "deviation", "bound", "rh_bound",
          "below_validity"),
-        _x_grid(lambda xs, args: mertens.dusart_bound_grid(xs),
-                lambda x, r: (x, *astuple(r)[1:])),
+        _x_grid(lambda xs, args: mertens.dusart_bound_grid(xs)),
         _GRID_FLAGS,
         fails=lambda c: ~c["holds"] & ~c["below_validity"]),
     "jumps": Command(
@@ -605,8 +587,7 @@ COMMANDS: dict[str, Command] = {
     "classify": Command(
         "count n with psi(n)/n above/below threshold",
         ("x", "above", "below", "x_over_logx"),
-        _x_grid(lambda xs, args: extrema.classify_counts(xs),
-                lambda x, counts: (x, *counts, x / log(x))),
+        _x_grid(lambda xs, args: extrema.classify_counts(xs)),
         _GRID_FLAGS),
     "dist-tail": Command(
         "fraction of n <= x with psi(n)/n > t",
@@ -647,11 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default csv)")
     common.add_argument("--output", metavar="PATH",
                         help="write to file instead of standard output")
-    common.add_argument("--limit", type=int, default=None,
-                        help="the limit sieve-info reports on; every other "
-                             "subcommand streams what it needs and ignores "
-                             "it (constants always sums its primes to 1e6 "
-                             "and H_n to 1e8)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=command.help)

@@ -12,7 +12,8 @@ whole column.  N_k/phi(N_k) is mertens.euler_product_inv_grid at
 x = p_k.
 
 The per-n psi(n)/n functions (extremes, classification, tail fractions)
-stream sieve.psi_blocks and read each block in 2**16-value slices.
+stream sieve.psi_blocks and read each block in 2**16-value slices; each
+returns the rows its subcommand writes, x first.
 """
 from __future__ import annotations
 
@@ -131,7 +132,7 @@ def _ratio_grid(xs: Iterable[int],
 
 
 def psi_ratio_extremes_grid(
-        xs: Iterable[int]) -> list[tuple[int, float, int, float]]:
+        xs: Iterable[int]) -> list[tuple[int, int, float, int, float]]:
     """Brute-force argmax/argmin of psi(n)/n over 2 <= n <= x, for every
     x in xs (x <= 2**40), from one pass over psi.
 
@@ -141,8 +142,8 @@ def psi_ratio_extremes_grid(
     round to identical floats, and argmax/argmin take the first hit).
 
     Returns:
-        (max_n, max_ratio, min_n, min_ratio) for each x, in the order of
-        xs.
+        (x, max_n, max_ratio, min_n, min_ratio) for each x, in the order
+        of xs.
     """
     max_n = min_n = 0
     max_ratio, min_ratio = -np.inf, np.inf
@@ -157,10 +158,11 @@ def psi_ratio_extremes_grid(
             min_n, min_ratio = int(ns[lo]), float(ratios[lo])
 
     return _ratio_grid(xs, add,
-                       lambda x: (max_n, max_ratio, min_n, min_ratio))
+                       lambda x: (x, max_n, max_ratio, min_n, min_ratio))
 
 
-def classify_counts(xs: Iterable[int]) -> list[tuple[int, int]]:
+def classify_counts(
+        xs: Iterable[int]) -> list[tuple[int, int, int, float]]:
     """Split [2, x] by psi(n)/n against its threshold, for every x in xs.
 
     above counts the n with psi(n)/n > (6 e^gamma / pi^2) log log n,
@@ -170,7 +172,7 @@ def classify_counts(xs: Iterable[int]) -> list[tuple[int, int]]:
     of the intervals between the sorted xs are summed.
 
     Returns:
-        (above, below) for each x, in the order of xs.
+        (x, above, below, x / log x) for each x, in the order of xs.
     """
     above = 0
 
@@ -182,7 +184,8 @@ def classify_counts(xs: Iterable[int]) -> list[tuple[int, int]]:
         near = ratios > _thresholds(ns[:1])[0] - 1e-9
         above += int(np.count_nonzero(ratios[near] > _thresholds(ns[near])))
 
-    return _ratio_grid(xs, add, lambda x: (above, x - 1 - above))
+    return _ratio_grid(xs, add,
+                       lambda x: (x, above, x - 1 - above, x / log(x)))
 
 
 def _gaps(p: np.ndarray, log_n: np.ndarray) -> np.ndarray:
@@ -232,8 +235,9 @@ def loglog_gap_chunks(kmax: int | None = None, ks: Sequence[int] = ()
             yield ks, *(np.concatenate(c)[at] for c in list(zip(*parts))[1:])
 
 
-def distribution_tail(x: int, t_grid) -> list[tuple[float, float]]:
-    """Fraction of n in [2, x] with psi(n)/n > t, for each t in t_grid.
+def distribution_tail(x: int, t_grid) -> list[tuple[int, float, float]]:
+    """(x, t, fraction): the fraction of n in [2, x] with psi(n)/n > t,
+    for each t in t_grid.
 
     Strict inequality: an exact hit like psi(6)/6 = 2 at t = 2 is
     excluded.  x runs to 2**40; t = -inf and +inf give fractions 1 and
@@ -251,7 +255,7 @@ def distribution_tail(x: int, t_grid) -> list[tuple[float, float]]:
             counts[i] += int(np.count_nonzero(ratios > t))
 
     (fractions,) = _ratio_grid([x], add, lambda x: [
-        (t, count / (x - 1)) for t, count in zip(t_list, counts)])
+        (x, t, count / (x - 1)) for t, count in zip(t_list, counts)])
     return fractions
 
 

@@ -9,22 +9,22 @@ Each prime sum but compute_B1 is a grid form: one pass over ascending
 primes (sieve.grid_rows) answers every x of a grid, carrying one
 CompensatedSum over sieve.prime_chunks, in block-sized memory, and
 reading it at each x.  A single x is the grid [x], so the sum and
-everything after it exist once.  The product of (1 + 1/p) over the
-primes p <= x is the psi_ratio column of extrema.primorial_stream.
+everything after it exist once.  Each grid returns, for each x, the row
+its subcommand writes: a summation.Sample, a ProgressionSum, a
+DusartResult or (x, g).  The product of (1 + 1/p) over the primes
+p <= x is the psi_ratio column of extrema.primorial_stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import fsum, gcd, log, pi, sqrt
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .constants import get_constant
-from .residual import ResidualSample, make_sample
-from .sieve import MAX_LIMIT, grid_rows, prime_chunks
-from .summation import CompensatedSum
+from .sieve import MAX_LIMIT, _grid_xs, grid_rows, prime_chunks
+from .summation import CompensatedSum, Sample
 
 __all__ = [
     "ProgressionSum",
@@ -47,22 +47,20 @@ _E_GAMMA = get_constant("e_gamma").value
 DUSART_VALIDITY_THRESHOLD = 2_278_383
 
 
-@dataclass(frozen=True)
-class ProgressionSum:
+class ProgressionSum(NamedTuple):
     """Reciprocal prime sum restricted to p = a (mod q)."""
 
     q: int
     a: int
-    x: float
+    x: int
     sum: float
     b_estimate: float  # sum - log log x / phi(q)
 
 
-@dataclass(frozen=True)
-class DusartResult:
+class DusartResult(NamedTuple):
     """Outcome of the explicit error-bound check at one x."""
 
-    x: float
+    x: int
     holds: bool
     slack: float          # bound - |R(x)|
     deviation: float      # R(x) = sum 1/p - log log x - B1
@@ -86,13 +84,14 @@ def _prime_sums(xs: Iterable[int],
                      lambda p: total.add(terms(p)), lambda x: total.value)
 
 
-def prime_harmonic_grid(xs: Iterable[int]) -> list[ResidualSample]:
+def prime_harmonic_grid(xs: Iterable[int]) -> list[Sample]:
     """sum_{p <= x} 1/p against its main term log log x + B1, for every
     x in xs (2 <= x <= 2**40), from one pass over the primes up to
     max(xs)."""
-    xs = list(xs)
-    return [make_sample(x, value, log(log(x)) + _B1)
-            for x, value in zip(xs, _prime_sums(xs, lambda p: 1.0 / p))]
+    xs = _grid_xs(xs, 2)
+    return [Sample(x, value, main, value - main) for x, value, main in
+            zip(xs, _prime_sums(xs, lambda p: 1.0 / p),
+                [log(log(x)) + _B1 for x in xs])]
 
 
 def prime_harmonic_progression_grid(xs: Iterable[int], q: int,
@@ -115,33 +114,32 @@ def prime_harmonic_progression_grid(xs: Iterable[int], q: int,
     if q > MAX_LIMIT:
         raise ValueError(f"q must be <= 2**40, got {q}")
     phi_q = profile(q).phi
-    xs = list(xs)
+    xs = _grid_xs(xs, 2)
     sums = _prime_sums(xs, lambda p: 1.0 / p[p % q == a])
-    return [ProgressionSum(q=q, a=a, x=float(x), sum=total,
-                           b_estimate=total - log(log(x)) / phi_q)
+    return [ProgressionSum(q, a, x, total, total - log(log(x)) / phi_q)
             for x, total in zip(xs, sums)]
 
 
-def euler_product_inv_grid(xs: Iterable[int]) -> list[ResidualSample]:
+def euler_product_inv_grid(xs: Iterable[int]) -> list[Sample]:
     """prod_{p <= x} (1 - 1/p)^(-1) against e^gamma log x, for every x
     in xs, from one pass over the primes up to max(xs)."""
-    xs = list(xs)
+    xs = _grid_xs(xs, 2)
     sums = _prime_sums(xs, lambda p: -np.log1p(-1.0 / p))
-    return [make_sample(x, float(np.exp(total)), _E_GAMMA * log(x))
-            for x, total in zip(xs, sums)]
+    return [Sample(x, value, main, value - main) for x, value, main in
+            zip(xs, [float(np.exp(total)) for total in sums],
+                [_E_GAMMA * log(x) for x in xs])]
 
 
-def oscillation_grid(xs: Iterable[int]) -> list[float]:
-    """sqrt(x) * (prod_{p <= x}(1 - 1/p)^(-1) - e^gamma log x) for every
-    x in xs, from one pass over the primes up to max(xs).
+def oscillation_grid(xs: Iterable[int]) -> list[tuple[int, float]]:
+    """(x, g) with g = sqrt(x) * (prod_{p <= x}(1 - 1/p)^(-1) - e^gamma
+    log x) for every x in xs, from one pass over the primes up to
+    max(xs).
 
     The scaled deviation of the inverse Euler product from its limit
     law; its sign and size over an x grid trace the product's slow
     oscillation around e^gamma log x.
     """
-    xs = list(xs)
-    return [sqrt(x) * s.residual
-            for x, s in zip(xs, euler_product_inv_grid(xs))]
+    return [(s.x, sqrt(s.x) * s.residual) for s in euler_product_inv_grid(xs)]
 
 
 def compute_B1(prime_limit: int) -> tuple[float, float]:
@@ -176,14 +174,12 @@ def dusart_bound_grid(xs: Iterable[int]) -> list[DusartResult]:
     alongside as an observation, never asserted (it assumes the zeta
     zeros lie on the critical line).
     """
-    xs = list(xs)
     results = []
-    for x, sample in zip(xs, prime_harmonic_grid(xs)):
-        deviation = sample.residual
+    for x, _, _, deviation in prime_harmonic_grid(xs):
         lx = log(x)
         bound = 1.0 / (10 * lx ** 2) + 4.0 / (15 * lx ** 3)
         results.append(DusartResult(
-            x=float(x),
+            x=x,
             holds=abs(deviation) <= bound,
             slack=bound - abs(deviation),
             deviation=deviation,

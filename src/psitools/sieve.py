@@ -580,16 +580,19 @@ def prime_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
 
     The primes up to sqrt(hi - 1) come from _blocks' plain sieve, and
     those above it are the n there that _unmarked finds no sieving prime
-    divides.  No tables are needed and only one block is held at a time.
-    A block may hold no primes.  Raises ValueError, when first advanced,
-    unless 0 <= lo <= hi and hi - 1 <= 2**40.
+    divides.  No tables are needed and only one block is held at a time:
+    no name here outlives the yield, so unless the consumer keeps the
+    block, it is freed before the next one is sieved.  A block may hold
+    no primes.  Raises ValueError, when first advanced, unless
+    0 <= lo <= hi and hi - 1 <= 2**40.
     """
     root = isqrt(max(int(hi) - 1, 0))
     for first, last, base in _blocks(lo, hi):
         start = min(max(first, root + 1, 2), last)
-        above = _unmarked(start, last, base[base <= isqrt(last - 1)],
-                          np.empty(last - start, dtype=bool))
-        yield np.concatenate((base[(base >= first) & (base < last)], above))
+        yield np.concatenate((
+            base[(base >= first) & (base < last)],
+            _unmarked(start, last, base[base <= isqrt(last - 1)],
+                      np.empty(last - start, dtype=bool))))
 
 
 def prime_chunks(x: int | None = None,
@@ -599,6 +602,11 @@ def prime_chunks(x: int | None = None,
     streams up to p_n < n (log n + log log n) for n >= 6 (Rosser, 1941)
     with margin (100 covers p_5).  Raises ValueError past 2**40 (x when
     first advanced, count when called).
+
+    Each chunk is a copy, not a view of its block, so a consumer that
+    holds its last chunk while it asks for the next (a for loop or a
+    generator expression does) keeps 32 KiB, not a block, and each block
+    is freed before the next one is sieved.
     """
     if count is not None:
         log_c = log(count + 1)
@@ -606,9 +614,16 @@ def prime_chunks(x: int | None = None,
         if x > MAX_LIMIT:
             raise ValueError(f"{count} primes need a limit of {x}, but the "
                              f"limit must be in [2, 2**40]")
-    chunks = (c for block in prime_blocks(2, int(x) + 1)
-              for c in chunked(block, _PRIME_CHUNK))
+    chunks = _copied_chunks(prime_blocks(2, int(x) + 1))
     return chunks if count is None else _first(chunks, count)
+
+
+def _copied_chunks(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """Copies of each block's _PRIME_CHUNK-value slices; a block is
+    dropped before the next one is asked for."""
+    for block in blocks:
+        yield from (c.copy() for c in chunked(block, _PRIME_CHUNK))
+        del block
 
 
 def _first(chunks: Iterator[np.ndarray], count: int) -> Iterator[np.ndarray]:

@@ -19,7 +19,8 @@ grid, from one Mobius table up to sqrt of the largest x
 (sieve._mobius_table): Q(2**40) reads mu to 2**20, one block.  The
 float harmonic sum is a grid form that answers every x from one pass
 over the squarefree n (sieve.grid_rows) of sieve.squarefree_blocks, in
-block-sized memory; a single x is the grid [x].
+block-sized memory; a single x is the grid [x].  Both return, for each
+x, the row their subcommand writes, x first.
 
 count_squarefree_formula splits the sum at c = x^(1/3), the simple end
 of J. Pawlewicz, "Counting square-free numbers" (arXiv:1107.4890): the
@@ -40,10 +41,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .constants import get_constant
-from .residual import ResidualSample, make_sample
 from .sieve import (SieveTables, _grid_xs, _index_dtype, _mobius_table,
                     grid_rows, prime_chunks, squarefree_blocks)
-from .summation import CompensatedSum, chunked
+from .summation import CompensatedSum, Sample, chunked
 
 __all__ = [
     "count_squarefree_formula",
@@ -159,28 +159,30 @@ def _squarefree_ns(top: int) -> Iterator[tuple[np.ndarray]]:
 
 
 def squarefree_residual_grid(
-        xs: Iterable[int]) -> list[tuple[ResidualSample, ResidualSample]]:
-    """Q(x) against its main term (6/pi^2) x, scaled two ways, for every
-    x in xs (1 <= x <= 2**40, checked as sieve.grid_rows checks its x).
+        xs: Iterable[int]
+) -> list[tuple[int, int, float, float, float, float]]:
+    """(x, Q, main, residual, residual / x**0.5, residual / x**0.25):
+    Q(x) against its main term (6/pi^2) x, for every x in xs
+    (1 <= x <= 2**40, checked as sieve.grid_rows checks its x).
 
-    Each Q(x) is the square-divisor sum of count_squarefree_formula,
-    read from one Mobius table up to isqrt(max(xs)): 2**20 + 1 bytes at
-    most, with no sieve tables and no pass over the squarefree n.  Each
-    row is a pair of samples at scale exponents 0.5 and 0.25; they share
-    x, value, main term, and raw residual.
+    Each Q(x) is the square-divisor sum of count_squarefree_formula, an
+    int, read from one Mobius table up to isqrt(max(xs)): 2**20 + 1
+    bytes at most, with no sieve tables and no pass over the squarefree
+    n.  residual is float(Q) - main.
     """
     xs = _grid_xs(xs, 1)
     mobius = _mobius_table(isqrt(max(xs)))
-    samples = []
+    rows = []
     for x in xs:
         q = _count_squarefree(x, mobius[:isqrt(x) + 1])
         main = _SIX_OVER_PI_SQ * x
-        samples.append((make_sample(x, q, main, scale_exponent=0.5),
-                        make_sample(x, q, main, scale_exponent=0.25)))
-    return samples
+        residual = float(q) - main
+        rows.append((x, q, main, residual, residual / float(x) ** 0.5,
+                     residual / float(x) ** 0.25))
+    return rows
 
 
-def squarefree_harmonic_grid(xs: Iterable[int]) -> list[ResidualSample]:
+def squarefree_harmonic_grid(xs: Iterable[int]) -> list[Sample]:
     """The sum of 1/n over the squarefree n <= x, against (6/pi^2) log x,
     for every x in xs (1 <= x <= 2**40), from one pass over the
     squarefree n up to max(xs).  The compensated sum of 1/n, in
@@ -188,11 +190,11 @@ def squarefree_harmonic_grid(xs: Iterable[int]) -> list[ResidualSample]:
     few ulp of exact, and the same bits whatever the chunks.
     """
     total = CompensatedSum()
-    xs = list(xs)
+    xs = _grid_xs(xs, 1)
     sums = grid_rows(xs, 1, _squarefree_ns, lambda ns: total.add(1.0 / ns),
                      lambda x: total.value)
-    return [make_sample(x, value, _SIX_OVER_PI_SQ * log(x))
-            for x, value in zip(xs, sums)]
+    return [Sample(x, value, main, value - main) for x, value, main in
+            zip(xs, sums, [_SIX_OVER_PI_SQ * log(x) for x in xs])]
 
 
 def primorial_divisor_tail(x: int) -> Fraction:

@@ -4,15 +4,16 @@ Left-to-right summation of n terms can lose ~n ulp of accuracy.
 CompensatedSum, the one accumulator of every prime and squarefree sum,
 tracks the rounding error of every addition, so its prefix sums stay
 within a few ulp regardless of length; its callers feed it one chunk at
-a time, and chunked cuts an array into _CHUNK-value slices.
+a time, and chunked cuts an array into _CHUNK-value slices.  Sample is
+the row of every sum with a known main term.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-__all__ = ["chunked", "CompensatedSum"]
+__all__ = ["chunked", "CompensatedSum", "Sample"]
 
 _CHUNK = 1 << 16  # elements per chunk, and so per temporary
 
@@ -60,3 +61,12 @@ class CompensatedSum:
         sums = np.add(s, err, out=err)
         self.value = float(sums[-1])
         return sums
+
+
+class Sample(NamedTuple):
+    """A sum at x against its main term: residual = value - main."""
+
+    x: int
+    value: float
+    main: float
+    residual: float

@@ -159,7 +159,7 @@ def test_criterion_06_extreme_locations():
         100_000: (30_030, 99_991),
     }
     rows = psi_ratio_extremes_grid(expected)
-    ok = [(max_n, min_n) for max_n, _, min_n, _ in rows] == list(
+    ok = [(max_n, min_n) for _, max_n, _, min_n, _ in rows] == list(
         expected.values())
     elapsed = time.perf_counter() - start
     report(6, "argmax at largest primorial, argmin at largest prime",
@@ -223,7 +223,7 @@ def test_criterion_10_oscillation_oracle(tables_1e7):
     e_gamma_ld = (np.longdouble(float.fromhex("0x1.c7f45cab1356cp+0"))
                   + np.longdouble(float.fromhex("-0x1.d6b0214a2928cp-57")))
     worst = 0.0
-    for x, got in zip(xs, oscillation_grid(xs)):
+    for x, got in oscillation_grid(xs):
         idx = tables_1e7.prime_count(int(x)) - 1
         oracle = np.sqrt(np.longdouble(x)) * (
             running[idx] - e_gamma_ld * np.log(np.longdouble(x)))
@@ -246,12 +246,12 @@ def test_criterion_12_recorded_only():
     # no desk-scale pass/fail exists for unbounded oscillation or the
     # threshold-crossing density; record the trajectories and counts
     xs = sorted(set(np.geomspace(10, 10_000_000, 12).astype(int).tolist()))
-    trajectory = list(zip(xs, oscillation_grid(xs)))
+    trajectory = oscillation_grid(xs)
     for x, g in trajectory:
         print(f"  g({x}) = {g:.5f}")
 
-    [(above, below)] = classify_counts([1_000_000])
-    density_scale = 1_000_000 / math.log(1_000_000)
+    [(_, above, below, density_scale)] = classify_counts([1_000_000])
+    assert density_scale == 1_000_000 / math.log(1_000_000)
     print(f"  below-threshold count at 1e6: {below}"
           f" (x/log x = {density_scale:.1f}, above = {above})")
 

@@ -249,15 +249,18 @@ def test_verify_psi_streams_in_bounded_memory(tmp_path):
     assert peak < 8 * 2 ** 20
 
 
-@pytest.mark.parametrize("command", ["extremes", "classify", "harmonic"])
+@pytest.mark.parametrize("command", ["extremes", "classify", "harmonic",
+                                     "dusart", "mertens", "b1", "sieve-info"])
 def test_grid_subcommands_hold_one_block_whatever_x(tmp_path, command):
     # one block-sized array at a time, each freed before the next block
     # is sieved, so ten times the n add less than 1 MiB to the traced
-    # peak (1.3 to 3.3 MB when a block outlived the next one's sieve)
+    # peak (1.1 to 3.3 MB when a block outlived the next one's sieve);
+    # b1 and sieve-info take their x as --plimit and --limit
+    flag = {"b1": "--plimit", "sieve-info": "--limit"}.get(command, "--x")
     target = tmp_path / "out.csv"
     peaks = []
     for x in ("1000000", "10000000"):
-        code, peak = traced_peak(command, "--x", x, "--output", str(target))
+        code, peak = traced_peak(command, flag, x, "--output", str(target))
         assert code == 0
         assert target.read_text().splitlines()[1].startswith(x + ",")
         peaks.append(peak)
@@ -436,7 +439,7 @@ def test_streamed_grid_rows_equal_per_x_table_calls(
         raise AssertionError(f"build_sieve({limit}) called")
 
     monkeypatch.setattr(sieve, "build_sieve", no_tables)
-    argv = [name, *(f"--x={x}" for x in xs), "--limit", str(2 ** 41)]
+    argv = [name, *(f"--x={x}" for x in xs)]
     if name == "progression":
         argv += ["--q", "12", "--a", "5"]
     args = cli.build_parser().parse_args(argv)
@@ -458,7 +461,7 @@ def test_streamed_sums_match_one_pass_over_the_tables(tables_past_edge):
     harmonic_sum = float(CompensatedSum().add(1.0 / ns)[-1])
     assert mertens.prime_harmonic_grid([x])[0].value == mertens_sum
     assert squarefree.squarefree_harmonic_grid([x])[0].value == harmonic_sum
-    assert squarefree.squarefree_residual_grid([x])[0][0].value == len(ns)
+    assert squarefree.squarefree_residual_grid([x])[0][1] == len(ns)
 
 
 # every subcommand, with small arguments: none builds sieve tables
@@ -1246,12 +1249,12 @@ _CROSSCHECK = functools.cache(constants.crosscheck_constants)
 
 @st.composite
 def _argv(draw, name, out_dir):
-    """argv for subcommand name: each of its flags and --limit left out,
-    or given once (a repeatable flag up to three times), more often
-    given than not."""
+    """argv for subcommand name: each of its flags left out, or given
+    once (a repeatable flag up to three times), more often given than
+    not."""
     argv = [name]
     flags = [(flag, kwargs.get("action")) for flag, kwargs
-             in cli.COMMANDS[name].flags] + [("--limit", None)]
+             in cli.COMMANDS[name].flags]
     for flag, action in flags:
         if action == "store_true":
             if draw(st.booleans()):

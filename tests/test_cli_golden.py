@@ -20,8 +20,8 @@ CASES = [
     # 5,133 rows: more than one 2^12-row emit chunk
     ("verify-psi --plimit 50000 --format json", 0, "f706b408b9144380e238b48e3e6636d41a5078ec428b728347b79d065d77a0ba"),
     ("verify-psi --plimit 50000", 0, "a05bcb28b1fcc5e84ff09ccc51a40b9f9995470d201ef6ef671939e6416db22f"),
-    ("squarefree --x 10 --x 100 --limit 5000", 0, "4869b2a256468a79a219a46d04120a0c820e461baca492b7501e843c95860afc"),
-    ("squarefree --x 10 --x 100 --limit 5000 --format json", 0, "eb13cfe4598dfd8b387a33b84f30fb082ace42119b9b1424c54555875c068883"),
+    ("squarefree --x 10 --x 100", 0, "4869b2a256468a79a219a46d04120a0c820e461baca492b7501e843c95860afc"),
+    ("squarefree --x 10 --x 100 --format json", 0, "eb13cfe4598dfd8b387a33b84f30fb082ace42119b9b1424c54555875c068883"),
     ("squarefree --xmax 3000 --points 5", 0, "ea655c512dd0f77f961afc2477ea460610effeb1bfe7a94be940e98192eca7ab"),
     ("squarefree --xmax 3000 --points 5 --format json", 0, "deea825288d8215907bb36ea5df9ca20a7da6e31dae32a000b3a8168e10f141a"),
     ("harmonic --xmin 10 --xmax 1000 --points 4", 0, "3682512f31febb43632190acbb5abda4b794757c21e6ec4892840b2703fa2486"),

@@ -295,16 +295,16 @@ def test_jump_matches_columns():
 
 def test_extremes():
     assert psi_ratio_extremes_grid([10, 100, 2, 4]) == [
-        (6, 2.0, 7, pytest.approx(8 / 7)),
-        (30, pytest.approx(2.4), 97, pytest.approx(1.0103092783505154)),
-        (2, 1.5, 2, 1.5),
+        (10, 6, 2.0, 7, pytest.approx(8 / 7)),
+        (100, 30, pytest.approx(2.4), 97, pytest.approx(1.0103092783505154)),
+        (2, 2, 1.5, 2, 1.5),
         # ties resolve to the smallest n: psi(2)/2 = psi(4)/4 = 3/2
-        (2, 1.5, 3, pytest.approx(4 / 3))]
+        (4, 2, 1.5, 3, pytest.approx(4 / 3))]
 
 
 def test_extremes_hit_primorials_and_primes():
     # maxima occur at primorials, minima at the largest prime
-    [(max_n, max_ratio, min_n, min_ratio)] = psi_ratio_extremes_grid(
+    [(_, max_n, max_ratio, min_n, min_ratio)] = psi_ratio_extremes_grid(
         [10_000])
     assert max_n == 2 * 3 * 5 * 7 * 11
     assert max_ratio == pytest.approx(profile(max_n).psi / max_n, rel=1e-15)
@@ -313,19 +313,21 @@ def test_extremes_hit_primorials_and_primes():
 
 
 def test_classify_counts():
-    assert classify_counts([10, 1_000]) == [(9, 0), (199, 800)]
+    assert classify_counts([10, 1_000]) == [
+        (10, 9, 0, 10 / math.log(10)),
+        (1_000, 199, 800, 1_000 / math.log(1_000))]
 
 
 def above_steps(x):
     """n -> whether n is above, for n in [2, x], from the steps of the counts."""
-    aboves = [0] + [above for above, _ in
+    aboves = [0] + [above for _, above, _, _ in
                     classify_counts(range(2, x + 1))]
     return {n: aboves[n - 1] > aboves[n - 2] for n in range(2, x + 1)}
 
 
 def test_classify_records():
     steps = above_steps(20)
-    [(above, below)] = classify_counts([20])
+    [(_, above, below, _)] = classify_counts([20])
     assert len(steps) == above + below == 19
     assert sum(steps.values()) == above
     assert steps[2] and steps[13] and not steps[17]
@@ -358,7 +360,8 @@ def test_classify_counts_match_a_brute_count_over_every_n():
                 counts[x] = int(hits[x - first])
         above = int(hits[-1])
     assert extrema._thresholds(np.array([2.0]))[0] < 0 < counts[2] == 1
-    assert classify_counts(xs) == [(counts[x], x - 1 - counts[x]) for x in xs]
+    assert classify_counts(xs) == [
+        (x, counts[x], x - 1 - counts[x], x / math.log(x)) for x in xs]
 
 
 def test_classify_domain():
@@ -375,7 +378,7 @@ def brute_extremes(x):
               for n in range(2, x + 1)]
     hi = max(ratios, key=lambda r: r[0])
     lo = min(ratios, key=lambda r: r[0])
-    return hi[1], float(hi[0]), lo[1], float(lo[0])
+    return x, hi[1], float(hi[0]), lo[1], float(lo[0])
 
 
 def test_extremes_grid_matches_scalar_and_oracle():
@@ -385,15 +388,15 @@ def test_extremes_grid_matches_scalar_and_oracle():
 def test_extremes_grid_ties_across_intervals():
     # psi(12)/12 = psi(18)/18 = 2 = psi(6)/6: the later interval keeps 6
     assert psi_ratio_extremes_grid([10, 20]) == [
-        (6, 2.0, 7, 8 / 7), (6, 2.0, 19, 20 / 19)]
+        (10, 6, 2.0, 7, 8 / 7), (20, 6, 2.0, 19, 20 / 19)]
 
 
 def test_classify_counts_match_scalar_and_records():
     rows = classify_counts(GRID)
     assert rows == [classify_counts([x])[0] for x in GRID]
     labels = list(above_steps(max(GRID)).values())
-    assert rows == [(sum(labels[:x - 1]), x - 1 - sum(labels[:x - 1]))
-                    for x in GRID]
+    assert rows == [(x, sum(labels[:x - 1]), x - 1 - sum(labels[:x - 1]),
+                     x / math.log(x)) for x in GRID]
 
 
 def test_grids_stream_psi_once(monkeypatch):
@@ -423,14 +426,14 @@ def test_grids_across_segments_match_whole_arrays(psi_past_two_segments):
         ns = np.arange(2, x + 1, dtype=np.float64)
         ratios = psi[2:x + 1] / ns
         hi, lo = int(np.argmax(ratios)), int(np.argmin(ratios))
-        expected_ext.append((hi + 2, float(ratios[hi]),
+        expected_ext.append((x, hi + 2, float(ratios[hi]),
                              lo + 2, float(ratios[lo])))
         threshold = get_constant("threshold").value * np.log(np.log(ns))
         above = int(np.count_nonzero(ratios > threshold))
-        expected_cls.append((above, x - 1 - above))
+        expected_cls.append((x, above, x - 1 - above, x / math.log(x)))
         # t = 0 counts every n: a block that skipped one would read < 1
         assert distribution_tail(x, ts) == [
-            (t, np.count_nonzero(ratios > t) / (x - 1)) for t in ts]
+            (x, t, np.count_nonzero(ratios > t) / (x - 1)) for t in ts]
     assert psi_ratio_extremes_grid(xs) == expected_ext
     assert classify_counts(xs) == expected_cls
 
@@ -523,16 +526,17 @@ def test_loglog_gap_shrinks():
 
 def test_distribution_tail():
     out = distribution_tail(10, [1.0, 1.9, 2.0])
-    assert out[0] == (1.0, pytest.approx(1.0))
-    assert out[1] == (1.9, pytest.approx(1 / 9))
-    assert out[2] == (2.0, 0.0)  # psi(6)/6 = 2 exactly: strict tail excludes it
+    assert out[0] == (10, 1.0, pytest.approx(1.0))
+    assert out[1] == (10, 1.9, pytest.approx(1 / 9))
+    assert out[2] == (10, 2.0, 0.0)  # psi(6)/6 = 2 exactly: strict tail excludes it
     with pytest.raises(ValueError):
         distribution_tail(10, [])
 
 
 def test_distribution_tail_infinite_and_nan_thresholds():
     inf = math.inf
-    assert distribution_tail(10, [-inf, inf]) == [(-inf, 1.0), (inf, 0.0)]
+    assert distribution_tail(10, [-inf, inf]) == [(10, -inf, 1.0),
+                                                  (10, inf, 0.0)]
     for ts in ([math.nan], [2.0, float("nan")]):
         with pytest.raises(ValueError, match="NaN"):
             distribution_tail(10, ts)
@@ -541,7 +545,7 @@ def test_distribution_tail_infinite_and_nan_thresholds():
 def test_distribution_tail_monotone():
     grid = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.5, 2.75]
     out = distribution_tail(1_000, grid)
-    fracs = [f for _, f in out]
+    fracs = [f for _, _, f in out]
     assert all(b <= a for a, b in zip(fracs, fracs[1:]))
     assert fracs[0] == 1.0
     # n = 210 reaches 96/35 = 2.7428...; nothing below 1000 clears 2.75

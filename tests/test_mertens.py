@@ -33,7 +33,7 @@ def test_prime_harmonic_values():
 def test_prime_harmonic_main_term():
     s = prime_harmonic_grid([100])[0]
     expect = math.log(math.log(100)) + get_constant("B1").value
-    assert s.main_term == pytest.approx(expect, rel=1e-14)
+    assert s.main == pytest.approx(expect, rel=1e-14)
     assert s.residual == pytest.approx(s.value - expect, abs=1e-15)
     assert s.residual == pytest.approx(0.014140362393327166, abs=1e-12)
 
@@ -83,7 +83,7 @@ def test_euler_product_inv():
     assert two.value == pytest.approx(2.0, rel=1e-15)
     # (1-1/2)(1-1/3)(1-1/5)(1-1/7) inverted = 35/8
     assert ten.value == pytest.approx(4.375, rel=1e-14)
-    assert ten.main_term == pytest.approx(get_constant("e_gamma").value * math.log(10), rel=1e-14)
+    assert ten.main == pytest.approx(get_constant("e_gamma").value * math.log(10), rel=1e-14)
     assert ten.residual == pytest.approx(0.27392920079291017, abs=1e-12)
 
 
@@ -127,7 +127,8 @@ def test_zeta2_partial_product():
 
 
 def test_oscillation_values():
-    g2, g3, g10 = oscillation_grid([2, 3, 10])
+    (x2, g2), (x3, g3), (x10, g10) = oscillation_grid([2, 3, 10])
+    assert (x2, x3, x10) == (2, 3, 10)
     assert g2 == pytest.approx(1.0825163829040825, rel=1e-12)
     assert g3 == pytest.approx(1.8070346724745068, rel=1e-12)
     assert g10 == pytest.approx(0.8662401921351982, rel=1e-12)
@@ -158,6 +159,9 @@ def test_dusart_below_validity():
     (res,) = dusart_bound_grid([1_000])
     assert res.below_validity is True
     assert res.x == 1_000
+    # x stays the int it came as, as the CLI writes it
+    (s,) = prime_harmonic_progression_grid([100], 4, 1)
+    assert (type(res.x), type(s.x), s.x) == (int, int, 100)
     log_x = math.log(1_000)
     assert res.bound == pytest.approx(
         1 / (10 * log_x ** 2) + 4 / (15 * log_x ** 3), rel=1e-14)

@@ -181,7 +181,7 @@ def test_residual_grid_counts_equal_the_squarefree_stream():
     # the Mobius table must reach isqrt(max(xs)) itself
     xs = [*range(1, 301), 2 ** 20 - 1, 2 ** 20 + 1, 2 ** 21 - 1,
           2 ** 21 + 1, 3 * 10 ** 6, 1733 ** 2]
-    got = [half.value for half, _ in squarefree_residual_grid(xs)]
+    got = [q for _, q, *_ in squarefree_residual_grid(xs)]
     assert got == [sum(map(len, squarefree_blocks(1, x + 1))) for x in xs]
 
 
@@ -190,22 +190,19 @@ def test_residual_grid_gives_a071172_without_tables(monkeypatch):
         raise AssertionError(f"build_sieve({limit}) called")
 
     monkeypatch.setattr(sieve, "build_sieve", no_tables)
-    samples = squarefree_residual_grid([10 ** k for k in range(1, 13)])
-    assert [int(half.value) for half, _ in samples] == A071172
+    rows = squarefree_residual_grid([10 ** k for k in range(1, 13)])
+    assert [q for _, q, *_ in rows] == A071172
 
 
 def test_residual_pair():
-    ((half, quarter),) = squarefree_residual_grid([10])
-    assert half.x == quarter.x == 10
-    assert half.value == quarter.value == 7.0
-    assert half.main_term == quarter.main_term
-    assert half.residual == quarter.residual
-    assert half.scale_exponent == 0.5
-    assert quarter.scale_exponent == 0.25
-    assert half.main_term == pytest.approx(6.0792710185402663, rel=1e-15)
-    assert half.residual == pytest.approx(0.9207289814597337, rel=1e-12)
-    assert half.scaled_residual == pytest.approx(half.residual / math.sqrt(10), rel=1e-14)
-    assert quarter.scaled_residual == pytest.approx(quarter.residual / 10 ** 0.25, rel=1e-14)
+    ((x, q, main, residual, half, quarter),) = squarefree_residual_grid([10])
+    assert x == 10
+    assert q == 7 and type(q) is int
+    assert residual == float(q) - main
+    assert main == pytest.approx(6.0792710185402663, rel=1e-15)
+    assert residual == pytest.approx(0.9207289814597337, rel=1e-12)
+    assert half == pytest.approx(residual / math.sqrt(10), rel=1e-14)
+    assert quarter == pytest.approx(residual / 10 ** 0.25, rel=1e-14)
 
 
 def test_harmonic_values():
@@ -213,7 +210,7 @@ def test_harmonic_values():
     assert one.value == 1.0
     # 1 + 1/2 + 1/3 + 1/5 + 1/6 + 1/7 + 1/10 = 513/210
     assert ten.value == pytest.approx(513 / 210, rel=1e-15)
-    assert ten.main_term == pytest.approx((6 / math.pi ** 2) * math.log(10), rel=1e-15)
+    assert ten.main == pytest.approx((6 / math.pi ** 2) * math.log(10), rel=1e-15)
     assert ten.residual == pytest.approx(1.0430532605009883, abs=1e-12)
 
 
