@@ -7,8 +7,8 @@ boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .sieve import MAX_LIMIT, _small_primes
 
@@ -20,14 +20,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     n: int
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
 
 
-@dataclass(frozen=True)
-class ArithProfile:
+class ArithProfile(NamedTuple):
     n: int
     mu: int
     omega: int       # distinct prime factors

@@ -23,6 +23,13 @@ takes the first chunk before it opens the output, so an invalid request
 writes nothing, and emit writes the CSV header or the JSON brackets once
 around all the chunks.
 
+Importing this module loads sieve and summation alone, besides numpy
+and argparse, since every subcommand streams through them.  Each rows
+function imports the library module it runs (extrema, mertens,
+squarefree or constants) when it runs, and json is imported only where
+JSON is written, so a run loads and compiles only what its subcommand
+uses.
+
 emit writes the rows 2^12 at a time, each chunk as one uint8 matrix with
 a row per output row.  Every column chunk becomes a fixed-width field of
 that matrix; separators, newlines, JSON keys and braces are constant
@@ -78,16 +85,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import constants, extrema, mertens, sieve, squarefree
+from . import sieve
 from .summation import CompensatedSum
 
 __all__ = ["COMMANDS", "Command", "main", "emit", "script_entry"]
@@ -107,6 +112,7 @@ _POW10 = np.array([10 ** k for k in range(1, 20)], np.uint64)
 def _text(value: Any, fmt: str) -> str:
     """One cell as JSON, or as CSV text with RFC-4180 quoting."""
     if fmt == "json":
+        import json
         return json.dumps(value)  # floats as repr, NaN or +-Infinity
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -358,6 +364,7 @@ def emit(columns: dict[str, Sequence], output_format: str, sink,
         keys, lead, sep, end = [b""] * len(columns), b"", b",", b"\n"
         skip, tail = 0, b""
     elif output_format == "json":
+        import json
         sink.write(b"[")
         keys = [json.dumps(name).encode() + b": " for name in columns]
         # every row is led by ",\n  "; the first row drops the comma
@@ -388,11 +395,11 @@ def emit(columns: dict[str, Sequence], output_format: str, sink,
     sink.write(tail if written else tail.lstrip(b"\n"))
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand: everything its parser, rows and exit code need.
     rows(args) yields column chunks from streamed sources, not sieve
-    tables; long outputs come as one chunk per chunk of primes."""
+    tables, and imports the library module it runs only when it runs;
+    long outputs come as one chunk per chunk of primes."""
 
     help: str
     columns: tuple[str, ...]
@@ -465,53 +472,122 @@ def _sieve_info(args):
     """pi and theta from one pass over the primes (theta.add returns a
     prefix sum per prime), and Q from the square-divisor sum, as the
     squarefree subcommand takes it."""
+    from .squarefree import squarefree_residual_grid
+
     limit, theta = _need(args, "limit", 2), CompensatedSum()
     count = sum(len(theta.add(np.log(p.astype(float))))
                 for p in sieve.prime_chunks(limit))
-    ((_, q, *_),) = squarefree.squarefree_residual_grid([limit])
+    ((_, q, *_),) = squarefree_residual_grid([limit])
     yield [[limit], [count], [q], [theta.value]]
 
 
 def _verify_psi(args):
+    from .extrema import primorial_stream
+
     k = 1
-    for cols in extrema.primorial_stream(
-            sieve.prime_chunks(_need(args, "plimit", 2))):
+    for cols in primorial_stream(sieve.prime_chunks(_need(args, "plimit", 2))):
         ks = np.arange(k, k + len(cols["p"]))
         k += len(ks)
         # the columns come in the order of verify-psi's, after k
         yield [ks, *cols.values()]
 
 
+def _squarefree(xs, args):
+    from .squarefree import squarefree_residual_grid
+
+    return squarefree_residual_grid(xs)
+
+
+def _harmonic(xs, args):
+    from .squarefree import squarefree_harmonic_grid
+
+    return squarefree_harmonic_grid(xs)
+
+
+def _mertens(xs, args):
+    from .mertens import prime_harmonic_grid
+
+    return prime_harmonic_grid(xs)
+
+
+def _progression(xs, args):
+    from .mertens import prime_harmonic_progression_grid
+
+    return prime_harmonic_progression_grid(xs, args.q, args.a)
+
+
+def _oscillation(xs, args):
+    from .mertens import oscillation_grid
+
+    return oscillation_grid(xs)
+
+
 def _b1(args):
+    from .mertens import compute_B1
+
     p_limit = _need(args, "plimit", 2)
-    value, tail = mertens.compute_B1(p_limit)
+    value, tail = compute_B1(p_limit)
     yield [[p_limit], [value], [tail]]
 
 
+def _dusart(xs, args):
+    from .mertens import dusart_bound_grid
+
+    return dusart_bound_grid(xs)
+
+
+def _jumps(args):
+    from .extrema import jump_chunks
+
+    return jump_chunks(_need(args, "kmax", 1))
+
+
+def _extremes(xs, args):
+    from .extrema import psi_ratio_extremes_grid
+
+    return psi_ratio_extremes_grid(xs)
+
+
+def _classify(xs, args):
+    from .extrema import classify_counts
+
+    return classify_counts(xs)
+
+
 def _dist_tail(args):
-    yield list(zip(*extrema.distribution_tail(_need(args, "x", 2), args.t)))
+    from .extrema import distribution_tail
+
+    yield list(zip(*distribution_tail(_need(args, "x", 2), args.t)))
 
 
 def _loglog_gap(args):
+    from .extrema import loglog_gap_chunks
+
     if args.kmax is not None and args.kmax < 2:
         raise ValueError("--kmax must be >= 2")
     if not args.k and args.kmax is None:
         raise ValueError("loglog-gap needs --k or --kmax")
-    return extrema.loglog_gap_chunks(args.kmax, args.k or ())
+    return loglog_gap_chunks(args.kmax, args.k or ())
 
 
 def _gap_check(args):
+    from .extrema import worst_gap
+
     p_limit = _need(args, "plimit", 3)
-    worst_k, worst_p, worst_next, score = extrema.worst_gap(p_limit)
+    worst_k, worst_p, worst_next, score = worst_gap(p_limit)
     yield [[p_limit], [score < 1.0], [worst_k], [worst_p], [worst_next]]
 
 
 def _tail_sum(args):
-    tail = squarefree.primorial_divisor_tail(args.x)
+    from .squarefree import primorial_divisor_tail
+
+    tail = primorial_divisor_tail(args.x)
     yield [[args.x], [tail.numerator], [tail.denominator]]
 
 
 def _constants(args):
+    from . import constants
+
     residuals: dict[str, float] = {}
     if not args.no_crosscheck:
         residuals = dict(constants.crosscheck_constants())
@@ -536,31 +612,26 @@ COMMANDS: dict[str, Command] = {
     "squarefree": Command(
         "squarefree counts vs (6/pi^2) x",
         ("x", "Q", "main", "residual", "scaled_half", "scaled_quarter"),
-        _x_grid(lambda xs, args: squarefree.squarefree_residual_grid(xs),
-                smallest=1), _GRID_FLAGS),
+        _x_grid(_squarefree, smallest=1), _GRID_FLAGS),
     "harmonic": Command(
         "squarefree harmonic sum vs (6/pi^2) log x",
         ("x", "value", "main", "residual"),
-        _x_grid(lambda xs, args: squarefree.squarefree_harmonic_grid(xs),
-                smallest=1), _GRID_FLAGS),
+        _x_grid(_harmonic, smallest=1), _GRID_FLAGS),
     "mertens": Command(
         "prime reciprocal sum vs log log x + B1",
         ("x", "sum", "main", "residual"),
-        _x_grid(lambda xs, args: mertens.prime_harmonic_grid(xs)),
-        _GRID_FLAGS),
+        _x_grid(_mertens), _GRID_FLAGS),
     "progression": Command(
         "prime reciprocal sum along a residue class",
         ("q", "a", "x", "sum", "b_estimate"),
-        _x_grid(lambda xs, args: mertens.prime_harmonic_progression_grid(
-            xs, args.q, args.a)),
+        _x_grid(_progression),
         _GRID_FLAGS + (_flag("--q", type=int, required=True, help="modulus"),
                        _flag("--a", type=int, required=True,
                              help="residue"))),
     "oscillation": Command(
         "scaled deviation of the inverse Euler product",
         ("x", "g"),
-        _x_grid(lambda xs, args: mertens.oscillation_grid(xs)),
-        _GRID_FLAGS),
+        _x_grid(_oscillation), _GRID_FLAGS),
     "b1": Command(
         "recompute the prime-sum constant B1",
         ("prime_limit", "value", "tail_bound"), _b1,
@@ -570,25 +641,21 @@ COMMANDS: dict[str, Command] = {
         "explicit error bound check for the prime sum",
         ("x", "holds", "slack", "deviation", "bound", "rh_bound",
          "below_validity"),
-        _x_grid(lambda xs, args: mertens.dusart_bound_grid(xs)),
-        _GRID_FLAGS,
+        _x_grid(_dusart), _GRID_FLAGS,
         fails=lambda c: ~c["holds"] & ~c["below_validity"]),
     "jumps": Command(
         "psi-ratio jumps between consecutive primorials",
-        ("k", "p_next", "delta"),
-        lambda args: extrema.jump_chunks(_need(args, "kmax", 1)),
+        ("k", "p_next", "delta"), _jumps,
         (_flag("--kmax", type=int, required=True,
                help="report jumps for k = 1..kmax"),)),
     "extremes": Command(
         "argmax/argmin of psi(n)/n over [2, x]",
         ("x", "max_n", "max_ratio", "min_n", "min_ratio"),
-        _x_grid(lambda xs, args: extrema.psi_ratio_extremes_grid(xs)),
-        _GRID_FLAGS),
+        _x_grid(_extremes), _GRID_FLAGS),
     "classify": Command(
         "count n with psi(n)/n above/below threshold",
         ("x", "above", "below", "x_over_logx"),
-        _x_grid(lambda xs, args: extrema.classify_counts(xs)),
-        _GRID_FLAGS),
+        _x_grid(_classify), _GRID_FLAGS),
     "dist-tail": Command(
         "fraction of n <= x with psi(n)/n > t",
         ("x", "t", "fraction"), _dist_tail,

@@ -8,9 +8,9 @@ registry digit cannot survive the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import fsum, log
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ __all__ = ["PrecisionConstant", "get_constant", "constant_names",
            "crosscheck_constants"]
 
 
-@dataclass(frozen=True)
-class PrecisionConstant:
+class PrecisionConstant(NamedTuple):
     name: str
     decimal: str   # >= 30 significant digits
     value: float   # decimal parsed to nearest float64

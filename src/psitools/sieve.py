@@ -50,14 +50,19 @@ The primes come from prime_blocks and mu from _mobius_table.
 segment_scan reruns the Mobius kernel above the table, needing only the
 primes up to sqrt of the range end, and takes smallest prime factors
 from _spf_block.
+
+This module and summation are the only library modules that importing
+psitools or psitools.cli loads, since every subcommand streams through
+them; the others (constants, extrema, mertens, squarefree, arith) are
+imported where a subcommand runs them.  So this module imports none of
+them, nor dataclasses: SieveTables is a NamedTuple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from math import isqrt, log
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -89,17 +94,13 @@ class InsufficientSieveError(ValueError):
     """An operation needed primes beyond the built table."""
 
 
-@dataclass(frozen=True)
-class SieveTables:
-    """Immutable arithmetic tables over [0, limit]; mobius is indexed by n."""
+class SieveTables(NamedTuple):
+    """Immutable arithmetic tables over [0, limit]; mobius is indexed by
+    n.  build_sieve makes both arrays read-only."""
 
     limit: int
     mobius: np.ndarray
     primes: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.mobius, self.primes):
-            arr.setflags(write=False)
 
     def prime_count(self, x: float) -> int:
         """Number of primes <= x (x may exceed limit only if no prime does)."""
@@ -477,8 +478,10 @@ def build_sieve(limit: int) -> SieveTables:
     # once the workspace's unmap has raised glibc's trim threshold, its
     # heap stays resident (2.3 MB more RSS after build_sieve(2_000_000))
     del block
-    return SieveTables(limit=limit, mobius=_mobius_table(limit),
-                       primes=primes)
+    mobius = _mobius_table(limit)
+    for table in (mobius, primes):
+        table.setflags(write=False)
+    return SieveTables(limit=limit, mobius=mobius, primes=primes)
 
 
 def _mobius_table(limit: int) -> np.ndarray:

@@ -34,7 +34,6 @@ its square fits int64.  Above 2**62 every term is a Python integer.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt, log
 from typing import Iterable, Iterator
 
@@ -212,6 +211,8 @@ def primorial_divisor_tail(x: int) -> Fraction:
     Returns:
         The tail as an exact reduced Fraction.
     """
+    from fractions import Fraction  # imports decimal; only this needs it
+
     x = int(x)
     if x > TAIL_PRIME_BOUND:
         raise ValueError(

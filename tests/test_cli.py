@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -603,6 +602,74 @@ def test_grid_subcommands_do_not_import_numpy_ma():
     assert done.returncode == 0, done.stderr
 
 
+# what importing psitools.cli loads of psitools: every subcommand streams
+# through sieve and summation
+_BARE_IMPORT = {"psitools", "psitools.cli", "psitools.sieve",
+                "psitools.summation"}
+# a tiny run of every subcommand, grouped by the modules it loads beyond
+# _BARE_IMPORT; "--format json" adds json from that run on
+_IMPORT_SETS = {
+    "bare": ((), []),
+    "extrema": (("psitools.extrema", "psitools.constants"), [
+        "verify-psi --plimit 30", "jumps --kmax 5", "extremes --x 100",
+        "classify --x 100", "dist-tail --x 100 --t 2", "loglog-gap --kmax 5",
+        "gap-check --plimit 30"]),
+    "squarefree": (("psitools.squarefree", "psitools.constants"), [
+        "sieve-info --limit 100", "squarefree --x 100", "harmonic --x 100"]),
+    "tail-sum": (("psitools.squarefree", "psitools.constants", "fractions",
+                  "decimal"), ["tail-sum --x 10"]),
+    "mertens": (("psitools.mertens", "psitools.constants"), [
+        "mertens --x 100", "oscillation --x 100", "dusart --x 100",
+        "b1 --plimit 100"]),
+    "progression": (("psitools.mertens", "psitools.constants",
+                     "psitools.arith"),
+                    ["progression --x 100 --q 4 --a 1"]),
+    "constants": (("psitools.constants",), [
+        "constants --no-crosscheck",
+        "constants --no-crosscheck --format json"]),
+}
+# one line after the import and after each run: its exit code (none after
+# the import), then the psitools and watched modules loaded since start
+_IMPORTS_CHILD = """\
+import os, sys
+before = set(sys.modules)
+from psitools import cli
+watched = {"fractions", "decimal", "json", "dataclasses"}
+
+def loaded():
+    return " ".join(sorted(m for m in set(sys.modules) - before
+                           if m.startswith("psitools") or m in watched))
+
+print("-", loaded())
+for argv in sys.argv[1:]:
+    print(cli.main(argv.split() + ["--output", os.devnull]), loaded())
+"""
+
+
+def test_import_sets_cover_every_subcommand():
+    assert {argv.split()[0] for _, runs in _IMPORT_SETS.values()
+            for argv in runs} == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("group", list(_IMPORT_SETS))
+def test_each_run_imports_only_its_own_modules(group):
+    # importing psitools.cli loads sieve and summation alone, and none of
+    # fractions, decimal, json or dataclasses; each subcommand adds only
+    # the library modules it runs, and JSON output adds json
+    added, runs = _IMPORT_SETS[group]
+    done = subprocess.run([sys.executable, "-c", _IMPORTS_CHILD, *runs],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert lines[0] == ["-", *sorted(_BARE_IMPORT)]
+    want = _BARE_IMPORT | set(added)
+    for argv, (code, *modules) in zip(runs, lines[1:], strict=True):
+        want |= {"json"} if "--format json" in argv else set()
+        assert code in ("0", "1"), (argv, done.stderr)
+        assert modules == sorted(want), argv
+
+
 def test_extremes_row(capsys):
     code, out, _ = run(capsys, "extremes", "--x", "100")
     assert code == 0
@@ -762,10 +829,10 @@ def test_output_unwritable(capsys):
 
 # verify-psi's own fails, or one made to pick the row k = 3
 _FAILS_AT_K3 = (
-    "import dataclasses, sys\n"
+    "import sys\n"
     "from psitools import cli\n"
-    "cli.COMMANDS['verify-psi'] = dataclasses.replace(\n"
-    "    cli.COMMANDS['verify-psi'], fails=lambda c: c['k'] == 3)\n"
+    "cli.COMMANDS['verify-psi'] = cli.COMMANDS['verify-psi']._replace(\n"
+    "    fails=lambda c: c['k'] == 3)\n"
     "sys.exit(cli.main(sys.argv[1:]))\n")
 
 
@@ -1296,8 +1363,8 @@ def test_exit_code_contract(out_dir, name, data):
         fired.append(bool(np.any(marks)))
         return marks
 
-    patched = dataclasses.replace(
-        command, fails=None if command.fails is None else fails)
+    patched = command._replace(
+        fails=None if command.fails is None else fails)
     err = io.StringIO()
     with (mock.patch.dict(cli.COMMANDS, {name: patched}),
           mock.patch.object(constants, "crosscheck_constants", _CROSSCHECK),

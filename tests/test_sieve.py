@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import os
@@ -174,8 +173,7 @@ def test_build_small():
     tables = build_sieve(10)
     assert tables.primes.tolist() == [2, 3, 5, 7]
     assert tables.mobius[:11].tolist() == [0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-    assert [f.name for f in dataclasses.fields(SieveTables)] == [
-        "limit", "mobius", "primes"]
+    assert list(SieveTables._fields) == ["limit", "mobius", "primes"]
 
     tiny = build_sieve(2)
     assert tiny.primes.tolist() == [2]
