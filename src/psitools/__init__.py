@@ -1,11 +1,11 @@
 """Numerical toolkit around the Dedekind psi function.
 
-The package streams primes, psi(n) and squarefree n in sieve blocks to
-evaluate and cross-check the classical identities tying psi(n)/n =
+The package streams primes and psi(n) in sieve blocks, and reads mu to
+sqrt(x) for squarefree sums, to check the identities tying psi(n)/n =
 prod_{p|n}(1 + 1/p) to squarefree densities, Mertens-type prime sums
 and products, and the primorial inequality psi(N_k)/N_k > (6 e^gamma /
-pi^2) log log N_k.  Every sum is one summation.CompensatedSum; the sieve
-tables serve only segment_scan and the square-divisor counts.
+pi^2) log log N_k.  Every float sum is one summation.CompensatedSum;
+the sieve tables serve only segment_scan and the square-divisor counts.
 
 Importing the package loads only sieve and summation, which every
 subcommand streams through.  get_constant is resolved on first use (a

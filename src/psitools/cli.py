@@ -14,8 +14,8 @@ extra flags, its output column names, a rows(args) generator that yields
 the rows as chunks of columns (equal-length sequences), and an optional
 vector predicate fails(columns) that marks the rows of a chunk that are
 counterexamples.  No subcommand builds sieve tables; each streams its
-primes, psi(n) or squarefree n, except that Q(x) is the square-divisor
-sum over mu up to sqrt(x).  A grid subcommand's library call returns
+primes or psi(n), except that Q(x) and the squarefree harmonic sum are
+square-divisor sums over mu up to sqrt(x).  A grid subcommand's library call returns
 the rows it writes, x first, and _x_grid passes them through unchanged.
 Most yield a few rows as one chunk; verify-psi, jumps and loglog-gap
 --kmax yield a chunk per chunk of primes, never whole columns.  main

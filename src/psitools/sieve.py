@@ -1,10 +1,10 @@
-"""Prime, psi and squarefree streams, and sieve tables (Mobius and primes).
+"""Prime and psi streams, and sieve tables (Mobius and primes).
 
-prime_blocks, psi_blocks and squarefree_blocks stream the primes, exact
-psi(n) and the squarefree n below 2**40 + 1.  Each walks the blocks of
-_blocks, which sieves the primes up to sqrt of the range end once, and
-yields one block at a time, so a consumer that takes its rows as chunks
-(such as verify-psi) holds O(block) memory whatever the range.
+prime_blocks and psi_blocks stream the primes and exact psi(n) below
+2**40 + 1.  Each walks the blocks of _blocks, which sieves the primes
+up to sqrt of the range end once, and yields one block at a time, so a
+consumer that takes its rows as chunks (such as verify-psi) holds
+O(block) memory whatever the range.
 prime_chunks, the one prime source, cuts prime_blocks into short
 chunks, or stops after the first count primes.  grid_rows is the one
 walk that answers a grid of x from such a stream: it cuts the blocks at
@@ -16,14 +16,13 @@ multiples of each step, by strided in-place ufunc calls for steps up to
 1/64 of the block length and by gathered hits and ufunc.at for larger
 ones.
 
-  primes, squarefree  _unmarked: bool marks written False at the
-                      multiples of each prime (each p^2), then the n
-                      left unmarked
-  mu                  _mobius_block: a signed found-factor product
-  psi                 _psi_block: the same product over prime powers,
-                      turned into its last factor in place, then the
-                      psi factors multiplied onto it
-  spf                 _spf_block: np.minimum with each prime
+  primes  _unmarked: bool marks written False at the multiples of
+          each prime, then the n left unmarked
+  mu      _mobius_block: a signed found-factor product
+  psi     _psi_block: the same product over prime powers, turned into
+          its last factor in place, then the psi factors multiplied
+          onto it
+  spf     _spf_block: np.minimum with each prime
 
 The Mobius and psi kernels start on a wheel (Pritchard, "Explaining the
 wheel sieve", Acta Informatica 1982): the factors of 2, 4, 8, 3, 5, 7,
@@ -38,10 +37,10 @@ psi_blocks holds each block in int32 while psi fits it (psi(n) < 5n,
 so up to n = 2**31 // 5) and in int64 above.
 
 _mobius_table runs the Mobius kernel over the blocks of [0, limit], every
-block computed in one reused workspace; squarefree's Q(x) reads it to
-sqrt(x).  build_sieve fills one immutable bundle over [0, limit] for the
-table readers (segment_scan, and the square-divisor counts of squarefree
-given tables):
+block computed in one reused workspace; squarefree's Q(x) and harmonic
+sum read it to sqrt(x).  build_sieve fills one immutable bundle over
+[0, limit] for the table readers (segment_scan, and the square-divisor
+counts of squarefree given tables):
 
   mobius[n]       mu(n) in {-1, 0, 1}                   (mobius[0] = 0)
   primes[i]       i-th prime (ascending, all <= limit)
@@ -78,7 +77,6 @@ __all__ = [
     "psi_blocks",
     "prime_blocks",
     "prime_chunks",
-    "squarefree_blocks",
     "grid_rows",
 ]
 
@@ -242,8 +240,7 @@ def _unmarked(lo: int, hi: int, steps: np.ndarray,
 
     marks is a bool array of hi - lo values, overwritten: one
     assignment pass of _sieve writes False there at the multiples of
-    each step.  prime_blocks passes primes, squarefree_blocks their
-    squares.
+    each step: the sieving primes of prime_blocks.
     """
     marks.fill(True)
     _sieve(lo, hi, steps, None, marks, np.zeros(len(steps), dtype=bool))
@@ -636,26 +633,6 @@ def _first(chunks: Iterator[np.ndarray], count: int) -> Iterator[np.ndarray]:
         count -= len(c)
         if count <= 0:
             return
-
-
-def squarefree_blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Yield the squarefree n of the half-open range [lo, hi), ascending,
-    as int64 arrays: one per _blocks block.
-
-    They are the n >= 1 that _unmarked finds no p^2 <= hi - 1 divides,
-    so n = 0 is never yielded.  No tables are needed and only one block
-    is held at a time.  Raises ValueError, when first advanced, unless
-    0 <= lo <= hi and hi - 1 <= 2**40.
-    """
-    for first, last, primes in _blocks(lo, hi):
-        squares = primes[primes <= isqrt(last - 1)] ** 2
-        # marks are held until the next block's are made: freed before
-        # the yield, their memory went to the consumer, and the next
-        # block's squarefree n (4.9 MB at 1e7) missed the heap's holes
-        # (harmonic to 1e7 peaked at 48.5 MB, against 44.5)
-        start = max(first, 1)
-        marks = np.empty(last - start, dtype=bool)
-        yield _unmarked(start, last, squares, marks)
 
 
 def grid_rows(xs: Iterable[int], least: int,

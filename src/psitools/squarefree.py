@@ -1,12 +1,11 @@
 """Squarefree counting, harmonic sums, and the primorial divisor tail.
 
-Q(x), the count of squarefree n <= x, has one route in the library: the
-inclusion-exclusion sum over square divisors
-sum_{d <= sqrt(x)} mu(d) * floor(x / d^2), which is an exact identity
-rather than an approximation, and needs mu only up to sqrt(x).  A
-streamed tally of the squarefree n (sieve.squarefree_blocks) is the
-tests' independent oracle for it; in the library that stream feeds only
-the harmonic sum.  The harmonic-sum identity
+Q(x), the count of squarefree n <= x, and S(x), the sum of their 1/n,
+each have one route in the library, an exact sum over the d <= sqrt(x)
+that needs mu only up to sqrt(x): Q(x) = sum mu(d) floor(x / d^2) and
+S(x) = sum mu(d) H(floor(x / d^2)) / d^2, H(m) the harmonic numbers.
+The tests' independent oracles count and sum the squarefree n of a
+plain sieve.  The harmonic-sum identity
 
     sum_{n <= x, n squarefree} 1/n
         = prod_{p <= x}(1 + 1/p) - sum_{d | P(x), d > x} 1/d
@@ -14,13 +13,11 @@ the harmonic sum.  The harmonic-sum identity
 (P(x) = product of primes <= x) has its left side here in floats and
 its divisor tail in exact rationals.
 
-squarefree_residual_grid compares Q(x) with (6/pi^2) x at every x of a
-grid, from one Mobius table up to sqrt of the largest x
-(sieve._mobius_table): Q(2**40) reads mu to 2**20, one block.  The
-float harmonic sum is a grid form that answers every x from one pass
-over the squarefree n (sieve.grid_rows) of sieve.squarefree_blocks, in
-block-sized memory; a single x is the grid [x].  Both return, for each
-x, the row their subcommand writes, x first.
+squarefree_residual_grid and squarefree_harmonic_grid compare Q(x) with
+(6/pi^2) x and S(x) with (6/pi^2) log x at every x of a grid, from one
+Mobius table up to sqrt of the largest x (sieve._mobius_table): x = 2**40
+reads mu to 2**20, one block; a single x is the grid [x].  Both return,
+for each x, the row their subcommand writes, x first.
 
 count_squarefree_formula splits the sum at c = x^(1/3), the simple end
 of J. Pawlewicz, "Counting square-free numbers" (arXiv:1107.4890): the
@@ -34,14 +31,16 @@ its square fits int64.  Above 2**62 every term is a Python integer.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from math import isqrt, log
-from typing import Iterable, Iterator
+from numbers import Rational  # what a Fraction is, without loading fractions
+from typing import Iterable
 
 import numpy as np
 
 from .constants import get_constant
 from .sieve import (SieveTables, _grid_xs, _index_dtype, _mobius_table,
-                    grid_rows, prime_chunks, squarefree_blocks)
+                    prime_chunks)
 from .summation import CompensatedSum, Sample, chunked
 
 __all__ = [
@@ -54,6 +53,7 @@ __all__ = [
 ]
 
 _SIX_OVER_PI_SQ = get_constant("six_over_pi_sq").value
+_HEAD = 64  # the harmonic sum's d <= _HEAD are summed in decimal
 
 # largest cutoff for the exact divisor tail: P(x) and the numerator
 # sums stay inside 128 bits through x = 52
@@ -148,15 +148,6 @@ def count_squarefree_formula_range(xmax: int, tables: SieveTables) -> np.ndarray
     return np.cumsum(out, out=out)
 
 
-def _squarefree_ns(top: int) -> Iterator[tuple[np.ndarray]]:
-    """The squarefree n in [1, top], ascending, streamed by
-    sieve.squarefree_blocks, 2**16 squarefree n at a time; each block
-    is dropped before the next one is sieved."""
-    for block in squarefree_blocks(1, top + 1):
-        yield from ((ns,) for ns in chunked(block))
-        del block
-
-
 def squarefree_residual_grid(
         xs: Iterable[int]
 ) -> list[tuple[int, int, float, float, float, float]]:
@@ -182,21 +173,65 @@ def squarefree_residual_grid(
 
 
 def squarefree_harmonic_grid(xs: Iterable[int]) -> list[Sample]:
-    """The sum of 1/n over the squarefree n <= x, against (6/pi^2) log x,
-    for every x in xs (1 <= x <= 2**40), from one pass over the
-    squarefree n up to max(xs).  The compensated sum of 1/n, in
-    ascending n, carries across chunks and is read at each x: within a
-    few ulp of exact, and the same bits whatever the chunks.
+    """S(x), the sum of 1/n over the squarefree n <= x, against
+    (6/pi^2) log x, for every x in xs (1 <= x <= 2**40), from one Mobius
+    table up to isqrt(max(xs)), as squarefree_residual_grid reads it.
+
+    The squarefree d <= 64 of the square-divisor sum are summed in
+    decimal at 34 digits: H(m) a decimal sum below 256, and _harmonic to
+    1/(132 m^10) above (remainder below 3e-31), with the registry's 35
+    digits of gamma.  The d > 64 go to one CompensatedSum in float64, a
+    chunked slice of the table at a time: H(m) is _harmonic to
+    1/(252 m^6) for m >= 64 (remainder below 2e-17), and the float of
+    the decimal H(m) below.  Each tail term is below (log x + 1) / d^2
+    and sum_{d > 64} 1/d^2 < 1/64, so the float tail adds a few
+    u (log x + 1) / 64, u = 2**-53: far below half an ulp of
+    S(x) ~ 0.61 log x.  The value is the float of head + tail.
     """
-    total = CompensatedSum()
+    from decimal import Context, Decimal, localcontext  # only this needs it
+
     xs = _grid_xs(xs, 1)
-    sums = grid_rows(xs, 1, _squarefree_ns, lambda ns: total.add(1.0 / ns),
-                     lambda x: total.value)
-    return [Sample(x, value, main, value - main) for x, value, main in
-            zip(xs, sums, [_SIX_OVER_PI_SQ * log(x) for x in xs])]
+    mobius = _mobius_table(isqrt(max(xs)))
+    gamma = get_constant("gamma")
+    rows = []
+    with localcontext(Context(prec=34)):  # Python 3.10 has no prec=
+        exact = [Decimal(0), *accumulate(  # H(m) for m < 256
+            Decimal(1) / k for k in range(1, 256))]
+        small = np.array([float(h) for h in exact[:_HEAD]])
+
+        def harmonic(m: int) -> Decimal:
+            return exact[m] if m < len(exact) else _harmonic(
+                Decimal(m), Decimal(m).ln(), Decimal(gamma.decimal), 5)
+
+        for x in xs:
+            r = isqrt(x)
+            head = sum((mu * harmonic(x // (d * d)) / (d * d) for d, mu in
+                        enumerate(mobius[:min(r, _HEAD) + 1].tolist()) if mu),
+                       Decimal(0))
+            tail, start = CompensatedSum(), _HEAD + 1
+            for mu in chunked(mobius[start:r + 1]):
+                d = np.flatnonzero(mu)
+                sign, d, start = mu[d], (d + start) ** 2, start + len(mu)
+                m = x // d
+                h = _harmonic(m, np.log(m), gamma.value, 3)
+                h = np.where(m < _HEAD, small[np.minimum(m, _HEAD - 1)], h)
+                tail.add(sign * h / d)
+            value = float(head + Decimal(tail.value))
+            main = _SIX_OVER_PI_SQ * log(x)
+            rows.append(Sample(x, value, main, value - main))
+    return rows
 
 
-def primorial_divisor_tail(x: int) -> Fraction:
+def _harmonic(m, log_m, gamma, terms: int):
+    """H(m) = log m + gamma + 1/(2m) - 1/(12 m^2) + 1/(120 m^4) - ...
+    (Euler-Maclaurin) to 1/m^(2 terms), terms <= 5, for m a Decimal or
+    an int64 array with m^2 < 2**63."""
+    s, c = 1 / (m * m), (12, -120, 252, -240, 132)
+    return log_m + gamma + 1 / (2 * m) - sum(
+        s ** (k + 1) / c[k] for k in range(terms))
+
+
+def primorial_divisor_tail(x: int) -> Rational:
     """sum of 1/d over divisors d > x of P(x) = prod of primes <= x.
 
     All 2^r divisors of the squarefree P(x) are visited by Gray-code

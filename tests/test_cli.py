@@ -615,7 +615,9 @@ _IMPORT_SETS = {
         "classify --x 100", "dist-tail --x 100 --t 2", "loglog-gap --kmax 5",
         "gap-check --plimit 30"]),
     "squarefree": (("psitools.squarefree", "psitools.constants"), [
-        "sieve-info --limit 100", "squarefree --x 100", "harmonic --x 100"]),
+        "sieve-info --limit 100", "squarefree --x 100"]),
+    "harmonic": (("psitools.squarefree", "psitools.constants", "decimal"),
+                 ["harmonic --x 100"]),
     "tail-sum": (("psitools.squarefree", "psitools.constants", "fractions",
                   "decimal"), ["tail-sum --x 10"]),
     "mertens": (("psitools.mertens", "psitools.constants"), [

@@ -649,16 +649,18 @@ def test_prime_blocks_match_build_sieve(limit):
     (2 ** 31 - 1000, 2 ** 31 + 1000), (MAX_LIMIT - 1000, MAX_LIMIT + 1)])
 def test_prime_and_squarefree_blocks_match_reference(lo, hi):
     # the primes are the n >= 2 that are their own smallest prime factor,
-    # and the squarefree n the n >= 1 with mu(n) != 0
+    # and the squarefree n of the Mobius kernel the n >= 1 with mu != 0
     spf, mobius, _, _ = reference_sieve_block(
         lo, hi, plain_primes(math.isqrt(max(hi - 1, 0))), np.int64)
     n = np.arange(lo, hi)
-    for stream, want in ((sieve.prime_blocks, (spf == n) & (n >= 2)),
-                         (sieve.squarefree_blocks, (mobius != 0) & (n >= 1))):
-        blocks = list(stream(lo, hi))
-        assert len(blocks) == -(-(hi - lo) // SEGMENT_SIZE)
-        assert all(block.dtype == np.int64 for block in blocks)
-        assert np.array_equal(np.concatenate([n[:0], *blocks]), n[want])
+    blocks = list(sieve.prime_blocks(lo, hi))
+    assert len(blocks) == -(-(hi - lo) // SEGMENT_SIZE)
+    assert all(block.dtype == np.int64 for block in blocks)
+    squarefree = [first + np.flatnonzero(_mobius_block(first, last, base))
+                  for first, last, base in sieve._blocks(lo, hi)]
+    for got, want in ((blocks, (spf == n) & (n >= 2)),
+                      (squarefree, (mobius != 0) & (n >= 1))):
+        assert np.array_equal(np.concatenate([n[:0], *got]), n[want])
 
 
 def test_prime_blocks_count_to_1e8():
@@ -707,32 +709,6 @@ def test_prime_chunks_domain():
     with pytest.raises(ValueError, match="2\\*\\*40"):
         next(sieve.prime_chunks(MAX_LIMIT + 1))
     assert list(sieve.prime_chunks(1)) == []
-
-
-@pytest.mark.parametrize("lo", [0, 10 ** 8, 10 ** 12])
-def test_squarefree_blocks_match_mobius_kernel(lo):
-    # a whole block and an unaligned part of the next
-    hi = lo + SEGMENT_SIZE + 12_345
-    mu = _mobius_block(lo, hi, _small_primes(math.isqrt(hi - 1)))
-    if lo == 0:
-        mu[0] = 0  # left to the caller by the kernel
-    blocks = list(sieve.squarefree_blocks(lo, hi))
-    assert len(blocks) == 2
-    assert all(block.dtype == np.int64 for block in blocks)
-    assert np.array_equal(np.concatenate(blocks), lo + np.flatnonzero(mu))
-
-
-def test_squarefree_blocks_small_ranges_and_domain():
-    assert np.concatenate(list(sieve.squarefree_blocks(0, 4))).tolist() == [
-        1, 2, 3]
-    assert np.concatenate(list(sieve.squarefree_blocks(0, 13))).tolist() == [
-        1, 2, 3, 5, 6, 7, 10, 11]
-    assert list(sieve.squarefree_blocks(5, 5)) == []
-    # Q(10^6), the squarefree count to a million
-    assert sum(map(len, sieve.squarefree_blocks(1, 10 ** 6 + 1))) == 607_926
-    for lo, hi in [(0, MAX_LIMIT + 2), (-1, 5), (5, 4)]:
-        with pytest.raises(ValueError, match="2\\*\\*40"):
-            next(sieve.squarefree_blocks(lo, hi))
 
 
 def test_grid_rows_cuts_every_block_at_each_x():

@@ -1,13 +1,17 @@
 import math
 import random
-import tracemalloc
+import typing
 from fractions import Fraction
+from functools import cache
+from numbers import Rational
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from psitools import InsufficientSieveError, build_sieve, sieve, squarefree
-from psitools.sieve import SEGMENT_SIZE, SieveTables, squarefree_blocks
+from psitools.sieve import SieveTables
 from psitools.squarefree import (
     count_squarefree_formula,
     count_squarefree_formula_range,
@@ -15,10 +19,10 @@ from psitools.squarefree import (
     squarefree_harmonic_grid,
     squarefree_residual_grid,
 )
-from psitools.summation import CompensatedSum, chunked
+from psitools.summation import CompensatedSum
 
 from conftest import (count_squarefree_exact, plain_primes, psi_product_exact,
-                      squarefree_harmonic_exact, squarefree_upto)
+                      squarefree_harmonic_exact, squarefree_upto, traced_peak)
 
 
 def brute_squarefree(n):
@@ -176,13 +180,13 @@ A071172 = [7, 61, 608, 6083, 60794, 607926, 6079291, 60792694, 607927124,
 
 def test_residual_grid_counts_equal_the_squarefree_stream():
     # Q from the square-divisor sum against the tests' oracle, a count
-    # of the streamed squarefree n: every x to 300, either side of the
-    # block seams 2^20 and 2^21, and last 1733^2, whose root is prime, so
-    # the Mobius table must reach isqrt(max(xs)) itself
+    # of the squarefree n of a plain sieve: every x to 300, either side
+    # of the block seams 2^20 and 2^21, and last 1733^2, whose root is
+    # prime, so the Mobius table must reach isqrt(max(xs)) itself
     xs = [*range(1, 301), 2 ** 20 - 1, 2 ** 20 + 1, 2 ** 21 - 1,
           2 ** 21 + 1, 3 * 10 ** 6, 1733 ** 2]
     got = [q for _, q, *_ in squarefree_residual_grid(xs)]
-    assert got == [sum(map(len, squarefree_blocks(1, x + 1))) for x in xs]
+    assert got == [count_squarefree_exact(x) for x in xs]
 
 
 def test_residual_grid_gives_a071172_without_tables(monkeypatch):
@@ -220,31 +224,35 @@ def test_harmonic_exact():
     assert Fraction(171, 70) == Fraction(513, 210)
 
 
-@pytest.mark.parametrize("chunk,x", [(5, 10_000), (5, 16), (4096, 10_000),
-                                     (4096, 4097)])
-def test_harmonic_chunks_match_one_sum(monkeypatch, chunk, x):
-    # the streamed squarefree n, cut into chunks of any size, give the
-    # bits of one compensated sum over the squarefree n <= x; with chunk
-    # 5 the 11 squarefree n <= 16 end in a chunk of one
-    ns = squarefree_upto(x)
-    whole = float(CompensatedSum().add(1.0 / ns.astype(np.float64))[-1])
-    monkeypatch.setattr(squarefree, "chunked",
-                        lambda block: chunked(block, chunk))
-    assert squarefree_harmonic_grid([x])[0].value == whole
+def test_harmonic_formula_within_half_an_ulp_of_mpmath():
+    # sum mu(d) H(x // d^2) / d^2 at 40 digits, on 60 x log-uniform to
+    # 1e7 and two x where a compensated sum of the 1/n rounds apart
+    rng = random.Random(31)
+    xs = {29787, 4279349}
+    while len(xs) < 62:
+        xs.add(int(10 ** rng.uniform(0, 7)))
+    mu = [0, *sympy.sieve.mobiusrange(1, math.isqrt(10 ** 7) + 1)]
+    with mpmath.workdps(40):
+        harmonic = cache(mpmath.harmonic)
+        for x, row in zip(xs, squarefree_harmonic_grid(xs)):
+            exact = mpmath.fsum(mu[d] * harmonic(x // (d * d)) / (d * d)
+                                for d in range(1, math.isqrt(x) + 1) if mu[d])
+            ulp = math.ulp(row.value)
+            assert abs(row.value - exact) <= 0.51 * ulp, x
+            streamed = CompensatedSum().add(1.0 / squarefree_upto(x))[-1]
+            assert abs(streamed - row.value) <= 2 * ulp, x
 
 
-def test_harmonic_grid_holds_one_squarefree_block():
-    # one int64 block of squarefree n (about 4.9 bytes per n) and the
-    # bool marks of the next (1) are the only block-sized arrays; the
-    # 1/n come 2^16 at a time, and each block is freed before the next
-    # is sieved (two blocks at once pass 10 bytes per n)
-    tracemalloc.start()
-    try:
-        squarefree_harmonic_grid([3 * SEGMENT_SIZE])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 9 * SEGMENT_SIZE, peak
+def test_harmonic_at_2_40_peaks_no_higher_than_squarefree(tmp_path):
+    # both peak while the same Mobius table to 2^20 is built (6.95 MB
+    # traced); interpreter state moves either peak by up to 16 kB
+    peaks = {}
+    for command in ("squarefree", "harmonic"):
+        code, peaks[command] = traced_peak(
+            command, "--x", "1099511627776", "--output", str(tmp_path / "o"))
+        assert code == 0
+    assert (tmp_path / "o").read_text().count("\n1099511627776,") == 1
+    assert peaks["harmonic"] <= peaks["squarefree"] + 2 ** 16, peaks
 
 
 def test_harmonic_residual_settles():
@@ -274,6 +282,11 @@ def test_tail_values():
     assert primorial_divisor_tail(2) == Fraction(0)
     assert primorial_divisor_tail(6) == Fraction(1, 5)
     assert primorial_divisor_tail(10) == Fraction(3, 10)
+
+
+def test_tail_type_hints_resolve():
+    assert typing.get_type_hints(primorial_divisor_tail) == {
+        "x": int, "return": Rational}
 
 
 def test_tail_domain():
