@@ -36,11 +36,12 @@ product with one float64 division n / found per n, exact below 2**53;
 psi_blocks holds each block in int32 while psi fits it (psi(n) < 5n,
 so up to n = 2**31 // 5) and in int64 above.
 
-_mobius_table runs the Mobius kernel over the blocks of [0, limit], every
-block computed in one reused workspace; squarefree's Q(x) and harmonic
-sum read it to sqrt(x).  build_sieve fills one immutable bundle over
-[0, limit] for the table readers (segment_scan, and the square-divisor
-counts of squarefree given tables):
+_mobius_table runs the Mobius kernel over the blocks of [0, limit], each
+written straight into its slice of the table, with one found-product
+scratch for every block; squarefree's Q(x) and harmonic sum read it to
+sqrt(x).  build_sieve fills one immutable bundle over [0, limit] for
+the table readers (segment_scan, and the square-divisor counts of
+squarefree given tables):
 
   mobius[n]       mu(n) in {-1, 0, 1}                   (mobius[0] = 0)
   primes[i]       i-th prime (ascending, all <= limit)
@@ -185,17 +186,10 @@ def _sieve(lo: int, hi: int, steps: np.ndarray, ufunc, array: np.ndarray,
             ufunc.at(array, index, values[j])
 
 
-def _mobius_work(size: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Empty (found, mobius) arrays of size values for _mobius_block on
-    blocks that end at or below hi."""
-    return (np.empty(size, dtype=_index_dtype(hi)),
-            np.empty(size, dtype=np.int8))
-
-
-def _mobius_block(lo: int, hi: int, primes: np.ndarray,
-                  work: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> np.ndarray:
-    """Mobius values of [lo, hi); primes must cover sqrt(hi - 1).
+def _mobius_block(lo: int, hi: int, primes: np.ndarray, mobius: np.ndarray,
+                  found: np.ndarray | None = None) -> None:
+    """Write mu(n) for n in [lo, hi) into mobius, an int8 array of hi - lo
+    values; primes must cover sqrt(hi - 1).
 
     One signed array, found, carries both the sign and the found-factor
     product.  It starts from the period of _signed_wheel(): (-1)^omega(g)
@@ -205,18 +199,19 @@ def _mobius_block(lo: int, hi: int, primes: np.ndarray,
     divide n, a divisor of n (so it fits the int32 of _index_dtype), and
     its sign is (-1) to the number of those primes.  A squarefree n with
     |found| < n has exactly one prime factor above them, so mu(n) =
-    sign(found), negated there.  That closing step runs over
-    _CHUNK-value slices, so found and mobius are the only block-sized
-    arrays.  Then each p^2 with 3 <= p <= sqrt(hi - 1) zeroes mobius at
+    sign(found), negated there.  That closing step writes mobius over
+    _CHUNK-value slices, so found is the one block-sized array beside
+    mobius.  Then each p^2 with 3 <= p <= sqrt(hi - 1) zeroes mobius at
     its multiples, as the period did for 4.  Entry n = 0 is left to the
     caller.
 
-    work is the two arrays, from _mobius_work, that the block is
-    computed in; _mobius_table passes one pair for all its blocks.  Without
-    it they are allocated.  The mobius returned is a view of the first
-    hi - lo values of its second.
+    found is a scratch array of at least hi - lo values, in
+    _index_dtype(hi) or int64; _mobius_table passes one for all the
+    blocks of its table.  Without it one is allocated.
     """
-    found, mobius = (a[:hi - lo] for a in work or _mobius_work(hi - lo, hi))
+    if found is None:
+        found = np.empty(hi - lo, dtype=_index_dtype(hi))
+    found = found[:hi - lo]
     primes = primes[primes <= isqrt(hi - 1)]
     sieving = primes[np.searchsorted(primes, _WHEEL_PRIMES[-1], "right"):]
     _wheel_sieve(lo, hi, None, found, _signed_wheel(), sieving,
@@ -231,7 +226,6 @@ def _mobius_block(lo: int, hi: int, primes: np.ndarray,
         np.multiply(np.sign(f, out=f), flip, out=mu, casting="unsafe")
     squares = primes[1:] ** 2  # 4 is in the period
     _sieve(lo, hi, squares, None, mobius, np.zeros(len(squares), np.int8))
-    return mobius
 
 
 def _unmarked(lo: int, hi: int, steps: np.ndarray,
@@ -471,9 +465,9 @@ def build_sieve(limit: int) -> SieveTables:
         primes[count:count + len(block)] = block
         count += len(block)
     primes.resize(count, refcheck=False)  # no view of it exists yet
-    # the last prime block goes before mu's workspace: freed after it,
-    # once the workspace's unmap has raised glibc's trim threshold, its
-    # heap stays resident (2.3 MB more RSS after build_sieve(2_000_000))
+    # the last prime block goes before mu's found scratch: freed after
+    # it, once the scratch's unmap has raised glibc's trim threshold, its
+    # heap stays resident (1.4 MB more RSS after build_sieve(2_000_000))
     del block
     mobius = _mobius_table(limit)
     for table in (mobius, primes):
@@ -483,14 +477,15 @@ def build_sieve(limit: int) -> SieveTables:
 
 def _mobius_table(limit: int) -> np.ndarray:
     """mu(n) for every n in [0, limit], limit >= 1, as int8 (mu(0) = 0):
-    _mobius_block over the blocks of _blocks, each computed in one
-    workspace and copied into the table."""
+    _mobius_block writes each block of _blocks straight into its slice
+    of the table, all of them sieved in one found scratch."""
     mobius = np.empty(limit + 1, dtype=np.int8)
-    # one workspace for every block: arrays freed block by block leave
+    # one scratch for every block: arrays freed block by block can leave
     # their heap resident once glibc raises its mmap threshold
-    work = _mobius_work(min(SEGMENT_SIZE, limit + 1), limit + 1)
+    found = np.empty(min(SEGMENT_SIZE, limit + 1),
+                     dtype=_index_dtype(limit + 1))
     for lo, hi, base in _blocks(0, limit + 1):
-        mobius[lo:hi] = _mobius_block(lo, hi, base, work)
+        _mobius_block(lo, hi, base, mobius[lo:hi], found)
     mobius[0] = 0
     return mobius
 
@@ -518,7 +513,8 @@ def _scan_slices(lo: int, hi: int,
     """The zips of segment_scan, one per _CHUNK values of [lo, hi]."""
     for seg_lo in range(lo, hi + 1, SEGMENT_SIZE):
         seg_hi = min(seg_lo + SEGMENT_SIZE, hi + 1)
-        blk_mob = _mobius_block(seg_lo, seg_hi, primes)
+        blk_mob = np.empty(seg_hi - seg_lo, dtype=np.int8)
+        _mobius_block(seg_lo, seg_hi, primes, blk_mob)
         blk_spf = _spf_block(seg_lo, seg_hi, primes)
         # Python ints a sub-chunk at a time: fast to iterate, small lists
         for a in range(0, seg_hi - seg_lo, _CHUNK):

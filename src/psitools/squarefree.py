@@ -129,18 +129,20 @@ def _isqrt(m: np.ndarray) -> np.ndarray:
 def count_squarefree_formula_range(xmax: int, tables: SieveTables) -> np.ndarray:
     """The square-divisor sum evaluated for every x in [1, xmax] at once.
 
-    Returns an int64 array F with F[x] = sum_{d <= sqrt(x)} mu(d) *
-    floor(x / d^2) (index 0 unused).  F(x) - F(x - 1) is the sum of
-    mu(d) over the d with d^2 | x, so mu(d) is added at every multiple
-    of d^2 for each squarefree d <= sqrt(xmax) and one cumulative sum
-    yields all values, in O(xmax) work; the result for each x is
-    identical to count_squarefree_formula(x).
+    Returns an array F with F[x] = sum_{d <= sqrt(x)} mu(d) *
+    floor(x / d^2) (index 0 unused), in sieve._index_dtype(xmax + 1):
+    int32 up to xmax = 2**31 - 1, since 0 <= F[x] <= x, and int64 above.
+    F(x) - F(x - 1) is the sum of mu(d) over the d with d^2 | x, so
+    mu(d) is added at every multiple of d^2 for each squarefree
+    d <= sqrt(xmax) and one cumulative sum, in place, yields all values,
+    in O(xmax) work; the result for each x is identical to
+    count_squarefree_formula(x).
     """
     xmax = int(xmax)
     if xmax < 1:
         raise ValueError(f"xmax must be >= 1, got {xmax}")
     root = tables.check(isqrt(xmax), "sqrt(xmax)")
-    out = np.zeros(xmax + 1, dtype=np.int64)
+    out = np.zeros(xmax + 1, dtype=_index_dtype(xmax + 1))
     mob = tables.mobius[:root + 1]
     for d in np.nonzero(mob)[0].tolist():
         dd = d * d

@@ -23,6 +23,14 @@ from psitools.summation import CompensatedSum
 from conftest import plain_primes, primorial_columns
 
 
+def mobius_block(lo, hi, primes):
+    """mu over [lo, hi) from _mobius_block, written into a fresh int8
+    block."""
+    mu = np.empty(hi - lo, dtype=np.int8)
+    _mobius_block(lo, hi, primes, mu)
+    return mu
+
+
 def brute_mobius(n):
     if n == 1:
         return 1
@@ -327,7 +335,7 @@ def assert_block_matches_reference(lo, length, primes):
     # the dtype psi_blocks gives: int32 up to 2**31 // 5, sieved in place
     psi = np.empty(length, dtype=_psi_dtype(hi))
     _psi_block(lo, hi, primes, psi)
-    got = (_spf_block(lo, hi, primes), _mobius_block(lo, hi, primes), psi)
+    got = (_spf_block(lo, hi, primes), mobius_block(lo, hi, primes), psi)
     spf, mu, psi_want, marks = reference_sieve_block(lo, hi, primes, dtype)
     n = np.arange(lo, hi)
     for name, g, w in zip(("spf", "mu", "psi"), got, (spf, mu, psi_want)):
@@ -374,7 +382,7 @@ def test_sieve_block_matches_reference_fixed(tables_2e6, lo, length):
 @pytest.mark.parametrize("length", [1, 2, 3, 64, 200, 4096])
 def test_sieve_block_at_start(tables_1e4, lo, length):
     hi = lo + length
-    mu = _mobius_block(lo, hi, tables_1e4.primes)
+    mu = mobius_block(lo, hi, tables_1e4.primes)
     spf = _spf_block(lo, hi, tables_1e4.primes)
     assert spf.dtype == np.int32 and mu.dtype == np.int8
     assert spf.shape == mu.shape == (length,)
@@ -432,7 +440,7 @@ def test_kernels_at_the_int32_edge(tables_2e6, hi, length):
     assert first == lo and psi.dtype == np.int64
     assert psi.tolist() == [factorint_psi(n) for n in range(lo, hi)]
     if lo < 2 ** 31:
-        mu = _mobius_block(lo, hi, tables_2e6.primes)
+        mu = mobius_block(lo, hi, tables_2e6.primes)
         (primes,) = sieve.prime_blocks(lo, hi)
         i = 2 ** 31 - 1 - lo
         assert (mu[i], psi[i], primes[-1]) == (-1, 2 ** 31, 2 ** 31 - 1)
@@ -537,7 +545,7 @@ def test_mobius_block_at_wheel_boundaries(tables_2e6, m):
     # mu against the reference pass for every window
     span_lo, _, mobius, _ = wheel_edge_reference(m)
     for lo, hi in wheel_edge_windows(m):
-        mu = _mobius_block(lo, hi, tables_2e6.primes)
+        mu = mobius_block(lo, hi, tables_2e6.primes)
         assert mu.dtype == np.int8
         at = 1 if lo == 0 else 0  # mu(0) is left to the caller
         assert np.array_equal(mu[at:], mobius[lo + at - span_lo:
@@ -593,26 +601,27 @@ def test_build_primes_match_plain_sieve(limit):
 @pytest.mark.parametrize("limit", [2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1,
                                    3 * 2 ** 20 + 7])
 def test_build_sieve_reuses_one_workspace(monkeypatch, limit):
-    # build_sieve hands every block the same workspace; its mobius must
-    # equal separate _mobius_block calls, the short last block included,
-    # its primes the plain sieve's, and neither share memory with that
-    # workspace
-    works = []
+    # build_sieve hands every block the same found scratch and its slice
+    # of the table; its mobius must equal separate _mobius_block calls,
+    # the short last block included, its primes the plain sieve's, and
+    # neither share memory with that scratch
+    calls = []
 
-    def recording(lo, hi, primes, work=None):
-        works.append(work)
-        return _mobius_block(lo, hi, primes, work)
+    def recording(lo, hi, primes, mobius, found=None):
+        calls.append((mobius, found))
+        _mobius_block(lo, hi, primes, mobius, found)
 
     monkeypatch.setattr(sieve, "_mobius_block", recording)
     tables = build_sieve(limit)
     monkeypatch.undo()
     starts = range(0, limit + 1, SEGMENT_SIZE)
-    assert len(works) == len(starts)
-    work = works[0]
-    assert all(w is work for w in works)
-    assert [len(a) for a in work] == [min(SEGMENT_SIZE, limit + 1)] * 2
+    assert len(calls) == len(starts)
+    found = calls[0][1]
+    assert all(f is found for _, f in calls)
+    assert len(found) == min(SEGMENT_SIZE, limit + 1)
+    assert all(np.shares_memory(mu, tables.mobius) for mu, _ in calls)
     base = _small_primes(math.isqrt(limit))
-    parts = [_mobius_block(lo, min(lo + SEGMENT_SIZE, limit + 1), base)
+    parts = [mobius_block(lo, min(lo + SEGMENT_SIZE, limit + 1), base)
              for lo in starts]
     mobius = np.concatenate(parts)
     mobius[0] = 0
@@ -621,7 +630,7 @@ def test_build_sieve_reuses_one_workspace(monkeypatch, limit):
     assert np.array_equal(tables.primes, plain_primes(limit))
     for table in (tables.mobius, tables.primes):
         assert not table.flags.writeable
-        assert not any(np.shares_memory(table, a) for a in work)
+        assert not np.shares_memory(table, found)
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 1000, 2 ** 20 - 1, 2 ** 20,
@@ -656,7 +665,7 @@ def test_prime_and_squarefree_blocks_match_reference(lo, hi):
     blocks = list(sieve.prime_blocks(lo, hi))
     assert len(blocks) == -(-(hi - lo) // SEGMENT_SIZE)
     assert all(block.dtype == np.int64 for block in blocks)
-    squarefree = [first + np.flatnonzero(_mobius_block(first, last, base))
+    squarefree = [first + np.flatnonzero(mobius_block(first, last, base))
                   for first, last, base in sieve._blocks(lo, hi)]
     for got, want in ((blocks, (spf == n) & (n >= 2)),
                       (squarefree, (mobius != 0) & (n >= 1))):

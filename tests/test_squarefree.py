@@ -11,7 +11,7 @@ import pytest
 import sympy
 
 from psitools import InsufficientSieveError, build_sieve, sieve, squarefree
-from psitools.sieve import SieveTables
+from psitools.sieve import SieveTables, _index_dtype
 from psitools.squarefree import (
     count_squarefree_formula,
     count_squarefree_formula_range,
@@ -50,7 +50,7 @@ def test_formula_matches_exact(tables_1e4):
 
 def test_formula_range_matches_scalar(tables_1e4):
     table = count_squarefree_formula_range(10_000, tables_1e4)
-    assert table.dtype == np.int64
+    assert table.dtype == _index_dtype(10_001)
     assert table.shape == (10_001,)
     assert table[0] == 0
     for x in range(1, 10_001):
@@ -253,6 +253,19 @@ def test_harmonic_at_2_40_peaks_no_higher_than_squarefree(tmp_path):
         assert code == 0
     assert (tmp_path / "o").read_text().count("\n1099511627776,") == 1
     assert peaks["harmonic"] <= peaks["squarefree"] + 2 ** 16, peaks
+
+
+@pytest.mark.parametrize("command, bound_mb", [("squarefree", 6.8),
+                                               ("harmonic", 6.5)])
+def test_mu_to_2_20_is_sieved_into_its_table(tmp_path, command, bound_mb):
+    # the Mobius table to 2^20 (1.05 MB) is written block by block
+    # straight into place, beside one 4 MiB int32 found scratch: 6.27 MB
+    # (squarefree) and 5.98 MB (harmonic) traced, so a second 1 MiB
+    # block of mu beside them would break either bound
+    code, peak = traced_peak(command, "--x", "1099511627776",
+                             "--output", str(tmp_path / "o"))
+    assert code == 0
+    assert peak < bound_mb * 1e6, peak
 
 
 def test_harmonic_residual_settles():
