@@ -238,14 +238,19 @@ def test_verify_psi_rows_across_chunks(capsys):
 
 
 def test_verify_psi_streams_in_bounded_memory(tmp_path):
-    # 216,816 rows go out a chunk at a time: no sieve tables and no
-    # whole columns, which took a traced peak of 17.5 MB
-    target = tmp_path / "v.csv"
-    code, peak = traced_peak("verify-psi", "--plimit", "3000000",
-                             "--output", str(target))
-    assert code == 0
-    assert target.read_text().count("\n") == 216_817
-    assert peak < 8 * 2 ** 20
+    # 216,816 CSV and 78,498 JSON rows go out a chunk at a time, with no
+    # sieve tables and no whole columns (a traced peak of 17.5 MB for the
+    # CSV), and each chunk is compressed and written in slices: 2.6 MiB
+    # for both, 3.8 and 4.6 MiB with each chunk compressed whole and
+    # copied beside its fields
+    target = tmp_path / "v.out"
+    for argv, row_start, count in (
+            (["--plimit", "3000000"], "\n", 216_817),
+            (["--plimit", "1000000", "--format", "json"], "\n  {", 78_498)):
+        code, peak = traced_peak("verify-psi", *argv, "--output", str(target))
+        assert code == 0
+        assert target.read_text().count(row_start) == count
+        assert peak < 3.5 * 2 ** 20, argv
 
 
 @pytest.mark.parametrize("command", ["extremes", "classify", "harmonic",
@@ -940,6 +945,18 @@ def test_emit_text_cells_utf8_and_nul():
         emit(columns, "csv", io.BytesIO())
 
 
+class RecordingSink(io.BytesIO):
+    """A binary sink that keeps a bytes copy of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(memoryview(data)))  # bytes-like or raise
+        return super().write(data)
+
+
 def test_emit_chunks_match_one_chunk(monkeypatch):
     # a float column whose only non-finite value sits in a later chunk
     columns = {"k": np.arange(10), "v": np.linspace(0.0, 1.0, 10)}
@@ -949,18 +966,24 @@ def test_emit_chunks_match_one_chunk(monkeypatch):
         sink = io.BytesIO()
         emit(columns, fmt, sink)
         whole[fmt] = sink.getvalue().decode()
-    monkeypatch.setattr(cli, "_ROW_CHUNK", 3)
-    for fmt in ("csv", "json"):
-        sink = io.BytesIO()
-        emit(columns, fmt, sink)
-        assert sink.getvalue().decode() == whole[fmt]
-        # the same rows as an empty first chunk and more chunks of 4: the
-        # header or brackets are written once
-        sink = io.BytesIO()
-        emit({name: c[:0] for name, c in columns.items()}, fmt, sink,
-             ({name: c[a:a + 4] for name, c in columns.items()}
-              for a in range(0, 10, 4)))
-        assert sink.getvalue().decode() == whole[fmt]
+    for row_chunk, write_rows in ((3, cli._WRITE_ROWS), (1 << 12, 1),
+                                  (1 << 12, 3), (3, 1)):
+        monkeypatch.setattr(cli, "_ROW_CHUNK", row_chunk)
+        monkeypatch.setattr(cli, "_WRITE_ROWS", write_rows)
+        for fmt, row_end in (("csv", b"\n"), ("json", b"}")):
+            # the same rows as one chunk, and as an empty first chunk and
+            # more chunks of 4: the header or brackets are written once,
+            # and only the first row written drops JSON's leading comma
+            for first, more in (
+                    (columns, ()),
+                    ({name: c[:0] for name, c in columns.items()},
+                     ({name: c[a:a + 4] for name, c in columns.items()}
+                      for a in range(0, 10, 4)))):
+                sink = RecordingSink()
+                emit(first, fmt, sink, more)
+                assert sink.getvalue().decode() == whole[fmt]
+                assert max(w.count(row_end)
+                           for w in sink.writes) <= write_rows
     assert '"v": Infinity' in whole["json"]
 
 
